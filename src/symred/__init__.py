@@ -10,6 +10,7 @@ Lagrangian criterion, and a batch runner for named check suites.
 
 from .errors import (
     BaseNotInSubgroupoid,
+    CertificateFailed,
     ConfigError,
     DimensionMismatch,
     EtaNotInAnnihilator,

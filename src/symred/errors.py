@@ -63,3 +63,7 @@ class NotACandidate(SymredError):
 
 class ConfigError(SymredError):
     pass
+
+
+class CertificateFailed(SymredError):
+    """An exact consistency certificate did not hold (kept under ``python -O``)."""

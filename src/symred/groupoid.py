@@ -86,10 +86,46 @@ def omega_eval(alg: LieAlgebra, xi: Vector, t1: CotangentTangent, t2: CotangentT
     )
 
 
+def _support(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
 def omega_gram(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> list[Vector]:
-    """Gram matrix of Omega on flattened tangent vectors."""
-    ts = [tangent_from_flat(v) for v in vectors]
-    return [tuple(omega_eval(alg, xi, a, b) for b in ts) for a in ts]
+    """Gram matrix of Omega on flattened tangent vectors.
+
+    C[i][j] = xi([e_i, e_j]) is assembled once, and each entry
+    -z_b(u_a) + z_a(u_b) - u_a^T C u_b is summed over nonzeros only.  The
+    table is certified antisymmetric, so Omega is too: the diagonal is
+    zero and only the upper triangle is evaluated.
+    """
+    n = alg.dim
+    for v in vectors:
+        if len(v) != 2 * n:
+            raise DimensionMismatch(f"expected length {2 * n}, got {len(v)}")
+    c = alg.coadjoint_matrix(xi)
+    us = [_support(v[:n]) for v in vectors]
+    zs = [_support(v[n:]) for v in vectors]
+    m = len(vectors)
+    gram = [[la.ZERO] * m for _ in range(m)]
+    for a in range(m):
+        va = vectors[a]
+        for b in range(a + 1, m):
+            vb = vectors[b]
+            acc = la.ZERO
+            for i, x in zs[b]:
+                if va[i]:
+                    acc -= x * va[i]
+            for i, x in zs[a]:
+                if vb[i]:
+                    acc += x * vb[i]
+            for i, x in us[a]:
+                row = c[i]
+                for j, y in us[b]:
+                    if row[j]:
+                        acc -= x * y * row[j]
+            gram[a][b] = acc
+            gram[b][a] = -acc
+    return [tuple(row) for row in gram]
 
 
 def omega_rank(alg: LieAlgebra, xi: Vector) -> int:

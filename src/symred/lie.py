@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg as la
-from .errors import DimensionMismatch, NoMatrixRep, SolveFailure, UnsupportedType
+from .errors import CertificateFailed, DimensionMismatch, NoMatrixRep, SolveFailure, UnsupportedType
 from .linalg import Matrix, Q, Vector
 
 Root = tuple[int, ...]
@@ -146,7 +146,8 @@ class RootSystem:
         """gamma^vee = sum_i c_i alpha_i^vee; all c_i are integers."""
         dg = self.norm2(gamma) / 2
         coeffs = tuple(Q(gamma[i]) * self.d[i] / dg for i in range(self.rank))
-        assert all(c.denominator == 1 for c in coeffs)
+        if any(c.denominator != 1 for c in coeffs):
+            raise CertificateFailed(f"coroot of {gamma} has non-integer coefficients {coeffs}")
         return coeffs
 
     def extraspecial(self, gamma: Root) -> tuple[Root, Root]:
@@ -179,7 +180,8 @@ class _SignBuilder:
             return self.memo[key]
         rs = self.rs
         s = self._add(a, b)
-        assert s in rs.root_set
+        if s not in rs.root_set:
+            raise CertificateFailed(f"N({a}, {b}) asked for, but {s} is not a root")
         pos_a, pos_b = rs._is_positive(a), rs._is_positive(b)
         if pos_a and pos_b:
             if rs._order_key(a) > rs._order_key(b):
@@ -280,8 +282,13 @@ class LieAlgebra:
             for j in range(i, self.dim):
                 lhs = self._lookup[i][j]
                 rhs = self._lookup[j][i]
-                assert all(rhs.get(k, Q(0)) == -c for k, c in lhs.items())
-                assert all(lhs.get(k, Q(0)) == -c for k, c in rhs.items())
+                if not (
+                    all(rhs.get(k, Q(0)) == -c for k, c in lhs.items())
+                    and all(lhs.get(k, Q(0)) == -c for k, c in rhs.items())
+                ):
+                    raise CertificateFailed(
+                        f"bracket table is not antisymmetric at ({i}, {j}): {lhs} vs {rhs}"
+                    )
 
     def _compute_killing(self) -> Matrix:
         n = self.dim
@@ -367,20 +374,22 @@ class LieAlgebra:
         """Basis of {y : [x, y] = 0}."""
         return la.nullspace(self.ad_matrix(x))
 
-    def centralizer_dual(self, xi: Vector) -> list[Vector]:
-        """Basis of g_xi = {x : ad*_x xi = 0}."""
+    def coadjoint_matrix(self, xi: Vector) -> Matrix:
+        """C with C[i][j] = xi([e_i, e_j]), read off the sparse table.
+
+        (ad*_x xi)_j = -(C^T x)_j, and xi([u, v]) = u^T C v.
+        """
         self._check_dim(xi)
-        rows = []
-        for j in range(self.dim):
-            row = []
-            for i in range(self.dim):
-                acc = Q(0)
-                for k, c in self.table[i][j]:
-                    acc += c * xi[k]
-                row.append(acc)
-            rows.append(tuple(row))
-        # row j, column i holds xi([e_i, e_j]); x in the nullspace iff ad*_x xi = 0
-        return la.nullspace(rows)
+        return tuple(
+            tuple(
+                sum((c * xi[k] for k, c in entry if xi[k]), la.ZERO) for entry in row
+            )
+            for row in self.table
+        )
+
+    def centralizer_dual(self, xi: Vector) -> list[Vector]:
+        """Basis of g_xi = {x : ad*_x xi = 0}, the nullspace of C^T."""
+        return la.nullspace(la.transpose(self.coadjoint_matrix(xi)))
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         return self._lookup[i][j].get(k, Q(0))
@@ -422,20 +431,22 @@ class LieAlgebra:
     # -- verification -----------------------------------------------------
 
     def verify_jacobi(self) -> bool:
+        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i < j < k.
+
+        Each term is sum_m c_ab^m [e_m, e_c], summed straight from the sparse
+        table, so a triple costs what its nonzero constants cost.
+        """
         n = self.dim
-        basis = [self.basis_vec(i) for i in range(n)]
-        pair_brackets = [[self.bracket(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+        lookup = self._lookup
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    s = la.add(
-                        la.add(
-                            self.bracket(pair_brackets[i][j], basis[k]),
-                            self.bracket(pair_brackets[j][k], basis[i]),
-                        ),
-                        self.bracket(pair_brackets[k][i], basis[j]),
-                    )
-                    if not la.is_zero(s):
+                    total: dict[int, Fraction] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in lookup[a][b].items():
+                            for t, y in lookup[m][c].items():
+                                total[t] = total.get(t, 0) + x * y
+                    if any(total.values()):
                         return False
         return True
 
@@ -708,12 +719,18 @@ def build_chevalley(cartan_type: str, rank: int) -> LieAlgebra:
 def _certify_chevalley(alg: LieAlgebra):
     """Cheap construction-time certificate: Cartan action, coroots, |N| = p+1."""
     rs = alg.root_data
-    assert len(rs.roots) == alg.dim - alg.rank
+    if len(rs.roots) != alg.dim - alg.rank:
+        raise CertificateFailed(
+            f"{alg.name}: {len(rs.roots)} roots for {alg.dim - alg.rank} root vectors"
+        )
     for beta in rs.roots:
         e_b = alg.root_vector(beta)
         for i in range(alg.rank):
             got = alg.bracket(alg.basis_vec(i), e_b)
-            assert got == la.scale(rs.pairing(beta, i), e_b)
+            if got != la.scale(rs.pairing(beta, i), e_b):
+                raise CertificateFailed(
+                    f"{alg.name}: [h_{i + 1}, e{beta}] != <{beta}, alpha_{i + 1}^vee> e{beta}"
+                )
         # [e_beta, e_-beta] = beta^vee in the h basis
         opp = alg.root_vector(tuple(-x for x in beta))
         got = alg.bracket(e_b, opp)
@@ -721,14 +738,17 @@ def _certify_chevalley(alg: LieAlgebra):
         want = [Q(0)] * alg.dim
         for i in range(alg.rank):
             want[i] = coeffs[i]
-        assert got == tuple(want)
+        if got != tuple(want):
+            raise CertificateFailed(f"{alg.name}: [e{beta}, e-{beta}] is not the coroot of {beta}")
     for a in rs.roots:
         for b in rs.roots:
             s = tuple(x + y for x, y in zip(a, b))
             if s in rs.root_set:
                 n = alg.bracket(alg.root_vector(a), alg.root_vector(b))
                 coeff = n[alg.root_vector_index(s)]
-                assert abs(coeff) == rs.p_string(a, b) + 1
+                expected = rs.p_string(a, b) + 1
+                if abs(coeff) != expected:
+                    raise CertificateFailed(f"{alg.name}: |N({a}, {b})| = {abs(coeff)}, not p + 1 = {expected}")
 
 
 def principal_sl2(alg: LieAlgebra) -> Sl2Triple:
@@ -848,7 +868,8 @@ def minimal_polynomial(m: Matrix) -> list[Fraction]:
         # lcm(result, local) = result * local / gcd
         g = _poly_gcd(list(result), list(local))
         q, r = _poly_divmod(list(local), g)
-        assert not _poly_trim(list(r))
+        if _poly_trim(list(r)):
+            raise CertificateFailed("gcd does not divide the local minimal polynomial")
         prod = [Q(0)] * (len(result) + len(q) - 1)
         for i, a in enumerate(result):
             for j, b in enumerate(q):

@@ -8,6 +8,13 @@ equality a syntactic comparison.
 
 Nothing here is numerical: ranks, kernels and solutions are exact, and a
 zero really is zero.
+
+The kernels cost what the nonzeros cost.  ``dot`` (and so ``mat_vec`` and
+``mat_mul``) skips every pair with a zero factor, and ``rref`` and ``det``
+scale the pivot row and update the other rows only on the pivot row's
+nonzero columns.  Skipping a zero product drops an exact zero, so every
+result equals the one the dense loops give, and vectors and matrices stay
+tuples of ``Fraction`` at every public boundary.
 """
 
 from __future__ import annotations
@@ -68,8 +75,16 @@ def scale(c, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
+ZERO = Q(0)  # shared exact zero; Fractions are immutable
+
+
 def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Q(0))
+    """Sum of a * b over the pairs where neither factor is zero."""
+    acc = ZERO
+    for a, b in zip(u, v, strict=True):
+        if a and b:
+            acc += a * b
+    return acc
 
 
 def is_zero(u: Vector) -> bool:
@@ -104,16 +119,21 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Q(1) / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        # rows r.. are zero left of c, so the pivot row's support starts at c
+        support = [j for j in range(c, ncols) if prow[j]]
+        inv = Q(1) / prow[c]
+        for j in support:
+            prow[j] *= inv
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -177,18 +197,21 @@ def det(a: Sequence[Vector]) -> Fraction:
     m = [list(r) for r in a]
     result = Q(1)
     for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
         if pivot_row is None:
             return Q(0)
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
             result = -result
-        result *= m[c][c]
-        inv = Q(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+        prow = m[c]
+        result *= prow[c]
+        inv = Q(1) / prow[c]
+        support = [j for j in range(c + 1, n) if prow[j]]
+        for row in m[c + 1 :]:
+            if row[c]:
+                f = row[c] * inv
+                for j in support:
+                    row[j] -= f * prow[j]
     return result
 
 
@@ -241,17 +264,16 @@ def annihilator(gens: Sequence[Vector], dim: int) -> list[Vector]:
 def extend_to_basis(sub: Sequence[Vector], space: Sequence[Vector]) -> list[Vector]:
     """Vectors from `space` completing `sub` to a basis of span(space).
 
-    Requires span(sub) ⊆ span(space); returns only the added vectors.
+    Requires span(sub) ⊆ span(space); returns only the added vectors: the
+    pivot columns of [sub | space] that fall in `space`, so each one is
+    the first vector of `space` outside the span of everything before it.
     """
-    current = list(sub)
-    r = rank(current)
-    added = []
-    for v in space:
-        if rank(current + [v]) > r:
-            current.append(v)
-            added.append(v)
-            r += 1
-    return added
+    space = list(space)
+    cols = list(sub) + space
+    if not cols:
+        return []
+    _, pivots = rref(transpose(cols))
+    return [space[c - len(sub)] for c in pivots if c >= len(sub)]
 
 
 def random_fraction(rng: random.Random, num: int = 4, den: int = 3) -> Fraction:

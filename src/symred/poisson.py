@@ -41,17 +41,8 @@ class PoissonPointModel:
             raise DimensionMismatch("point has wrong dimension")
         if self.kind == "constant":
             return self.sigma
-        alg = self.algebra
-        rows = []
-        for j in range(alg.dim):
-            row = []
-            for i in range(alg.dim):
-                acc = Q(0)
-                for k, c in alg.table[i][j]:
-                    acc += c * xi[k]
-                row.append(acc)
-            rows.append(tuple(row))
-        return tuple(rows)
+        # B[j][i] = xi([e_i, e_j]): the transpose of the coadjoint matrix
+        return la.transpose(self.algebra.coadjoint_matrix(xi))
 
     def apply(self, xi: Vector, eta: Vector) -> Vector:
         return la.mat_vec(self.bivector_at(xi), eta)
@@ -417,9 +408,9 @@ def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> Al
     tangent = s.tangent_basis(xi)
     sigma = p.bivector_at(xi)
     rows = [tuple(t) for t in tangent]
-    ann = la.annihilator(tangent, p.ambient_dim)
-    for w in ann:
-        rows.append(la.mat_vec(la.transpose(sigma), w))
+    sigma_t = la.transpose(sigma)
+    for w in la.annihilator(tangent, p.ambient_dim):
+        rows.append(la.mat_vec(sigma_t, w))
     basis = la.nullspace(rows) if rows else list(la.identity(p.ambient_dim))
     in_ker = all(la.is_zero(la.mat_vec(sigma, b)) for b in basis)
     return AlgebroidFiber(xi, tuple(basis), len(basis), in_ker)

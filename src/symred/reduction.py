@@ -80,27 +80,22 @@ def kernel_identity_check(alg: LieAlgebra, s_model, p: CotangentPoint):
     n_basis += [la.zeros(n) + tuple(t) for t in tangent]
     gram = omega_gram(alg, xi, n_basis)
     coeff_kernel = la.nullspace(gram)
-    kernel = []
-    for c in coeff_kernel:
-        v = la.zeros(2 * n)
-        for ci, b in zip(c, n_basis):
-            v = la.add(v, la.scale(ci, b))
-        kernel.append(v)
-    kernel = la.span_basis(kernel)
+    columns = la.transpose(n_basis)
+    kernel = la.span_basis([la.mat_vec(columns, c) for c in coeff_kernel])
     orbit = orbit_tangent_in_universal(alg, s_model, p)
     agree = la.span_equal(kernel, orbit)
-    complement = la.extend_to_basis(kernel, n_basis)
-    ts = [tangent_from_flat(v) for v in complement]
-    reduced = tuple(
-        tuple(omega_eval(alg, xi, a, b) for b in ts) for a in ts
-    )
+    # Completing the kernel by members of n_basis is completing its
+    # coefficient vectors by unit vectors.  The pivot column of each added
+    # unit vector is its index into n_basis and into the Gram matrix.
+    units = la.identity(len(n_basis))
+    picked = la.rref(la.extend_to_basis(coeff_kernel, units))[1]
     model = ReducedSpaceModel(
         base=p,
         n_tangent=tuple(n_basis),
         kernel=tuple(kernel),
         quotient_dim=len(n_basis) - len(kernel),
-        reduced_form=reduced,
-        complement=tuple(complement),
+        reduced_form=tuple(tuple(gram[a][b] for b in picked) for a in picked),
+        complement=tuple(n_basis[a] for a in picked),
     )
     return agree, model
 

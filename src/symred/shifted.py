@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import linalg as la
 from . import poisson
-from .errors import NotACandidate
+from .errors import CertificateFailed, NotACandidate
 from .linalg import Matrix, Vector
 
 
@@ -121,7 +121,8 @@ def build_complex(p: poisson.PoissonPointModel, s_model, xi: Vector, l_basis: Se
         n, tuple(tuple(l) for l in l_basis), tuple(tangent), sigma,
         alpha, beta, gamma, delta, epsilon,
     )
-    assert cmap.verify_commutation()
+    if not cmap.verify_commutation():
+        raise CertificateFailed("the squares of the two-term-complex diagram do not commute")
     return cmap
 
 
@@ -202,6 +203,10 @@ def criterion_for_candidate(p: poisson.PoissonPointModel, s_model, xi: Vector, l
     verdict = lagrangian_criterion(cmap)
     fiber = poisson.algebroid_fiber(p, s_model, tuple(xi))
     expected_ker = fiber.rank - la.rank(l_basis)
-    assert verdict.ker_phi_dim == expected_ker, "ker φ must be (σ^{-1}(TS) ∩ TS°)/L"
-    assert verdict.lagrangian == la.span_equal(list(l_basis), list(fiber.basis))
+    if verdict.ker_phi_dim != expected_ker:
+        raise CertificateFailed(
+            f"dim ker φ = {verdict.ker_phi_dim}, but (σ^{{-1}}(TS) ∩ TS°)/L has dimension {expected_ker}"
+        )
+    if verdict.lagrangian != la.span_equal(list(l_basis), list(fiber.basis)):
+        raise CertificateFailed("the criterion disagrees with L = σ^{-1}(TS) ∩ TS°")
     return verdict

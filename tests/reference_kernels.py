@@ -1,0 +1,109 @@
+"""Dense Fraction reference kernels, kept as the oracle for the sparse ones.
+
+Each function is the plain loop the library used before its kernels
+learned to skip zeros: every product is formed, every row is updated on
+every column, and every Gram entry goes through ``omega_eval``.  The
+differential tests require the library to return exactly what these do.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from symred import groupoid
+from symred import linalg as la
+from symred.lie import LieAlgebra
+from symred.linalg import Q, Vector
+
+
+def dot(u: Vector, v: Vector) -> Fraction:
+    return sum((a * b for a, b in zip(u, v, strict=True)), Q(0))
+
+
+def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Q(1) / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def rank(rows: Sequence[Vector]) -> int:
+    return len(rref(rows)[1])
+
+
+def det(a: Sequence[Vector]) -> Fraction:
+    n = len(a)
+    m = [list(r) for r in a]
+    result = Q(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            return Q(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            result = -result
+        result *= m[c][c]
+        inv = Q(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return result
+
+
+def extend_to_basis(sub: Sequence[Vector], space: Sequence[Vector]) -> list[Vector]:
+    """Greedy: one rank computation per candidate vector."""
+    current = list(sub)
+    r = rank(current)
+    added = []
+    for v in space:
+        if rank(current + [v]) > r:
+            current.append(v)
+            added.append(v)
+            r += 1
+    return added
+
+
+def omega_gram(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> list[Vector]:
+    """Every entry by its own ``omega_eval``, bracket included."""
+    ts = [groupoid.tangent_from_flat(v) for v in vectors]
+    return [tuple(groupoid.omega_eval(alg, xi, a, b) for b in ts) for a in ts]
+
+
+def verify_jacobi(alg: LieAlgebra) -> bool:
+    """Jacobi on every basis triple, through dense brackets."""
+    n = alg.dim
+    basis = [alg.basis_vec(i) for i in range(n)]
+    pair_brackets = [[alg.bracket(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                s = la.add(
+                    la.add(
+                        alg.bracket(pair_brackets[i][j], basis[k]),
+                        alg.bracket(pair_brackets[j][k], basis[i]),
+                    ),
+                    alg.bracket(pair_brackets[k][i], basis[j]),
+                )
+                if not la.is_zero(s):
+                    return False
+    return True

@@ -1,0 +1,219 @@
+"""The zero-skipping kernels against the dense reference kernels.
+
+Random inputs are sparse rational matrices, about one entry in ten
+nonzero (one in three for some draws, so eliminations do real work),
+with duplicated rows mixed in; the edge cases (empty, all-zero, 1 x n)
+are also pinned explicitly.  Every comparison is exact equality.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from symred import groupoid as gpd
+from symred import lie, poisson, reduction
+from symred import linalg as la
+from symred.errors import DimensionMismatch
+from symred.groupoid import CotangentPoint
+
+nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@st.composite
+def sparse_rows(draw, nrows, ncols):
+    """nrows x ncols with about one entry in ten (or in three) nonzero."""
+    cells = nrows * ncols
+    one_in = draw(st.sampled_from([10, 3]))
+    flat = [Q(0)] * cells
+    if cells:
+        count = draw(st.integers(0, max(1, 2 * cells // one_in)))
+        positions = draw(st.lists(st.integers(0, cells - 1), min_size=count, max_size=count))
+        for pos, value in zip(positions, draw(st.lists(nonzero, min_size=count, max_size=count))):
+            flat[pos] = value
+    rows = [tuple(flat[r * ncols : (r + 1) * ncols]) for r in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
+    return rows
+
+
+@st.composite
+def sparse_matrix(draw, max_rows=8, max_cols=10):
+    return draw(sparse_rows(draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))))
+
+
+@st.composite
+def sparse_square(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    return draw(sparse_rows(n, n))[:n]
+
+
+EDGE_CASES = [
+    [],
+    [la.zeros(4)] * 3,
+    [la.vec([0, 0, 2, 0, Q(-1, 3)])],
+    [la.zeros(1)],
+    [la.vec([1, 0, 2]), la.vec([1, 0, 2]), la.vec([0, 0, 3])],
+    [la.vec([0, 5, 0, 0])] * 4,
+]
+
+
+@pytest.mark.parametrize("rows", EDGE_CASES)
+def test_rref_edge_cases(rows):
+    assert la.rref(rows) == ref.rref(rows)
+    if rows and len(rows) == len(rows[0]):
+        assert la.det(rows) == ref.det(rows)
+
+
+@given(sparse_matrix())
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_dense(rows):
+    assert la.rref(rows) == ref.rref(rows)
+
+
+@given(sparse_square())
+@settings(max_examples=100, deadline=None)
+def test_det_matches_dense(rows):
+    assert la.det(rows) == ref.det(rows)
+
+
+def test_det_edge_cases():
+    assert la.det([]) == ref.det([]) == 1
+    assert la.det([la.zeros(3)] * 3) == 0
+    dup = [la.vec([1, 2, 0]), la.vec([1, 2, 0]), la.vec([0, 0, 1])]
+    assert la.det(dup) == ref.det(dup) == 0
+
+
+@given(st.integers(0, 12).flatmap(lambda n: sparse_rows(2, n)))
+@settings(max_examples=100, deadline=None)
+def test_dot_matches_dense(rows):
+    u, v = rows[:2]
+    got = la.dot(u, v)
+    assert got == ref.dot(u, v)
+    assert isinstance(got, Q)
+
+
+def test_dot_contract():
+    with pytest.raises(ValueError):
+        la.dot(la.zeros(3), la.zeros(4))
+    with pytest.raises(ValueError):
+        la.dot(la.vec([1, 0]), la.vec([0, 1, 0]))
+    for u, v in [((), ()), (la.vec([1, 0]), la.vec([0, 1])), (la.zeros(3), la.zeros(3))]:
+        got = la.dot(u, v)
+        assert got == 0 and type(got) is Q
+
+
+@st.composite
+def space_and_sub(draw):
+    """Sparse `space` vectors and `sub` vectors drawn inside span(space)."""
+    space = draw(sparse_rows(draw(st.integers(0, 6)), draw(st.integers(1, 8))))
+    if not space:
+        return [], []
+    coeffs = draw(sparse_rows(draw(st.integers(0, 4)), len(space)))
+    return space, [la.mat_vec(la.transpose(space), c) for c in coeffs]
+
+
+@given(space_and_sub())
+@settings(max_examples=100, deadline=None)
+def test_extend_to_basis_matches_greedy(drawn):
+    space, sub = drawn
+    got = la.extend_to_basis(sub, space)
+    assert got == ref.extend_to_basis(sub, space)
+    assert la.rank(sub + got) == la.rank(space)
+
+
+def test_extend_to_basis_edge_cases():
+    assert la.extend_to_basis([], []) == []
+    units = list(la.identity(3))
+    assert la.extend_to_basis([], units) == units
+    assert la.extend_to_basis(units, units) == []
+    dup = [la.vec([1, 0, 0]), la.vec([1, 0, 0]), la.vec([0, 0, 2])]
+    assert la.extend_to_basis([], dup) == ref.extend_to_basis([], dup) == [dup[0], dup[2]]
+
+
+ALGEBRAS = [("A", 1), ("A", 2), ("B", 2), ("G2", 2)]
+
+
+@pytest.mark.parametrize("typ,rank", ALGEBRAS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_omega_gram_matches_pairwise(typ, rank, data):
+    alg = lie.build_chevalley(typ, rank)
+    n = alg.dim
+    xi = data.draw(sparse_rows(1, n))[0]
+    count = data.draw(st.integers(0, 6))
+    vectors = data.draw(sparse_rows(count, 2 * n))
+    vectors += [la.unit(2 * n, i) for i in data.draw(st.lists(st.integers(0, 2 * n - 1), max_size=4))]
+    assert gpd.omega_gram(alg, xi, vectors) == ref.omega_gram(alg, xi, vectors)
+
+
+def test_omega_gram_dimension_mismatch(sl2):
+    good = la.unit(6, 0)
+    with pytest.raises(DimensionMismatch):
+        gpd.omega_gram(sl2, la.zeros(3), [good, la.zeros(5)])
+    with pytest.raises(DimensionMismatch):
+        gpd.omega_gram(sl2, la.zeros(3), [la.zeros(7)])
+    with pytest.raises(DimensionMismatch):
+        gpd.omega_gram(sl2, la.zeros(4), [good])
+    assert gpd.omega_gram(sl2, la.zeros(3), []) == []
+
+
+def _reduced_by_reference(alg, model):
+    complement = ref.extend_to_basis(list(model.kernel), list(model.n_tangent))
+    return complement, ref.omega_gram(alg, model.base.xi, complement)
+
+
+def test_kernel_identity_reduced_form_matches_pairwise(sl2, sl3):
+    cases = []
+    hb = sl2.flat(sl2.basis_vec(0))
+    cases.append((sl2, poisson.CoadjointOrbit(sl2, hb), hb))
+    cases.append((sl2, poisson.Singleton(hb), hb))
+    x = sl3.from_matrix(la.mat([[1, 0, 0], [0, 1, 0], [0, 0, -2]]))
+    dec = poisson.DecompositionClass(sl3, 4, [x])
+    cases.append((sl3, dec, dec.sample_points[0]))
+    dia = poisson.DiagonalSlodowy(sl2, lie.principal_sl2(sl2), 2, parameters=[[0], [Q(1, 2)]])
+    for pt in dia.sample_points:
+        cases.append((dia.product, dia, pt))
+    for alg, model, pt in cases:
+        _, red = reduction.kernel_identity_check(alg, model, CotangentPoint(pt))
+        complement, form = _reduced_by_reference(alg, red)
+        assert list(red.complement) == complement
+        assert [tuple(r) for r in red.reduced_form] == form
+
+
+@pytest.mark.parametrize("typ,rank", ALGEBRAS + [("A", 3), ("C", 3)])
+def test_verify_jacobi_matches_bracket_route(typ, rank):
+    alg = lie.build_chevalley(typ, rank)
+    assert alg.verify_jacobi() is ref.verify_jacobi(alg) is True
+
+
+def perturbed(alg, i, j, k, delta):
+    """alg's table with c_ij^k moved by delta and c_ji^k by -delta."""
+    table = [[dict(entry) for entry in row] for row in alg.table]
+    table[i][j][k] = table[i][j].get(k, 0) + delta
+    table[j][i][k] = table[j][i].get(k, 0) - delta
+    rows = [[[(m, c) for m, c in sorted(entry.items()) if c] for entry in row] for row in table]
+    return lie.LieAlgebra(alg.basis_labels, rows, alg.rank, name="perturbed")
+
+
+def test_verify_jacobi_false_branch(sl2):
+    # [h, e] = 3e instead of 2e; the table stays antisymmetric
+    h, e = 0, sl2.root_vector_index((1,))
+    broken = perturbed(sl2, h, e, e, Q(1))
+    assert broken.structure_constant(h, e, e) == 3 == -broken.structure_constant(e, h, e)
+    assert broken.verify_jacobi() is False
+    assert ref.verify_jacobi(broken) is False
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_verify_jacobi_perturbed_matches_reference(data):
+    base = lie.build_chevalley("A", 2)
+    n = base.dim
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    k = data.draw(st.integers(0, n - 1))
+    alg = perturbed(base, i, j, k, data.draw(nonzero))
+    assert alg.verify_jacobi() == ref.verify_jacobi(alg)

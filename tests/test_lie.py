@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symred
 from symred import lie
 from symred import linalg as la
 from symred.errors import (
+    CertificateFailed,
     DimensionMismatch,
     NoMatrixRep,
     SolveFailure,
@@ -278,3 +284,39 @@ def test_jacobi_on_random_vectors(x, y, z):
         sl2.bracket(sl2.bracket(z, x), y),
     )
     assert la.is_zero(s)
+
+
+# [x, y] = 2y = [y, x]: symmetric where it must be antisymmetric
+NOT_ANTISYMMETRIC = [[[], [(1, Q(2))]], [[(1, Q(2))], []]]
+
+
+def test_non_antisymmetric_table_rejected():
+    with pytest.raises(CertificateFailed):
+        lie.LieAlgebra(["x", "y"], NOT_ANTISYMMETRIC, 0)
+
+
+def test_certificates_survive_optimize():
+    """Under python -O, where assert statements are stripped, the table is still rejected."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from fractions import Fraction
+        from symred.errors import CertificateFailed
+        from symred.lie import LieAlgebra
+
+        try:
+            LieAlgebra(["x", "y"], {NOT_ANTISYMMETRIC!r}, 0)
+        except CertificateFailed:
+            print("rejected", sys.flags.optimize)
+        else:
+            print("accepted", sys.flags.optimize)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symred.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["rejected", "1"]
