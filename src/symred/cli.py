@@ -6,12 +6,13 @@ Config document::
       "scenarios": [{"name": "casimir_sphere", "params": {"algebra": "A1"}}],
       "seed": 42,
       "sample_count": 3,
-      "parallel": false,
       "output_path": "report.json"
     }
 
-The report is deterministic for a fixed config and seed (rationals are
-serialized as exact "p/q" strings).  Exit code 0 when every check of every
+Scenarios run one after another in this process and are merged in a fixed
+order, so the report is deterministic for a fixed config and seed
+(rationals are serialized as exact "p/q" strings).  A ``parallel`` key left
+in an older config is ignored.  Exit code 0 when every check of every
 scenario passed, 1 when any check failed, 2 on a configuration error.
 """
 
@@ -20,8 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConfigError, SymredError
@@ -35,7 +35,6 @@ class RunConfig:
     scenarios: tuple[tuple[str, dict], ...]
     seed: int = 0
     sample_count: int = 3
-    parallel: bool = False
     output_path: Optional[str] = None
 
 
@@ -62,28 +61,16 @@ def parse_config(document: dict) -> RunConfig:
     sample_count = document.get("sample_count", 3)
     if not isinstance(sample_count, int) or sample_count < 1:
         raise ConfigError("sample_count must be a positive integer")
-    parallel = document.get("parallel", False)
-    if not isinstance(parallel, bool):
-        raise ConfigError("parallel must be a boolean")
     output_path = document.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output_path must be a string")
-    return RunConfig(tuple(scenarios), seed, sample_count, parallel, output_path)
+    return RunConfig(tuple(scenarios), seed, sample_count, output_path)
 
 
 def run(config: RunConfig) -> tuple[dict, int]:
     """Execute every scenario; returns (report document, exit code)."""
-
-    def one(item):
-        name, params = item
-        return run_scenario(name, params, config.seed, config.sample_count)
-
-    jobs = list(config.scenarios)
-    if config.parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            reports = list(pool.map(one, jobs))
-    else:
-        reports = [one(job) for job in jobs]
+    jobs = config.scenarios
+    reports = [run_scenario(name, params, config.seed, config.sample_count) for name, params in jobs]
     # deterministic merge order: by name, then position in the config
     order = sorted(range(len(jobs)), key=lambda i: (jobs[i][0], i))
     reports = [reports[i] for i in order]
@@ -140,7 +127,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     run_p.add_argument("--report", help="write the JSON report to this path")
     run_p.add_argument("--seed", type=int, help="override the config seed")
     run_p.add_argument("--sample-count", type=int, help="override the config sample count")
-    run_p.add_argument("--parallel", action="store_true", help="run scenarios concurrently")
     sub.add_parser("list-scenarios", help="print the registered scenarios")
     args = parser.parse_args(argv)
 
@@ -162,17 +148,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("seed must be a non-negative integer")
-            config = RunConfig(config.scenarios, args.seed, config.sample_count, config.parallel, config.output_path)
+            config = replace(config, seed=args.seed)
         if args.sample_count is not None:
             if args.sample_count < 1:
                 raise ConfigError("sample_count must be a positive integer")
-            config = RunConfig(config.scenarios, config.seed, args.sample_count, config.parallel, config.output_path)
-        if args.parallel:
-            config = RunConfig(config.scenarios, config.seed, config.sample_count, True, config.output_path)
+            config = replace(config, sample_count=args.sample_count)
         report, code = run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except SymredError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -158,19 +158,10 @@ def mw_fiber(alg: LieAlgebra, h_sub: Sequence[Vector], xi: Vector, eta: Vector) 
                 raise NotASubalgebra("h is not closed under the bracket")
     if any(la.dot(eta, b) != 0 for b in h_basis):
         raise EtaNotInAnnihilator("eta must annihilate h")
-    # h_xi = {x in h : (ad*_x xi) | h = 0}
-    rows = []
-    for b in h_basis:
-        rows.append(tuple(la.dot(alg.ad_star(x, xi), b) for x in h_basis))
-    coeffs = la.nullspace(rows) if rows else []
-    h_xi = []
-    for c in coeffs:
-        v = la.zeros(alg.dim)
-        for ci, b in zip(c, h_basis):
-            v = la.add(v, la.scale(ci, b))
-        h_xi.append(v)
-    if not h_basis:
-        h_xi = []
+    # h_xi = {x in h : xi([x, b]) = x^T C b = 0 for every b in h}
+    c = alg.coadjoint_matrix(xi)
+    c_h = [la.mat_vec(c, b) for b in h_basis]
+    h_xi = la.kernel_within([tuple(la.dot(x, cb) for cb in c_h) for x in h_basis], h_basis)
     h_ann = la.annihilator(h_basis, alg.dim)
     point = tuple(la.add(xi, eta))
     tangents = [CotangentTangent(x, la.zeros(alg.dim)) for x in h_xi]
@@ -187,25 +178,15 @@ def coadjoint_orbit_fiber(alg: LieAlgebra, p: CotangentPoint) -> GroupoidTangent
         raise BaseNotInSubgroupoid("base point must satisfy Ad*_g xi = xi")
     ginv = g.inv()
     n = alg.dim
-    rows = []
-    cols_u = []
-    cols_v = []
-    for i in range(n):
-        ei = alg.basis_vec(i)
-        cols_u.append(alg.ad_star(ei, xi))
-        av = alg.ad_star(ei, xi)
-        cols_v.append(la.sub(alg.coadjoint_group_action(ginv, av), av))
+    # ad*_{e_i} xi is minus row i of the coadjoint matrix
+    cols_u = [la.neg(row) for row in alg.coadjoint_matrix(xi)]
+    cols_v = [la.sub(alg.coadjoint_group_action(ginv, av), av) for av in cols_u]
     # condition: ad*_u xi - (Ad*_{g^-1} - 1) ad*_v xi = 0, unknowns (u, v)
-    for j in range(n):
-        rows.append(
-            tuple(cols_u[i][j] for i in range(n)) + tuple(-cols_v[i][j] for i in range(n))
-        )
+    ad_xi = la.transpose(cols_u)  # ad_xi x = ad*_x xi
+    back = la.transpose(cols_v)
+    rows = [ad_xi[j] + la.neg(back[j]) for j in range(n)]
     sols = la.nullspace(rows)
-    flats = []
-    for sol in sols:
-        u = tuple(sol[:n])
-        v = tuple(sol[n:])
-        flats.append(tuple(u) + tuple(alg.ad_star(v, xi)))
+    flats = [tuple(sol[:n]) + la.mat_vec(ad_xi, sol[n:]) for sol in sols]
     basis = la.span_basis(flats)
     tangents = [tangent_from_flat(v) for v in basis]
     iso = _pairwise_isotropic(alg, xi, tangents)
@@ -235,12 +216,10 @@ def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
     # dt(u, zeta) = zeta in T S
     for w in ann:
         rows.append(la.zeros(n) + tuple(w))
-    # ds(u, zeta) = ad*_u xi + zeta in T S
+    # ds(u, zeta) = ad*_u xi + zeta in T S; w(ad*_u xi) = -(C w)·u
+    c = alg.coadjoint_matrix(xi)
     for w in ann:
-        row_u = []
-        for i in range(n):
-            row_u.append(la.dot(alg.ad_star(alg.basis_vec(i), xi), w))
-        rows.append(tuple(row_u) + tuple(w))
+        rows.append(la.neg(la.mat_vec(c, w)) + tuple(w))
     # (u, zeta) Omega-orthogonal to 0 x T S: Omega((u,zeta),(0,t)) = t(u)
     for t in tangent:
         rows.append(tuple(t) + la.zeros(n))

@@ -299,7 +299,9 @@ class LieAlgebra:
                 acc = Q(0)
                 for m in range(n):
                     for k, c in self.table[j][m]:
-                        acc += c * self._lookup[i][k].get(m, Q(0))
+                        x = self._lookup[i][k].get(m)
+                        if x:
+                            acc += c * x
                 row.append(acc)
             rows.append(tuple(row))
         return tuple(rows)
@@ -342,21 +344,9 @@ class LieAlgebra:
         return la.transpose(cols)
 
     def ad_star(self, x: Vector, xi: Vector) -> Vector:
-        """ad*_x xi = -xi([x, .])."""
-        self._check_dim(x, xi)
-        out = []
-        for j in range(self.dim):
-            acc = Q(0)
-            for i, xv in enumerate(x):
-                if xv == 0:
-                    continue
-                for k, c in self.table[i][j]:
-                    acc += xv * c * xi[k]
-            out.append(-acc)
-        return tuple(out)
-
-    def pair(self, xi: Vector, x: Vector) -> Fraction:
-        return la.dot(xi, x)
+        """ad*_x xi = -xi([x, .]) = -C^T x, with C the coadjoint matrix."""
+        self._check_dim(x)
+        return la.neg(la.mat_vec(la.transpose(self.coadjoint_matrix(xi)), x))
 
     def killing_form(self, x: Vector, y: Vector) -> Fraction:
         return la.dot(x, la.mat_vec(self.killing, y))
@@ -808,10 +798,6 @@ def embed_factor(product_dim: int, factor_dim: int, k: int, x: Vector) -> Vector
     for i, c in enumerate(x):
         out[k * factor_dim + i] = c
     return tuple(out)
-
-
-def project_factor(factor_dim: int, k: int, x: Vector) -> Vector:
-    return tuple(x[k * factor_dim : (k + 1) * factor_dim])
 
 
 # -- polynomial helpers for exact semisimplicity ---------------------------

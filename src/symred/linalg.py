@@ -241,24 +241,29 @@ def intersect_spans(a: Sequence[Vector], b: Sequence[Vector]) -> list[Vector]:
     b = span_basis(b)
     if not a or not b:
         return []
-    # Solve sum_i x_i a_i = sum_j y_j b_j: nullspace of [a^T | -b^T].
-    rows = [concat(ra, tuple(-x for x in rb)) for ra, rb in zip(transpose(a), transpose(b), strict=True)]
-    sols = nullspace(rows)
-    na = len(a)
-    vecs = []
-    for s in sols:
-        v = zeros(len(a[0]))
-        for i in range(na):
-            v = add(v, scale(s[i], a[i]))
-        vecs.append(v)
-    return span_basis(vecs)
+    # sum_i x_i a_i + sum_j y_j b_j = 0 puts sum_i x_i a_i in span(b)
+    return kernel_within(a + b, a + [zeros(len(a[0]))] * len(b))
 
 
 def annihilator(gens: Sequence[Vector], dim: int) -> list[Vector]:
-    """Basis of {w : w·g = 0 for all g in gens} inside Q^dim."""
+    """Basis of {w : w·g = 0 for all g in gens} inside Q^dim; all of Q^dim if no gens."""
     if not gens:
         return list(identity(dim))
     return nullspace(gens)
+
+
+def kernel_within(images: Sequence[Vector], basis: Sequence[Vector]) -> list[Vector]:
+    """Canonical basis of {sum c_i basis[i] : sum c_i images[i] = 0}.
+
+    images[i] is the image of basis[i] under a linear map, so this is the
+    kernel of that map inside span(basis).  Zero-width images send the
+    whole span to zero.
+    """
+    if not basis:
+        return []
+    coeffs = annihilator(transpose(images), len(basis))
+    columns = transpose(basis)
+    return span_basis([mat_vec(columns, c) for c in coeffs])
 
 
 def extend_to_basis(sub: Sequence[Vector], space: Sequence[Vector]) -> list[Vector]:

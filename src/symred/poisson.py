@@ -44,9 +44,6 @@ class PoissonPointModel:
         # B[j][i] = xi([e_i, e_j]): the transpose of the coadjoint matrix
         return la.transpose(self.algebra.coadjoint_matrix(xi))
 
-    def apply(self, xi: Vector, eta: Vector) -> Vector:
-        return la.mat_vec(self.bivector_at(xi), eta)
-
 
 def kks_model(algebra: LieAlgebra) -> PoissonPointModel:
     """Lie-Poisson structure on g*: sigma_xi(x) = -ad*_x xi."""
@@ -154,9 +151,8 @@ class CoadjointOrbit(SubmanifoldModel):
         return tuple(xi) in self.witness_of
 
     def _tangent(self, xi):
-        alg = self.algebra
-        gens = [alg.ad_star(alg.basis_vec(i), tuple(xi)) for i in range(alg.dim)]
-        return la.span_basis(gens)
+        # ad*_{e_i} xi is minus row i of the coadjoint matrix
+        return la.span_basis(self.algebra.coadjoint_matrix(tuple(xi)))
 
 
 class SlodowySlice(SubmanifoldModel):
@@ -242,17 +238,8 @@ class DecompositionClass(SubmanifoldModel):
         alg = self.algebra
         x = alg.sharp(tuple(xi))
         gx = alg.centralizer(x)
-        coeff_rows = []
-        for b in gx:
-            brackets = [alg.bracket(y, b) for y in gx]
-            for j in range(alg.dim):
-                coeff_rows.append(tuple(br[j] for br in brackets))
-        center = []
-        for sol in la.nullspace(coeff_rows):
-            v = la.zeros(alg.dim)
-            for c, y in zip(sol, gx):
-                v = la.add(v, la.scale(c, y))
-            center.append(v)
+        # z(g_x): the y in g_x with [y, b] = 0 for every b in g_x
+        center = la.kernel_within([tuple(c for b in gx for c in alg.bracket(y, b)) for y in gx], gx)
         bracket_img = [alg.bracket(alg.basis_vec(i), x) for i in range(alg.dim)]
         gens = [alg.flat(v) for v in center] + [alg.flat(v) for v in bracket_img]
         return la.span_basis(gens)
@@ -348,24 +335,10 @@ class WeylChamberFace(SubmanifoldModel):
         return la.span_basis(gens)
 
 
-class PolyhedralFace(SubmanifoldModel):
+class PolyhedralFace(AffineSubspace):
     """Open face of a rational polyhedron in t* with the zero Poisson structure."""
 
     kind = "polyhedral-face"
-
-    def __init__(self, base: Vector, directions: Sequence[Vector], sample_points=None):
-        self.base = tuple(base)
-        self.directions = la.span_basis(directions)
-        super().__init__(len(base), sample_points or [self.base])
-        for p in self.sample_points:
-            if not self.contains(p):
-                raise NotOnModel("sample point is off the face")
-
-    def contains(self, xi):
-        return la.in_span(la.sub(tuple(xi), self.base), self.directions)
-
-    def _tangent(self, xi):
-        return list(self.directions)
 
 
 class Explicit(SubmanifoldModel):
@@ -398,10 +371,6 @@ class AlgebroidFiber:
     contained_in_centralizer: bool
 
 
-def tangent_basis(model: SubmanifoldModel, xi: Vector) -> list[Vector]:
-    return model.tangent_basis(xi)
-
-
 def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> AlgebroidFiber:
     """Nullspace of {pair with T_xi S = 0} ∧ {sigma_xi(eta) in T_xi S}."""
     xi = tuple(xi)
@@ -411,7 +380,7 @@ def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> Al
     sigma_t = la.transpose(sigma)
     for w in la.annihilator(tangent, p.ambient_dim):
         rows.append(la.mat_vec(sigma_t, w))
-    basis = la.nullspace(rows) if rows else list(la.identity(p.ambient_dim))
+    basis = la.annihilator(rows, p.ambient_dim)
     in_ker = all(la.is_zero(la.mat_vec(sigma, b)) for b in basis)
     return AlgebroidFiber(xi, tuple(basis), len(basis), in_ker)
 
@@ -465,7 +434,7 @@ def coisotropic_check(omega: Matrix, w: Sequence[Vector]) -> bool:
     if la.det(q) == 0:
         raise DimensionMismatch("omega must be nondegenerate")
     rows = [la.mat_vec(q, wv) for wv in w]  # v -> omega(v, w) up to sign
-    orth = la.nullspace(rows) if rows else list(la.identity(len(q)))
+    orth = la.annihilator(rows, len(q))
     return la.span_contains(list(w), orth)
 
 

@@ -186,9 +186,7 @@ def universality_identity_check(alg: LieAlgebra, omega: Matrix, dmu: Matrix, s_m
     tangent = s_model.tangent_basis(xi)
     ann = la.annihilator(tangent, alg.dim)
     constraint = [la.mat_vec(la.transpose(dmu), w) for w in ann]
-    preimage = la.nullspace(constraint) if constraint else None
-    if preimage is None:
-        preimage = la.nullspace([la.zeros(len(omega))])
+    preimage = la.annihilator(constraint, len(omega))
     for u, v in pairs:
         if not (la.in_span(u, preimage) and la.in_span(v, preimage)):
             return False
@@ -212,7 +210,7 @@ class SplittingData:
         q = self.omega
         dim = len(q)
         rows = [la.mat_vec(q, v) for v in self.e_basis]
-        e_perp = la.nullspace(rows) if rows else list(la.identity(dim))
+        e_perp = la.annihilator(rows, dim)
         if la.intersect_spans(self.e_basis, e_perp):
             raise SplittingInvalid("E meets its omega-orthogonal")
         if la.rank(list(self.e_basis) + e_perp) != dim:

@@ -235,16 +235,10 @@ def _sl2_structure_certificate(alg: LieAlgebra, m_basis: Sequence[Vector]) -> Op
     h = la.scale(Q(2) / lam, h0)
 
     def eigvec(val):
-        rows = []
-        for j in range(3):
-            rows.append(tuple((Q(2) / lam) * admat[j][k] - (val if j == k else Q(0)) for k in range(3)))
-        ker = la.nullspace(rows)
-        if len(ker) != 1:
-            return None
-        v = la.zeros(alg.dim)
-        for ci, b in zip(ker[0], m_basis):
-            v = la.add(v, la.scale(ci, b))
-        return v
+        # column k of (2/lambda) ad_{h0} - val on m is the image of m_basis[k]
+        images = [tuple((Q(2) / lam) * admat[j][k] - (val if j == k else Q(0)) for j in range(3)) for k in range(3)]
+        ker = la.kernel_within(images, m_basis)
+        return ker[0] if len(ker) == 1 else None
     e = eigvec(Q(2))
     f = eigvec(Q(-2))
     if e is None or f is None:
@@ -322,7 +316,7 @@ def decomposition_class_sl3(params: dict, rng: random.Random, sample_count: int)
     n_pairs = max(20, 5 * sample_count)
     for pt in dec.sample_points:
         fiber = poisson.algebroid_fiber(pm, dec, pt)
-        mperp = la.nullspace([alg.flat(mb) for mb in fiber.basis])
+        mperp = la.annihilator([alg.flat(mb) for mb in fiber.basis], alg.dim)
         pairs = []
         for _ in range(n_pairs // len(dec.sample_points) + 1):
             z1 = la.zeros(alg.dim)

@@ -131,7 +131,7 @@ def _quotient_map_props(m: Matrix, dom_dim: int, dom_sub: Sequence[Vector], cod_
     # preimage of span(D): {v : ann(D)·(M v) = 0}
     ann_d = la.annihilator(cod_sub, cod_dim)
     rows = [la.mat_vec(la.transpose(m), w) for w in ann_d]
-    preimage = la.nullspace(rows) if rows else list(la.identity(dom_dim))
+    preimage = la.annihilator(rows, dom_dim)
     injective = la.span_contains(list(dom_sub), preimage)
     ker_dim = la.rank(list(preimage) + list(dom_sub)) - la.rank(dom_sub)
     image = [la.mat_vec(m, la.unit(dom_dim, i)) for i in range(dom_dim)]
@@ -145,19 +145,14 @@ def lagrangian_criterion(cmap: TwoTermComplexMap) -> LagrangianVerdict:
     s = len(cmap.tangent)
     k = len(cmap.l_basis)
     # middle cohomology upstairs: ker beta / im alpha
-    ker_beta = la.nullspace(cmap.beta) if any(cmap.beta) else list(la.identity(n + s))
+    ker_beta = la.annihilator(cmap.beta, n + s)
     im_alpha = [la.mat_vec(cmap.alpha, la.unit(k, i)) for i in range(k)] if k else []
     # phi: induced by gamma into ker epsilon ⊆ T*S
-    if not s:
-        ker_eps = []
-    elif k:
-        ker_eps = la.nullspace(cmap.epsilon)
-    else:
-        ker_eps = list(la.identity(s))
+    ker_eps = la.annihilator(cmap.epsilon, s)
     gamma_imgs = [la.mat_vec(cmap.gamma, v) for v in ker_beta]
     # phi on the quotient ker_beta / im_alpha: injective iff
     # ker(gamma)∩ker(beta) ⊆ im(alpha); image is gamma(ker beta) ⊆ ker eps
-    ker_gamma_in = _kernel_within(cmap.gamma, ker_beta)
+    ker_gamma_in = la.kernel_within(gamma_imgs, ker_beta)
     phi_inj = la.span_contains(im_alpha, ker_gamma_in)
     phi_surj = la.rank(gamma_imgs) == la.rank(ker_eps)
     ker_phi_dim = la.rank(list(ker_gamma_in) + list(im_alpha)) - la.rank(im_alpha)
@@ -167,7 +162,7 @@ def lagrangian_criterion(cmap: TwoTermComplexMap) -> LagrangianVerdict:
     psi_inj, psi_surj, _ = _quotient_map_props(cmap.delta, n, im_beta, k, im_eps)
     details = {
         "dim_ker_beta_mod_alpha": la.rank(ker_beta) - la.rank(im_alpha),
-        "dim_ker_eps": la.rank(ker_eps) if ker_eps else 0,
+        "dim_ker_eps": la.rank(ker_eps),
         "dim_cod_psi": k - la.rank(im_eps),
         "dim_dom_psi": n - la.rank(im_beta),
     }
@@ -177,24 +172,6 @@ def lagrangian_criterion(cmap: TwoTermComplexMap) -> LagrangianVerdict:
         ker_phi_dim=ker_phi_dim,
         details=details,
     )
-
-
-def _kernel_within(m: Matrix, sub: Sequence[Vector]) -> list[Vector]:
-    """Basis of {v in span(sub) : M v = 0}."""
-    if not sub:
-        return []
-    imgs = [la.mat_vec(m, v) for v in sub]
-    if not imgs[0]:
-        # zero-dimensional codomain: the whole subspace maps to zero
-        return la.span_basis(sub)
-    coeffs = la.nullspace(la.transpose(imgs))
-    out = []
-    for c in coeffs:
-        v = la.zeros(len(sub[0]))
-        for ci, b in zip(c, sub):
-            v = la.add(v, la.scale(ci, b))
-        out.append(v)
-    return la.span_basis(out)
 
 
 def criterion_for_candidate(p: poisson.PoissonPointModel, s_model, xi: Vector, l_basis: Sequence[Vector]) -> LagrangianVerdict:

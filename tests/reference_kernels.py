@@ -107,3 +107,52 @@ def verify_jacobi(alg: LieAlgebra) -> bool:
                 if not la.is_zero(s):
                     return False
     return True
+
+
+def kernel_within(m, sub: Sequence[Vector]) -> list[Vector]:
+    """{v in span(sub) : M v = 0}: coefficient nullspace, then an add/scale loop."""
+    if not sub:
+        return []
+    imgs = [la.mat_vec(m, v) for v in sub]
+    if not imgs[0]:
+        # zero-dimensional codomain: the whole subspace maps to zero
+        return la.span_basis(sub)
+    coeffs = la.nullspace(la.transpose(imgs))
+    out = []
+    for c in coeffs:
+        v = la.zeros(len(sub[0]))
+        for ci, b in zip(c, sub):
+            v = la.add(v, la.scale(ci, b))
+        out.append(v)
+    return la.span_basis(out)
+
+
+def ad_star(alg: LieAlgebra, x: Vector, xi: Vector) -> Vector:
+    """ad*_x xi = -xi([x, .]), walking the table once per output coordinate."""
+    out = []
+    for j in range(alg.dim):
+        acc = Q(0)
+        for i, xv in enumerate(x):
+            if xv == 0:
+                continue
+            for k, c in alg.table[i][j]:
+                acc += xv * c * xi[k]
+        out.append(-acc)
+    return tuple(out)
+
+
+def killing(alg: LieAlgebra):
+    """K[i][j] = tr(ad_i ad_j) by the dense i, j, m loop, one lookup per table entry."""
+    n = alg.dim
+    lookup = [[dict(entry) for entry in row] for row in alg.table]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = Q(0)
+            for m in range(n):
+                for k, c in alg.table[j][m]:
+                    acc += c * lookup[i][k].get(m, Q(0))
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)

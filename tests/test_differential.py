@@ -217,3 +217,102 @@ def test_verify_jacobi_perturbed_matches_reference(data):
     k = data.draw(st.integers(0, n - 1))
     alg = perturbed(base, i, j, k, data.draw(nonzero))
     assert alg.verify_jacobi() == ref.verify_jacobi(alg)
+
+
+# -- kernel inside a subspace, coadjoint action, Killing form -------------------
+
+
+@st.composite
+def basis_and_map(draw):
+    """Sparse basis vectors (some repeated or recombined) and a map on them.
+
+    The map has between 0 rows (zero-width images) and 6 rows, and is
+    sometimes all zero.
+    """
+    dim = draw(st.integers(1, 7))
+    basis = draw(sparse_rows(draw(st.integers(0, 5)), dim))
+    if basis and draw(st.booleans()):
+        coeffs = draw(sparse_rows(draw(st.integers(1, 3)), len(basis)))
+        basis += [la.mat_vec(la.transpose(basis), c) for c in coeffs]
+    width = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        m = [la.zeros(dim)] * width
+    else:
+        m = draw(sparse_rows(width, dim))
+    return tuple(m), basis
+
+
+def images_of(m, basis):
+    return [la.mat_vec(m, v) for v in basis]
+
+
+@given(basis_and_map())
+@settings(max_examples=150, deadline=None)
+def test_kernel_within_matches_coefficient_loop(drawn):
+    m, basis = drawn
+    got = la.kernel_within(images_of(m, basis), basis)
+    assert got == ref.kernel_within(m, basis)
+    assert all(la.is_zero(la.mat_vec(m, v)) for v in got)
+
+
+def test_kernel_within_edge_cases():
+    m = (la.vec([1, 0, 0]),)
+    assert la.kernel_within([], []) == ref.kernel_within(m, []) == []
+    units = list(la.identity(3))
+    # zero-width images: the whole span, in canonical form
+    dep = [la.vec([0, 2, 0]), la.vec([0, 1, 0]), la.vec([1, 1, 0])]
+    assert la.kernel_within([()] * 3, dep) == ref.kernel_within((), dep) == la.span_basis(dep)
+    # all-zero images: also the whole span
+    zero = (la.zeros(3),)
+    assert la.kernel_within(images_of(zero, dep), dep) == ref.kernel_within(zero, dep) == la.span_basis(dep)
+    # a dependent basis with a one-dimensional kernel inside it
+    assert la.kernel_within(images_of(m, dep), dep) == ref.kernel_within(m, dep) == [la.vec([0, 1, 0])]
+    assert la.kernel_within(images_of(m, units), units) == units[1:]
+
+
+def test_annihilator_of_nothing_is_everything():
+    for n in range(5):
+        assert la.annihilator([], n) == list(la.identity(n))
+        assert la.rank(la.annihilator([], n)) == n
+    assert la.annihilator([la.vec([1, 0, 0])], 3) == [la.vec([0, 1, 0]), la.vec([0, 0, 1])]
+
+
+@pytest.mark.parametrize("typ,rank", ALGEBRAS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_ad_star_matches_table_loop(typ, rank, data):
+    alg = lie.build_chevalley(typ, rank)
+    x, xi = data.draw(sparse_rows(2, alg.dim))[:2]
+    assert alg.ad_star(x, xi) == ref.ad_star(alg, x, xi)
+    for i in data.draw(st.lists(st.integers(0, alg.dim - 1), max_size=3)):
+        assert alg.ad_star(alg.basis_vec(i), xi) == ref.ad_star(alg, alg.basis_vec(i), xi)
+
+
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
+def test_killing_matches_dense_loop(typ, rank):
+    alg = lie.build_chevalley(typ, rank)
+    assert alg.killing == ref.killing(alg)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_killing_of_perturbed_table_matches_dense_loop(data):
+    base = lie.build_chevalley("A", 2)
+    n = base.dim
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    k = data.draw(st.integers(0, n - 1))
+    alg = perturbed(base, i, j, k, data.draw(nonzero))
+    assert alg.killing == ref.killing(alg)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_intersect_spans_is_the_canonical_intersection(data):
+    dim = data.draw(st.integers(1, 7))
+    a = data.draw(sparse_rows(data.draw(st.integers(0, 5)), dim))
+    b = data.draw(sparse_rows(data.draw(st.integers(0, 5)), dim))
+    got = la.intersect_spans(a, b)
+    assert got == la.span_basis(got)
+    assert la.span_contains(a, got) and la.span_contains(b, got)
+    assert len(got) == la.rank(a) + la.rank(b) - la.rank(a + b)
