@@ -463,14 +463,15 @@ class LieAlgebra:
                     la.sub(r1, r2)
                     for r1, r2 in zip(comm, la.mat_mul(self.matrix_rep[j], self.matrix_rep[i]))
                 )
-                expect = self._matrix_combo(self.bracket(self.basis_vec(i), self.basis_vec(j)))
+                expect = self.to_matrix(self.bracket(self.basis_vec(i), self.basis_vec(j)))
                 if comm != expect:
                     return False
         return True
 
     # -- matrix representation helpers -------------------------------------
 
-    def _matrix_combo(self, x: Vector) -> Matrix:
+    def to_matrix(self, x: Vector) -> Matrix:
+        """Sum of x_i times the i-th matrix of the stored realization."""
         reps = self._require_rep()
         size = len(reps[0])
         out = [[Q(0)] * size for _ in range(size)]
@@ -487,12 +488,9 @@ class LieAlgebra:
             raise NoMatrixRep(f"type {self.name} carries no matrix realization")
         return self.matrix_rep
 
-    def to_matrix(self, x: Vector) -> Matrix:
-        return self._matrix_combo(x)
-
     def _extractor(self):
         """Cached left inverse of coords -> flattened matrix."""
-        if getattr(self, "_extract_cache", None) is None:
+        if self._extract_cache is None:
             reps = self._require_rep()
             size = len(reps[0])
             cols = [
@@ -542,7 +540,7 @@ class LieAlgebra:
     def unipotent(self, x: Vector, t=1) -> GroupElement:
         """exp(t x) for x with nilpotent representation matrix; exact."""
         t = la.frac(t)
-        m = self._matrix_combo(x)
+        m = self.to_matrix(x)
         size = len(m)
         total = la.identity(size)
         term = la.identity(size)
@@ -569,7 +567,7 @@ class LieAlgebra:
     def adjoint_group_action(self, g: GroupElement, x: Vector) -> Vector:
         """Ad_g x by conjugation in the stored representation."""
         self._check_dim(x)
-        m = self._matrix_combo(x)
+        m = self.to_matrix(x)
         conj = la.mat_mul(la.mat_mul(g.matrix, m), la.inverse(g.matrix))
         return self.from_matrix(conj)
 

@@ -91,10 +91,6 @@ def is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
 
-def concat(u: Vector, v: Vector) -> Vector:
-    return tuple(u) + tuple(v)
-
-
 def mat_vec(a: Sequence[Vector], v: Vector) -> Vector:
     return tuple(dot(row, v) for row in a)
 

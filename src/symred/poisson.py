@@ -70,7 +70,13 @@ def trivial_model(dim: int) -> PoissonPointModel:
 
 
 class SubmanifoldModel:
-    """A submanifold kind plus exact tangent bases at rational points."""
+    """A submanifold kind plus exact tangent bases at rational points.
+
+    Construction certifies every declared sample point.  T_xi S and the
+    stabilizer fiber are derived once per point (and Poisson model) and kept,
+    so a model must not be mutated afterwards.  Subclasses supply the
+    membership test `_contains` and `_tangent`, both given a tuple.
+    """
 
     kind = "abstract"
     trusted = False  # True when membership is taken on the caller's word
@@ -78,14 +84,26 @@ class SubmanifoldModel:
     def __init__(self, ambient_dim: int, sample_points: Sequence[Vector]):
         self.ambient_dim = ambient_dim
         self.sample_points = tuple(tuple(p) for p in sample_points)
+        self._tangents: dict[Vector, tuple[Vector, ...]] = {}
+        self._fibers: dict[tuple[PoissonPointModel, Vector], AlgebroidFiber] = {}
+        for p in self.sample_points:
+            self.tangent_basis(p)
 
     def contains(self, xi: Vector) -> bool:
-        raise NotImplementedError
+        xi = tuple(xi)
+        return xi in self._tangents or self._contains(xi)
 
     def tangent_basis(self, xi: Vector) -> list[Vector]:
-        if not self.contains(xi):
-            raise NotOnModel(f"point not on {self.kind} model")
-        return self._tangent(xi)
+        xi = tuple(xi)
+        basis = self._tangents.get(xi)
+        if basis is None:
+            if not self._contains(xi):
+                raise NotOnModel(f"point not on {self.kind} model")
+            basis = self._tangents[xi] = tuple(self._tangent(xi))
+        return list(basis)
+
+    def _contains(self, xi: Vector) -> bool:
+        raise NotImplementedError
 
     def _tangent(self, xi: Vector) -> list[Vector]:
         raise NotImplementedError
@@ -95,11 +113,11 @@ class Singleton(SubmanifoldModel):
     kind = "singleton"
 
     def __init__(self, point: Vector):
-        super().__init__(len(point), [point])
         self.point = tuple(point)
+        super().__init__(len(point), [point])
 
-    def contains(self, xi):
-        return tuple(xi) == self.point
+    def _contains(self, xi):
+        return xi == self.point
 
     def _tangent(self, xi):
         return []
@@ -115,12 +133,9 @@ class AffineSubspace(SubmanifoldModel):
         self.directions = la.span_basis(directions)
         pts = list(sample_points) if sample_points else [self.base]
         super().__init__(len(base), pts)
-        for p in self.sample_points:
-            if not self.contains(p):
-                raise NotOnModel("declared sample point is off the affine model")
 
-    def contains(self, xi):
-        return la.in_span(la.sub(tuple(xi), self.base), self.directions)
+    def _contains(self, xi):
+        return la.in_span(la.sub(xi, self.base), self.directions)
 
     def _tangent(self, xi):
         return list(self.directions)
@@ -147,12 +162,12 @@ class CoadjointOrbit(SubmanifoldModel):
         new = [self.witness_of[p] for p in self.sample_points if p != self.seed]
         return CoadjointOrbit(self.algebra, self.seed, new + [g])
 
-    def contains(self, xi):
-        return tuple(xi) in self.witness_of
+    def _contains(self, xi):
+        return xi in self.witness_of
 
     def _tangent(self, xi):
         # ad*_{e_i} xi is minus row i of the coadjoint matrix
-        return la.span_basis(self.algebra.coadjoint_matrix(tuple(xi)))
+        return la.span_basis(self.algebra.coadjoint_matrix(xi))
 
 
 class SlodowySlice(SubmanifoldModel):
@@ -173,8 +188,8 @@ class SlodowySlice(SubmanifoldModel):
             x = la.add(x, la.scale(c, b))
         return self.algebra.flat(x)
 
-    def contains(self, xi):
-        x = self.algebra.sharp(tuple(xi))
+    def _contains(self, xi):
+        x = self.algebra.sharp(xi)
         return la.in_span(la.sub(x, self.triple.e), self.gf)
 
     def _tangent(self, xi):
@@ -200,17 +215,15 @@ class DiagonalSlodowy(SubmanifoldModel):
             out = la.add(out, embed_factor(self.product.dim, self.factor.dim, k, xi_factor))
         return out
 
-    def contains(self, xi):
+    def _contains(self, xi):
         d = self.factor.dim
-        first = tuple(xi[:d])
+        first = xi[:d]
         if not self.slice.contains(first):
             return False
-        return all(tuple(xi[k * d : (k + 1) * d]) == first for k in range(self.n))
+        return all(xi[k * d : (k + 1) * d] == first for k in range(self.n))
 
     def _tangent(self, xi):
-        d = self.factor.dim
-        first = tuple(xi[:d])
-        return [self.embed(t) for t in self.slice.tangent_basis(first)]
+        return [self.embed(t) for t in self.slice.tangent_basis(xi[: self.factor.dim])]
 
 
 class DecompositionClass(SubmanifoldModel):
@@ -223,12 +236,9 @@ class DecompositionClass(SubmanifoldModel):
         self.centralizer_dim = centralizer_dim
         pts = [algebra.flat(x) for x in sample_vecs]
         super().__init__(algebra.dim, pts)
-        for p in self.sample_points:
-            if not self.contains(p):
-                raise NotOnModel("sample is not in the declared decomposition class")
 
-    def contains(self, xi):
-        x = self.algebra.sharp(tuple(xi))
+    def _contains(self, xi):
+        x = self.algebra.sharp(xi)
         if len(self.algebra.centralizer(x)) != self.centralizer_dim:
             return False
         return is_ad_semisimple(self.algebra, x)
@@ -236,7 +246,7 @@ class DecompositionClass(SubmanifoldModel):
     def _tangent(self, xi):
         # T_x D = z(g_x) + [g, x], pushed to covectors by the Killing form
         alg = self.algebra
-        x = alg.sharp(tuple(xi))
+        x = alg.sharp(xi)
         gx = alg.centralizer(x)
         # z(g_x): the y in g_x with [y, b] = 0 for every b in g_x
         center = la.kernel_within([tuple(c for b in gx for c in alg.bracket(y, b)) for y in gx], gx)
@@ -256,17 +266,13 @@ class CasimirLevelSet(SubmanifoldModel):
         if self.level == 0:
             raise NotOnModel("level must be nonzero")
         super().__init__(algebra.dim, sample_points)
-        for p in self.sample_points:
-            if not self.contains(p):
-                raise NotOnModel("sample point is off the Casimir level set")
 
-    def contains(self, xi):
-        xi = tuple(xi)
+    def _contains(self, xi):
         return la.dot(xi, self.algebra.sharp(xi)) == self.level
 
     def _tangent(self, xi):
         # T_xi S = { eta : eta(xi^sharp) = 0 }
-        return la.nullspace([self.algebra.sharp(tuple(xi))])
+        return la.nullspace([self.algebra.sharp(xi)])
 
 
 class WeylChamberFace(SubmanifoldModel):
@@ -282,14 +288,10 @@ class WeylChamberFace(SubmanifoldModel):
         self.algebra = algebra
         self.subset = frozenset(subset)
         super().__init__(algebra.dim, sample_points)
-        for p in self.sample_points:
-            if not self.contains(p):
-                raise NotOnModel("sample point is off the declared face")
 
-    def contains(self, xi):
+    def _contains(self, xi):
         alg = self.algebra
         rs = alg.root_data
-        xi = tuple(xi)
         # must vanish on every root vector (xi in the embedded t*)
         for i in range(alg.rank, alg.dim):
             if xi[i] != 0:
@@ -351,11 +353,11 @@ class Explicit(SubmanifoldModel):
         self.tangent_fn = tangent_fn
         super().__init__(ambient_dim, sample_points)
 
-    def contains(self, xi):
+    def _contains(self, xi):
         return True
 
     def _tangent(self, xi):
-        return [tuple(v) for v in self.tangent_fn(tuple(xi))]
+        return [tuple(v) for v in self.tangent_fn(xi)]
 
 
 # -- fibers and checks -------------------------------------------------------
@@ -374,15 +376,18 @@ class AlgebroidFiber:
 def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> AlgebroidFiber:
     """Nullspace of {pair with T_xi S = 0} ∧ {sigma_xi(eta) in T_xi S}."""
     xi = tuple(xi)
-    tangent = s.tangent_basis(xi)
-    sigma = p.bivector_at(xi)
-    rows = [tuple(t) for t in tangent]
-    sigma_t = la.transpose(sigma)
-    for w in la.annihilator(tangent, p.ambient_dim):
-        rows.append(la.mat_vec(sigma_t, w))
-    basis = la.annihilator(rows, p.ambient_dim)
-    in_ker = all(la.is_zero(la.mat_vec(sigma, b)) for b in basis)
-    return AlgebroidFiber(xi, tuple(basis), len(basis), in_ker)
+    # keyed by the model's value: every kks_model(alg) of one algebra hits
+    if (p, xi) not in s._fibers:
+        tangent = s.tangent_basis(xi)
+        sigma = p.bivector_at(xi)
+        rows = [tuple(t) for t in tangent]
+        sigma_t = la.transpose(sigma)
+        for w in la.annihilator(tangent, p.ambient_dim):
+            rows.append(la.mat_vec(sigma_t, w))
+        basis = la.annihilator(rows, p.ambient_dim)
+        in_ker = all(la.is_zero(la.mat_vec(sigma, b)) for b in basis)
+        s._fibers[(p, xi)] = AlgebroidFiber(xi, tuple(basis), len(basis), in_ker)
+    return s._fibers[(p, xi)]
 
 
 def pre_poisson_sample_check(p: PoissonPointModel, s: SubmanifoldModel) -> dict:
@@ -440,5 +445,5 @@ def coisotropic_check(omega: Matrix, w: Sequence[Vector]) -> bool:
 
 def moment_transversality_check(image_basis: Sequence[Vector], s: SubmanifoldModel, xi: Vector) -> bool:
     """rank(T_xi S + image d mu) = ambient dimension."""
-    tangent = s.tangent_basis(tuple(xi))
+    tangent = s.tangent_basis(xi)
     return la.rank(list(tangent) + list(image_basis)) == s.ambient_dim

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import linalg as la
 from . import poisson
-from .errors import LiftNotValid, NotComposable, NotStable, SplittingInvalid
+from .errors import DimensionMismatch, LiftNotValid, NotComposable, SplittingInvalid
 from .groupoid import (
     CotangentPoint,
     CotangentTangent,
@@ -50,6 +50,8 @@ class ReducedSpaceModel:
 
     def push(self, v: Vector) -> Vector:
         """Coordinates of a tangent vector of N in the quotient basis."""
+        if len(v) != len(self.n_tangent[0]):
+            raise DimensionMismatch("vector has wrong dimension for T(G x S)")
         cols = list(self.kernel) + list(self.complement)
         sol = la.solve(la.transpose(cols), v)
         if sol is None:
@@ -63,11 +65,7 @@ class ReducedSpaceModel:
 
 def orbit_tangent_in_universal(alg: LieAlgebra, s_model, p: CotangentPoint) -> list[Vector]:
     """{(-x, 0) : x in h_xi}; the stabilizer acts by right translations."""
-    pm = poisson.kks_model(alg)
-    stable = poisson.algebroid_fiber(pm, s_model, p.xi).contained_in_centralizer
-    if not stable:
-        raise NotStable("orbit tangents need a stable model")
-    h, _ = poisson.stabilizer_subalgebra(pm, s_model, p.xi)
+    h, _ = poisson.stabilizer_subalgebra(poisson.kks_model(alg), s_model, p.xi)
     return [tuple(la.neg(x)) + la.zeros(alg.dim) for x in h]
 
 
@@ -136,7 +134,6 @@ def decomposition_form_check(alg: LieAlgebra, s_model, xi: Vector, pairs) -> boo
     pm = poisson.kks_model(alg)
     fiber = poisson.algebroid_fiber(pm, s_model, xi)
     m_basis = list(fiber.basis)  # = [g_x, g_x] for these classes
-    tangent = s_model.tangent_basis(xi)
     for (u1, z1), (u2, z2) in pairs:
         for z in (z1, z2):
             if any(alg.killing_form(z, mb) != 0 for mb in m_basis):
@@ -218,6 +215,8 @@ class SplittingData:
         object.__setattr__(self, "_e_perp", tuple(e_perp))
 
     def project_onto_e(self, v: Vector) -> Vector:
+        if len(v) != len(self.omega):
+            raise DimensionMismatch("vector has wrong dimension for the ambient space")
         cols = list(self.e_basis) + list(self._e_perp)
         sol = la.solve(la.transpose(cols), v)
         out = la.zeros(len(v))

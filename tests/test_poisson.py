@@ -1,13 +1,15 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symred import lie, poisson
+from symred import cli, lie, poisson
 from symred import linalg as la
 from symred.errors import NotOnModel, NotStable
 from conftest import subregular_point
+from test_golden_report import CONFIGS
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 vec3 = st.tuples(fractions, fractions, fractions)
@@ -52,8 +54,45 @@ def test_tangent_basis_cases(sl2, sl2_efh, kks2):
 def test_not_on_model(sl2):
     hb = sl2.flat(sl2.basis_vec(0))
     single = poisson.Singleton(hb)
+    for _ in range(2):  # an off-model point is refused every time, never kept
+        with pytest.raises(NotOnModel):
+            single.tangent_basis(la.zeros(3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda sl2, sl3: poisson.AffineSubspace(la.zeros(3), [la.unit(3, 0)], sample_points=[la.unit(3, 1)]),
+    lambda sl2, sl3: poisson.DecompositionClass(sl3, 4, [la.zeros(8)]),
+    lambda sl2, sl3: poisson.CasimirLevelSet(sl2, 4, [sl2.flat(sl2.basis_vec(0))]),
+    lambda sl2, sl3: poisson.WeylChamberFace(sl3, (0,), [tuple([Q(1), Q(1)] + [Q(0)] * 6)]),
+], ids=["affine", "decomposition-class", "casimir", "chamber-face"])
+def test_off_model_declared_point_refused_at_construction(sl2, sl3, build):
     with pytest.raises(NotOnModel):
-        single.tangent_basis(la.zeros(3))
+        build(sl2, sl3)
+
+
+def test_tangent_basis_returns_a_fresh_list(sl2):
+    hb = sl2.flat(sl2.basis_vec(0))
+    line = poisson.AffineSubspace(hb, [hb])
+    first = line.tangent_basis(hb)
+    kept = list(first)
+    first.append(la.unit(3, 1))
+    first[0] = la.zeros(3)
+    assert line.tangent_basis(hb) == kept == la.span_basis([hb])
+
+
+def test_fiber_kept_per_poisson_model(sl2):
+    hb = sl2.flat(sl2.basis_vec(0))
+    line = poisson.AffineSubspace(hb, [hb])
+    kks, zero = poisson.kks_model(sl2), poisson.trivial_model(3)
+    by_kks = poisson.algebroid_fiber(kks, line, hb)
+    by_zero = poisson.algebroid_fiber(zero, line, hb)
+    # sigma = 0 keeps all of (T S)°; the KKS bivector at h^b keeps none of it
+    assert by_kks.rank == 0 and by_zero.rank == 2
+    assert la.span_equal(list(by_zero.basis), la.annihilator([hb], 3))
+    for pm, got in ((kks, by_kks), (zero, by_zero)):
+        assert got == poisson.algebroid_fiber(pm, poisson.AffineSubspace(hb, [hb]), hb)
+    # a second kks_model of the same algebra is the same key
+    assert poisson.algebroid_fiber(poisson.kks_model(sl2), line, hb) is by_kks
 
 
 def test_algebroid_fiber_memberships(sl2, sl3, kks2, kks3, sl2_efh):
@@ -312,3 +351,29 @@ def test_orbit_is_poisson_submanifold(sl2, kks2, sl2_efh):
         ann = la.annihilator(orb.tangent_basis(pt), 3)
         sigma = kks2.bivector_at(pt)
         assert all(la.is_zero(la.mat_vec(sigma, w)) for w in ann)
+
+
+def test_each_point_derived_once_on_readme_suite(monkeypatch):
+    """Traffic on the README suite: T_xi S and membership are each derived at
+    most once per (model, point).  `_contains` is the membership computation;
+    public `contains` answers certified points from the model's store."""
+    calls = Counter()
+    alive = []  # keep every model alive so that no id is reused
+
+    def counted(name, fn):
+        def wrapper(self, xi):
+            alive.append(self)
+            calls[(name, id(self), tuple(xi))] += 1
+            return fn(self, xi)
+        return wrapper
+
+    classes = [c for c in vars(poisson).values()
+               if isinstance(c, type) and issubclass(c, poisson.SubmanifoldModel)]
+    for cls in classes:
+        for name in ("_tangent", "_contains"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, counted(name, vars(cls)[name]))
+    _, code = cli.run(cli.parse_config(CONFIGS["readme_suite"]))
+    assert code == 0
+    assert sum(1 for name, _, _ in calls if name == "_tangent") > 0
+    assert {key: n for key, n in calls.items() if n > 1} == {}

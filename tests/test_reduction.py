@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from symred import groupoid as gpd
 from symred import lie, poisson, reduction
 from symred import linalg as la
-from symred.errors import LiftNotValid, NotComposable, NotStable, SplittingInvalid
+from symred.errors import DimensionMismatch, LiftNotValid, NotComposable, NotStable, SplittingInvalid
 from symred.groupoid import CotangentPoint
 from conftest import subregular_point
 
@@ -183,6 +183,24 @@ def test_theta_bracket(rng):
         reduction.SplittingData(omega, (la.unit(4, 0),))  # E ⊕ E^omega too small
     with pytest.raises(SplittingInvalid):
         reduction.SplittingData(omega, (la.unit(4, 0), la.unit(4, 2)))  # meets its orthogonal
+
+
+def test_push_rejects_wrong_length(sl2):
+    hb = sl2.flat(sl2.basis_vec(0))
+    _, model = reduction.kernel_identity_check(sl2, poisson.Singleton(hb), CotangentPoint(hb))
+    assert model.push(la.unit(6, 1)) == (Q(1), Q(0))
+    for v in (la.vec([1, 0]), la.unit(7, 0)):
+        with pytest.raises(DimensionMismatch):
+            model.push(v)
+
+
+def test_project_onto_e_rejects_wrong_length():
+    omega = la.mat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    split = reduction.SplittingData(omega, (la.unit(4, 0), la.unit(4, 1)))
+    assert split.project_onto_e(la.vec([1, 2, 3, 4])) == la.vec([1, 2, 0, 0])
+    for v in (la.vec([1, 0]), la.unit(5, 0)):
+        with pytest.raises(DimensionMismatch):
+            split.project_onto_e(v)
 
 
 @given(st.tuples(fractions, fractions, fractions, fractions), st.tuples(fractions, fractions, fractions, fractions))
