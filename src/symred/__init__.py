@@ -66,7 +66,6 @@ from .poisson import (
 )
 from .groupoid import (
     CotangentPoint,
-    CotangentTangent,
     GroupoidTangentFiber,
     coadjoint_orbit_fiber,
     fiber_by_intersection,

@@ -1,7 +1,8 @@
 """The symplectic groupoid T*G = G x g* in left trivialization.
 
-Tangent vectors at (g, xi) are pairs (u, zeta) in g x g*, and the canonical
-symplectic form is
+Tangent vectors at (g, xi) are pairs (u, zeta) in g x g*, stored flat as
+one 2n-tuple with u in the first n coordinates and zeta in the last n.  The
+canonical symplectic form is
 
     Omega((u1, z1), (u2, z2)) = -z2(u1) + z1(u2) - xi([u1, u2]),
 
@@ -10,7 +11,7 @@ s(g, xi) = Ad*_g xi and t(g, xi) = xi, with differentials
 ds(u, zeta) = Ad*_g(ad*_u xi + zeta) and dt(u, zeta) = zeta.
 
 Fibers of the stabilizer subgroupoids are computed from their defining
-linear conditions and certified isotropic by evaluating Omega pairwise;
+linear conditions and certified isotropic by a zero Gram matrix of Omega;
 at the identity they are cross-checked against the independent
 intersection ds^{-1}(TS) ∩ dt^{-1}(TS) ∩ (TS)^Omega.
 """
@@ -45,23 +46,9 @@ class CotangentPoint:
 
 
 @dataclass(frozen=True)
-class CotangentTangent:
-    u: Vector
-    zeta: Vector
-
-    def flatten(self) -> Vector:
-        return tuple(self.u) + tuple(self.zeta)
-
-
-def tangent_from_flat(v: Vector) -> CotangentTangent:
-    n = len(v) // 2
-    return CotangentTangent(tuple(v[:n]), tuple(v[n:]))
-
-
-@dataclass(frozen=True)
 class GroupoidTangentFiber:
     base: CotangentPoint
-    basis: tuple[CotangentTangent, ...]
+    basis: tuple[Vector, ...]  # flat (u, zeta)
     source_kind: str
     isotropic: bool
 
@@ -69,21 +56,21 @@ class GroupoidTangentFiber:
     def rank(self) -> int:
         return len(self.basis)
 
-    def flat_basis(self) -> list[Vector]:
-        return [t.flatten() for t in self.basis]
+
+def _check_flat(n: int, vectors: Sequence[Vector]) -> None:
+    for v in vectors:
+        if len(v) != 2 * n:
+            raise DimensionMismatch(f"expected length {2 * n}, got {len(v)}")
 
 
-def omega_eval(alg: LieAlgebra, xi: Vector, t1: CotangentTangent, t2: CotangentTangent) -> Fraction:
-    """-z2(u1) + z1(u2) - xi([u1, u2])."""
+def omega_eval(alg: LieAlgebra, xi: Vector, v1: Vector, v2: Vector) -> Fraction:
+    """-z2(u1) + z1(u2) - xi([u1, u2]) on flat v1 = (u1, z1), v2 = (u2, z2)."""
     n = alg.dim
-    for part in (xi, t1.u, t1.zeta, t2.u, t2.zeta):
-        if len(part) != n:
-            raise DimensionMismatch(f"expected length {n}, got {len(part)}")
-    return (
-        -la.dot(t2.zeta, t1.u)
-        + la.dot(t1.zeta, t2.u)
-        - la.dot(xi, alg.bracket(t1.u, t2.u))
-    )
+    if len(xi) != n:
+        raise DimensionMismatch(f"expected length {n}, got {len(xi)}")
+    _check_flat(n, (v1, v2))
+    u1, z1, u2, z2 = v1[:n], v1[n:], v2[:n], v2[n:]
+    return -la.dot(z2, u1) + la.dot(z1, u2) - la.dot(xi, alg.bracket(u1, u2))
 
 
 def _support(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
@@ -91,7 +78,7 @@ def _support(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
 
 
 def omega_gram(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> list[Vector]:
-    """Gram matrix of Omega on flattened tangent vectors.
+    """Gram matrix of Omega on flat tangent vectors.
 
     C[i][j] = xi([e_i, e_j]) is assembled once, and each entry
     -z_b(u_a) + z_a(u_b) - u_a^T C u_b is summed over nonzeros only.  The
@@ -99,9 +86,7 @@ def omega_gram(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> list[V
     zero and only the upper triangle is evaluated.
     """
     n = alg.dim
-    for v in vectors:
-        if len(v) != 2 * n:
-            raise DimensionMismatch(f"expected length {2 * n}, got {len(v)}")
+    _check_flat(n, vectors)
     c = alg.coadjoint_matrix(xi)
     us = [_support(v[:n]) for v in vectors]
     zs = [_support(v[n:]) for v in vectors]
@@ -133,29 +118,27 @@ def omega_rank(alg: LieAlgebra, xi: Vector) -> int:
     return la.rank(omega_gram(alg, xi, basis))
 
 
-def _pairwise_isotropic(alg: LieAlgebra, xi: Vector, tangents: Sequence[CotangentTangent]) -> bool:
-    return all(
-        omega_eval(alg, xi, tangents[i], tangents[j]) == 0
-        for i in range(len(tangents))
-        for j in range(i + 1, len(tangents))
-    )
+def _isotropic(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> bool:
+    return all(la.is_zero(row) for row in omega_gram(alg, xi, vectors))
 
 
-def source_target_differentials(alg: LieAlgebra, p: CotangentPoint, t: CotangentTangent):
-    """(ds, dt) of the source Ad*_g xi and target xi at p along t."""
-    ds = la.add(alg.ad_star(t.u, p.xi), t.zeta)
+def source_target_differentials(alg: LieAlgebra, p: CotangentPoint, v: Vector):
+    """(ds, dt) of the source Ad*_g xi and target xi at p along flat v = (u, zeta)."""
+    n = alg.dim
+    _check_flat(n, (v,))
+    zeta = tuple(v[n:])
+    ds = la.add(alg.ad_star(v[:n], p.xi), zeta)
     if p.g is not None:
         ds = alg.coadjoint_group_action(p.g, ds)
-    return ds, tuple(t.zeta)
+    return ds, zeta
 
 
 def mw_fiber(alg: LieAlgebra, h_sub: Sequence[Vector], xi: Vector, eta: Vector) -> GroupoidTangentFiber:
     """Tangent fiber h_xi x h° of the Marsden-Weinstein data H_xi x (xi + h°)."""
     h_basis = la.span_basis(h_sub)
-    for a in h_basis:
-        for b in h_basis:
-            if not la.in_span(alg.bracket(a, b), h_basis):
-                raise NotASubalgebra("h is not closed under the bracket")
+    brackets = [alg.bracket(a, b) for i, a in enumerate(h_basis) for b in h_basis[i + 1 :]]
+    if not la.span_contains(h_basis, brackets):
+        raise NotASubalgebra("h is not closed under the bracket")
     if any(la.dot(eta, b) != 0 for b in h_basis):
         raise EtaNotInAnnihilator("eta must annihilate h")
     # h_xi = {x in h : xi([x, b]) = x^T C b = 0 for every b in h}
@@ -164,10 +147,10 @@ def mw_fiber(alg: LieAlgebra, h_sub: Sequence[Vector], xi: Vector, eta: Vector) 
     h_xi = la.kernel_within([tuple(la.dot(x, cb) for cb in c_h) for x in h_basis], h_basis)
     h_ann = la.annihilator(h_basis, alg.dim)
     point = tuple(la.add(xi, eta))
-    tangents = [CotangentTangent(x, la.zeros(alg.dim)) for x in h_xi]
-    tangents += [CotangentTangent(la.zeros(alg.dim), z) for z in h_ann]
-    iso = _pairwise_isotropic(alg, point, tangents)
-    return GroupoidTangentFiber(CotangentPoint(point), tuple(tangents), "marsden-weinstein", iso)
+    zero = la.zeros(alg.dim)
+    basis = [tuple(x) + zero for x in h_xi] + [zero + tuple(z) for z in h_ann]
+    iso = _isotropic(alg, point, basis)
+    return GroupoidTangentFiber(CotangentPoint(point), tuple(basis), "marsden-weinstein", iso)
 
 
 def coadjoint_orbit_fiber(alg: LieAlgebra, p: CotangentPoint) -> GroupoidTangentFiber:
@@ -188,18 +171,17 @@ def coadjoint_orbit_fiber(alg: LieAlgebra, p: CotangentPoint) -> GroupoidTangent
     sols = la.nullspace(rows)
     flats = [tuple(sol[:n]) + la.mat_vec(ad_xi, sol[n:]) for sol in sols]
     basis = la.span_basis(flats)
-    tangents = [tangent_from_flat(v) for v in basis]
-    iso = _pairwise_isotropic(alg, xi, tangents)
-    return GroupoidTangentFiber(p, tuple(tangents), "coadjoint-orbit", iso)
+    iso = _isotropic(alg, xi, basis)
+    return GroupoidTangentFiber(p, tuple(basis), "coadjoint-orbit", iso)
 
 
 def chamber_face_fiber(alg: LieAlgebra, face, xi: Vector) -> GroupoidTangentFiber:
     """Tangent fiber [k_S, k_S] x T_xi S of the implosion subgroupoid."""
-    k_part = face.root_subsystem_algebra(xi)
-    tangents = [CotangentTangent(x, la.zeros(alg.dim)) for x in k_part]
-    tangents += [CotangentTangent(la.zeros(alg.dim), z) for z in face.tangent_basis(xi)]
-    iso = _pairwise_isotropic(alg, tuple(xi), tangents)
-    return GroupoidTangentFiber(CotangentPoint(tuple(xi)), tuple(tangents), "chamber-face", iso)
+    zero = la.zeros(alg.dim)
+    basis = [tuple(x) + zero for x in face.root_subsystem_algebra(xi)]
+    basis += [zero + tuple(z) for z in face.tangent_basis(xi)]
+    iso = _isotropic(alg, tuple(xi), basis)
+    return GroupoidTangentFiber(CotangentPoint(tuple(xi)), tuple(basis), "chamber-face", iso)
 
 
 def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
@@ -228,11 +210,10 @@ def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
 
 def lie_functor_check(fiber: GroupoidTangentFiber, expected: poisson.AlgebroidFiber) -> bool:
     """ker-dt part of the fiber, negated, must span the algebroid fiber."""
-    flats = fiber.flat_basis()
-    if not flats:
+    if not fiber.basis:
         return expected.rank == 0
-    n = len(flats[0]) // 2
-    ker_dt = la.intersect_spans(flats, [la.unit(2 * n, i) for i in range(n)])
+    n = len(fiber.basis[0]) // 2
+    ker_dt = la.intersect_spans(fiber.basis, [la.unit(2 * n, i) for i in range(n)])
     us = [tuple(-v[i] for i in range(n)) for v in ker_dt]
     return la.span_equal(us, list(expected.basis))
 
@@ -240,8 +221,8 @@ def lie_functor_check(fiber: GroupoidTangentFiber, expected: poisson.AlgebroidFi
 def identity_section_lagrangian_check(alg: LieAlgebra, xi: Vector) -> bool:
     """{0} x g* is Omega-isotropic of half dimension, for every xi."""
     n = alg.dim
-    tangents = [CotangentTangent(la.zeros(n), la.unit(n, j)) for j in range(n)]
-    return _pairwise_isotropic(alg, tuple(xi), tangents) and 2 * n == omega_rank(alg, xi)
+    section = [la.unit(2 * n, n + j) for j in range(n)]
+    return _isotropic(alg, tuple(xi), section) and 2 * n == omega_rank(alg, xi)
 
 
 def normality_infinitesimal_check(alg: LieAlgebra, s_model, g: GroupElement, xi: Vector) -> bool:

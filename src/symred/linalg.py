@@ -211,20 +211,17 @@ def det(a: Sequence[Vector]) -> Fraction:
     return result
 
 
-def in_span(v: Vector, gens: Sequence[Vector]) -> bool:
-    if is_zero(v):
+def span_contains(gens: Sequence[Vector], others: Sequence[Vector]) -> bool:
+    """True iff every vector of `others` lies in span(gens).
+
+    Zero vectors lie in every span, so they are dropped before any rref.
+    """
+    others = [v for v in others if not is_zero(v)]
+    if not others:
         return True
     if not gens:
         return False
-    return rank(list(gens) + [v]) == rank(gens)
-
-
-def span_contains(gens: Sequence[Vector], others: Sequence[Vector]) -> bool:
-    """True iff every vector of `others` lies in span(gens)."""
-    if not others:
-        return True
-    r = rank(gens)
-    return rank(list(gens) + list(others)) == r
+    return rank(list(gens) + others) == rank(gens)
 
 
 def span_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
@@ -277,9 +274,9 @@ def extend_to_basis(sub: Sequence[Vector], space: Sequence[Vector]) -> list[Vect
     return [space[c - len(sub)] for c in pivots if c >= len(sub)]
 
 
-def random_fraction(rng: random.Random, num: int = 4, den: int = 3) -> Fraction:
-    return Q(rng.randint(-num, num), rng.randint(1, den))
+def random_fraction(rng: random.Random) -> Fraction:
+    return Q(rng.randint(-4, 4), rng.randint(1, 3))
 
 
-def random_vector(rng: random.Random, n: int, num: int = 4, den: int = 3) -> Vector:
-    return tuple(random_fraction(rng, num, den) for _ in range(n))
+def random_vector(rng: random.Random, n: int) -> Vector:
+    return tuple(random_fraction(rng) for _ in range(n))

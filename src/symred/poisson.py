@@ -135,7 +135,7 @@ class AffineSubspace(SubmanifoldModel):
         super().__init__(len(base), pts)
 
     def _contains(self, xi):
-        return la.in_span(la.sub(xi, self.base), self.directions)
+        return la.span_contains(self.directions, [la.sub(xi, self.base)])
 
     def _tangent(self, xi):
         return list(self.directions)
@@ -190,7 +190,7 @@ class SlodowySlice(SubmanifoldModel):
 
     def _contains(self, xi):
         x = self.algebra.sharp(xi)
-        return la.in_span(la.sub(x, self.triple.e), self.gf)
+        return la.span_contains(self.gf, [la.sub(x, self.triple.e)])
 
     def _tangent(self, xi):
         return [self.algebra.flat(b) for b in self.gf]
@@ -413,9 +413,7 @@ def stabilizer_subalgebra(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector)
     ann = la.annihilator(s.tangent_basis(xi), p.ambient_dim)
     cent = alg.centralizer_dual(xi)
     h = la.intersect_spans(ann, cent)
-    closed = all(
-        la.in_span(alg.bracket(a, b), h) for a in h for b in h
-    )
+    closed = la.span_contains(h, [alg.bracket(a, b) for i, a in enumerate(h) for b in h[i + 1 :]])
     if not la.span_equal(h, list(fiber.basis)):
         raise NotStable("fiber does not match (T S)° ∩ g_xi")
     return h, closed

@@ -15,18 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import linalg as la
 from . import poisson
 from .errors import DimensionMismatch, LiftNotValid, NotComposable, SplittingInvalid
 from .groupoid import (
     CotangentPoint,
-    CotangentTangent,
     normality_infinitesimal_check,
     omega_eval,
     omega_gram,
-    tangent_from_flat,
 )
 from .lie import GroupElement, LieAlgebra
 from .linalg import Matrix, Vector
@@ -102,17 +99,14 @@ def reduced_form_well_defined(alg: LieAlgebra, model: ReducedSpaceModel) -> bool
     """Omega(k, n) = 0 for every kernel vector k and every n in T_pN."""
     xi = model.base.xi
     for k in model.kernel:
-        tk = tangent_from_flat(k)
         for v in model.n_tangent:
-            if omega_eval(alg, xi, tk, tangent_from_flat(v)) != 0:
+            if omega_eval(alg, xi, k, v) != 0:
                 return False
     return True
 
 
-def dimension_formula_check(alg: LieAlgebra, s_model, p: CotangentPoint, model: Optional[ReducedSpaceModel] = None) -> bool:
+def dimension_formula_check(alg: LieAlgebra, s_model, p: CotangentPoint, model: ReducedSpaceModel) -> bool:
     """quotient_dim = dim g + dim S - rk L_S."""
-    if model is None:
-        _, model = kernel_identity_check(alg, s_model, p)
     pm = poisson.kks_model(alg)
     fiber = poisson.algebroid_fiber(pm, s_model, p.xi)
     dim_s = len(s_model.tangent_basis(p.xi))
@@ -164,9 +158,9 @@ def orbit_product_symplecto_check(alg: LieAlgebra, g: GroupElement, xi: Vector, 
         w1 = alg.adjoint_group_action(g, la.add(x, y))
         w2 = alg.adjoint_group_action(g, la.add(u, v))
         lhs = -la.dot(eta, alg.bracket(w1, w2)) + la.dot(xi, alg.bracket(y, v))
-        t1 = CotangentTangent(x, alg.ad_star(y, xi))
-        t2 = CotangentTangent(u, alg.ad_star(v, xi))
-        rhs = omega_eval(alg, xi, t1, t2)
+        v1 = tuple(x) + alg.ad_star(y, xi)
+        v2 = tuple(u) + alg.ad_star(v, xi)
+        rhs = omega_eval(alg, xi, v1, v2)
         if lhs != rhs:
             return False
     return True
@@ -185,12 +179,12 @@ def universality_identity_check(alg: LieAlgebra, omega: Matrix, dmu: Matrix, s_m
     constraint = [la.mat_vec(la.transpose(dmu), w) for w in ann]
     preimage = la.annihilator(constraint, len(omega))
     for u, v in pairs:
-        if not (la.in_span(u, preimage) and la.in_span(v, preimage)):
+        if not la.span_contains(preimage, [u, v]):
             return False
-        t1 = CotangentTangent(la.zeros(alg.dim), la.mat_vec(dmu, u))
-        t2 = CotangentTangent(la.zeros(alg.dim), la.mat_vec(dmu, v))
+        v1 = la.zeros(alg.dim) + la.mat_vec(dmu, u)
+        v2 = la.zeros(alg.dim) + la.mat_vec(dmu, v)
         omega_uv = la.dot(u, la.mat_vec(omega, v))
-        pulled = omega_uv - omega_eval(alg, xi, t1, t2)
+        pulled = omega_uv - omega_eval(alg, xi, v1, v2)
         if pulled != omega_uv:
             return False
     return True

@@ -87,7 +87,7 @@ def report_to_dict(report: ScenarioReport) -> dict:
 
 def _rand_nonzero(rng: random.Random) -> Fraction:
     while True:
-        v = la.random_fraction(rng, 4, 3)
+        v = la.random_fraction(rng)
         if v != 0:
             return v
 

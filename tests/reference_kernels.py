@@ -85,8 +85,7 @@ def extend_to_basis(sub: Sequence[Vector], space: Sequence[Vector]) -> list[Vect
 
 def omega_gram(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> list[Vector]:
     """Every entry by its own ``omega_eval``, bracket included."""
-    ts = [groupoid.tangent_from_flat(v) for v in vectors]
-    return [tuple(groupoid.omega_eval(alg, xi, a, b) for b in ts) for a in ts]
+    return [tuple(groupoid.omega_eval(alg, xi, a, b) for b in vectors) for a in vectors]
 
 
 def verify_jacobi(alg: LieAlgebra) -> bool:

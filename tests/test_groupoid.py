@@ -13,7 +13,7 @@ from symred.errors import (
     KindNotInvariant,
     NotASubalgebra,
 )
-from symred.groupoid import CotangentPoint, CotangentTangent
+from symred.groupoid import CotangentPoint
 from conftest import subregular_point
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -88,8 +88,8 @@ def source_differential_oracle(alg, g, xi, u, zeta):
 def test_omega_eval_frozen_value(sl2, sl2_efh):
     e, h, f = sl2_efh
     fb = sl2.flat(f)
-    t1 = CotangentTangent(e, la.zeros(3))
-    t2 = CotangentTangent(h, la.zeros(3))
+    t1 = tuple(e) + la.zeros(3)
+    t2 = tuple(h) + la.zeros(3)
     # -f^flat([e, h]) = 2 f^flat(e) = 2 kappa(f, e) = 8
     assert gpd.omega_eval(sl2, fb, t1, t2) == 8
 
@@ -98,17 +98,17 @@ def test_omega_eval_frozen_value(sl2, sl2_efh):
 @settings(max_examples=30, deadline=None)
 def test_omega_antisymmetric_bilinear(xi, u1, z1, u2, z2):
     sl2 = lie.build_chevalley("A", 1)
-    t1, t2 = CotangentTangent(u1, z1), CotangentTangent(u2, z2)
+    t1, t2 = tuple(u1) + tuple(z1), tuple(u2) + tuple(z2)
     assert gpd.omega_eval(sl2, xi, t1, t2) == -gpd.omega_eval(sl2, xi, t2, t1)
     assert gpd.omega_eval(sl2, xi, t1, t1) == 0
-    double = CotangentTangent(la.scale(2, u1), la.scale(2, z1))
+    double = la.scale(2, u1) + la.scale(2, z1)
     assert gpd.omega_eval(sl2, xi, double, t2) == 2 * gpd.omega_eval(sl2, xi, t1, t2)
 
 
 def test_omega_zero_cases(sl2, rng):
     u1, u2 = la.random_vector(rng, 3), la.random_vector(rng, 3)
-    t1 = CotangentTangent(u1, la.zeros(3))
-    t2 = CotangentTangent(u2, la.zeros(3))
+    t1 = tuple(u1) + la.zeros(3)
+    t2 = tuple(u2) + la.zeros(3)
     assert gpd.omega_eval(sl2, la.zeros(3), t1, t2) == 0
 
 
@@ -121,14 +121,22 @@ def test_omega_rank(sl2, sl3, rng):
 # -- source and target differentials ------------------------------------------
 
 
+def test_source_target_wrong_length_tangent(sl2):
+    from symred.errors import DimensionMismatch
+
+    for v in (la.zeros(7), la.zeros(5), la.zeros(3)):
+        with pytest.raises(DimensionMismatch):
+            gpd.source_target_differentials(sl2, CotangentPoint(la.zeros(3)), v)
+
+
 def test_source_target_trivial_cases(sl2, rng):
     xi = la.random_vector(rng, 3)
     zeta = la.random_vector(rng, 3)
     p = CotangentPoint(xi)
-    ds, dt = gpd.source_target_differentials(sl2, p, CotangentTangent(la.zeros(3), zeta))
+    ds, dt = gpd.source_target_differentials(sl2, p, la.zeros(3) + tuple(zeta))
     assert ds == zeta and dt == zeta
     u = la.random_vector(rng, 3)
-    ds, dt = gpd.source_target_differentials(sl2, CotangentPoint(la.zeros(3)), CotangentTangent(u, la.zeros(3)))
+    ds, dt = gpd.source_target_differentials(sl2, CotangentPoint(la.zeros(3)), tuple(u) + la.zeros(3))
     assert la.is_zero(ds) and la.is_zero(dt)
 
 
@@ -139,7 +147,7 @@ def test_source_differential_against_dual_number_oracle(sl2, sl2_efh, rng):
     cases = [(h, la.zeros(3)), (e, fb), (la.random_vector(rng, 3), la.random_vector(rng, 3))]
     for u, zeta in cases:
         p = CotangentPoint(fb, g)
-        ds, dt = gpd.source_target_differentials(sl2, p, CotangentTangent(u, zeta))
+        ds, dt = gpd.source_target_differentials(sl2, p, tuple(u) + tuple(zeta))
         assert dt == tuple(zeta)
         assert ds == source_differential_oracle(sl2, g, fb, u, zeta)
 
@@ -182,6 +190,22 @@ def test_mw_fiber_errors(sl2, sl2_efh):
         gpd.mw_fiber(sl2, [h], hb, sl2.flat(h))
 
 
+def test_chamber_face_fiber_not_isotropic(sl2, sl2_efh):
+    e, h, f = sl2_efh
+    hb = sl2.flat(h)
+
+    class StubFace:
+        def root_subsystem_algebra(self, xi):
+            return [e, f]
+
+        def tangent_basis(self, xi):
+            return []
+
+    # Omega((e, 0), (f, 0)) = -h^flat([e, f]) = -kappa(h, h) != 0
+    fib = gpd.chamber_face_fiber(sl2, StubFace(), hb)
+    assert fib.rank == 2 and not fib.isotropic
+
+
 def test_coadjoint_orbit_fiber(sl2, sl2_efh):
     e, h, f = sl2_efh
     hb = sl2.flat(h)
@@ -194,9 +218,10 @@ def test_coadjoint_orbit_fiber(sl2, sl2_efh):
     # every basis vector satisfies the defining condition
     ginv = gt.inv()
     for t in fib2.basis:
-        lhs = sl2.ad_star(t.u, hb)
+        u, zeta = t[:3], t[3:]
+        lhs = sl2.ad_star(u, hb)
         # zeta = ad*_v xi for a solution v; check lhs = Ad*_{g^-1} zeta - zeta
-        rhs = la.sub(sl2.coadjoint_group_action(ginv, t.zeta), t.zeta)
+        rhs = la.sub(sl2.coadjoint_group_action(ginv, zeta), zeta)
         assert lhs == rhs
     with pytest.raises(BaseNotInSubgroupoid):
         gpd.coadjoint_orbit_fiber(sl2, CotangentPoint(hb, sl2.unipotent(e, 1)))
@@ -208,14 +233,14 @@ def test_two_route_fiber_agreement(sl2, sl3, sl2_efh, kks2):
     hb = sl2.flat(h)
     single = poisson.Singleton(hb)
     mw = gpd.mw_fiber(sl2, list(la.identity(3)), hb, la.zeros(3))
-    assert la.span_equal(gpd.fiber_by_intersection(sl2, single, hb), mw.flat_basis())
+    assert la.span_equal(gpd.fiber_by_intersection(sl2, single, hb), mw.basis)
     orb = poisson.CoadjointOrbit(sl2, hb)
     of = gpd.coadjoint_orbit_fiber(sl2, CotangentPoint(hb))
-    assert la.span_equal(gpd.fiber_by_intersection(sl2, orb, hb), of.flat_basis())
+    assert la.span_equal(gpd.fiber_by_intersection(sl2, orb, hb), of.basis)
     pt = tuple([Q(0), Q(3)] + [Q(0)] * 6)
     face = poisson.WeylChamberFace(sl3, (0,), [pt])
     ff = gpd.chamber_face_fiber(sl3, face, pt)
-    assert la.span_equal(gpd.fiber_by_intersection(sl3, face, pt), ff.flat_basis())
+    assert la.span_equal(gpd.fiber_by_intersection(sl3, face, pt), ff.basis)
 
 
 def test_lie_functor(sl2, sl3, kks2, kks3, sl2_efh):
@@ -277,8 +302,7 @@ def test_fiber_bases_linearly_independent(sl2, sl3, sl2_efh):
         ),
     ]
     for fib in fibers:
-        flats = fib.flat_basis()
-        assert la.rank(flats) == len(flats)
+        assert la.rank(fib.basis) == fib.rank
 
 
 def test_source_differential_needs_matrix_rep():
@@ -289,7 +313,7 @@ def test_source_differential_needs_matrix_rep():
     fake = GroupElement(la.identity(7), "fake")
     with pytest.raises(NoMatrixRep):
         gpd.source_target_differentials(
-            g2, CotangentPoint(la.zeros(14), fake), CotangentTangent(la.unit(14, 0), la.zeros(14))
+            g2, CotangentPoint(la.zeros(14), fake), la.unit(14, 0) + la.zeros(14)
         )
 
 
@@ -298,8 +322,10 @@ def test_omega_eval_dimension_mismatch(sl2):
 
     with pytest.raises(DimensionMismatch):
         gpd.omega_eval(
-            sl2, la.zeros(3), CotangentTangent(la.zeros(4), la.zeros(3)), CotangentTangent(la.zeros(3), la.zeros(3))
+            sl2, la.zeros(3), la.zeros(4) + la.zeros(3), la.zeros(3) + la.zeros(3)
         )
+    with pytest.raises(DimensionMismatch):
+        gpd.omega_eval(sl2, la.zeros(4), la.zeros(6), la.zeros(6))
 
 
 def test_omega_rank_other_types(rng):

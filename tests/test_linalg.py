@@ -47,8 +47,13 @@ def test_span_operations():
     a = [la.vec([1, 0, 0]), la.vec([0, 1, 0])]
     b = [la.vec([1, 1, 0]), la.vec([1, -1, 0])]
     assert la.span_equal(a, b)
-    assert la.in_span(la.vec([2, 3, 0]), a)
-    assert not la.in_span(la.vec([0, 0, 1]), a)
+    assert la.span_contains(a, [la.vec([2, 3, 0])])
+    assert not la.span_contains(a, [la.vec([0, 0, 1])])
+    # zero vectors lie in every span, the empty one included
+    assert la.span_contains([], [la.zeros(3)])
+    assert not la.span_contains([], [la.vec([0, 0, 1])])
+    assert la.span_contains(a, [la.zeros(3), la.vec([2, 3, 0]), la.zeros(3)])
+    assert not la.span_contains(a, [la.zeros(3), la.vec([0, 0, 1])])
     inter = la.intersect_spans(a, [la.vec([0, 1, 1]), la.vec([0, 1, -1])])
     assert la.span_equal(inter, [la.vec([0, 1, 0])])
 

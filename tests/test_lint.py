@@ -1,11 +1,13 @@
 """Source gate: certifications are raises, there is no floating point, and
-every import is used.
+every import and every top-level name is used.
 
 `assert` statements vanish under ``python -O``, so a certification written
 as one silently stops certifying; a float literal is an inexact number in
 an exact library.  Both must stay at zero in ``src/symred``.  An unused
 import is code left behind by a deletion; ``__init__.py`` is exempt because
-its imports are the package's re-exports.
+its imports are the package's re-exports.  A top-level function or class
+that nothing in ``src/`` or ``tests/`` names outside its own body is left
+behind too; a re-export in ``__init__.py`` is not a use.
 """
 
 import ast
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "symred").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "symred").glob("*.py"))
+TESTS = sorted((ROOT / "tests").rglob("*.py"))
 
 
 def offences(tree: ast.AST) -> list[str]:
@@ -37,6 +41,32 @@ def unused_imports(tree: ast.AST) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: unused import {name}" for name, line in imported.items() if name not in used]
+
+
+def referenced(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def dead_names(modules: dict[str, ast.Module], others: list[ast.AST]) -> list[str]:
+    """Top-level functions and classes of `modules` named nowhere but in their own body."""
+    defined = []
+    used = set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defined.append((module, node.lineno, own))
+            used |= referenced(node) - {own}
+    for tree in others:
+        used |= referenced(tree)
+    return [f"{module} line {line}: {name} is never used" for module, line, name in defined if name not in used]
 
 
 def test_sources_found():
@@ -64,3 +94,22 @@ def test_import_gate_catches_unused():
         "from a import b, c as d\nfrom .e import f\nprint(d, os.sep)\nf()\n"
     )
     assert unused_imports(tree) == ["line 4: unused import system", "line 5: unused import b"]
+
+
+def test_no_dead_top_level_name():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC if p.name != "__init__.py"}
+    others = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in TESTS]
+    assert dead_names(modules, others) == []
+
+
+def test_dead_name_gate_catches_unused():
+    module = ast.parse(
+        "def used():\n    return helper()\n\ndef helper():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\nclass Orphan:\n    pass\n\n"
+        "class Tested:\n    pass\n\nTABLE = {'u': used}\n"
+    )
+    test = ast.parse("import m\nm.Tested()\n")
+    assert dead_names({"m.py": module}, [test]) == [
+        "m.py line 7: recursive is never used",
+        "m.py line 10: Orphan is never used",
+    ]

@@ -114,9 +114,7 @@ def test_algebroid_fiber_memberships(sl2, sl3, kks2, kks3, sl2_efh):
             sigma = p.bivector_at(pt)
             for x in fiber.basis:
                 assert all(la.dot(x, t) == 0 for t in tangent)
-                assert la.in_span(la.mat_vec(sigma, x), tangent) or la.is_zero(
-                    la.mat_vec(sigma, x)
-                )
+                assert la.span_contains(tangent, [la.mat_vec(sigma, x)])
 
 
 def test_singleton_fiber_is_centralizer(sl2, kks2):
@@ -224,6 +222,15 @@ def test_stabilizer_subalgebra(sl2, sl3, kks2, kks3, sl2_efh):
     gx = sl3.centralizer(sl3.sharp(pt))
     derived = la.span_basis([sl3.bracket(a, b) for a in gx for b in gx])
     assert closed and len(h_dec) == 3 and la.span_equal(h_dec, derived)
+
+
+def test_stabilizer_subalgebra_not_closed(sl3, kks3):
+    # at xi = 0 every annihilator is stable, and (T S)° = span{e_a1, e_a2}
+    # is not a subalgebra: [e_a1, e_a2] is a multiple of e_{a1+a2}
+    simple = [sl3.root_vector((1, 0)), sl3.root_vector((0, 1))]
+    model = poisson.Explicit(sl3.dim, lambda xi: la.annihilator(simple, sl3.dim), [la.zeros(8)])
+    h, closed = poisson.stabilizer_subalgebra(kks3, model, la.zeros(8))
+    assert la.span_equal(h, simple) and not closed
 
 
 def test_stabilizer_subalgebra_requires_stable(sl2, kks2):

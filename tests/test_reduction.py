@@ -50,8 +50,7 @@ def kernel_oracle(alg, s_model, xi):
     full = [la.unit(2 * n, i) for i in range(2 * n)]
     rows = []
     for b in n_basis:
-        tb = gpd.tangent_from_flat(b)
-        rows.append(tuple(gpd.omega_eval(alg, xi, tb, gpd.tangent_from_flat(v)) for v in full))
+        rows.append(tuple(gpd.omega_eval(alg, xi, b, v) for v in full))
     # v in (T_pN)^Omega iff it annihilates every row as a functional
     orth = la.nullspace(rows)
     return la.intersect_spans(n_basis, orth)
