@@ -84,6 +84,7 @@ class RootSystem:
             (r for r in self.roots if self._is_positive(r)), key=self._order_key
         )
         self.pos_index = {r: i for i, r in enumerate(self.positive)}
+        self._norm2: dict[Root, Fraction] = {}
 
     # -- basic geometry -------------------------------------------------
 
@@ -131,7 +132,9 @@ class RootSystem:
         )
 
     def norm2(self, beta: Root) -> Fraction:
-        return self.inner(beta, beta)
+        if beta not in self._norm2:
+            self._norm2[beta] = self.inner(beta, beta)
+        return self._norm2[beta]
 
     def p_string(self, alpha: Root, beta: Root) -> int:
         """Largest p with beta - p*alpha a root."""
@@ -267,7 +270,7 @@ class LieAlgebra:
         self._index = {lbl: i for i, lbl in enumerate(self.basis_labels)}
         self._extract_cache = None
         self._lookup = tuple(
-            tuple(dict(entry) for entry in row) for row in self.table
+            tuple({k: c for k, c in entry if c} for entry in row) for row in self.table
         )
         self._check_antisymmetry()
         self.killing = self._compute_killing()
@@ -323,15 +326,15 @@ class LieAlgebra:
                 raise DimensionMismatch(f"expected length {self.dim}, got {len(v)}")
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
+        """[x, y] summed over the supports of x and y only."""
         self._check_dim(x, y)
-        out = [Q(0)] * self.dim
+        out = [la.ZERO] * self.dim
+        y_support = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
             row = self.table[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
+            for j, yj in y_support:
                 f = xi * yj
                 for k, c in row[j]:
                     out[k] += f * c
@@ -441,15 +444,25 @@ class LieAlgebra:
         return True
 
     def verify_killing_invariance(self) -> bool:
+        """kappa([e_i, e_j], e_k) + kappa(e_j, [e_i, e_k]) = 0 for all i and all j <= k.
+
+        For fixed i this is the matrix identity K ad_i + ad_i^T K = 0.  K is
+        a trace form, so symmetric, and then so is K ad_i + ad_i^T K: the
+        entries with j <= k decide it.  The n brackets [e_i, .] are formed
+        once per i, and each term costs what the supports of its two
+        arguments cost, so the whole check is O(n^4) rather than O(n^5).  A
+        term whose bracket is zero is zero, and is not evaluated.
+        """
         n = self.dim
         basis = [self.basis_vec(i) for i in range(n)]
         for i in range(n):
+            ad_i = [self.bracket(basis[i], e) for e in basis]
+            live = [not la.is_zero(v) for v in ad_i]
             for j in range(n):
-                bij = self.bracket(basis[i], basis[j])
-                for k in range(n):
-                    lhs = self.killing_form(bij, basis[k])
-                    rhs = self.killing_form(basis[j], self.bracket(basis[i], basis[k]))
-                    if lhs + rhs != 0:
+                for k in range(j, n):
+                    lhs = self.killing_form(ad_i[j], basis[k]) if live[j] else la.ZERO
+                    rhs = self.killing_form(basis[j], ad_i[k]) if live[k] else la.ZERO
+                    if lhs + rhs:
                         return False
         return True
 
@@ -666,23 +679,36 @@ def _table_from_sl_matrices(rank: int):
         r, s = root_to_pos(beta)
         reps.append(e_mat(s, r))
 
-    def extract(m: Matrix) -> list[Fraction]:
-        coords = [Q(0)] * dim
-        acc = Q(0)
+    # coordinate of the off-diagonal entry (r, s) of a matrix in the algebra
+    off_diagonal = {}
+    for t, beta in enumerate(rs.positive):
+        r, s = root_to_pos(beta)
+        off_diagonal[(r, s)] = rank + t
+        off_diagonal[(s, r)] = rank + npos + t
+
+    def extract(m: dict[tuple[int, int], Fraction]) -> list[Fraction]:
+        coords = [la.ZERO] * dim
+        acc = la.ZERO
         for k in range(rank):
-            acc += m[k][k]
+            acc += m.get((k, k), 0)
             coords[k] = acc
-        for t, beta in enumerate(rs.positive):
-            r, s = root_to_pos(beta)
-            coords[rank + t] = m[r][s]
-            coords[rank + npos + t] = m[s][r]
+        for (r, s), c in m.items():
+            if r != s:
+                coords[off_diagonal[(r, s)]] = c
         return coords
 
+    # each basis matrix has one or two nonzero entries; the commutator
+    # AB - BA is formed from those alone
+    entries = [[(r, s, c) for r, row in enumerate(m) for s, c in enumerate(row) if c] for m in reps]
     table = [[[] for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            comm = la.mat_mul(reps[i], reps[j])
-            comm = tuple(la.sub(r1, r2) for r1, r2 in zip(comm, la.mat_mul(reps[j], reps[i])))
+            comm: dict[tuple[int, int], Fraction] = {}
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                for r, s, x in entries[a]:
+                    for s2, t, y in entries[b]:
+                        if s == s2:
+                            comm[(r, t)] = comm.get((r, t), 0) + sign * x * y
             coords = extract(comm)
             table[i][j] = [(k, c) for k, c in enumerate(coords) if c != 0]
     return table, reps, rs
@@ -705,35 +731,36 @@ def build_chevalley(cartan_type: str, rank: int) -> LieAlgebra:
 
 
 def _certify_chevalley(alg: LieAlgebra):
-    """Cheap construction-time certificate: Cartan action, coroots, |N| = p+1."""
+    """Cheap construction-time certificate: Cartan action, coroots, |N| = p+1.
+
+    [e_a, e_b] is read straight off the sparse table as the dict
+    ``alg._lookup[a][b]`` (coordinate -> nonzero constant).
+    """
     rs = alg.root_data
+    lookup = alg._lookup
     if len(rs.roots) != alg.dim - alg.rank:
         raise CertificateFailed(
             f"{alg.name}: {len(rs.roots)} roots for {alg.dim - alg.rank} root vectors"
         )
     for beta in rs.roots:
-        e_b = alg.root_vector(beta)
+        b = alg.root_vector_index(beta)
         for i in range(alg.rank):
-            got = alg.bracket(alg.basis_vec(i), e_b)
-            if got != la.scale(rs.pairing(beta, i), e_b):
+            c = rs.pairing(beta, i)
+            if lookup[i][b] != ({b: c} if c else {}):
                 raise CertificateFailed(
                     f"{alg.name}: [h_{i + 1}, e{beta}] != <{beta}, alpha_{i + 1}^vee> e{beta}"
                 )
         # [e_beta, e_-beta] = beta^vee in the h basis
-        opp = alg.root_vector(tuple(-x for x in beta))
-        got = alg.bracket(e_b, opp)
+        opp = alg.root_vector_index(tuple(-x for x in beta))
         coeffs = rs.coroot_coeffs(beta)
-        want = [Q(0)] * alg.dim
-        for i in range(alg.rank):
-            want[i] = coeffs[i]
-        if got != tuple(want):
+        if lookup[b][opp] != {i: c for i, c in enumerate(coeffs) if c}:
             raise CertificateFailed(f"{alg.name}: [e{beta}, e-{beta}] is not the coroot of {beta}")
     for a in rs.roots:
         for b in rs.roots:
             s = tuple(x + y for x, y in zip(a, b))
             if s in rs.root_set:
-                n = alg.bracket(alg.root_vector(a), alg.root_vector(b))
-                coeff = n[alg.root_vector_index(s)]
+                entry = lookup[alg.root_vector_index(a)][alg.root_vector_index(b)]
+                coeff = entry.get(alg.root_vector_index(s), la.ZERO)
                 expected = rs.p_string(a, b) + 1
                 if abs(coeff) != expected:
                     raise CertificateFailed(f"{alg.name}: |N({a}, {b})| = {abs(coeff)}, not p + 1 = {expected}")

@@ -9,12 +9,16 @@ equality a syntactic comparison.
 Nothing here is numerical: ranks, kernels and solutions are exact, and a
 zero really is zero.
 
-The kernels cost what the nonzeros cost.  ``dot`` (and so ``mat_vec`` and
-``mat_mul``) skips every pair with a zero factor, and ``rref`` and ``det``
-scale the pivot row and update the other rows only on the pivot row's
-nonzero columns.  Skipping a zero product drops an exact zero, so every
-result equals the one the dense loops give, and vectors and matrices stay
-tuples of ``Fraction`` at every public boundary.
+The kernels cost what the nonzeros cost.  ``dot`` (and so ``mat_mul``)
+skips every pair with a zero factor.  ``mat_vec(a, v)`` collects the
+support of ``v`` (its nonzero positions) once and sums each row of ``a``
+over that support only, so a row costs |supp v| products, not len(v).
+``rref`` and ``det`` scale the pivot row and update the other rows only on
+the pivot row's nonzero columns.  ``unit`` and ``zeros`` fill with the
+shared ``ZERO`` and ``ONE`` constants rather than building a ``Fraction``
+per entry.  Skipping a zero product drops an exact zero, so every result
+equals the one the dense loops give, and vectors and matrices stay tuples
+of ``Fraction`` at every public boundary.
 """
 
 from __future__ import annotations
@@ -46,12 +50,16 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(vec(r) for r in rows)
 
 
+ZERO = Q(0)  # shared exact constants; Fractions are immutable
+ONE = Q(1)
+
+
 def zeros(n: int) -> Vector:
-    return (Q(0),) * n
+    return (ZERO,) * n
 
 
 def unit(n: int, i: int) -> Vector:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def identity(n: int) -> Matrix:
@@ -75,9 +83,6 @@ def scale(c, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
-ZERO = Q(0)  # shared exact zero; Fractions are immutable
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     """Sum of a * b over the pairs where neither factor is zero."""
     acc = ZERO
@@ -92,7 +97,24 @@ def is_zero(u: Vector) -> bool:
 
 
 def mat_vec(a: Sequence[Vector], v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in a)
+    """A v, each row summed over the support of v only.
+
+    Raises ``ValueError`` when a row's length differs from len(v), as
+    ``dot`` does.
+    """
+    n = len(v)
+    support = [(j, b) for j, b in enumerate(v) if b]
+    out = []
+    for row in a:
+        if len(row) != n:
+            raise ValueError(f"row of length {len(row)} against a vector of length {n}")
+        acc = ZERO
+        for j, b in support:
+            x = row[j]
+            if x:
+                acc += x * b
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_mul(a: Sequence[Vector], b: Sequence[Vector]) -> Matrix:

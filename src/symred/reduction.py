@@ -222,18 +222,18 @@ class SplittingData:
 def theta_bracket(split: SplittingData, df: Vector, dg: Vector) -> Fraction:
     """omega(theta(X_F), theta(X_G)) with X solved from omega(X, .) = dF."""
     q = split.omega
-    qt = la.transpose(q)
-    xf = la.mat_vec(la.inverse(qt), df)
-    xg = la.mat_vec(la.inverse(qt), dg)
+    qt_inv = la.inverse(la.transpose(q))
+    xf = la.mat_vec(qt_inv, df)
+    xg = la.mat_vec(qt_inv, dg)
     txf = split.project_onto_e(xf)
     txg = split.project_onto_e(xg)
     return la.dot(txf, la.mat_vec(q, txg))
 
 
 def plain_bracket(omega: Matrix, df: Vector, dg: Vector) -> Fraction:
-    qt = la.transpose(omega)
-    xf = la.mat_vec(la.inverse(qt), df)
-    xg = la.mat_vec(la.inverse(qt), dg)
+    qt_inv = la.inverse(la.transpose(omega))
+    xf = la.mat_vec(qt_inv, df)
+    xg = la.mat_vec(qt_inv, dg)
     return la.dot(xf, la.mat_vec(omega, xg))
 
 

@@ -43,3 +43,12 @@ def subregular_point(sl3, a=1, perm=(0, 1, 2)):
     for i in range(3):
         m[i][i] = vals[perm[i]]
     return sl3.from_matrix(tuple(tuple(r) for r in m))
+
+
+def perturbed(alg, i, j, k, delta):
+    """alg's table, root data kept, with c_ij^k moved by delta and c_ji^k by -delta."""
+    table = [[dict(entry) for entry in row] for row in alg.table]
+    table[i][j][k] = table[i][j].get(k, 0) + delta
+    table[j][i][k] = table[j][i].get(k, 0) - delta
+    rows = [[[(m, c) for m, c in sorted(entry.items()) if c] for entry in row] for row in table]
+    return lie.LieAlgebra(alg.basis_labels, rows, alg.rank, alg.root_data, name="perturbed")

@@ -155,3 +155,66 @@ def killing(alg: LieAlgebra):
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def mat_vec(a: Sequence[Vector], v: Vector) -> Vector:
+    """Every row dotted with the whole of v."""
+    return tuple(dot(row, v) for row in a)
+
+
+def bracket(alg: LieAlgebra, x: Vector, y: Vector) -> Vector:
+    """[x, y] by the dense double loop over every coordinate pair."""
+    out = [Q(0)] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k, c in alg.table[i][j]:
+                out[k] += x[i] * y[j] * c
+    return tuple(out)
+
+
+def sl_table(alg: LieAlgebra):
+    """Type-A structure constants from two ``mat_mul`` calls per basis pair.
+
+    A matrix m of sl(rank+1) has coordinates h_k = m_00 + ... + m_kk and,
+    for the root alpha_i + ... + alpha_j, e = m[i][j+1] and f = m[j+1][i].
+    """
+    rank, reps, positive = alg.rank, alg.matrix_rep, alg.root_data.positive
+    npos = len(positive)
+
+    def extract(m):
+        coords = [Q(0)] * alg.dim
+        for k in range(rank):
+            coords[k] = sum((m[t][t] for t in range(k + 1)), Q(0))
+        for t, beta in enumerate(positive):
+            r = beta.index(1)
+            s = len(beta) - tuple(reversed(beta)).index(1)
+            coords[rank + t] = m[r][s]
+            coords[rank + npos + t] = m[s][r]
+        return coords
+
+    table = []
+    for i in range(alg.dim):
+        row = []
+        for j in range(alg.dim):
+            ab, ba = la.mat_mul(reps[i], reps[j]), la.mat_mul(reps[j], reps[i])
+            comm = [tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba)]
+            row.append(tuple((k, c) for k, c in enumerate(extract(comm)) if c != 0))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def verify_killing_invariance(alg: LieAlgebra) -> bool:
+    """kappa([e_i, e_j], e_k) + kappa(e_j, [e_i, e_k]) = 0 on every triple (i, j, k).
+
+    Each term is summed from the table entries and K directly, with no
+    symmetry of K assumed, so j > k is checked too.
+    """
+    n, k_mat = alg.dim, alg.killing
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = sum((c * k_mat[m][k] for m, c in alg.table[i][j]), Q(0))
+                rhs = sum((c * k_mat[j][m] for m, c in alg.table[i][k]), Q(0))
+                if lhs + rhs != 0:
+                    return False
+    return True

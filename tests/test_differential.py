@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+from conftest import perturbed
 from symred import groupoid as gpd
 from symred import lie, poisson, reduction
 from symred import linalg as la
@@ -105,6 +106,40 @@ def test_dot_contract():
         assert got == 0 and type(got) is Q
 
 
+def densified(v):
+    """v with every zero entry replaced by a nonzero one."""
+    return tuple(x or Q(k + 1) for k, x in enumerate(v))
+
+
+@st.composite
+def matrix_and_vector(draw):
+    """A sparse matrix and a vector of its width, sparse or with no zero entry."""
+    rows = draw(sparse_rows(draw(st.integers(1, 9)), draw(st.integers(0, 10))))
+    v = rows.pop()
+    return rows, densified(v) if draw(st.booleans()) else v
+
+
+@given(matrix_and_vector())
+@settings(max_examples=100, deadline=None)
+def test_mat_vec_matches_dense(drawn):
+    a, v = drawn
+    got = la.mat_vec(a, v)
+    assert got == ref.mat_vec(a, v)
+    assert type(got) is tuple and all(type(x) is Q for x in got)
+
+
+def test_mat_vec_contract():
+    assert la.mat_vec([], la.zeros(3)) == ref.mat_vec([], la.zeros(3)) == ()
+    assert la.mat_vec([], ()) == ()
+    assert la.mat_vec([()], ()) == (0,)
+    with pytest.raises(ValueError):
+        la.mat_vec([la.zeros(3)], la.zeros(4))
+    with pytest.raises(ValueError):
+        la.mat_vec([la.unit(2, 0), la.unit(3, 0)], la.unit(2, 1))
+    with pytest.raises(ValueError):
+        la.mat_vec([la.vec([1, 0, 2])], la.vec([0, 1]))
+
+
 @st.composite
 def space_and_sub(draw):
     """Sparse `space` vectors and `sub` vectors drawn inside span(space)."""
@@ -187,15 +222,6 @@ def test_kernel_identity_reduced_form_matches_pairwise(sl2, sl3):
 def test_verify_jacobi_matches_bracket_route(typ, rank):
     alg = lie.build_chevalley(typ, rank)
     assert alg.verify_jacobi() is ref.verify_jacobi(alg) is True
-
-
-def perturbed(alg, i, j, k, delta):
-    """alg's table with c_ij^k moved by delta and c_ji^k by -delta."""
-    table = [[dict(entry) for entry in row] for row in alg.table]
-    table[i][j][k] = table[i][j].get(k, 0) + delta
-    table[j][i][k] = table[j][i].get(k, 0) - delta
-    rows = [[[(m, c) for m, c in sorted(entry.items()) if c] for entry in row] for row in table]
-    return lie.LieAlgebra(alg.basis_labels, rows, alg.rank, name="perturbed")
 
 
 def test_verify_jacobi_false_branch(sl2):
@@ -304,6 +330,62 @@ def test_killing_of_perturbed_table_matches_dense_loop(data):
     k = data.draw(st.integers(0, n - 1))
     alg = perturbed(base, i, j, k, data.draw(nonzero))
     assert alg.killing == ref.killing(alg)
+
+
+@pytest.mark.parametrize("typ,rank", ALGEBRAS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_bracket_matches_dense_loop(typ, rank, data):
+    alg = lie.build_chevalley(typ, rank)
+    x, y = data.draw(sparse_rows(2, alg.dim))[:2]
+    dense = densified(x)
+    for u, v in ((x, y), (x, dense), (dense, y), (dense, dense)):
+        assert alg.bracket(u, v) == ref.bracket(alg, u, v)
+    i, j = data.draw(st.integers(0, alg.dim - 1)), data.draw(st.integers(0, alg.dim - 1))
+    ei, ej = alg.basis_vec(i), alg.basis_vec(j)
+    assert alg.bracket(ei, ej) == ref.bracket(alg, ei, ej)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_type_a_table_matches_matrix_commutators(rank):
+    alg = lie.build_chevalley("A", rank)
+    assert alg.table == ref.sl_table(alg)
+
+
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
+def test_killing_invariance_matches_triple_loop(typ, rank):
+    """The library's verdict on these types is True by test_lie.test_killing_invariance."""
+    assert ref.verify_killing_invariance(lie.build_chevalley(typ, rank)) is True
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_killing_invariance_of_perturbed_table_matches_triple_loop(data):
+    base = lie.build_chevalley("A", 2)
+    n = base.dim
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    k = data.draw(st.integers(0, n - 1))
+    alg = perturbed(base, i, j, k, data.draw(nonzero))
+    assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is False
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_killing_invariance_of_tampered_form_matches_triple_loop(data):
+    """K moved by delta at (a, b) and (b, a): still symmetric, no longer invariant."""
+    sl3 = lie.build_chevalley("A", 2)
+    alg = lie.LieAlgebra(sl3.basis_labels, sl3.table, sl3.rank, name="tampered")
+    a = data.draw(st.integers(0, alg.dim - 1))
+    b = data.draw(st.integers(a, alg.dim - 1))
+    delta = data.draw(nonzero)
+    k_mat = [list(row) for row in sl3.killing]
+    k_mat[a][b] += delta
+    if a != b:
+        k_mat[b][a] += delta
+    alg.killing = tuple(tuple(row) for row in k_mat)
+    assert alg.killing == la.transpose(alg.killing)
+    assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is False
 
 
 @given(st.data())

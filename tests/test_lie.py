@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symred
+from conftest import perturbed
 from symred import lie
 from symred import linalg as la
 from symred.errors import (
@@ -206,7 +207,7 @@ def test_jacobi_all_types(typ, rank):
     assert len(alg.root_data.roots) == alg.dim - alg.rank
 
 
-@pytest.mark.parametrize("typ,rank", [("A", 1), ("A", 2), ("B", 2), ("G2", 2)])
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
 def test_killing_invariance(typ, rank):
     assert lie.build_chevalley(typ, rank).verify_killing_invariance()
 
@@ -320,3 +321,51 @@ def test_certificates_survive_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["rejected", "1"]
+
+
+# -- the construction-time certificate rejects tampered tables ------------------
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
+def test_certify_chevalley_accepts_built_tables(typ, rank):
+    """An unperturbed copy passes, so each rejection below is the perturbation's doing."""
+    alg = lie.build_chevalley(typ, rank)
+    lie._certify_chevalley(perturbed(alg, 0, 0, 0, Q(0)))
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
+def test_certify_chevalley_rejects_cartan_action(typ, rank):
+    alg = lie.build_chevalley(typ, rank)
+    e = alg.root_vector_index((1, 0))
+    # [h_1, e_alpha1] picks up a stray h_2 component
+    with pytest.raises(CertificateFailed, match=r"\[h_1, e\(1, 0\)\]"):
+        lie._certify_chevalley(perturbed(alg, 0, e, 1, Q(1)))
+    # <alpha_1, alpha_1^vee> = 2 becomes 3
+    with pytest.raises(CertificateFailed, match=r"\[h_1, e\(1, 0\)\]"):
+        lie._certify_chevalley(perturbed(alg, 0, e, e, Q(1)))
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
+def test_certify_chevalley_rejects_coroot(typ, rank):
+    alg = lie.build_chevalley(typ, rank)
+    e, f = alg.root_vector_index((0, 1)), alg.root_vector_index((0, -1))
+    with pytest.raises(CertificateFailed, match="is not the coroot"):
+        lie._certify_chevalley(perturbed(alg, e, f, 0, Q(1, 2)))
+    # a stray root-vector component is caught too
+    with pytest.raises(CertificateFailed, match="is not the coroot"):
+        lie._certify_chevalley(perturbed(alg, e, f, e, Q(1)))
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
+def test_certify_chevalley_rejects_wrong_constant(typ, rank):
+    alg = lie.build_chevalley(typ, rank)
+    a, b = alg.root_vector_index((1, 0)), alg.root_vector_index((0, 1))
+    s = alg.root_vector_index((1, 1))
+    n = alg.structure_constant(a, b, s)
+    assert abs(n) == alg.root_data.p_string((1, 0), (0, 1)) + 1
+    # the pair is met in root order, so as (0, 1), (1, 0) first
+    pair = r"\|N\(\(0, 1\), \(1, 0\)\)\|"
+    with pytest.raises(CertificateFailed, match=rf"{pair} = 0, not p \+ 1 = {abs(n)}"):
+        lie._certify_chevalley(perturbed(alg, a, b, s, -n))
+    with pytest.raises(CertificateFailed, match=rf"{pair} = {2 * abs(n)}, not p \+ 1 = {abs(n)}"):
+        lie._certify_chevalley(perturbed(alg, a, b, s, n))
