@@ -87,7 +87,6 @@ from .reduction import (
     orbit_product_symplecto_check,
     orbit_tangent_in_universal,
     theta_bracket,
-    universality_identity_check,
 )
 from .shifted import (
     LagrangianVerdict,

@@ -12,8 +12,8 @@ Config document::
 Scenarios run one after another in this process and are merged in a fixed
 order, so the report is deterministic for a fixed config and seed
 (rationals are serialized as exact "p/q" strings).  A ``parallel`` key left
-in an older config is ignored.  Exit code 0 when every check of every
-scenario passed, 1 when any check failed, 2 on a configuration error.
+in an older config is ignored.  Exit code 0 when every check passed, 1 when a
+check failed, 2 on a configuration error, 3 on any other error in a scenario.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, SymredError
@@ -54,12 +54,13 @@ def parse_config(document: dict) -> RunConfig:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"scenarios[{i}].params must be an object")
+        REGISTRY[name].resolve(params)
         scenarios.append((name, params))
     seed = document.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     sample_count = document.get("sample_count", 3)
-    if not isinstance(sample_count, int) or sample_count < 1:
+    if type(sample_count) is not int or sample_count < 1:
         raise ConfigError("sample_count must be a positive integer")
     output_path = document.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
@@ -98,7 +99,7 @@ def list_scenarios() -> str:
         spec = REGISTRY[name]
         lines.append(f"{name}")
         lines.append(f"  {spec.description}")
-        lines.append(f"  params: {spec.param_schema}")
+        lines += [f"  param {p}" for p in spec.params] or ["  params: none"]
         for ident in spec.identities:
             lines.append(f"  certifies: {ident}")
     return "\n".join(lines) + "\n"
@@ -143,20 +144,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)
         return 2
+    overrides = {"seed": args.seed, "sample_count": args.sample_count}
+    if isinstance(document, dict):
+        document.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         config = parse_config(document)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be a non-negative integer")
-            config = replace(config, seed=args.seed)
-        if args.sample_count is not None:
-            if args.sample_count < 1:
-                raise ConfigError("sample_count must be a positive integer")
-            config = replace(config, sample_count=args.sample_count)
         report, code = run(config)
-    except SymredError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SymredError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     out_path = args.report or config.output_path
     if out_path:

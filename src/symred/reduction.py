@@ -166,30 +166,6 @@ def orbit_product_symplecto_check(alg: LieAlgebra, g: GroupElement, xi: Vector, 
     return True
 
 
-def universality_identity_check(alg: LieAlgebra, omega: Matrix, dmu: Matrix, s_model, xi: Vector, pairs) -> bool:
-    """psi*(omega, -Omega)(u, v) = omega(u, v) on T mu^{-1}(S).
-
-    `omega` is the Gram matrix of the symplectic form on T_pM, `dmu` the
-    matrix of the moment differential T_pM -> g*.  The Omega-term on
-    (0, dmu u), (0, dmu v) must vanish identically.
-    """
-    xi = tuple(xi)
-    tangent = s_model.tangent_basis(xi)
-    ann = la.annihilator(tangent, alg.dim)
-    constraint = [la.mat_vec(la.transpose(dmu), w) for w in ann]
-    preimage = la.annihilator(constraint, len(omega))
-    for u, v in pairs:
-        if not la.span_contains(preimage, [u, v]):
-            return False
-        v1 = la.zeros(alg.dim) + la.mat_vec(dmu, u)
-        v2 = la.zeros(alg.dim) + la.mat_vec(dmu, v)
-        omega_uv = la.dot(u, la.mat_vec(omega, v))
-        pulled = omega_uv - omega_eval(alg, xi, v1, v2)
-        if pulled != omega_uv:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SplittingData:
     """Ambient symplectic form and a subspace E with ambient = E ⊕ E^omega."""

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from . import linalg as la
 from . import poisson, reduction
 from . import groupoid as gpd
-from .errors import ConfigError, UnsupportedType
+from .errors import ConfigError, SymredError
 from .groupoid import CotangentPoint
 from .lie import LieAlgebra, build_chevalley, embed_factor, principal_sl2
 from .linalg import Q, Vector
@@ -92,28 +92,14 @@ def _rand_nonzero(rng: random.Random) -> Fraction:
             return v
 
 
-def _expected_override(params: dict, key: str, default: int) -> int:
-    value = params.get(key, default)
-    if not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer")
-    return value
-
-
 # -- moore-tachikawa ---------------------------------------------------------
 
 
-def slodowy_moore_tachikawa(params: dict, rng: random.Random, sample_count: int) -> ScenarioReport:
-    cartan_type = params.get("cartan_type", "A")
-    rank = params.get("rank", 1)
-    n = params.get("n", 2)
-    if cartan_type != "A" or not (1 <= rank <= 3):
-        raise UnsupportedType("slice scenarios need type A of rank <= 3")
-    if not (1 <= n <= 4):
-        raise UnsupportedType("n must be between 1 and 4")
-    alg = build_chevalley("A", rank)
+def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Random, sample_count: int):
+    n = values["n"]
+    alg = build_chevalley(values["cartan_type"], values["rank"])
     ell = alg.rank
     triple = principal_sl2(alg)
-    report = ScenarioReport("slodowy_moore_tachikawa", dict(params, cartan_type=cartan_type, rank=rank, n=n))
 
     fixed = [[0] * ell, [1] + [0] * (ell - 1), [-2] + [1] * (ell - 1)]
     extra = [[_rand_nonzero(rng) for _ in range(ell)] for _ in range(max(0, sample_count - 3))]
@@ -163,7 +149,7 @@ def slodowy_moore_tachikawa(params: dict, rng: random.Random, sample_count: int)
                pp["constant_rank"], {"ranks": pp["ranks"]}, sampled=True)
     report.add("stable", "L_S ⊆ ker sigma", all(poisson.stable_check(pm, dia)))
 
-    expected_dim = _expected_override(params, "expected_reduced_dim", n * alg.dim + ell - (n - 1) * ell)
+    expected_dim = values.get("expected_reduced_dim", n * alg.dim + ell - (n - 1) * ell)
     dims_ok = True
     kernel_ok = True
     nondeg_ok = True
@@ -204,7 +190,6 @@ def slodowy_moore_tachikawa(params: dict, rng: random.Random, sample_count: int)
             w.append(v)
         cois_ok &= poisson.coisotropic_check(big, w)
     report.add("fibred_product_coisotropic", "N x_c ... x_c N is coisotropic in N^n", cois_ok)
-    return report
 
 
 # -- decomposition classes ---------------------------------------------------
@@ -256,10 +241,9 @@ def _sl2_structure_certificate(alg: LieAlgebra, m_basis: Sequence[Vector]) -> Op
     return {"found_triple": True}
 
 
-def decomposition_class_sl3(params: dict, rng: random.Random, sample_count: int) -> ScenarioReport:
+def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Random, sample_count: int):
     alg = build_chevalley("A", 2)
     pm = poisson.kks_model(alg)
-    report = ScenarioReport("decomposition_class_sl3", dict(params))
 
     def diag(a, perm=(0, 1, 2)):
         vals = [a, a, -2 * a]
@@ -298,7 +282,7 @@ def decomposition_class_sl3(params: dict, rng: random.Random, sample_count: int)
     report.add("stable", "L_S ⊆ ker sigma", stable_ok)
     report.add("h_bracket_closed", "h_xi = (T_xi S)° ∩ g_xi is a subalgebra", closed_ok)
 
-    expected_dim = _expected_override(params, "expected_reduced_dim", 10)
+    expected_dim = values.get("expected_reduced_dim", 10)
     dims_ok = True
     kernel_ok = True
     got = None
@@ -333,16 +317,14 @@ def decomposition_class_sl3(params: dict, rng: random.Random, sample_count: int)
     pp = poisson.pre_poisson_sample_check(pm, dec)
     report.add("pre_poisson_sampled", "sigma^{-1}(TS) ∩ TS° has constant rank over S",
                pp["constant_rank"], {"ranks": pp["ranks"]}, sampled=True)
-    return report
 
 
 # -- implosion faces ---------------------------------------------------------
 
 
-def implosion_faces_A2(params: dict, rng: random.Random, sample_count: int) -> ScenarioReport:
+def implosion_faces_A2(report: ScenarioReport, values: dict, rng: random.Random, sample_count: int):
     alg = build_chevalley("A", 2)
     pm = poisson.kks_model(alg)
-    report = ScenarioReport("implosion_faces_A2", dict(params))
     expected = {(): 0, (0,): 3, (1,): 3, (0, 1): 8}
     dims = {}
     for subset, exp_dim in expected.items():
@@ -380,14 +362,12 @@ def implosion_faces_A2(params: dict, rng: random.Random, sample_count: int) -> S
         report.add(name + "_dimension", "dim M_red = dim g + dim S - rk L_S", dims_ok)
     report.add("face_dims", "fiber dimensions over the face lattice",
                list(dims.values()) == [0, 3, 3, 8], dims)
-    return report
 
 
 # -- the C^4 pre-Poisson example --------------------------------------------
 
 
-def c4_prepoisson_remark(params: dict, rng: random.Random, sample_count: int) -> ScenarioReport:
-    report = ScenarioReport("c4_prepoisson_remark", dict(params))
+def c4_prepoisson_remark(report: ScenarioReport, values: dict, rng: random.Random, sample_count: int):
     omega = la.mat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     pmodel = poisson.symplectic_model(omega)
 
@@ -437,32 +417,26 @@ def c4_prepoisson_remark(params: dict, rng: random.Random, sample_count: int) ->
         kernel = la.nullspace(gram)
         red_ok &= len(kernel) == 0 and len(tb) - len(kernel) == 2
     report.add("reduced_dim", "dim M_red = dim S - rk L_S = 2", red_ok, {"reduced_dim": 2})
-    return report
 
 
 # -- casimir level sets ------------------------------------------------------
 
 
-def casimir_sphere(params: dict, rng: random.Random, sample_count: int) -> ScenarioReport:
-    algebra_name = params.get("algebra", "A1")
-    if algebra_name not in ("A1", "A2"):
-        raise UnsupportedType("casimir scenario supports A1 and A2")
-    rank = int(algebra_name[1])
-    alg = build_chevalley("A", rank)
-    report = ScenarioReport("casimir_sphere", dict(params, algebra=algebra_name))
-    if algebra_name == "A1":
+def casimir_sphere(report: ScenarioReport, values: dict, rng: random.Random, sample_count: int):
+    alg = build_chevalley("A", int(values["algebra"][1]))
+    if values["algebra"] == "A1":
         base = alg.flat(alg.basis_vec(0))  # h^flat, level 8
         default_level = alg.killing_form(alg.basis_vec(0), alg.basis_vec(0))
     else:
         x = alg.from_matrix(la.mat([[1, 0, 0], [0, 0, 0], [0, 0, -1]]))
         base = alg.flat(x)
         default_level = alg.killing_form(x, x)
-    level = la.frac(params.get("level", default_level))
+    level = values.get("level", default_level)
     ratio = level / default_level
-    rn, rd = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
-    if ratio <= 0 or rn * rn != ratio.numerator or rd * rd != ratio.denominator:
-        raise ConfigError("level must be the default times a rational square")
-    base = la.scale(Q(rn, rd), base)
+    root = Q(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)) if ratio > 0 else None
+    if root is None or root * root != ratio:
+        raise ConfigError(f"casimir_sphere: level = {level} is not {default_level} times a positive rational square")
+    base = la.scale(root, base)
     es, hs, fs = alg.simple_vectors()
     translates = [alg.unipotent(es[0], 1), alg.unipotent(fs[0], Q(1, 2))]
     for i in range(max(0, sample_count - 3)):
@@ -495,21 +469,19 @@ def casimir_sphere(params: dict, rng: random.Random, sample_count: int) -> Scena
     pp = poisson.pre_poisson_sample_check(pm, model)
     report.add("pre_poisson_sampled", "sigma^{-1}(TS) ∩ TS° has constant rank over S",
                pp["constant_rank"], {"ranks": pp["ranks"]}, sampled=True)
-    return report
 
 
 # -- polyhedral faces for torus actions --------------------------------------
 
 
-def polyhedral_face_torus(params: dict, rng: random.Random, sample_count: int) -> ScenarioReport:
-    dim_t = params.get("dim_t", 3)
-    if not isinstance(dim_t, int) or dim_t < 1:
-        raise ConfigError("dim_t must be a positive integer")
-    directions = params.get("face_directions")
-    report = ScenarioReport("polyhedral_face_torus", dict(params, dim_t=dim_t))
+def polyhedral_face_torus(report: ScenarioReport, values: dict, rng: random.Random, sample_count: int):
+    dim_t = values["dim_t"]
+    directions = values.get("face_directions")
     cases = []
     if directions is not None:
-        cases.append(("given", [la.vec(d) for d in directions]))
+        if any(len(d) != dim_t for d in directions):
+            raise ConfigError(f"polyhedral_face_torus: face_directions needs vectors of length dim_t = {dim_t}")
+        cases.append(("given", directions))
     else:
         cases.append(("full", [la.unit(dim_t, i) for i in range(dim_t)]))
         cases.append(("codim1", [la.unit(dim_t, i) for i in range(dim_t - 1)]))
@@ -532,23 +504,70 @@ def polyhedral_face_torus(params: dict, rng: random.Random, sample_count: int) -
             ok &= la.span_equal(list(fiber.basis), ann)
             got = fiber.rank
         report.add(f"face_{label}_fiber", "L_F = (T_xi F)° (Lie algebra of the cutting torus T_F)",
-                   ok, {"dim": got, "codim": dim_t - len(dirs)})
+                   ok, {"dim": got, "codim": dim_t - len(face.directions)})
         report.add(f"face_{label}_dimension", "dim M_red = dim t + dim F - rk L_F",
-                   got == dim_t - len(dirs),
-                   {"reduced_dim": dim_t + len(dirs) - got})
-    return report
+                   got == dim_t - len(face.directions),
+                   {"reduced_dim": dim_t + len(face.directions) - got})
 
 
 # -- registry ----------------------------------------------------------------
 
 
+RATIONAL = "rational"
+VECTORS = "[[rational, ...], ...]"
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared scenario parameter; a ``None`` default means the scenario works it out.
+
+    ``allowed`` is a ``range`` of ints, a tuple of strings, ``RATIONAL`` or ``VECTORS``.
+    """
+
+    name: str
+    allowed: object
+    default: object = None
+
+    def typed(self, value):
+        """`value` in this parameter's type; TypeError or ValueError when it is not allowed."""
+        if self.allowed == RATIONAL:
+            if isinstance(value, bool):
+                raise TypeError("a bool is not a rational")
+            return la.frac(value)
+        if self.allowed == VECTORS:
+            if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+                raise TypeError("not a list of lists")
+            return [tuple(Param(self.name, RATIONAL).typed(c) for c in v) for v in value]
+        if type(value) is not type(self.allowed[0]) or value not in self.allowed:
+            raise ValueError("not an allowed value")
+        return value
+
+    def __str__(self) -> str:
+        allowed = self.allowed
+        if isinstance(allowed, range):
+            allowed = f"{allowed.start}..{allowed.stop - 1}"
+        return f"{self.name}: {allowed}" + ("" if self.default is None else f", default {self.default!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
-    fn: Callable[[dict, random.Random, int], ScenarioReport]
+    fn: Callable[[ScenarioReport, dict, random.Random, int], None]
     description: str
     identities: tuple[str, ...]
-    param_schema: str
+    params: tuple[Param, ...] = ()
+
+    def resolve(self, params: dict) -> dict:
+        """Typed values of `params` plus every non-None default; ConfigError names a bad parameter."""
+        declared = {p.name: p for p in self.params}
+        values = {p.name: p.default for p in self.params if p.default is not None}
+        for key, value in params.items():
+            try:
+                values[key] = declared[key].typed(value)
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                table = "; ".join(map(str, self.params)) or "none"
+                raise ConfigError(f"{self.name}: {key} = {value!r} is not allowed; declared: {table}") from None
+        return values
 
 
 REGISTRY: dict[str, ScenarioSpec] = {
@@ -560,7 +579,8 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "principal slice, diagonal fibers with sum-zero centralizer tuples, reduced dimensions",
             ("g = g_f + [g, x]", "L over Delta_n S = {(y_i) in (g_x)^n : sum y_i = 0}",
              "dim M_red = n dim g + rank - (n-1) rank"),
-            "{cartan_type: 'A', rank: 1..3, n: 1..4, expected_reduced_dim?: int}",
+            (Param("cartan_type", ("A",), "A"), Param("rank", range(1, 4), 1), Param("n", range(1, 5), 2),
+             Param("expected_reduced_dim", range(10**6))),
         ),
         ScenarioSpec(
             "decomposition_class_sl3",
@@ -568,35 +588,33 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "subregular semisimple classes in sl3: tangents, sl2 annihilators, explicit reduced form",
             ("T_x D = z(g_{x_s}) + [g, x]", "(T_x D)^perp = [g_{x_s}, g_{x_s}]_{x_n}",
              "omega_red = -<u1,z2> + <u2,z1> - <x,[u1,u2]>", "dim M_red = 2 dim G - 6"),
-            "{expected_reduced_dim?: int}",
+            (Param("expected_reduced_dim", range(10**6)),),
         ),
         ScenarioSpec(
             "implosion_faces_A2",
             implosion_faces_A2,
             "all four chamber faces of A2: stabilizer fibers equal the root-subsystem algebras",
             ("(L_{S_sigma})_xi = g_Psi", "[K_S, K_S] x S is isotropic"),
-            "{}",
         ),
         ScenarioSpec(
             "c4_prepoisson_remark",
             c4_prepoisson_remark,
             "the quadric x^2 = u != 0, y = 0 in a 4-dim symplectic space: trivial stabilizer",
             ("L_S = omega(TS) ∩ TS° = 0", "TS^omega = span{2x d/dy - d/dv, d/dx}"),
-            "{}",
         ),
         ScenarioSpec(
             "casimir_sphere",
             casimir_sphere,
             "Casimir level sets {<xi, xi> = c}: fiber is the dual ray, stable, reduced dimension",
             ("(T_xi S)° = R xi_*", "dim M_red = dim g + (dim g - 1) - 1"),
-            "{algebra: 'A1'|'A2', level?: rational}",
+            (Param("algebra", ("A1", "A2"), "A1"), Param("level", RATIONAL)),
         ),
         ScenarioSpec(
             "polyhedral_face_torus",
             polyhedral_face_torus,
             "faces of rational polyhedra under the trivial Poisson structure: cutting tori",
             ("L_F = (T_xi F)°",),
-            "{dim_t: int, face_directions?: [[rational, ...], ...]}",
+            (Param("dim_t", range(1, 33), 3), Param("face_directions", VECTORS)),
         ),
     ]
 }
@@ -605,5 +623,13 @@ REGISTRY: dict[str, ScenarioSpec] = {
 def run_scenario(name: str, params: dict, seed: int, sample_count: int) -> ScenarioReport:
     if name not in REGISTRY:
         raise ConfigError(f"unknown scenario: {name}")
+    values = REGISTRY[name].resolve(params)
+    report = ScenarioReport(name, {key: params.get(key, value) for key, value in values.items()})
     rng = random.Random(f"{seed}:{name}:{sorted(params.items())!r}")
-    return REGISTRY[name].fn(params, rng, sample_count)
+    try:
+        REGISTRY[name].fn(report, values, rng, sample_count)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise SymredError(f"scenario {name} raised {type(exc).__name__}: {exc}") from exc
+    return report

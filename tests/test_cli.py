@@ -1,9 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from symred import cli
-from symred.errors import ConfigError
+import symred
+from symred import cli, scenarios
+from symred.errors import ConfigError, NotOnModel
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -171,3 +177,89 @@ def test_parallel_key_is_ignored(tmp_path):
     old = write_config(tmp_path, dict(base, parallel=True), "b.json")
     assert cli.main(["run", old, "--report", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def one_scenario(name, params, **top):
+    return dict({"scenarios": [{"name": name, "params": params}]}, **top)
+
+
+MT = "slodowy_moore_tachikawa"
+
+# (config, the key its one-line error must blame); each exits 2
+BAD_INPUTS = {
+    "rank-string": (one_scenario(MT, {"rank": "2"}), "rank"),
+    "rank-bool": (one_scenario(MT, {"rank": True}), "rank"),
+    "n-bool": (one_scenario(MT, {"n": True}), "n"),
+    "unknown-key-rnak": (one_scenario(MT, {"rnak": 2}), "rnak"),
+    "level-not-rational": (one_scenario("casimir_sphere", {"level": "abc"}), "level"),
+    "level-float": (one_scenario("casimir_sphere", {"level": 0.5}), "level"),
+    "level-list": (one_scenario("casimir_sphere", {"level": [1]}), "level"),
+    "level-negative": (one_scenario("casimir_sphere", {"level": "-8"}), "level"),
+    "level-zero-denominator": (one_scenario("casimir_sphere", {"level": "1/0"}), "level"),
+    "dim_t-bool": (one_scenario("polyhedral_face_torus", {"dim_t": True}), "dim_t"),
+    "face_directions-string": (one_scenario("polyhedral_face_torus", {"face_directions": "x"}), "face_directions"),
+    "face_directions-length": (
+        one_scenario("polyhedral_face_torus", {"dim_t": 2, "face_directions": [[1, 2, 3]]}), "face_directions"),
+    "expected_reduced_dim-bool": (one_scenario(MT, {"expected_reduced_dim": True}), "expected_reduced_dim"),
+    "unknown-key-implosion": (one_scenario("implosion_faces_A2", {"foo": 1}), "foo"),
+    "seed-bool": (one_scenario("c4_prepoisson_remark", {}, seed=True), "seed"),
+    "sample_count-bool": (one_scenario("c4_prepoisson_remark", {}, sample_count=True), "sample_count"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_INPUTS))
+def test_bad_input_exit_two_names_the_key(tmp_path, capsys, label):
+    doc, key = BAD_INPUTS[label]
+    assert cli.main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+    # the message blames the key first, after the scenario name if there is one
+    blamed = err.removeprefix("config error: ").split(": ", 1)[-1]
+    assert blamed.startswith(key + " "), err
+
+
+def test_bad_input_no_traceback_plain_or_optimized(tmp_path):
+    """`python -m symred.cli run` on every bad input: exit 2, one line, no traceback, with and without -O."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symred.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    runs = [(label, flags, write_config(tmp_path, doc, f"{label}.json"))
+            for label, (doc, _) in BAD_INPUTS.items() for flags in ([], ["-O"])]
+
+    def cli_run(job):
+        label, flags, path = job
+        done = subprocess.run([sys.executable, *flags, "-m", "symred.cli", "run", path],
+                              capture_output=True, text=True, timeout=120, env=env)
+        return label, flags, done
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(cli_run, runs))
+    bad = [(label, flags, done.returncode, done.stderr) for label, flags, done in results
+           if done.returncode != 2 or "Traceback" in done.stderr or len(done.stderr.splitlines()) != 1]
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("boom"), NotOnModel("off the model")])
+def test_crashing_scenario_exit_three(tmp_path, capsys, monkeypatch, error):
+    def crash(report, values, rng, sample_count):
+        raise error
+
+    spec = scenarios.REGISTRY["c4_prepoisson_remark"]
+    monkeypatch.setitem(scenarios.REGISTRY, spec.name, dataclasses.replace(spec, fn=crash))
+    cfg = write_config(tmp_path, one_scenario("c4_prepoisson_remark", {}))
+    assert cli.main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "c4_prepoisson_remark" in err and type(error).__name__ in err
+
+
+def test_list_scenarios_prints_every_declared_parameter(capsys):
+    assert cli.main(["list-scenarios"]) == 0
+    blocks = {}
+    for line in capsys.readouterr().out.splitlines():
+        if not line.startswith(" "):
+            name = line
+        blocks.setdefault(name, []).append(line)
+    assert sorted(blocks) == sorted(scenarios.REGISTRY)
+    for name, spec in scenarios.REGISTRY.items():
+        printed = [line.split(":")[0] for line in blocks[name] if line.startswith("  param ")]
+        assert printed == [f"  param {p.name}" for p in spec.params], name

@@ -143,28 +143,6 @@ def test_orbit_product_symplecto(sl2, sl2_efh, rng):
     assert reduction.orbit_product_symplecto_check(sl2, gu, hb, special)
 
 
-def test_universality_identity(sl2, sl2_efh, rng):
-    e, h, f = sl2_efh
-    hb = sl2.flat(h)
-    orb = poisson.CoadjointOrbit(sl2, hb)
-    # degenerate moment differential: identity holds trivially
-    omega = la.mat([[0, 1], [-1, 0]])
-    dmu0 = la.mat([[0, 0], [0, 0], [0, 0]])
-    whole = poisson.AffineSubspace(la.zeros(3), list(la.identity(3)))
-    pairs = [(la.random_vector(rng, 2), la.random_vector(rng, 2)) for _ in range(5)]
-    assert reduction.universality_identity_check(sl2, omega, dmu0, whole, hb, pairs)
-    # orbit with the inclusion as moment map
-    gens = [e, f]
-    tb = [sl2.ad_star(v, hb) for v in gens]
-    gram = la.mat([[-la.dot(hb, sl2.bracket(a, b)) for b in gens] for a in gens])
-    dmu = la.transpose(tb)
-    assert reduction.universality_identity_check(sl2, gram, dmu, orb, hb, pairs)
-    # zeta-only pairs always have vanishing Omega-term
-    single = poisson.Singleton(hb)
-    dmu_zero_pre = la.transpose([la.zeros(3), la.zeros(3)])
-    assert reduction.universality_identity_check(sl2, omega, dmu_zero_pre, single, hb, pairs)
-
-
 def test_theta_bracket(rng):
     omega = la.mat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     full = reduction.SplittingData(omega, tuple(la.identity(4)))

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from symred.errors import ConfigError, UnsupportedType
-from symred.scenarios import REGISTRY, report_to_dict, run_scenario
+from symred.errors import ConfigError
+from symred.scenarios import REGISTRY, Param, report_to_dict, run_scenario
 
 ALL_DEFAULTS = [
     ("slodowy_moore_tachikawa", {"cartan_type": "A", "rank": 1, "n": 2}),
@@ -37,9 +37,9 @@ def test_moore_tachikawa_reduced_dims():
 
 
 def test_moore_tachikawa_rejects_unsupported():
-    with pytest.raises(UnsupportedType):
+    with pytest.raises(ConfigError):
         run_scenario("slodowy_moore_tachikawa", {"cartan_type": "B", "rank": 2, "n": 2}, 1, 3)
-    with pytest.raises(UnsupportedType):
+    with pytest.raises(ConfigError):
         run_scenario("slodowy_moore_tachikawa", {"cartan_type": "A", "rank": 1, "n": 9}, 1, 3)
 
 
@@ -60,8 +60,9 @@ def test_casimir_dims():
     assert rep.check_data("reduced_dim")["reduced_dim"] == 4
     rep = run_scenario("casimir_sphere", {"algebra": "A1", "level": 2}, 5, 3)
     assert rep.all_passed
-    with pytest.raises(ConfigError):
-        run_scenario("casimir_sphere", {"algebra": "A1", "level": 3}, 5, 3)
+    for level in (3, "-8"):
+        with pytest.raises(ConfigError):
+            run_scenario("casimir_sphere", {"algebra": "A1", "level": level}, 5, 3)
 
 
 def test_forced_failure_override():
@@ -111,7 +112,8 @@ def test_registry_lists_six_scenarios():
         "slodowy_moore_tachikawa",
     ]
     for spec in REGISTRY.values():
-        assert spec.description and spec.identities and spec.param_schema
+        assert spec.description and spec.identities
+        assert all(isinstance(p, Param) for p in spec.params)
 
 
 def test_polyhedral_point_face_dims():
@@ -119,3 +121,12 @@ def test_polyhedral_point_face_dims():
     assert rep.check_data("face_point_fiber")["dim"] == 2
     assert rep.check_data("face_codim1_fiber")["dim"] == 1
     assert rep.check_data("face_full_fiber")["dim"] == 0
+
+
+@pytest.mark.parametrize("directions,dim_f", [([[1, 0], [2, 0]], 1), ([[0, 0]], 0)])
+def test_polyhedral_dependent_directions(directions, dim_f):
+    """dim F is the dimension of the span of the given directions, not their count."""
+    rep = run_scenario("polyhedral_face_torus", {"dim_t": 2, "face_directions": directions}, seed=2, sample_count=3)
+    assert rep.all_passed
+    assert rep.check_data("face_given_fiber") == {"dim": 2 - dim_f, "codim": 2 - dim_f}
+    assert rep.check_data("face_given_dimension") == {"reduced_dim": 2 * dim_f}
