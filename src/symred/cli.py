@@ -12,8 +12,10 @@ Config document::
 Scenarios run one after another in this process and are merged in a fixed
 order, so the report is deterministic for a fixed config and seed
 (rationals are serialized as exact "p/q" strings).  A ``parallel`` key left
-in an older config is ignored.  Exit code 0 when every check passed, 1 when a
-check failed, 2 on a configuration error, 3 on any other error in a scenario.
+in an older config is ignored; any other unknown key, at the top level or in
+a scenario entry, is a configuration error.  Exit code 0 when every check
+passed, 1 when a check failed, 2 on a configuration error or a report that
+cannot be written, 3 on any other error in a scenario.
 """
 
 from __future__ import annotations
@@ -38,9 +40,21 @@ class RunConfig:
     output_path: Optional[str] = None
 
 
+# ``parallel`` is left in older configs and ignored
+CONFIG_KEYS = ("scenarios", "seed", "sample_count", "output_path", "parallel")
+ENTRY_KEYS = ("name", "params")
+
+
+def _reject_unknown_keys(document: dict, allowed: tuple[str, ...], where: str) -> None:
+    for key in document:
+        if key not in allowed:
+            raise ConfigError(f"{where}{key} is not a known key; the keys are {', '.join(allowed)}")
+
+
 def parse_config(document: dict) -> RunConfig:
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown_keys(document, CONFIG_KEYS, "")
     raw = document.get("scenarios")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("config field 'scenarios' must be a non-empty list")
@@ -51,6 +65,7 @@ def parse_config(document: dict) -> RunConfig:
         name = entry["name"]
         if name not in REGISTRY:
             raise ConfigError(f"scenarios[{i}]: unknown scenario {name!r}")
+        _reject_unknown_keys(entry, ENTRY_KEYS, f"scenarios[{i}]: ")
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"scenarios[{i}].params must be an object")
@@ -159,8 +174,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     out_path = args.report or config.output_path
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(render_json(report))
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(render_json(report))
+        except OSError as exc:
+            print(f"error: cannot write the report to {out_path}: {exc.strerror}", file=sys.stderr)
+            return 2
     for line in _summary_lines(report):
         print(line)
     return code

@@ -13,16 +13,30 @@ The kernels cost what the nonzeros cost.  ``dot`` (and so ``mat_mul``)
 skips every pair with a zero factor.  ``mat_vec(a, v)`` collects the
 support of ``v`` (its nonzero positions) once and sums each row of ``a``
 over that support only, so a row costs |supp v| products, not len(v).
-``rref`` and ``det`` scale the pivot row and update the other rows only on
-the pivot row's nonzero columns.  ``unit`` and ``zeros`` fill with the
-shared ``ZERO`` and ``ONE`` constants rather than building a ``Fraction``
-per entry.  Skipping a zero product drops an exact zero, so every result
-equals the one the dense loops give, and vectors and matrices stay tuples
-of ``Fraction`` at every public boundary.
+``unit``, ``zeros``, ``nullspace`` and ``solve`` fill with the shared
+``ZERO`` and ``ONE`` constants rather than building a ``Fraction`` per
+entry.  Skipping a zero product
+drops an exact zero, so every result equals the one the dense loops give,
+and vectors and matrices stay tuples of ``Fraction`` at every public
+boundary.
+
+``rref`` and ``det`` eliminate on integer rows: each input row is
+multiplied once by the lcm of its denominators.  Both clear a row against
+the pivot row by the cross-multiplication (p/g) row - (f/g) prow, with p
+the pivot, f the row's entry in the pivot column and g = gcd(p, f), on
+the pivot row's nonzero columns only; a row that this rescales is divided
+by the gcd of its entries, so the integers stay small.  Rows with a zero
+in the pivot column are not touched.  ``det`` multiplies the pivots and
+divides out every row scaling it made, the lcms included, in one
+``Fraction``.  ``rref`` builds a ``Fraction`` only at the boundary, one
+per nonzero output entry.  The reason is the cost of each operation, not
+denominator growth: a ``Fraction`` multiply or subtract runs two gcds and
+builds a new object, where an ``int`` operation is one C call.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -128,9 +142,44 @@ def transpose(a: Sequence[Vector]) -> Matrix:
     return tuple(zip(*a, strict=True))
 
 
+def _integer_rows(rows: Sequence[Vector]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those multipliers."""
+    m, multipliers = [], []
+    for r in rows:
+        nonzero = [(j, x) for j, x in enumerate(r) if x]
+        d = math.lcm(*[x.denominator for _, x in nonzero])
+        row = [0] * len(r)
+        for j, x in nonzero:
+            row[j] = x.numerator * (d // x.denominator)
+        m.append(row)
+        multipliers.append(d)
+    return m, multipliers
+
+
+def _clear(row: list[int], prow: list[int], c: int, support: list[int]) -> tuple[list[int], int, int]:
+    """Clear row[c] against the pivot row prow, whose nonzero columns are `support`.
+
+    The new row is (p/g) row - (f/g) prow, with p = prow[c], f = row[c] and
+    g = gcd(p, f) signed so that p/g > 0; a rescaled row is divided by its
+    content, so the integers stay small.  Returns (new row, p/g, content):
+    the new row is (p/g) / content times row - (f/p) prow.
+    """
+    p, f = prow[c], row[c]
+    g = math.gcd(p, f) if p > 0 else -math.gcd(p, f)
+    mult, f = p // g, f // g
+    if mult != 1:
+        row = [mult * x for x in row]
+    for j in support:
+        row[j] -= f * prow[j]
+    if mult == 1:
+        return row, 1, 1
+    content = math.gcd(*row) or 1
+    return ([x // content for x in row] if content > 1 else row), mult, content
+
+
 def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+    m, _ = _integer_rows(rows)
     if not m:
         return [], []
     ncols = len(m[0])
@@ -144,19 +193,16 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
         prow = m[r]
         # rows r.. are zero left of c, so the pivot row's support starts at c
         support = [j for j in range(c, ncols) if prow[j]]
-        inv = Q(1) / prow[c]
-        for j in support:
-            prow[j] *= inv
         for i, row in enumerate(m):
-            f = row[c]
-            if i != r and f:
-                for j in support:
-                    row[j] -= f * prow[j]
+            if i != r and row[c]:
+                m[i] = _clear(row, prow, c, support)[0]
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    out = [[Q(x, row[c]) if x else ZERO for x in row] for row, c in zip(m, pivots)]
+    out += [[ZERO] * ncols for _ in range(len(m) - len(pivots))]
+    return out, pivots
 
 
 def rank(rows: Sequence[Vector]) -> int:
@@ -178,8 +224,8 @@ def nullspace(rows: Sequence[Vector]) -> list[Vector]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for c in free:
-        v = [Q(0)] * ncols
-        v[c] = Q(1)
+        v = [ZERO] * ncols
+        v[c] = ONE
         for i, p in enumerate(pivots):
             v[p] = -m[i][c]
         basis.append(tuple(v))
@@ -195,7 +241,7 @@ def solve(a: Sequence[Vector], b: Vector):
     m, pivots = rref(aug)
     if ncols in pivots:
         return None
-    x = [Q(0)] * ncols
+    x = [ZERO] * ncols
     for i, p in enumerate(pivots):
         x[p] = m[i][ncols]
     return tuple(x)
@@ -211,26 +257,26 @@ def inverse(a: Sequence[Vector]) -> Matrix:
 
 
 def det(a: Sequence[Vector]) -> Fraction:
+    """Product of the pivots of the integer echelon form over every factor a row was scaled by."""
     n = len(a)
-    m = [list(r) for r in a]
-    result = Q(1)
+    m, multipliers = _integer_rows(a)
+    num, den = 1, math.prod(multipliers)
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if m[i][c]), None)
         if pivot_row is None:
-            return Q(0)
+            return ZERO
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
+            num = -num
         prow = m[c]
-        result *= prow[c]
-        inv = Q(1) / prow[c]
-        support = [j for j in range(c + 1, n) if prow[j]]
-        for row in m[c + 1 :]:
-            if row[c]:
-                f = row[c] * inv
-                for j in support:
-                    row[j] -= f * prow[j]
-    return result
+        num *= prow[c]
+        support = [j for j in range(c, n) if prow[j]]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                m[i], mult, content = _clear(m[i], prow, c, support)
+                num *= content
+                den *= mult
+    return Q(num, den)
 
 
 def span_contains(gens: Sequence[Vector], others: Sequence[Vector]) -> bool:

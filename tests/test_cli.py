@@ -204,6 +204,9 @@ BAD_INPUTS = {
     "unknown-key-implosion": (one_scenario("implosion_faces_A2", {"foo": 1}), "foo"),
     "seed-bool": (one_scenario("c4_prepoisson_remark", {}, seed=True), "seed"),
     "sample_count-bool": (one_scenario("c4_prepoisson_remark", {}, sample_count=True), "sample_count"),
+    "unknown-entry-key-parmas": ({"scenarios": [{"name": "c4_prepoisson_remark", "parmas": {}}]}, "parmas"),
+    "unknown-top-key-sead": (one_scenario("c4_prepoisson_remark", {}, sead=5), "sead"),
+    "unknown-top-key-smaple_count": (one_scenario("c4_prepoisson_remark", {}, smaple_count=9), "smaple_count"),
 }
 
 
@@ -218,10 +221,15 @@ def test_bad_input_exit_two_names_the_key(tmp_path, capsys, label):
     assert blamed.startswith(key + " "), err
 
 
+def cli_env():
+    """The environment for `python -m symred.cli` that imports this checkout's symred."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symred.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_bad_input_no_traceback_plain_or_optimized(tmp_path):
     """`python -m symred.cli run` on every bad input: exit 2, one line, no traceback, with and without -O."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(symred.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = cli_env()
     runs = [(label, flags, write_config(tmp_path, doc, f"{label}.json"))
             for label, (doc, _) in BAD_INPUTS.items() for flags in ([], ["-O"])]
 
@@ -236,6 +244,18 @@ def test_bad_input_no_traceback_plain_or_optimized(tmp_path):
     bad = [(label, flags, done.returncode, done.stderr) for label, flags, done in results
            if done.returncode != 2 or "Traceback" in done.stderr or len(done.stderr.splitlines()) != 1]
     assert not bad, bad
+
+
+def test_unwritable_report_exit_two_plain_or_optimized(tmp_path):
+    cfg = write_config(tmp_path, one_scenario("c4_prepoisson_remark", {}))
+    report = tmp_path / "no" / "such" / "dir" / "r.json"
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-m", "symred.cli", "run", cfg, "--report", str(report)],
+                              capture_output=True, text=True, timeout=120, env=cli_env())
+        assert done.returncode == 2, (flags, done.stderr)
+        assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr, (flags, done.stderr)
+        assert str(report) in done.stderr
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("error", [ZeroDivisionError("boom"), NotOnModel("off the model")])

@@ -3,7 +3,10 @@
 Random inputs are sparse rational matrices, about one entry in ten
 nonzero (one in three for some draws, so eliminations do real work),
 with duplicated rows mixed in; the edge cases (empty, all-zero, 1 x n)
-are also pinned explicitly.  Every comparison is exact equality.
+are also pinned explicitly.  ``rref`` and ``det`` eliminate on integer
+rows, so they are also held to the reference on dense rows with large
+numerators and wide, mostly coprime denominators.  Every comparison is
+exact equality.
 """
 
 from fractions import Fraction as Q
@@ -51,6 +54,37 @@ def sparse_square(draw, max_n=7):
     return draw(sparse_rows(n, n))[:n]
 
 
+@st.composite
+def wide_rows(draw, nrows, ncols):
+    """nrows x ncols, about two entries in three nonzero, numerators up to 10^12 and denominators up to 10^6.
+
+    Some rows are negated so that they lead with a negative entry, and
+    sometimes a row is a rational combination of two others, so it turns
+    zero during the elimination.
+    """
+    entry = st.builds(Q, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+    rows = [[draw(entry) if draw(st.integers(0, 2)) else Q(0) for _ in range(ncols)] for _ in range(nrows)]
+    for row in rows:
+        lead = next((x for x in row if x), 0)
+        if lead > 0 and draw(st.booleans()):
+            row[:] = [-x for x in row]
+    if nrows >= 3 and draw(st.booleans()):
+        a, b = draw(entry.filter(bool)), draw(entry)
+        rows[draw(st.integers(2, nrows - 1))] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return [tuple(r) for r in rows]
+
+
+@st.composite
+def wide_matrix(draw, max_rows=6, max_cols=7):
+    return draw(wide_rows(draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))))
+
+
+@st.composite
+def wide_square(draw, max_n=6):
+    n = draw(st.integers(0, max_n))
+    return draw(wide_rows(n, n))
+
+
 EDGE_CASES = [
     [],
     [la.zeros(4)] * 3,
@@ -58,6 +92,16 @@ EDGE_CASES = [
     [la.zeros(1)],
     [la.vec([1, 0, 2]), la.vec([1, 0, 2]), la.vec([0, 0, 3])],
     [la.vec([0, 5, 0, 0])] * 4,
+    # one row with the mixed denominators 2, 3, 5, 7
+    [la.vec([Q(1, 2), Q(1, 3), Q(1, 5), Q(1, 7)])],
+    # each pivot divides every entry of its column, so no row is rescaled (p/g = 1)
+    [la.vec([2, 0, 0]), la.vec([4, 2, 0]), la.vec([-6, 8, 2])],
+    # the third row is the sum of the first two and turns zero mid-elimination
+    [la.vec([1, 2, 0, 1]), la.vec([0, 1, 1, 0]), la.vec([1, 3, 1, 1]), la.vec([0, 0, Q(1, 4), 1])],
+    # determinant -1/14 - 5
+    [la.vec([Q(1, 2), 3]), la.vec([Q(5, 3), Q(-1, 7)])],
+    # singular: the second row is a third of the first
+    [la.vec([-6, Q(3, 5), 9]), la.vec([-2, Q(1, 5), 3]), la.vec([1, 1, Q(-1, 11)])],
 ]
 
 
@@ -66,6 +110,44 @@ def test_rref_edge_cases(rows):
     assert la.rref(rows) == ref.rref(rows)
     if rows and len(rows) == len(rows[0]):
         assert la.det(rows) == ref.det(rows)
+
+
+@given(wide_matrix())
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_dense_on_wide_rows(rows):
+    assert la.rref(rows) == ref.rref(rows)
+
+
+@given(wide_square())
+@settings(max_examples=100, deadline=None)
+def test_det_matches_dense_on_wide_rows(rows):
+    assert la.det(rows) == ref.det(rows)
+
+
+def boundary_scalars(rows):
+    """Every scalar that rref, span_basis, nullspace, solve, inverse and det return on `rows`."""
+    out = [x for row in la.rref(rows)[0] for x in row]
+    out += [x for v in la.span_basis(rows) + la.nullspace(rows) for x in v]
+    if rows:
+        # b is the first column, so x = e_0 solves A x = b
+        out += la.solve(rows, tuple(r[0] for r in rows))
+    if len(rows) == len(rows[0] if rows else ()):
+        d = la.det(rows)
+        out.append(d)
+        if d:
+            out += [x for row in la.inverse(rows) for x in row]
+    return out
+
+
+@pytest.mark.parametrize("rows", EDGE_CASES)
+def test_kernels_return_fractions_on_edge_cases(rows):
+    assert all(type(x) is Q for x in boundary_scalars(rows))
+
+
+@given(wide_matrix())
+@settings(max_examples=25, deadline=None)
+def test_kernels_return_fractions_on_wide_rows(rows):
+    assert all(type(x) is Q for x in boundary_scalars(rows))
 
 
 @given(sparse_matrix())
