@@ -19,11 +19,9 @@ from .errors import (
     NoMatrixRep,
     NotACandidate,
     NotASubalgebra,
-    NotComposable,
     NotOnModel,
     NotStable,
     SolveFailure,
-    SplittingInvalid,
     SymredError,
     UnsupportedType,
 )
@@ -69,24 +67,19 @@ from .groupoid import (
     GroupoidTangentFiber,
     coadjoint_orbit_fiber,
     fiber_by_intersection,
-    identity_section_lagrangian_check,
     lie_functor_check,
     mw_fiber,
     normality_infinitesimal_check,
     omega_eval,
-    omega_rank,
     source_target_differentials,
 )
 from .reduction import (
     ReducedSpaceModel,
-    SplittingData,
     decomposition_form_check,
     dimension_formula_check,
-    invariant_reduction_groupoid_check,
     kernel_identity_check,
     orbit_product_symplecto_check,
     orbit_tangent_in_universal,
-    theta_bracket,
 )
 from .shifted import (
     LagrangianVerdict,

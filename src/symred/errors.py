@@ -45,15 +45,7 @@ class KindNotInvariant(SymredError):
     pass
 
 
-class NotComposable(SymredError):
-    pass
-
-
 class LiftNotValid(SymredError):
-    pass
-
-
-class SplittingInvalid(SymredError):
     pass
 
 

@@ -113,11 +113,6 @@ def omega_gram(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> list[V
     return [tuple(row) for row in gram]
 
 
-def omega_rank(alg: LieAlgebra, xi: Vector) -> int:
-    basis = [la.unit(2 * alg.dim, i) for i in range(2 * alg.dim)]
-    return la.rank(omega_gram(alg, xi, basis))
-
-
 def _isotropic(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> bool:
     return all(la.is_zero(row) for row in omega_gram(alg, xi, vectors))
 
@@ -216,13 +211,6 @@ def lie_functor_check(fiber: GroupoidTangentFiber, expected: poisson.AlgebroidFi
     ker_dt = la.intersect_spans(fiber.basis, [la.unit(2 * n, i) for i in range(n)])
     us = [tuple(-v[i] for i in range(n)) for v in ker_dt]
     return la.span_equal(us, list(expected.basis))
-
-
-def identity_section_lagrangian_check(alg: LieAlgebra, xi: Vector) -> bool:
-    """{0} x g* is Omega-isotropic of half dimension, for every xi."""
-    n = alg.dim
-    section = [la.unit(2 * n, n + j) for j in range(n)]
-    return _isotropic(alg, tuple(xi), section) and 2 * n == omega_rank(alg, xi)
 
 
 def normality_infinitesimal_check(alg: LieAlgebra, s_model, g: GroupElement, xi: Vector) -> bool:

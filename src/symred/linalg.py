@@ -227,7 +227,8 @@ def nullspace(rows: Sequence[Vector]) -> list[Vector]:
         v = [ZERO] * ncols
         v[c] = ONE
         for i, p in enumerate(pivots):
-            v[p] = -m[i][c]
+            if m[i][c]:
+                v[p] = -m[i][c]
         basis.append(tuple(v))
     return basis
 

@@ -157,7 +157,7 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
     for pt in dia.sample_points:
         agree, model = reduction.kernel_identity_check(prod, dia, CotangentPoint(pt))
         kernel_ok &= agree and reduction.reduced_form_well_defined(prod, model)
-        nondeg_ok &= model.nondegenerate() and model.antisymmetric()
+        nondeg_ok &= model.nondegenerate()
         got_dim = model.quotient_dim
         dims_ok &= model.quotient_dim == expected_dim
         dims_ok &= reduction.dimension_formula_check(prod, dia, CotangentPoint(pt), model)

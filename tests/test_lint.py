@@ -7,7 +7,9 @@ an exact library.  Both must stay at zero in ``src/symred``.  An unused
 import is code left behind by a deletion; ``__init__.py`` is exempt because
 its imports are the package's re-exports.  A top-level function or class
 that nothing in ``src/`` or ``tests/`` names outside its own body is left
-behind too; a re-export in ``__init__.py`` is not a use.
+behind too; a re-export in ``__init__.py`` is not a use.  Every exception
+class in ``errors.py`` is raised somewhere in ``src/``: a class that only a
+test's ``pytest.raises`` names guards nothing.
 """
 
 import ast
@@ -69,6 +71,24 @@ def dead_names(modules: dict[str, ast.Module], others: list[ast.AST]) -> list[st
     return [f"{module} line {line}: {name} is never used" for module, line, name in defined if name not in used]
 
 
+def unraised(errors: ast.Module, sources: list[ast.AST]) -> list[str]:
+    """Classes defined in `errors` that no `raise` statement in `sources` names."""
+    raised = set()
+    for tree in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return [
+        f"line {node.lineno}: {node.name} is never raised"
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name not in raised
+    ]
+
+
 def test_sources_found():
     assert len(SRC) >= 10
 
@@ -112,4 +132,26 @@ def test_dead_name_gate_catches_unused():
     assert dead_names({"m.py": module}, [test]) == [
         "m.py line 7: recursive is never used",
         "m.py line 10: Orphan is never used",
+    ]
+
+
+def test_every_error_is_raised():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC}
+    assert unraised(trees["errors.py"], list(trees.values())) == []
+
+
+def test_raise_gate_catches_unraised():
+    errors = ast.parse(
+        "class Base(Exception):\n    pass\n\nclass Raised(Base):\n    pass\n\n"
+        "class Bare(Base):\n    pass\n\nclass Dotted(Base):\n    pass\n\nclass Caught(Base):\n    pass\n"
+    )
+    source = ast.parse(
+        "from .errors import Caught, Raised\nfrom . import errors\n\ndef f(x):\n"
+        "    try:\n        g()\n    except Caught:\n        raise\n"
+        "    if x:\n        raise Raised('x')\n    raise errors.Dotted() from None\n"
+    )
+    assert unraised(errors, [errors, source]) == [
+        "line 1: Base is never raised",
+        "line 7: Bare is never raised",
+        "line 13: Caught is never raised",
     ]
