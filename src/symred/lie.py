@@ -14,6 +14,19 @@ Every constructed table is exhaustively certified (antisymmetry, Cartan
 action, coroot brackets, |N| = p+1) and the test suite re-verifies the
 Jacobi identity for all basis triples of every supported type.
 
+``LieAlgebra`` stores each table constant as an ``int`` when it is
+integral and as a ``Fraction`` otherwise.  On a Chevalley basis every
+constant is an integer (±(p+1), Cartan integers, coroot coefficients), so
+the antisymmetry, Jacobi and Chevalley certificates and the Killing sums
+run on ints, and a hand-built table with rational constants still works.
+The reason is the cost of each operation: a ``Fraction`` multiply or add
+runs two gcds and builds a new object, where an ``int`` operation is one C
+call.  Every public boundary stays ``Fraction``: ``killing``, ``bracket``,
+``coadjoint_matrix``, ``ad_star``, ``killing_form``, the structure
+constants and the matrix realization.  Where a constant meets a vector
+entry the entry comes first (``x * c``), so ``Fraction``'s forward
+operator handles the ``int``.
+
 Basis order: Cartan h_1..h_l, then e_β over positive roots by increasing
 (height, coordinates), then the corresponding negative root vectors.
 """
@@ -125,10 +138,9 @@ class RootSystem:
         return (self.height(beta), beta)
 
     def inner(self, beta: Root, gamma: Root) -> Fraction:
+        """(beta, gamma) = sum_j d_j <beta, alpha_j^vee> gamma_j."""
         return sum(
-            Q(beta[i] * gamma[j]) * self.cartan[i][j] * self.d[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
+            (self.d[j] * (self.pairing(beta, j) * gamma[j]) for j in range(self.rank)), la.ZERO
         )
 
     def norm2(self, beta: Root) -> Fraction:
@@ -148,7 +160,7 @@ class RootSystem:
     def coroot_coeffs(self, gamma: Root) -> tuple[Fraction, ...]:
         """gamma^vee = sum_i c_i alpha_i^vee; all c_i are integers."""
         dg = self.norm2(gamma) / 2
-        coeffs = tuple(Q(gamma[i]) * self.d[i] / dg for i in range(self.rank))
+        coeffs = tuple(self.d[i] / dg * gamma[i] for i in range(self.rank))
         if any(c.denominator != 1 for c in coeffs):
             raise CertificateFailed(f"coroot of {gamma} has non-integer coefficients {coeffs}")
         return coeffs
@@ -248,13 +260,21 @@ class GroupElement:
         return GroupElement(la.inverse(self.matrix), f"({self.provenance})^-1")
 
 
+def _constant(c):
+    """A structure constant as an ``int`` when it is integral, else a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = la.frac(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class LieAlgebra:
     """Structure constants, Killing form, and optional matrix realization."""
 
     def __init__(
         self,
         basis_labels: Sequence[str],
-        table: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
+        table: Sequence[Sequence[Sequence[tuple[int, int | Fraction]]]],
         rank: int,
         root_data: Optional[RootSystem] = None,
         matrix_rep: Optional[Sequence[Matrix]] = None,
@@ -262,7 +282,9 @@ class LieAlgebra:
     ):
         self.dim = len(basis_labels)
         self.basis_labels = tuple(basis_labels)
-        self.table = tuple(tuple(tuple(entry) for entry in row) for row in table)
+        self.table = tuple(
+            tuple(tuple((k, _constant(c)) for k, c in entry) for entry in row) for row in table
+        )
         self.rank = rank
         self.root_data = root_data
         self.matrix_rep = tuple(matrix_rep) if matrix_rep is not None else None
@@ -285,27 +307,29 @@ class LieAlgebra:
             for j in range(i, self.dim):
                 lhs = self._lookup[i][j]
                 rhs = self._lookup[j][i]
+                # every stored constant is nonzero, so a missing key fails
                 if not (
-                    all(rhs.get(k, Q(0)) == -c for k, c in lhs.items())
-                    and all(lhs.get(k, Q(0)) == -c for k, c in rhs.items())
+                    all(rhs.get(k) == -c for k, c in lhs.items())
+                    and all(lhs.get(k) == -c for k, c in rhs.items())
                 ):
                     raise CertificateFailed(
                         f"bracket table is not antisymmetric at ({i}, {j}): {lhs} vs {rhs}"
                     )
 
     def _compute_killing(self) -> Matrix:
+        """K[i][j] = tr(ad_i ad_j), summed on the table's constants, one ``Fraction`` per entry."""
         n = self.dim
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
-                acc = Q(0)
+                acc = 0
                 for m in range(n):
                     for k, c in self.table[j][m]:
                         x = self._lookup[i][k].get(m)
                         if x:
                             acc += c * x
-                row.append(acc)
+                row.append(Q(acc) if acc else la.ZERO)
             rows.append(tuple(row))
         return tuple(rows)
 
@@ -375,7 +399,7 @@ class LieAlgebra:
         self._check_dim(xi)
         return tuple(
             tuple(
-                sum((c * xi[k] for k, c in entry if xi[k]), la.ZERO) for entry in row
+                sum((xi[k] * c for k, c in entry if xi[k]), la.ZERO) for entry in row
             )
             for row in self.table
         )
@@ -385,13 +409,13 @@ class LieAlgebra:
         return la.nullspace(la.transpose(self.coadjoint_matrix(xi)))
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return self._lookup[i][j].get(k, Q(0))
+        return Q(self._lookup[i][j].get(k, 0))
 
     def structure_constants(self):
         """Dense dim x dim x dim array c_{ij}^k; the table is the sparse form."""
         n = self.dim
         return tuple(
-            tuple(tuple(self._lookup[i][j].get(k, Q(0)) for k in range(n)) for j in range(n))
+            tuple(tuple(self.structure_constant(i, j, k) for k in range(n)) for j in range(n))
             for i in range(n)
         )
 
@@ -633,8 +657,7 @@ def _table_from_roots(rs: RootSystem):
         beta = root_of(a)
         for i in range(rank):
             # [h_i, e_beta] = <beta, alpha_i^vee> e_beta
-            c = Q(rs.pairing(beta, i))
-            set_entry(i, a, [(a, c)])
+            set_entry(i, a, [(a, rs.pairing(beta, i))])
     for a in range(rank, dim):
         for b in range(a + 1, dim):
             alpha, beta = root_of(a), root_of(b)
@@ -656,28 +679,26 @@ def _table_from_sl_matrices(rank: int):
     npos = len(rs.positive)
     dim = rank + 2 * npos
 
-    def e_mat(r, s):
-        return tuple(
-            tuple(Q(1) if (i, j) == (r, s) else Q(0) for j in range(size)) for i in range(size)
-        )
-
     def root_to_pos(beta: Root):
         # beta = alpha_i + ... + alpha_j corresponds to E_{i, j+1}
         i = beta.index(1)
         j = len(beta) - 1 - tuple(reversed(beta)).index(1)
         return i, j + 1
 
+    # the nonzero entries (r, s, ±1) of each basis matrix, as ints
+    entries = [[(i, i, 1), (i + 1, i + 1, -1)] for i in range(rank)]
+    for beta in rs.positive:
+        r, s = root_to_pos(beta)
+        entries.append([(r, s, 1)])
+    for beta in rs.positive:
+        r, s = root_to_pos(beta)
+        entries.append([(s, r, 1)])
     reps: list[Matrix] = []
-    for i in range(rank):
-        m = [[Q(0)] * size for _ in range(size)]
-        m[i][i], m[i + 1][i + 1] = Q(1), Q(-1)
-        reps.append(tuple(tuple(r) for r in m))
-    for beta in rs.positive:
-        r, s = root_to_pos(beta)
-        reps.append(e_mat(r, s))
-    for beta in rs.positive:
-        r, s = root_to_pos(beta)
-        reps.append(e_mat(s, r))
+    for nonzero in entries:
+        m = [[la.ZERO] * size for _ in range(size)]
+        for r, s, c in nonzero:
+            m[r][s] = Q(c)
+        reps.append(tuple(tuple(row) for row in m))
 
     # coordinate of the off-diagonal entry (r, s) of a matrix in the algebra
     off_diagonal = {}
@@ -686,9 +707,9 @@ def _table_from_sl_matrices(rank: int):
         off_diagonal[(r, s)] = rank + t
         off_diagonal[(s, r)] = rank + npos + t
 
-    def extract(m: dict[tuple[int, int], Fraction]) -> list[Fraction]:
-        coords = [la.ZERO] * dim
-        acc = la.ZERO
+    def extract(m: dict[tuple[int, int], int]) -> list[int]:
+        coords = [0] * dim
+        acc = 0
         for k in range(rank):
             acc += m.get((k, k), 0)
             coords[k] = acc
@@ -699,11 +720,10 @@ def _table_from_sl_matrices(rank: int):
 
     # each basis matrix has one or two nonzero entries; the commutator
     # AB - BA is formed from those alone
-    entries = [[(r, s, c) for r, row in enumerate(m) for s, c in enumerate(row) if c] for m in reps]
     table = [[[] for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            comm: dict[tuple[int, int], Fraction] = {}
+            comm: dict[tuple[int, int], int] = {}
             for a, b, sign in ((i, j, 1), (j, i, -1)):
                 for r, s, x in entries[a]:
                     for s2, t, y in entries[b]:
@@ -760,7 +780,7 @@ def _certify_chevalley(alg: LieAlgebra):
             s = tuple(x + y for x, y in zip(a, b))
             if s in rs.root_set:
                 entry = lookup[alg.root_vector_index(a)][alg.root_vector_index(b)]
-                coeff = entry.get(alg.root_vector_index(s), la.ZERO)
+                coeff = entry.get(alg.root_vector_index(s), 0)
                 expected = rs.p_string(a, b) + 1
                 if abs(coeff) != expected:
                     raise CertificateFailed(f"{alg.name}: |N({a}, {b})| = {abs(coeff)}, not p + 1 = {expected}")

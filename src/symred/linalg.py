@@ -146,7 +146,8 @@ def _integer_rows(rows: Sequence[Vector]) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators, and those multipliers."""
     m, multipliers = [], []
     for r in rows:
-        nonzero = [(j, x) for j, x in enumerate(r) if x]
+        # most zero cells are the shared ZERO; `is not` skips Fraction.__bool__ on them
+        nonzero = [(j, x) for j, x in enumerate(r) if x is not ZERO and x]
         d = math.lcm(*[x.denominator for _, x in nonzero])
         row = [0] * len(r)
         for j, x in nonzero:

@@ -470,6 +470,32 @@ def test_killing_invariance_of_tampered_form_matches_triple_loop(data):
     assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is False
 
 
+def sl2_half_f():
+    """sl2 on the basis (h, e, f/2): [h, e] = 2e, [h, f/2] = -2 f/2, [e, f/2] = h/2."""
+    table = [[[] for _ in range(3)] for _ in range(3)]
+    for i, j, k, c in ((0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, Q(1, 2))):
+        table[i][j], table[j][i] = [(k, c)], [(k, -c)]
+    return lie.LieAlgebra(("h", "e", "f/2"), table, 1, name="sl2_half_f")
+
+
+def test_rational_table_matches_reference():
+    alg = sl2_half_f()
+    assert alg.table[1][2] == ((0, Q(1, 2)),) and type(alg.table[1][2][0][1]) is Q
+    assert type(alg.table[0][1][0][1]) is int
+    assert alg.verify_jacobi() is ref.verify_jacobi(alg) is True
+    assert alg.killing == ref.killing(alg)
+    assert alg.killing == ((8, 0, 0), (0, 0, 2), (0, 2, 0))
+    assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is True
+
+
+# each moves an eigenvalue of ad_h off ±2, so [e, f/2] = h/2 no longer closes Jacobi
+@pytest.mark.parametrize("i,j,k,delta", [(0, 1, 1, Q(1)), (0, 1, 1, Q(1, 2)), (0, 2, 2, Q(1, 3))])
+def test_perturbed_rational_table_fails_on_both(i, j, k, delta):
+    alg = perturbed(sl2_half_f(), i, j, k, delta)
+    assert alg.verify_jacobi() is ref.verify_jacobi(alg) is False
+    assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is False
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_intersect_spans_is_the_canonical_intersection(data):

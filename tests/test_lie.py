@@ -287,6 +287,76 @@ def test_jacobi_on_random_vectors(x, y, z):
     assert la.is_zero(s)
 
 
+# -- int constants inside, Fraction at every boundary -------------------------
+
+
+def _algebra(name):
+    """A built type by its (type, rank), or sl2^3 for "A1^3"."""
+    if name == "A1^3":
+        return lie.direct_power(lie.build_chevalley("A", 1), 3)
+    return lie.build_chevalley(*name)
+
+
+@pytest.mark.parametrize("name", sorted(lie.SUPPORTED) + ["A1^3"], ids=str)
+def test_table_constants_are_ints(name):
+    alg = _algebra(name)
+    assert all(type(c) is int for row in alg.table for entry in row for _, c in entry)
+
+
+@pytest.mark.parametrize("name", [("A", 2), ("B", 2), ("G2", 2), "A1^3"], ids=str)
+def test_public_boundaries_return_fractions(name, rng):
+    alg = _algebra(name)
+    x, y, xi = (la.random_vector(rng, alg.dim) for _ in range(3))
+    basis = [alg.basis_vec(i) for i in range(alg.dim)]
+
+    def exact(values):
+        return all(type(v) is Q for v in values)
+
+    assert all(exact(row) for row in alg.killing)
+    assert exact(alg.bracket(x, y))
+    assert all(exact(alg.bracket(a, b)) for a in basis for b in basis)
+    assert all(exact(row) for row in alg.coadjoint_matrix(xi))
+    assert exact(alg.ad_star(x, xi))
+    assert exact([alg.killing_form(x, y), alg.killing_form(basis[0], basis[-1])])
+    assert exact(
+        alg.structure_constant(i, j, k)
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+        for k in range(alg.dim)
+    )
+    assert exact(c for plane in alg.structure_constants() for row in plane for c in row)
+
+
+@pytest.fixture()
+def fractions_built(monkeypatch):
+    """(``Fraction.__new__`` calls made by fn(), fn()), counted as perfbench's tracer does."""
+
+    def count(fn):
+        original = Q.__new__
+        built = [0]
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Q, "__new__", counted)
+            result = fn()
+        return built[0], result
+
+    return count
+
+
+@pytest.mark.parametrize("typ,rank", [("B", 4), ("G2", 2)])
+def test_integer_certificates_build_no_fraction(typ, rank, fractions_built):
+    alg = lie.build_chevalley(typ, rank)
+    assert fractions_built(alg.verify_jacobi) == (0, True)
+    assert fractions_built(alg._check_antisymmetry) == (0, None)
+    # one Fraction at most per Killing entry, and none for a zero entry
+    built, killing = fractions_built(alg._compute_killing)
+    assert built <= alg.dim * alg.dim and killing == alg.killing
+
+
 # [x, y] = 2y = [y, x]: symmetric where it must be antisymmetric
 NOT_ANTISYMMETRIC = [[[], [(1, Q(2))]], [[(1, Q(2))], []]]
 
