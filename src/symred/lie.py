@@ -291,6 +291,7 @@ class LieAlgebra:
         self.name = name or "g"
         self._index = {lbl: i for i, lbl in enumerate(self.basis_labels)}
         self._extract_cache = None
+        self._coadjoint: dict[Vector, Matrix] = {}
         self._lookup = tuple(
             tuple({k: c for k, c in entry if c} for entry in row) for row in self.table
         )
@@ -353,9 +354,9 @@ class LieAlgebra:
         """[x, y] summed over the supports of x and y only."""
         self._check_dim(x, y)
         out = [la.ZERO] * self.dim
-        y_support = [(j, yj) for j, yj in enumerate(y) if yj]
+        y_support = [(j, yj) for j, yj in enumerate(y) if yj is not la.ZERO and yj]
         for i, xi in enumerate(x):
-            if not xi:
+            if xi is la.ZERO or not xi:
                 continue
             row = self.table[i]
             for j, yj in y_support:
@@ -394,15 +395,18 @@ class LieAlgebra:
     def coadjoint_matrix(self, xi: Vector) -> Matrix:
         """C with C[i][j] = xi([e_i, e_j]), read off the sparse table.
 
-        (ad*_x xi)_j = -(C^T x)_j, and xi([u, v]) = u^T C v.
+        (ad*_x xi)_j = -(C^T x)_j, and xi([u, v]) = u^T C v.  Memoised by xi:
+        the table never changes, so every caller at xi shares one immutable C.
         """
-        self._check_dim(xi)
-        return tuple(
-            tuple(
-                sum((xi[k] * c for k, c in entry if xi[k]), la.ZERO) for entry in row
+        xi = tuple(xi)
+        cm = self._coadjoint.get(xi)
+        if cm is None:
+            self._check_dim(xi)
+            cm = self._coadjoint[xi] = tuple(
+                tuple(sum((xi[k] * c for k, c in entry if xi[k]), la.ZERO) for entry in row)
+                for row in self.table
             )
-            for row in self.table
-        )
+        return cm
 
     def centralizer_dual(self, xi: Vector) -> list[Vector]:
         """Basis of g_xi = {x : ad*_x xi = 0}, the nullspace of C^T."""

@@ -15,7 +15,8 @@ support of ``v`` (its nonzero positions) once and sums each row of ``a``
 over that support only, so a row costs |supp v| products, not len(v).
 ``unit``, ``zeros``, ``nullspace`` and ``solve`` fill with the shared
 ``ZERO`` and ``ONE`` constants rather than building a ``Fraction`` per
-entry.  Skipping a zero product
+entry, and a cell that ``is`` the shared ``ZERO`` skips the Python-level
+``Fraction.__bool__``.  Skipping a zero product
 drops an exact zero, so every result equals the one the dense loops give,
 and vectors and matrices stay tuples of ``Fraction`` at every public
 boundary.
@@ -101,7 +102,7 @@ def dot(u: Vector, v: Vector) -> Fraction:
     """Sum of a * b over the pairs where neither factor is zero."""
     acc = ZERO
     for a, b in zip(u, v, strict=True):
-        if a and b:
+        if a is not ZERO and b is not ZERO and a and b:
             acc += a * b
     return acc
 
@@ -117,7 +118,7 @@ def mat_vec(a: Sequence[Vector], v: Vector) -> Vector:
     ``dot`` does.
     """
     n = len(v)
-    support = [(j, b) for j, b in enumerate(v) if b]
+    support = [(j, b) for j, b in enumerate(v) if b is not ZERO and b]
     out = []
     for row in a:
         if len(row) != n:
@@ -125,7 +126,7 @@ def mat_vec(a: Sequence[Vector], v: Vector) -> Vector:
         acc = ZERO
         for j, b in support:
             x = row[j]
-            if x:
+            if x is not ZERO and x:
                 acc += x * b
         out.append(acc)
     return tuple(out)

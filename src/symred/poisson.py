@@ -402,7 +402,12 @@ def stable_check(p: PoissonPointModel, s: SubmanifoldModel) -> list[bool]:
 
 
 def stabilizer_subalgebra(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector):
-    """h_xi = (T_xi S)° ∩ g_xi, with bracket-closure certificate."""
+    """h_xi = (T_xi S)° ∩ g_xi, with bracket-closure certificate.
+
+    One nullspace, of the rows of T_xi S and of C^T (C the coadjoint
+    matrix), in its canonical basis.  It never reads a Gram matrix of Omega,
+    so it stays the orbit route of ``reduction.kernel_identity_check``.
+    """
     if p.kind != "kks":
         raise NotStable("stabilizer subalgebras live on g* models")
     xi = tuple(xi)
@@ -410,9 +415,7 @@ def stabilizer_subalgebra(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector)
     if not fiber.contained_in_centralizer:
         raise NotStable("model is not stable at this point")
     alg = p.algebra
-    ann = la.annihilator(s.tangent_basis(xi), p.ambient_dim)
-    cent = alg.centralizer_dual(xi)
-    h = la.intersect_spans(ann, cent)
+    h = la.span_basis(la.nullspace(s.tangent_basis(xi) + list(la.transpose(alg.coadjoint_matrix(xi)))))
     closed = la.span_contains(h, [alg.bracket(a, b) for i, a in enumerate(h) for b in h[i + 1 :]])
     if not la.span_equal(h, list(fiber.basis)):
         raise NotStable("fiber does not match (T S)° ∩ g_xi")
@@ -436,9 +439,12 @@ def coisotropic_check(omega: Matrix, w: Sequence[Vector]) -> bool:
     q = la.mat(omega)
     if la.det(q) == 0:
         raise DimensionMismatch("omega must be nondegenerate")
-    rows = [la.mat_vec(q, wv) for wv in w]  # v -> omega(v, w) up to sign
-    orth = la.annihilator(rows, len(q))
-    return la.span_contains(list(w), orth)
+    return orthogonal_in_span([la.mat_vec(q, wv) for wv in w], w, len(q))
+
+
+def orthogonal_in_span(images: Sequence[Vector], w: Sequence[Vector], dim: int) -> bool:
+    """span(w) contains every v in Q^dim with v·images[i] = 0: coisotropy, for images[i] = omega w[i]."""
+    return la.span_contains(list(w), la.annihilator(images, dim))
 
 
 def moment_transversality_check(image_basis: Sequence[Vector], s: SubmanifoldModel, xi: Vector) -> bool:

@@ -104,18 +104,19 @@ def dimension_formula_check(alg: LieAlgebra, s_model, p: CotangentPoint, model: 
     return model.quotient_dim == alg.dim + dim_s - fiber.rank
 
 
-def decomposition_form_check(alg: LieAlgebra, s_model, xi: Vector, pairs) -> bool:
+def decomposition_form_check(alg: LieAlgebra, s_model, kernel: tuple[bool, ReducedSpaceModel], pairs) -> bool:
     """Quotient form versus -<u1,z2> + <u2,z1> - <x,[u1,u2]> on lifted pairs.
 
-    Each tangent is a pair (u, z) with u in g a lift of [u] and z in the
-    Killing-perp of m = [g_x, g_x]; the lift into T(G x D) is (u, z^flat).
+    `kernel` is what ``kernel_identity_check`` returned at the point; the
+    check fails when its two routes disagreed.  Each tangent is a pair
+    (u, z) with u in g a lift of [u] and z in the Killing-perp of
+    m = [g_x, g_x]; the lift into T(G x D) is (u, z^flat).
     """
-    xi = tuple(xi)
-    x = alg.sharp(xi)
-    p = CotangentPoint(xi)
-    agree, model = kernel_identity_check(alg, s_model, p)
+    agree, model = kernel
     if not agree:
         return False
+    xi = model.base.xi
+    x = alg.sharp(xi)
     pm = poisson.kks_model(alg)
     fiber = poisson.algebroid_fiber(pm, s_model, xi)
     m_basis = list(fiber.basis)  # = [g_x, g_x] for these classes

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from . import linalg as la
 from . import poisson, reduction
 from . import groupoid as gpd
-from .errors import ConfigError, SymredError
+from .errors import ConfigError, DimensionMismatch, SymredError
 from .groupoid import CotangentPoint
 from .lie import LieAlgebra, build_chevalley, embed_factor, principal_sl2
 from .linalg import Q, Vector
@@ -166,30 +166,30 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
     report.add("reduced_dim", "dim M_red = n dim g + rank - (n-1) rank", dims_ok,
                {"reduced_dim": got_dim, "expected": expected_dim})
 
-    # N_n = N x_c ... x_c N is coisotropic in N^n
+    # N_n = N x_c ... x_c N is coisotropic in N^n; det(G ⊕ ... ⊕ G) = det(G)^n
     cois_ok = True
     for pt_s in dia.slice.sample_points:
         base = [tuple(la.unit(alg.dim, i)) + la.zeros(alg.dim) for i in range(alg.dim)]
         base += [la.zeros(alg.dim) + tuple(t) for t in dia.slice.tangent_basis(pt_s)]
         gram_n = gpd.omega_gram(alg, pt_s, base)
-        block_dim = len(base)
-        big = [[Q(0)] * (n * block_dim) for _ in range(n * block_dim)]
-        for k in range(n):
-            for i in range(block_dim):
-                for j in range(block_dim):
-                    big[k * block_dim + i][k * block_dim + j] = gram_n[i][j]
-        big = tuple(tuple(r) for r in big)
-        w = []
-        for k in range(n):
-            for i in range(alg.dim):
-                w.append(la.unit(n * block_dim, k * block_dim + i))
-        for j in range(block_dim - alg.dim):
-            v = la.zeros(n * block_dim)
-            for k in range(n):
-                v = la.add(v, la.unit(n * block_dim, k * block_dim + alg.dim + j))
-            w.append(v)
-        cois_ok &= poisson.coisotropic_check(big, w)
+        if la.det(gram_n) == 0:
+            raise DimensionMismatch("omega must be nondegenerate")
+        w, images = _fibred_product_tangent(gram_n, alg.dim, n)
+        cois_ok &= poisson.orthogonal_in_span(images, w, n * len(base))
     report.add("fibred_product_coisotropic", "N x_c ... x_c N is coisotropic in N^n", cois_ok)
+
+
+def _fibred_product_tangent(gram: Sequence[Vector], d: int, n: int) -> tuple[list[Vector], list[Vector]]:
+    """W = g^n + diagonal(T S) in (g x T S)^n, and its images under G ⊕ ... ⊕ G.
+
+    G = `gram` is Omega on g x T S, g (dimension d) first, and W opens with g^n.
+    A vector of W has one unit entry in each block it meets: its image is G's column there.
+    """
+    width, cols = len(gram), la.transpose(gram)
+    w = [la.unit(n * width, k * width + i) for k in range(n) for i in range(d)]
+    images = [la.zeros(k * width) + cols[i] + la.zeros((n - 1 - k) * width) for k in range(n) for i in range(d)]
+    w += [la.unit(width, j) * n for j in range(d, width)]
+    return w, images + [cols[j] * n for j in range(d, width)]
 
 
 # -- decomposition classes ---------------------------------------------------
@@ -286,8 +286,8 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
     dims_ok = True
     kernel_ok = True
     got = None
-    for pt in dec.sample_points:
-        agree, model = reduction.kernel_identity_check(alg, dec, CotangentPoint(pt))
+    kernels = [reduction.kernel_identity_check(alg, dec, CotangentPoint(pt)) for pt in dec.sample_points]
+    for pt, (agree, model) in zip(dec.sample_points, kernels):
         kernel_ok &= agree and model.nondegenerate() and reduction.reduced_form_well_defined(alg, model)
         got = model.quotient_dim
         dims_ok &= model.quotient_dim == expected_dim
@@ -298,7 +298,7 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
 
     pairs_ok = True
     n_pairs = max(20, 5 * sample_count)
-    for pt in dec.sample_points:
+    for pt, kernel in zip(dec.sample_points, kernels):
         fiber = poisson.algebroid_fiber(pm, dec, pt)
         mperp = la.annihilator([alg.flat(mb) for mb in fiber.basis], alg.dim)
         pairs = []
@@ -309,7 +309,7 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
                 z1 = la.add(z1, la.scale(la.random_fraction(rng), b))
                 z2 = la.add(z2, la.scale(la.random_fraction(rng), b))
             pairs.append(((la.random_vector(rng, alg.dim), z1), (la.random_vector(rng, alg.dim), z2)))
-        pairs_ok &= reduction.decomposition_form_check(alg, dec, pt, pairs)
+        pairs_ok &= reduction.decomposition_form_check(alg, dec, kernel, pairs)
     report.add("reduced_form_formula",
                "omega_red = -<u1,z2> + <u2,z1> - <x,[u1,u2]>", pairs_ok,
                {"pairs": n_pairs})

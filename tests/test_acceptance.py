@@ -177,7 +177,8 @@ def test_criterion_06_decomposition_form():
             z1 = la.add(z1, la.scale(la.random_fraction(rng), b))
             z2 = la.add(z2, la.scale(la.random_fraction(rng), b))
         pairs.append(((la.random_vector(rng, 8), z1), (la.random_vector(rng, 8), z2)))
-    ok = reduction.decomposition_form_check(sl3, dec, xi, pairs)
+    kernel = reduction.kernel_identity_check(sl3, dec, CotangentPoint(xi))
+    ok = reduction.decomposition_form_check(sl3, dec, kernel, pairs)
     verdict(6, "explicit reduced form on the subregular class (>=20 pairs)", ok)
 
 

@@ -2,7 +2,8 @@
 
 Random inputs are sparse rational matrices, about one entry in ten
 nonzero (one in three for some draws, so eliminations do real work),
-with duplicated rows mixed in; the edge cases (empty, all-zero, 1 x n)
+each zero either the shared ``la.ZERO`` or a fresh ``Q(0)``, with
+duplicated rows mixed in; the edge cases (empty, all-zero, 1 x n)
 are also pinned explicitly.  ``rref`` and ``det`` eliminate on integer
 rows, so they are also held to the reference on dense rows with large
 numerators and wide, mostly coprime denominators.  Every comparison is
@@ -28,10 +29,16 @@ nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool
 
 @st.composite
 def sparse_rows(draw, nrows, ncols):
-    """nrows x ncols with about one entry in ten (or in three) nonzero."""
+    """nrows x ncols with about one entry in ten (or in three) nonzero.
+
+    Each zero cell is either the shared ``la.ZERO`` or a fresh ``Q(0)``, so
+    the kernels' ``is ZERO`` shortcut and their ``Fraction.__bool__`` test
+    both meet the reference.
+    """
     cells = nrows * ncols
     one_in = draw(st.sampled_from([10, 3]))
-    flat = [Q(0)] * cells
+    shared = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    flat = [la.ZERO if s else Q(0) for s in shared]
     if cells:
         count = draw(st.integers(0, max(1, 2 * cells // one_in)))
         positions = draw(st.lists(st.integers(0, cells - 1), min_size=count, max_size=count))

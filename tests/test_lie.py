@@ -327,6 +327,19 @@ def test_public_boundaries_return_fractions(name, rng):
     assert exact(c for plane in alg.structure_constants() for row in plane for c in row)
 
 
+@pytest.mark.parametrize("name", [("A", 2), ("G2", 2), "A1^3"], ids=str)
+def test_coadjoint_matrix_is_memoised(name, rng):
+    alg = _algebra(name)
+    basis = [alg.basis_vec(i) for i in range(alg.dim)]
+    for xi in (la.random_vector(rng, alg.dim), la.zeros(alg.dim), alg.flat(basis[0])):
+        c = alg.coadjoint_matrix(xi)
+        assert c == tuple(tuple(la.dot(xi, alg.bracket(a, b)) for b in basis) for a in basis)
+        assert alg.coadjoint_matrix(xi) is c
+        assert alg.coadjoint_matrix(list(xi)) is c
+    with pytest.raises(DimensionMismatch):
+        alg.coadjoint_matrix(la.zeros(alg.dim + 1))
+
+
 @pytest.fixture()
 def fractions_built(monkeypatch):
     """(``Fraction.__new__`` calls made by fn(), fn()), counted as perfbench's tracer does."""

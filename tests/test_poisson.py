@@ -224,6 +224,40 @@ def test_stabilizer_subalgebra(sl2, sl3, kks2, kks3, sl2_efh):
     assert closed and len(h_dec) == 3 and la.span_equal(h_dec, derived)
 
 
+def stabilizer_cases():
+    """(algebra, stable model) pairs of every kind the scenarios reduce along."""
+    sl2, sl3 = lie.build_chevalley("A", 1), lie.build_chevalley("A", 2)
+    cases = []
+    for alg, params in ((sl2, [[0], [1], [Q(-3, 2)]]), (sl3, [[0, 0], [1, 0], [-2, 1]])):
+        tri = lie.principal_sl2(alg)
+        cases.append((alg, poisson.SlodowySlice(alg, tri, params)))
+        for n in (2, 3):
+            dia = poisson.DiagonalSlodowy(alg, tri, n, params)
+            cases.append((dia.product, dia))
+    cases.append((sl3, poisson.DecompositionClass(sl3, 4, [subregular_point(sl3), subregular_point(sl3, -3, (0, 2, 1))])))
+    hb = sl2.flat(sl2.basis_vec(0))
+    translates = [sl2.unipotent(sl2.root_vector((1,)), 1), sl2.unipotent(sl2.root_vector((-1,)), Q(1, 2))]
+    cases.append((sl2, poisson.CasimirLevelSet(sl2, 8, [hb] + [sl2.coadjoint_group_action(g, hb) for g in translates])))
+    cases.append((sl2, poisson.CoadjointOrbit(sl2, hb, translates)))
+    x = sl3.from_matrix(la.mat([[1, 0, 0], [0, 0, 0], [0, 0, -1]]))
+    cases.append((sl3, poisson.CoadjointOrbit(sl3, sl3.flat(x), [sl3.unipotent(sl3.root_vector((1, 1)), 2)])))
+    pts = [tuple([Q(0), Q(1)] + [Q(0)] * 6), tuple([Q(2), Q(0)] + [Q(0)] * 6), tuple([Q(0)] * 8)]
+    for subset, pt in zip(((0,), (1,), (0, 1)), pts):
+        cases.append((sl3, poisson.WeylChamberFace(sl3, subset, [pt])))
+    return cases
+
+
+@pytest.mark.parametrize("alg,model", stabilizer_cases(), ids=lambda v: getattr(v, "kind", getattr(v, "name", "")))
+def test_stabilizer_subalgebra_matches_intersection_route(alg, model):
+    """One nullspace against (T S)° ∩ g_xi by two nullspaces and intersect_spans; equal bases."""
+    pm = poisson.kks_model(alg)
+    for pt in model.sample_points:
+        h, closed = poisson.stabilizer_subalgebra(pm, model, pt)
+        old = la.intersect_spans(la.annihilator(model.tangent_basis(pt), alg.dim), alg.centralizer_dual(pt))
+        assert h == old and closed
+        assert la.span_equal(h, list(poisson.algebroid_fiber(pm, model, pt).basis))
+
+
 def test_stabilizer_subalgebra_not_closed(sl3, kks3):
     # at xi = 0 every annihilator is stable, and (T S)° = span{e_a1, e_a2}
     # is not a subalgebra: [e_a1, e_a2] is a multiple of e_{a1+a2}

@@ -99,6 +99,7 @@ def test_decomposition_form(sl3, rng):
     for xi in dec.sample_points:
         x = sl3.sharp(xi)
         fiber = poisson.algebroid_fiber(pm, dec, xi)
+        kernel = reduction.kernel_identity_check(sl3, dec, CotangentPoint(xi))
         mperp = la.nullspace([sl3.flat(mb) for mb in fiber.basis])
 
         def rand_perp():
@@ -109,14 +110,16 @@ def test_decomposition_form(sl3, rng):
 
         # same vector in the quotient factor, zero in the perp factor
         u = la.random_vector(rng, 8)
-        assert reduction.decomposition_form_check(sl3, dec, xi, [(((u), la.zeros(8)), ((u), la.zeros(8)))])
+        assert reduction.decomposition_form_check(sl3, dec, kernel, [(((u), la.zeros(8)), ((u), la.zeros(8)))])
         # mixed pair evaluates to -kappa(u, z) through both routes
         z = rand_perp()
-        assert reduction.decomposition_form_check(sl3, dec, xi, [((u, la.zeros(8)), (la.zeros(8), z))])
+        assert reduction.decomposition_form_check(sl3, dec, kernel, [((u, la.zeros(8)), (la.zeros(8), z))])
         pairs = [((la.random_vector(rng, 8), rand_perp()), (la.random_vector(rng, 8), rand_perp())) for _ in range(25)]
-        assert reduction.decomposition_form_check(sl3, dec, xi, pairs)
+        assert reduction.decomposition_form_check(sl3, dec, kernel, pairs)
+        # a point where the two kernel routes disagreed fails before any pair is evaluated
+        assert not reduction.decomposition_form_check(sl3, dec, (False, kernel[1]), pairs)
         with pytest.raises(LiftNotValid):
-            reduction.decomposition_form_check(sl3, dec, xi, [((u, fiber.basis[0]), (u, la.zeros(8)))])
+            reduction.decomposition_form_check(sl3, dec, kernel, [((u, fiber.basis[0]), (u, la.zeros(8)))])
 
 
 def test_orbit_product_symplecto(sl2, sl2_efh, rng):

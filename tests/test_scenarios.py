@@ -1,7 +1,11 @@
 import json
+from fractions import Fraction as Q
 
 import pytest
 
+from symred import groupoid as gpd
+from symred import lie, poisson, scenarios
+from symred import linalg as la
 from symred.errors import ConfigError
 from symred.scenarios import REGISTRY, Param, report_to_dict, run_scenario
 
@@ -130,3 +134,49 @@ def test_polyhedral_dependent_directions(directions, dim_f):
     assert rep.all_passed
     assert rep.check_data("face_given_fiber") == {"dim": 2 - dim_f, "codim": 2 - dim_f}
     assert rep.check_data("face_given_dimension") == {"reduced_dim": 2 * dim_f}
+
+
+def block_diagonal(g, n):
+    """G ⊕ ... ⊕ G (n blocks), built entry by entry."""
+    width = len(g)
+    big = [[Q(0)] * (n * width) for _ in range(n * width)]
+    for k in range(n):
+        for i in range(width):
+            for j in range(width):
+                big[k * width + i][k * width + j] = g[i][j]
+    return tuple(tuple(r) for r in big)
+
+
+@pytest.mark.parametrize("rank,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3)])
+def test_fibred_product_coisotropy_matches_block_diagonal_route(rank, n):
+    """The factor-Gram route of the Moore-Tachikawa scenario against coisotropic_check on G ⊕ ... ⊕ G."""
+    alg = lie.build_chevalley("A", rank)
+    params = [[0] * rank, [1] + [0] * (rank - 1), [-2] + [1] * (rank - 1), [Q(3, 2)] * rank]
+    sl = poisson.SlodowySlice(alg, lie.principal_sl2(alg), params)
+    d = alg.dim
+    for pt in sl.sample_points:
+        base = [la.unit(d, i) + la.zeros(d) for i in range(d)]
+        base += [la.zeros(d) + t for t in sl.tangent_basis(pt)]
+        gram = gpd.omega_gram(alg, pt, base)
+        width = len(base)
+        big = block_diagonal(gram, n)
+        w, images = scenarios._fibred_product_tangent(gram, d, n)
+        # W by hand: g in every block, then each tangent direction in every block at once
+        by_hand = [la.unit(n * width, k * width + i) for k in range(n) for i in range(d)]
+        for j in range(d, width):
+            v = la.zeros(n * width)
+            for k in range(n):
+                v = la.add(v, la.unit(n * width, k * width + j))
+            by_hand.append(v)
+        assert w == by_hand
+        assert images == [la.mat_vec(big, v) for v in w]
+        assert la.det(gram) ** n == la.det(big) != 0
+        assert poisson.orthogonal_in_span(images, w, n * width) is poisson.coisotropic_check(big, w) is True
+        # g^n alone is coisotropic as well: the orthogonal of g in g x T S is g_xi x 0,
+        # because T S meets the orbit tangent only in 0
+        g_part = n * d
+        assert poisson.orthogonal_in_span(images[:g_part], w[:g_part], n * width) is True
+        assert poisson.coisotropic_check(big, w[:g_part]) is True
+        # the diagonal tangent vectors without g^n are not: both routes reject
+        assert poisson.orthogonal_in_span(images[g_part:], w[g_part:], n * width) is False
+        assert poisson.coisotropic_check(big, w[g_part:]) is False
