@@ -8,6 +8,8 @@ models of reduced spaces with their symplectic forms, the two-term-complex
 Lagrangian criterion, and a batch runner for named check suites.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     BaseNotInSubgroupoid,
     CertificateFailed,
@@ -33,7 +35,6 @@ from .lie import (
     build_chevalley,
     direct_power,
     is_ad_semisimple,
-    minimal_polynomial,
     principal_sl2,
 )
 from .poisson import (
@@ -89,5 +90,3 @@ from .shifted import (
     lagrangian_criterion,
 )
 from .scenarios import REGISTRY, ScenarioReport, run_scenario
-
-__version__ = "0.1.0"

@@ -26,10 +26,9 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+from . import __version__
 from .errors import ConfigError, SymredError
 from .scenarios import REGISTRY, report_to_dict, run_scenario
-
-VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def run(config: RunConfig) -> tuple[dict, int]:
     failed = sum(1 for r in reports for c in r.checks if c.status == "fail")
     sampled = sum(1 for r in reports for c in r.checks if c.status == "sampled-pass")
     document = {
-        "version": VERSION,
+        "version": __version__,
         "seed": config.seed,
         "sample_count": config.sample_count,
         "scenarios": [report_to_dict(r) for r in reports],
@@ -156,7 +155,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)
         return 2
     overrides = {"seed": args.seed, "sample_count": args.sample_count}

@@ -49,7 +49,6 @@ class CotangentPoint:
 class GroupoidTangentFiber:
     base: CotangentPoint
     basis: tuple[Vector, ...]  # flat (u, zeta)
-    source_kind: str
     isotropic: bool
 
     @property
@@ -145,7 +144,7 @@ def mw_fiber(alg: LieAlgebra, h_sub: Sequence[Vector], xi: Vector, eta: Vector) 
     zero = la.zeros(alg.dim)
     basis = [tuple(x) + zero for x in h_xi] + [zero + tuple(z) for z in h_ann]
     iso = _isotropic(alg, point, basis)
-    return GroupoidTangentFiber(CotangentPoint(point), tuple(basis), "marsden-weinstein", iso)
+    return GroupoidTangentFiber(CotangentPoint(point), tuple(basis), iso)
 
 
 def coadjoint_orbit_fiber(alg: LieAlgebra, p: CotangentPoint) -> GroupoidTangentFiber:
@@ -167,7 +166,7 @@ def coadjoint_orbit_fiber(alg: LieAlgebra, p: CotangentPoint) -> GroupoidTangent
     flats = [tuple(sol[:n]) + la.mat_vec(ad_xi, sol[n:]) for sol in sols]
     basis = la.span_basis(flats)
     iso = _isotropic(alg, xi, basis)
-    return GroupoidTangentFiber(p, tuple(basis), "coadjoint-orbit", iso)
+    return GroupoidTangentFiber(p, tuple(basis), iso)
 
 
 def chamber_face_fiber(alg: LieAlgebra, face, xi: Vector) -> GroupoidTangentFiber:
@@ -176,7 +175,7 @@ def chamber_face_fiber(alg: LieAlgebra, face, xi: Vector) -> GroupoidTangentFibe
     basis = [tuple(x) + zero for x in face.root_subsystem_algebra(xi)]
     basis += [zero + tuple(z) for z in face.tangent_basis(xi)]
     iso = _isotropic(alg, tuple(xi), basis)
-    return GroupoidTangentFiber(CotangentPoint(tuple(xi)), tuple(basis), "chamber-face", iso)
+    return GroupoidTangentFiber(CotangentPoint(tuple(xi)), tuple(basis), iso)
 
 
 def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:

@@ -29,6 +29,10 @@ operator handles the ``int``.
 
 Basis order: Cartan h_1..h_l, then e_β over positive roots by increasing
 (height, coordinates), then the corresponding negative root vectors.
+
+``is_ad_semisimple`` compares rank(ad_x) with rank(ad_x²).  That decides
+semisimplicity only in a semisimple g, so on an algebra whose Killing form
+is degenerate it raises ``UnsupportedType``.
 """
 
 from __future__ import annotations
@@ -247,17 +251,15 @@ class Sl2Triple:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Invertible matrix in the stored representation, with a display name."""
+    """Invertible matrix in the stored representation."""
 
     matrix: Matrix
-    provenance: str = ""
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        prov = f"{self.provenance}*{other.provenance}" if self.provenance or other.provenance else ""
-        return GroupElement(la.mat_mul(self.matrix, other.matrix), prov)
+        return GroupElement(la.mat_mul(self.matrix, other.matrix))
 
     def inv(self) -> "GroupElement":
-        return GroupElement(la.inverse(self.matrix), f"({self.provenance})^-1")
+        return GroupElement(la.inverse(self.matrix))
 
 
 def _constant(c):
@@ -408,10 +410,6 @@ class LieAlgebra:
             )
         return cm
 
-    def centralizer_dual(self, xi: Vector) -> list[Vector]:
-        """Basis of g_xi = {x : ad*_x xi = 0}, the nullspace of C^T."""
-        return la.nullspace(la.transpose(self.coadjoint_matrix(xi)))
-
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         return Q(self._lookup[i][j].get(k, 0))
 
@@ -552,12 +550,12 @@ class LieAlgebra:
             raise SolveFailure("matrix does not lie in the represented algebra")
         return sol
 
-    def group_element(self, matrix, provenance: str = "", check: bool = True) -> GroupElement:
+    def group_element(self, matrix, check: bool = True) -> GroupElement:
         m = la.mat(matrix)
         self._require_rep()
         if la.det(m) == 0:
             raise SolveFailure("group element must be invertible")
-        g = GroupElement(m, provenance)
+        g = GroupElement(m)
         if check:
             minv = la.inverse(m)
             imgs = [
@@ -576,7 +574,7 @@ class LieAlgebra:
 
     def identity_element(self) -> GroupElement:
         size = len(self._require_rep()[0])
-        return GroupElement(la.identity(size), "1")
+        return GroupElement(la.identity(size))
 
     def unipotent(self, x: Vector, t=1) -> GroupElement:
         """exp(t x) for x with nilpotent representation matrix; exact."""
@@ -593,17 +591,7 @@ class LieAlgebra:
                 break
         else:
             raise SolveFailure("representation matrix is not nilpotent")
-        return self.group_element(total, f"exp({t}x)", check=False)
-
-    def torus_element(self, diag) -> GroupElement:
-        entries = [la.frac(x) for x in diag]
-        size = len(self._require_rep()[0])
-        if len(entries) != size:
-            raise DimensionMismatch("diagonal length must match representation size")
-        m = tuple(
-            tuple(entries[r] if r == s else Q(0) for s in range(size)) for r in range(size)
-        )
-        return self.group_element(m, "diag", check=False)
+        return self.group_element(total, check=False)
 
     def adjoint_group_action(self, g: GroupElement, x: Vector) -> Vector:
         """Ad_g x by conjugation in the stored representation."""
@@ -849,76 +837,18 @@ def embed_factor(product_dim: int, factor_dim: int, k: int, x: Vector) -> Vector
     return tuple(out)
 
 
-# -- polynomial helpers for exact semisimplicity ---------------------------
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Q(0)] * max(0, len(a) - len(b) + 1)
-    inv = Q(1) / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        d = len(a) - len(b)
-        c = a[-1] * inv
-        q[d] = c
-        for i, bc in enumerate(b):
-            a[i + d] -= c * bc
-        _poly_trim(a)
-    return q, a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while _poly_trim(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def minimal_polynomial(m: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial (coefficients low to high) of a matrix."""
-    n = len(m)
-    result = [Q(1)]
-    for start in range(n):
-        v = la.unit(n, start)
-        krylov = [v]
-        while True:
-            v = la.mat_vec(m, v)
-            rows = krylov + [v]
-            sols = la.nullspace(la.transpose(rows))
-            if sols:
-                s = sols[0]
-                lead = s[-1]
-                local = [c / lead for c in s]
-                break
-            krylov.append(v)
-        # lcm(result, local) = result * local / gcd
-        g = _poly_gcd(list(result), list(local))
-        q, r = _poly_divmod(list(local), g)
-        if _poly_trim(list(r)):
-            raise CertificateFailed("gcd does not divide the local minimal polynomial")
-        prod = [Q(0)] * (len(result) + len(q) - 1)
-        for i, a in enumerate(result):
-            for j, b in enumerate(q):
-                prod[i + j] += a * b
-        result = _poly_trim(prod)
-        lead = result[-1]
-        result = [c / lead for c in result]
-    return result
-
-
 def is_ad_semisimple(alg: LieAlgebra, x: Vector) -> bool:
-    """True iff ad_x has squarefree minimal polynomial (exact test)."""
-    p = minimal_polynomial(alg.ad_matrix(x))
-    dp = _poly_trim([c * i for i, c in enumerate(p)][1:])
-    if not dp:
-        return False
-    return len(_poly_gcd(list(p), dp)) == 1
+    """True iff ad_x is semisimple, decided as rank(ad_x) = rank(ad_x²).
+
+    The ranks agree iff ker ad_x = ker ad_x², that is, iff ad_x has no
+    Jordan block of size 2 or more at eigenvalue 0.  In a semisimple g,
+    write x = x_s + x_n: a nonzero x_n lies in the reductive g_{x_s} and is
+    not central there, so ad_x restricted to g_{x_s}, the generalized
+    0-eigenspace, is nilpotent and nonzero.  Outside semisimple g the test
+    is wrong (on {x, a, b} with [x, a] = a, [x, b] = a + b it would say
+    yes), so an algebra with a degenerate Killing form is refused.
+    """
+    if alg._killing_inv is None:
+        raise UnsupportedType(f"{alg.name} is not semisimple: the rank test for ad-semisimplicity needs it")
+    ad = alg.ad_matrix(x)
+    return la.rank(ad) == la.rank(la.mat_mul(ad, ad))

@@ -367,7 +367,6 @@ class Explicit(SubmanifoldModel):
 class AlgebroidFiber:
     """Exact basis of the stabilizer fiber at a point."""
 
-    base_point: Vector
     basis: tuple[Vector, ...]
     rank: int
     contained_in_centralizer: bool
@@ -386,7 +385,7 @@ def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> Al
             rows.append(la.mat_vec(sigma_t, w))
         basis = la.annihilator(rows, p.ambient_dim)
         in_ker = all(la.is_zero(la.mat_vec(sigma, b)) for b in basis)
-        s._fibers[(p, xi)] = AlgebroidFiber(xi, tuple(basis), len(basis), in_ker)
+        s._fibers[(p, xi)] = AlgebroidFiber(tuple(basis), len(basis), in_ker)
     return s._fibers[(p, xi)]
 
 

@@ -67,7 +67,6 @@ class LagrangianVerdict:
     phi_iso: bool
     psi_iso: bool
     ker_phi_dim: int
-    details: dict
 
     @property
     def lagrangian(self) -> bool:
@@ -160,17 +159,10 @@ def lagrangian_criterion(cmap: TwoTermComplexMap) -> LagrangianVerdict:
     im_beta = la.span_basis([la.mat_vec(cmap.beta, la.unit(n + s, i)) for i in range(n + s)])
     im_eps = la.span_basis([la.mat_vec(cmap.epsilon, la.unit(s, j)) for j in range(s)]) if s else []
     psi_inj, psi_surj, _ = _quotient_map_props(cmap.delta, n, im_beta, k, im_eps)
-    details = {
-        "dim_ker_beta_mod_alpha": la.rank(ker_beta) - la.rank(im_alpha),
-        "dim_ker_eps": la.rank(ker_eps),
-        "dim_cod_psi": k - la.rank(im_eps),
-        "dim_dom_psi": n - la.rank(im_beta),
-    }
     return LagrangianVerdict(
         phi_iso=phi_inj and phi_surj,
         psi_iso=psi_inj and psi_surj,
         ker_phi_dim=ker_phi_dim,
-        details=details,
     )
 
 

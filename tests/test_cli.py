@@ -34,7 +34,7 @@ def test_run_exit_zero_and_report(tmp_path, capsys):
     code = cli.main(["run", cfg, "--report", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["version"] == cli.VERSION
+    assert doc["version"] == symred.__version__
     assert doc["seed"] == 5
     assert doc["summary"]["failed"] == 0
     names = [s["scenario_name"] for s in doc["scenarios"]]
@@ -63,6 +63,15 @@ def test_malformed_json_exit_two(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["run", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid JSON") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_missing_file_exit_two(tmp_path):

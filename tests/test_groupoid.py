@@ -142,7 +142,7 @@ def test_source_target_trivial_cases(sl2, rng):
 def test_source_differential_against_dual_number_oracle(sl2, sl2_efh, rng):
     e, h, f = sl2_efh
     fb = sl2.flat(f)
-    g = sl2.group_element([[1, 1], [0, 1]], "exp(e)")
+    g = sl2.group_element([[1, 1], [0, 1]])
     cases = [(h, la.zeros(3)), (e, fb), (la.random_vector(rng, 3), la.random_vector(rng, 3))]
     for u, zeta in cases:
         p = CotangentPoint(fb, g)
@@ -211,7 +211,7 @@ def test_coadjoint_orbit_fiber(sl2, sl2_efh):
     fib = gpd.coadjoint_orbit_fiber(sl2, CotangentPoint(hb))
     # dim g_xi + dim orbit = 1 + 2
     assert fib.rank == 3 and fib.isotropic
-    gt = sl2.torus_element([2, Q(1, 2)])
+    gt = sl2.group_element([[2, 0], [0, Q(1, 2)]])
     fib2 = gpd.coadjoint_orbit_fiber(sl2, CotangentPoint(hb, gt))
     assert fib2.rank == 3 and fib2.isotropic
     # every basis vector satisfies the defining condition
@@ -270,11 +270,11 @@ def test_normality(sl2, sl3, sl2_efh):
     assert gpd.normality_infinitesimal_check(sl2, orb, gu, hb)
     # oracle: conjugate the centralizer basis and compare with the
     # centralizer at the translated point
-    conj = [sl2.adjoint_group_action(gu, x) for x in sl2.centralizer_dual(hb)]
+    conj = [sl2.adjoint_group_action(gu, x) for x in la.nullspace(la.transpose(sl2.coadjoint_matrix(hb)))]
     xi2 = sl2.coadjoint_group_action(gu, hb)
-    assert la.span_equal(conj, sl2.centralizer_dual(xi2))
+    assert la.span_equal(conj, la.nullspace(la.transpose(sl2.coadjoint_matrix(xi2))))
     dec = poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)])
-    gt = sl3.torus_element([2, 3, Q(1, 6)])
+    gt = sl3.group_element([[2, 0, 0], [0, 3, 0], [0, 0, Q(1, 6)]])
     assert gpd.normality_infinitesimal_check(sl3, dec, gt, dec.sample_points[0])
     tri = lie.principal_sl2(sl2)
     sl = poisson.SlodowySlice(sl2, tri, parameters=[[0]])
@@ -303,7 +303,7 @@ def test_source_differential_needs_matrix_rep():
     from symred.errors import NoMatrixRep
     from symred.lie import GroupElement
 
-    fake = GroupElement(la.identity(7), "fake")
+    fake = GroupElement(la.identity(7))
     with pytest.raises(NoMatrixRep):
         gpd.source_target_differentials(
             g2, CotangentPoint(la.zeros(14), fake), la.unit(14, 0) + la.zeros(14)

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -128,9 +129,9 @@ def test_ad_star_pairing_identity(x, xi, y):
 
 
 def test_centralizer_dual_cases(sl2, sl3):
-    assert len(sl2.centralizer_dual(la.zeros(3))) == 3
+    assert len(la.nullspace(la.transpose(sl2.coadjoint_matrix(la.zeros(3))))) == 3
     hb = sl2.flat(sl2.basis_vec(0))
-    cent = sl2.centralizer_dual(hb)
+    cent = la.nullspace(la.transpose(sl2.coadjoint_matrix(hb)))
     # oracle: nullspace of the 3x3 matrix of x -> -h^flat([x, .])
     rows = []
     for j in range(3):
@@ -140,7 +141,7 @@ def test_centralizer_dual_cases(sl2, sl3):
     assert la.span_equal(cent, [sl2.basis_vec(0)])
     # subregular semisimple point of sl3: dim rank+2
     x = sl3.from_matrix(la.mat([[1, 0, 0], [0, 1, 0], [0, 0, -2]]))
-    assert len(sl3.centralizer_dual(sl3.flat(x))) == sl3.rank + 2 == 4
+    assert len(la.nullspace(la.transpose(sl3.coadjoint_matrix(sl3.flat(x))))) == sl3.rank + 2 == 4
 
 
 def test_principal_sl2(sl2, sl3):
@@ -167,7 +168,7 @@ def test_adjoint_group_action(sl2, rng):
     gid = sl2.identity_element()
     x = la.random_vector(rng, 3)
     assert sl2.adjoint_group_action(gid, x) == x
-    g = sl2.group_element([[1, 1], [0, 1]], "exp(e)")
+    g = sl2.group_element([[1, 1], [0, 1]])
     # oracle: 2x2 conjugation computed by hand: g f g^{-1} = f + h - e
     assert sl2.adjoint_group_action(g, f) == la.add(f, la.sub(h, e))
     for _ in range(5):
@@ -230,16 +231,85 @@ def test_structure_constants_are_chevalley(sl3):
                 assert abs(coeff) == rs.p_string(a, b) + 1
 
 
-def test_minimal_polynomial_and_semisimplicity(sl2, sl3):
+def test_ad_semisimplicity(sl2, sl3):
     e = sl2.root_vector((1,))
     h = sl2.basis_vec(0)
     assert not lie.is_ad_semisimple(sl2, e)
     assert lie.is_ad_semisimple(sl2, h)
     x = sl3.from_matrix(la.mat([[1, 0, 0], [0, 1, 0], [0, 0, -2]]))
     assert lie.is_ad_semisimple(sl3, x)
-    # minimal polynomial of ad_h on sl2 is x(x-2)(x+2)
-    p = lie.minimal_polynomial(sl2.ad_matrix(h))
-    assert p == [Q(0), Q(-4), Q(0), Q(1)]
+    # ad_h on sl2 has eigenvalues 0, 2, -2: ad_h^3 = 4 ad_h
+    ad = sl2.ad_matrix(h)
+    assert la.mat_mul(ad, la.mat_mul(ad, ad)) == tuple(la.scale(4, row) for row in ad)
+
+
+def _elementary(size, entries):
+    """size x size matrix with the given {(r, s): value} entries, zeros elsewhere."""
+    return la.mat([[entries.get((r, s), 0) for s in range(size)] for r in range(size)])
+
+
+# (d, n) per sl_size: d diagonal, n a nonzero nilpotent commuting with d, so
+# d + n has semisimple part d and nilpotent part n
+JORDAN_CASES = {
+    2: [({}, {(0, 1): 1})],
+    3: [
+        ({(0, 0): 1, (1, 1): 1, (2, 2): -2}, {(0, 1): 1}),
+        ({}, {(0, 1): 1, (1, 2): 1}),
+    ],
+    4: [
+        ({(0, 0): 1, (1, 1): 1, (2, 2): -1, (3, 3): -1}, {(0, 1): 1, (2, 3): 1}),
+        ({(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): -3}, {(0, 1): 1, (1, 2): 1}),
+        ({(0, 0): 2, (1, 1): 2, (2, 2): -1, (3, 3): -3}, {(0, 1): Q(1, 2)}),
+        ({(0, 0): Q(1, 3), (1, 1): Q(-1, 3)}, {(2, 3): 1}),
+    ],
+}
+
+
+@pytest.mark.parametrize("size", sorted(JORDAN_CASES))
+def test_ad_semisimplicity_of_known_jordan_types(size):
+    alg = lie.build_chevalley("A", size - 1)
+    es, _, fs = alg.simple_vectors()
+    # a unipotent g that moves d off the diagonal
+    g = alg.unipotent(functools.reduce(la.add, fs)) * alg.unipotent(functools.reduce(la.add, es), Q(1, 2))
+    for d, n in JORDAN_CASES[size]:
+        x_s = alg.from_matrix(_elementary(size, d))
+        x = la.add(x_s, alg.from_matrix(_elementary(size, n)))
+        assert alg.bracket(x_s, x) == alg.zero()
+        assert lie.is_ad_semisimple(alg, alg.adjoint_group_action(g, x_s))
+        assert not lie.is_ad_semisimple(alg, alg.adjoint_group_action(g, x))
+
+
+@pytest.mark.parametrize("typ", ["B", "G2"])
+def test_ad_semisimplicity_of_cartan_and_root_vectors(typ):
+    alg = lie.build_chevalley(typ, 2)
+    rs = alg.root_data
+    h1, h2 = alg.basis_vec(0), alg.basis_vec(1)
+    for h in (h1, h2, la.add(h1, h2), la.add(la.scale(3, h1), la.scale(Q(-2, 5), h2))):
+        assert lie.is_ad_semisimple(alg, h)
+    for beta in rs.positive + [tuple(-b for b in beta) for beta in rs.positive]:
+        e = alg.root_vector(beta)
+        assert not lie.is_ad_semisimple(alg, e)
+        # beta(h) = 0: h + e_beta has semisimple part h and nilpotent part e_beta
+        h = la.sub(la.scale(rs.pairing(beta, 1), h1), la.scale(rs.pairing(beta, 0), h2))
+        assert alg.bracket(h, e) == alg.zero() and not la.is_zero(h)
+        assert not lie.is_ad_semisimple(alg, la.add(h, e))
+        # beta(h) != 0: h + e_beta is conjugate to h by exp(ad(t e_beta))
+        h = h1 if rs.pairing(beta, 0) else h2
+        assert lie.is_ad_semisimple(alg, la.add(h, e))
+
+
+def test_ad_semisimplicity_refuses_solvable_algebra():
+    # basis {x, a, b}: [x, a] = a, [x, b] = a + b; ad_x has a Jordan block of
+    # size 2 at eigenvalue 1, which the rank comparison does not see
+    table = [[[] for _ in range(3)] for _ in range(3)]
+    table[0][1], table[1][0] = [(1, 1)], [(1, -1)]
+    table[0][2], table[2][0] = [(1, 1), (2, 1)], [(1, -1), (2, -1)]
+    alg = lie.LieAlgebra(["x", "a", "b"], table, 0)
+    assert alg.verify_jacobi() and la.det(alg.killing) == 0
+    ad = alg.ad_matrix(alg.basis_vec(0))
+    assert la.rank(ad) == la.rank(la.mat_mul(ad, ad)) == 2
+    with pytest.raises(UnsupportedType):
+        lie.is_ad_semisimple(alg, alg.basis_vec(0))
 
 
 def test_direct_power(sl2):

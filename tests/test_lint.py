@@ -7,7 +7,10 @@ an exact library.  Both must stay at zero in ``src/symred``.  An unused
 import is code left behind by a deletion; ``__init__.py`` is exempt because
 its imports are the package's re-exports.  A top-level function or class
 that nothing in ``src/`` or ``tests/`` names outside its own body is left
-behind too; a re-export in ``__init__.py`` is not a use.  Every exception
+behind too; a re-export in ``__init__.py`` is not a use.  So is a field or
+public method of a top-level class that nothing in ``src/`` or ``tests/``
+reads as an attribute: a keyword argument at construction writes a field
+and does not read it.  Every exception
 class in ``errors.py`` is raised somewhere in ``src/``: a class that only a
 test's ``pytest.raises`` names guards nothing.
 """
@@ -71,6 +74,32 @@ def dead_names(modules: dict[str, ast.Module], others: list[ast.AST]) -> list[st
     return [f"{module} line {line}: {name} is never used" for module, line, name in defined if name not in used]
 
 
+def dead_members(modules: dict[str, ast.Module], others: list[ast.AST]) -> list[str]:
+    """Fields and public methods of top-level classes in `modules` that no attribute load reads."""
+    members = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names = [item.target.id]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                else:
+                    continue
+                members += [(module, item.lineno, cls.name, name) for name in names if not name.startswith("_")]
+    read = {
+        node.attr
+        for tree in [*modules.values(), *others]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{module} line {line}: {cls}.{name} is never read" for module, line, cls, name in members if name not in read]
+
+
 def unraised(errors: ast.Module, sources: list[ast.AST]) -> list[str]:
     """Classes defined in `errors` that no `raise` statement in `sources` names."""
     raised = set()
@@ -132,6 +161,26 @@ def test_dead_name_gate_catches_unused():
     assert dead_names({"m.py": module}, [test]) == [
         "m.py line 7: recursive is never used",
         "m.py line 10: Orphan is never used",
+    ]
+
+
+def test_no_dead_class_member():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC if p.name != "__init__.py"}
+    others = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in TESTS]
+    assert dead_members(modules, others) == []
+
+
+def test_dead_member_gate_catches_unused():
+    module = ast.parse(
+        "from dataclasses import dataclass\n\n@dataclass\nclass Point:\n    x: int\n    label: str\n"
+        "    kind = 'p'\n    _cache = None\n\n    def norm(self):\n        return self.x\n\n"
+        "    def unused(self):\n        return 0\n\n    def _private(self):\n        return 1\n\n"
+        "def make():\n    return Point(x=1, label='a')\n"
+    )
+    test = ast.parse("import m\nassert m.make().norm() == 1\nassert m.Point.kind\nm.Point.unused = None\n")
+    assert dead_members({"m.py": module}, [test]) == [
+        "m.py line 6: Point.label is never read",
+        "m.py line 13: Point.unused is never read",
     ]
 
 

@@ -88,7 +88,7 @@ def test_kernel_identity_at_nonidentity_base(sl2, sl2_efh):
     e, h, f = sl2_efh
     hb = sl2.flat(h)
     orb = poisson.CoadjointOrbit(sl2, hb)
-    gt = sl2.torus_element([3, Q(1, 3)])
+    gt = sl2.group_element([[3, 0], [0, Q(1, 3)]])
     agree, model = reduction.kernel_identity_check(sl2, orb, CotangentPoint(hb, gt))
     assert agree and model.quotient_dim == 4
 
