@@ -1,6 +1,6 @@
 """Pinned report bytes: a refactor must not change a single byte of output.
 
-`tests/data/golden_report.json` holds the rendered reports of two configs
+`tests/data/golden_report.json` holds the rendered reports of three configs
 and their exit codes.  It is never regenerated to make a change pass; a
 difference here means the change altered what symred reports.
 
@@ -41,6 +41,17 @@ CONFIGS = {
         "seed": 42,
         "sample_count": 3,
     },
+    # type A past rank 1, where non-simple roots make the structure-constant
+    # signs reach the slice and Casimir computations
+    "type_a_slices": {
+        "scenarios": [
+            {"name": "slodowy_moore_tachikawa", "params": {"cartan_type": "A", "rank": 2, "n": 3}},
+            {"name": "slodowy_moore_tachikawa", "params": {"cartan_type": "A", "rank": 3, "n": 2}},
+            {"name": "casimir_sphere", "params": {"algebra": "A2"}},
+        ],
+        "seed": 42,
+        "sample_count": 3,
+    },
 }
 
 
@@ -60,6 +71,7 @@ def test_golden_covers_pass_and_fail():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert golden["readme_suite"]["exit_code"] == 0
     assert golden["forced_failure"]["exit_code"] == 1
+    assert golden["type_a_slices"]["exit_code"] == 0
     names = [s["scenario_name"] for s in golden["readme_suite"]["report"]["scenarios"]]
     assert sorted(names) == sorted(e["name"] for e in CONFIGS["readme_suite"]["scenarios"])
 
