@@ -1,14 +1,14 @@
 """Exact finite-dimensional Lie algebras over the rationals.
 
-Split semisimple algebras are built on a Chevalley basis {h_1..h_l} ∪ {e_β}:
+Split semisimple algebras are built on a Chevalley basis {h_1..h_l} ∪ {e_β}
+from their root system alone.  Every type fixes signs by the classical
+extraspecial-pair convention: N_{α,β} = +(p+1) on every extraspecial pair
+of positive roots, all remaining constants being forced by antisymmetry,
+N_{-α,-β} = -N_{α,β}, and the Jacobi identity.
 
-* type A reads its structure constants off the standard trace-zero matrix
-  realization (h_i = E_ii - E_{i+1,i+1}, root vectors E_ij), which also
-  provides the stored matrix representation;
-* types B, C, D and G2 fix signs by the classical extraspecial-pair
-  convention: N_{α,β} = +(p+1) on every extraspecial pair of positive
-  roots, all remaining constants being forced by antisymmetry,
-  N_{-α,-β} = -N_{α,β}, and the Jacobi identity.
+Type A also stores the defining representation of sl(l+1), generated from
+h_i = E_ii - E_{i+1,i+1}, e_{α_i} = E_{i,i+1} and f_{α_i} = E_{i+1,i} by
+the table's own constants; each root vector is then ±E_rs.
 
 Every constructed table is exhaustively certified (antisymmetry, Cartan
 action, coroot brackets, |N| = p+1) and the test suite re-verifies the
@@ -30,9 +30,9 @@ operator handles the ``int``.
 Basis order: Cartan h_1..h_l, then e_β over positive roots by increasing
 (height, coordinates), then the corresponding negative root vectors.
 
-``is_ad_semisimple`` compares rank(ad_x) with rank(ad_x²).  That decides
-semisimplicity only in a semisimple g, so on an algebra whose Killing form
-is degenerate it raises ``UnsupportedType``.
+``is_ad_semisimple`` compares rank(ad_x) with rank(ad_x²), both from
+``ad_ranks``.  That decides semisimplicity only in a semisimple g, so on an
+algebra whose Killing form is degenerate it raises ``UnsupportedType``.
 """
 
 from __future__ import annotations
@@ -75,13 +75,9 @@ def _cartan_and_lengths(cartan_type: str, rank: int):
         c[n - 1][n - 2] = -2  # alpha_{n-1} is long
         d[n - 1] = Q(2)
     elif cartan_type == "D":
-        # rank 4: central node is alpha_2 (0-based index 1)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    c[i][j] = 0
-        for a, b in ((0, 1), (1, 2), (1, 3)):
-            c[a][b] = c[b][a] = -1
+        # Bourbaki numbering: alpha_n leaves the chain and joins alpha_{n-2}
+        c[n - 2][n - 1] = c[n - 1][n - 2] = 0
+        c[n - 3][n - 1] = c[n - 1][n - 3] = -1
     elif cartan_type == "G2":
         c[0][1], c[1][0] = -1, -3  # alpha_1 short, alpha_2 long
         d[0] = Q(1, 3)
@@ -168,6 +164,12 @@ class RootSystem:
         if any(c.denominator != 1 for c in coeffs):
             raise CertificateFailed(f"coroot of {gamma} has non-integer coefficients {coeffs}")
         return coeffs
+
+    def vector_index(self, beta: Root) -> int:
+        """Basis index of e_beta: Cartan first, then positive, then negative roots."""
+        if self._is_positive(beta):
+            return self.rank + self.pos_index[beta]
+        return self.rank + len(self.positive) + self.pos_index[tuple(-b for b in beta)]
 
     def extraspecial(self, gamma: Root) -> tuple[Root, Root]:
         """Minimal positive alpha with alpha, gamma-alpha both positive roots."""
@@ -429,10 +431,7 @@ class LieAlgebra:
         return self.root_data
 
     def root_vector_index(self, beta: Root) -> int:
-        rs = self._require_roots()
-        if rs._is_positive(beta):
-            return self.rank + rs.pos_index[beta]
-        return self.rank + len(rs.positive) + rs.pos_index[tuple(-b for b in beta)]
+        return self._require_roots().vector_index(beta)
 
     def root_vector(self, beta: Root) -> Vector:
         return self.basis_vec(self.root_vector_index(beta))
@@ -623,7 +622,7 @@ def _labels(rs: RootSystem) -> list[str]:
 
 
 def _table_from_roots(rs: RootSystem):
-    """Structure constants for non-A types via the sign recursion."""
+    """Structure constants of every type via the sign recursion."""
     rank = rs.rank
     npos = len(rs.positive)
     dim = rank + 2 * npos
@@ -633,11 +632,6 @@ def _table_from_roots(rs: RootSystem):
         if idx < rank + npos:
             return rs.positive[idx - rank]
         return tuple(-x for x in rs.positive[idx - rank - npos])
-
-    def idx_of(beta: Root) -> int:
-        if rs._is_positive(beta):
-            return rank + rs.pos_index[beta]
-        return rank + npos + rs.pos_index[tuple(-x for x in beta)]
 
     table = [[[] for _ in range(dim)] for _ in range(dim)]
 
@@ -660,84 +654,52 @@ def _table_from_roots(rs: RootSystem):
                 coeffs = rs.coroot_coeffs(alpha)
                 set_entry(a, b, [(i, coeffs[i]) for i in range(rank)])
             elif s in rs.root_set:
-                set_entry(a, b, [(idx_of(s), signs.n(alpha, beta))])
+                set_entry(a, b, [(rs.vector_index(s), signs.n(alpha, beta))])
     return table
 
 
-def _table_from_sl_matrices(rank: int):
-    """Structure constants and representation for type A from sl(rank+1)."""
-    rs = RootSystem("A", rank)
-    size = rank + 1
-    npos = len(rs.positive)
-    dim = rank + 2 * npos
+def _sl_realization(rs: RootSystem, table) -> list[Matrix]:
+    """The defining representation of sl(rank+1) on the basis of ``table``.
 
-    def root_to_pos(beta: Root):
-        # beta = alpha_i + ... + alpha_j corresponds to E_{i, j+1}
-        i = beta.index(1)
-        j = len(beta) - 1 - tuple(reversed(beta)).index(1)
-        return i, j + 1
+    h_i = E_ii - E_{i+1,i+1}, e_{alpha_i} = E_{i,i+1} and f_{alpha_i} =
+    E_{i+1,i} satisfy the Chevalley-Serre relations of the table, so exactly
+    one homomorphism extends them.  It is computed root by root in height
+    order: with (x, y) the extraspecial pair of gamma, e_{±gamma} =
+    [e_{±x}, e_{±y}] / N_{±x,±y}, and each root vector comes out as ±E_rs.
+    """
+    rank = rs.rank
 
-    # the nonzero entries (r, s, ±1) of each basis matrix, as ints
-    entries = [[(i, i, 1), (i + 1, i + 1, -1)] for i in range(rank)]
-    for beta in rs.positive:
-        r, s = root_to_pos(beta)
-        entries.append([(r, s, 1)])
-    for beta in rs.positive:
-        r, s = root_to_pos(beta)
-        entries.append([(s, r, 1)])
-    reps: list[Matrix] = []
-    for nonzero in entries:
-        m = [[la.ZERO] * size for _ in range(size)]
-        for r, s, c in nonzero:
+    def elementary(*entries):
+        m = [[la.ZERO] * (rank + 1) for _ in range(rank + 1)]
+        for r, s, c in entries:
             m[r][s] = Q(c)
-        reps.append(tuple(tuple(row) for row in m))
+        return tuple(tuple(row) for row in m)
 
-    # coordinate of the off-diagonal entry (r, s) of a matrix in the algebra
-    off_diagonal = {}
-    for t, beta in enumerate(rs.positive):
-        r, s = root_to_pos(beta)
-        off_diagonal[(r, s)] = rank + t
-        off_diagonal[(s, r)] = rank + npos + t
-
-    def extract(m: dict[tuple[int, int], int]) -> list[int]:
-        coords = [0] * dim
-        acc = 0
-        for k in range(rank):
-            acc += m.get((k, k), 0)
-            coords[k] = acc
-        for (r, s), c in m.items():
-            if r != s:
-                coords[off_diagonal[(r, s)]] = c
-        return coords
-
-    # each basis matrix has one or two nonzero entries; the commutator
-    # AB - BA is formed from those alone
-    table = [[[] for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            comm: dict[tuple[int, int], int] = {}
-            for a, b, sign in ((i, j, 1), (j, i, -1)):
-                for r, s, x in entries[a]:
-                    for s2, t, y in entries[b]:
-                        if s == s2:
-                            comm[(r, t)] = comm.get((r, t), 0) + sign * x * y
-            coords = extract(comm)
-            table[i][j] = [(k, c) for k, c in enumerate(coords) if c != 0]
-    return table, reps, rs
+    reps = [None] * (rank + 2 * len(rs.positive))
+    for i in range(rank):
+        simple = tuple(int(j == i) for j in range(rank))
+        reps[i] = elementary((i, i, 1), (i + 1, i + 1, -1))
+        reps[rs.vector_index(simple)] = elementary((i, i + 1, 1))
+        reps[rs.vector_index(tuple(-c for c in simple))] = elementary((i + 1, i, 1))
+    for gamma in rs.positive[rank:]:  # the simple roots come first
+        pair = rs.extraspecial(gamma)
+        for sign in (1, -1):
+            x, y, g = (rs.vector_index(tuple(sign * c for c in r)) for r in (*pair, gamma))
+            n = dict(table[x][y])[g]
+            xy, yx = la.mat_mul(reps[x], reps[y]), la.mat_mul(reps[y], reps[x])
+            reps[g] = tuple(
+                tuple((u - v) / n if u != v else la.ZERO for u, v in zip(r1, r2)) for r1, r2 in zip(xy, yx)
+            )
+    return reps
 
 
 @lru_cache(maxsize=None)
 def build_chevalley(cartan_type: str, rank: int) -> LieAlgebra:
     """Split semisimple Lie algebra of the given type on a Chevalley basis."""
-    if (cartan_type, rank) not in SUPPORTED:
-        raise UnsupportedType(f"unsupported type {cartan_type}{rank}")
-    if cartan_type == "A":
-        table, reps, rs = _table_from_sl_matrices(rank)
-        alg = LieAlgebra(_labels(rs), table, rank, rs, reps, name=f"A{rank}")
-    else:
-        rs = RootSystem(cartan_type, rank)
-        table = _table_from_roots(rs)
-        alg = LieAlgebra(_labels(rs), table, rank, rs, None, name=f"{cartan_type}{rank}")
+    rs = RootSystem(cartan_type, rank)
+    table = _table_from_roots(rs)
+    reps = _sl_realization(rs, table) if cartan_type == "A" else None
+    alg = LieAlgebra(_labels(rs), table, rank, rs, reps, name=f"{cartan_type}{rank}")
     _certify_chevalley(alg)
     return alg
 
@@ -837,6 +799,14 @@ def embed_factor(product_dim: int, factor_dim: int, k: int, x: Vector) -> Vector
     return tuple(out)
 
 
+def ad_ranks(alg: LieAlgebra, x: Vector) -> tuple[int, int]:
+    """(rank(ad_x), rank(ad_x²)) from one ad matrix, refused as ``is_ad_semisimple`` is."""
+    if alg._killing_inv is None:
+        raise UnsupportedType(f"{alg.name} is not semisimple: the rank test for ad-semisimplicity needs it")
+    ad = alg.ad_matrix(x)
+    return la.rank(ad), la.rank(la.mat_mul(ad, ad))
+
+
 def is_ad_semisimple(alg: LieAlgebra, x: Vector) -> bool:
     """True iff ad_x is semisimple, decided as rank(ad_x) = rank(ad_x²).
 
@@ -848,7 +818,5 @@ def is_ad_semisimple(alg: LieAlgebra, x: Vector) -> bool:
     is wrong (on {x, a, b} with [x, a] = a, [x, b] = a + b it would say
     yes), so an algebra with a degenerate Killing form is refused.
     """
-    if alg._killing_inv is None:
-        raise UnsupportedType(f"{alg.name} is not semisimple: the rank test for ad-semisimplicity needs it")
-    ad = alg.ad_matrix(x)
-    return la.rank(ad) == la.rank(la.mat_mul(ad, ad))
+    rank_ad, rank_ad2 = ad_ranks(alg, x)
+    return rank_ad == rank_ad2

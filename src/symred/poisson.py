@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from . import linalg as la
 from .errors import DimensionMismatch, NotOnModel, NotStable
-from .lie import GroupElement, LieAlgebra, Sl2Triple, direct_power, embed_factor, is_ad_semisimple
+from .lie import GroupElement, LieAlgebra, Sl2Triple, ad_ranks, direct_power, embed_factor
 from .linalg import Matrix, Q, Vector
 
 
@@ -238,10 +238,9 @@ class DecompositionClass(SubmanifoldModel):
         super().__init__(algebra.dim, pts)
 
     def _contains(self, xi):
-        x = self.algebra.sharp(xi)
-        if len(self.algebra.centralizer(x)) != self.centralizer_dim:
-            return False
-        return is_ad_semisimple(self.algebra, x)
+        # dim g_x = dim g - rank(ad_x), and ad_x is semisimple iff rank(ad_x) = rank(ad_x²)
+        rank_ad, rank_ad2 = ad_ranks(self.algebra, self.algebra.sharp(xi))
+        return self.algebra.dim - rank_ad == self.centralizer_dim and rank_ad == rank_ad2
 
     def _tangent(self, xi):
         # T_x D = z(g_x) + [g, x], pushed to covectors by the Killing form

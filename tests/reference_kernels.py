@@ -172,11 +172,18 @@ def bracket(alg: LieAlgebra, x: Vector, y: Vector) -> Vector:
     return tuple(out)
 
 
+def sl_position(beta):
+    """(i, j + 1) for the type-A root alpha_i + ... + alpha_j."""
+    return beta.index(1), len(beta) - tuple(reversed(beta)).index(1)
+
+
 def sl_table(alg: LieAlgebra):
     """Type-A structure constants from two ``mat_mul`` calls per basis pair.
 
-    A matrix m of sl(rank+1) has coordinates h_k = m_00 + ... + m_kk and,
-    for the root alpha_i + ... + alpha_j, e = m[i][j+1] and f = m[j+1][i].
+    A matrix m of sl(rank+1) has coordinates h_k = m_00 + ... + m_kk.  The
+    root alpha_i + ... + alpha_j has e = ±E_{i,j+1} and f = ±E_{j+1,i} in
+    the stored realization, so m's e- and f-coordinates are m[i][j+1] and
+    m[j+1][i], each times the sign of the stored matrix.
     """
     rank, reps, positive = alg.rank, alg.matrix_rep, alg.root_data.positive
     npos = len(positive)
@@ -186,10 +193,9 @@ def sl_table(alg: LieAlgebra):
         for k in range(rank):
             coords[k] = sum((m[t][t] for t in range(k + 1)), Q(0))
         for t, beta in enumerate(positive):
-            r = beta.index(1)
-            s = len(beta) - tuple(reversed(beta)).index(1)
-            coords[rank + t] = m[r][s]
-            coords[rank + npos + t] = m[s][r]
+            r, s = sl_position(beta)
+            coords[rank + t] = m[r][s] * reps[rank + t][r][s]
+            coords[rank + npos + t] = m[s][r] * reps[rank + npos + t][s][r]
         return coords
 
     table = []

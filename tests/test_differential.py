@@ -435,9 +435,23 @@ def test_bracket_matches_dense_loop(typ, rank, data):
     assert alg.bracket(ei, ej) == ref.bracket(alg, ei, ej)
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("rank", sorted(r for t, r in lie.SUPPORTED if t == "A"))
 def test_type_a_table_matches_matrix_commutators(rank):
     alg = lie.build_chevalley("A", rank)
+    size, reps = rank + 1, alg.matrix_rep
+
+    def elementary(entries):
+        return la.mat([[entries.get((r, s), 0) for s in range(size)] for r in range(size)])
+
+    # the realization ref.sl_table reads: h_i = E_ii - E_{i+1,i+1}, and every
+    # root vector ±E_rs at its root's position (E_sr for a negative root)
+    for i in range(rank):
+        assert reps[i] == elementary({(i, i): 1, (i + 1, i + 1): -1})
+    for beta in alg.root_data.roots:
+        r, s = ref.sl_position(tuple(abs(c) for c in beta))
+        if min(beta) < 0:
+            r, s = s, r
+        assert reps[alg.root_vector_index(beta)] in (elementary({(r, s): 1}), elementary({(r, s): -1}))
     assert alg.table == ref.sl_table(alg)
 
 

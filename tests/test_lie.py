@@ -58,6 +58,17 @@ def test_dimensions_against_reflection_oracle():
     assert lie.build_chevalley("G2", 2).dim == 12 + 2
 
 
+def test_d4_cartan_matrix():
+    # Bourbaki numbering: alpha_2 is the branch node, joined to alpha_1, alpha_3 and alpha_4
+    assert lie.RootSystem("D", 4).cartan == (
+        (2, -1, 0, 0),
+        (-1, 2, -1, -1),
+        (0, -1, 2, 0),
+        (0, -1, 0, 2),
+    )
+    assert reflection_closure_size(lie.RootSystem("D", 4).cartan) == 24
+
+
 def test_sl2_shape():
     sl2 = lie.build_chevalley("A", 1)
     assert sl2.dim == 3 and sl2.rank == 1
@@ -213,13 +224,13 @@ def test_killing_invariance(typ, rank):
     assert lie.build_chevalley(typ, rank).verify_killing_invariance()
 
 
-@pytest.mark.parametrize("typ,rank", [("A", 1), ("A", 2), ("A", 3)])
+@pytest.mark.parametrize("typ,rank", sorted(tr for tr in lie.SUPPORTED if tr[0] == "A"))
 def test_matrix_rep_consistency(typ, rank):
     assert lie.build_chevalley(typ, rank).verify_matrix_rep()
 
 
 def test_structure_constants_are_chevalley(sl3):
-    # |N_{a,b}| = p + 1 over every root pair, for a type built from matrices
+    # |N_{a,b}| = p + 1 over every root pair, read through bracket rather than the table
     rs = sl3.root_data
     for a in rs.roots:
         for b in rs.roots:
