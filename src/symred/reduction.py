@@ -1,8 +1,9 @@
 """Linear models of reduced spaces.
 
-The universal reduction of T*G along S sits over N = G x S; at a point
-p = (g, xi) the kernel of the pulled-back symplectic form is computed two
-ways and compared:
+The universal reduction of T*G along S sits over N = G x S.  In the left
+trivialization Omega at p = (g, xi) depends on xi alone, so every check
+here takes xi.  At p the kernel of the pulled-back symplectic form is
+computed two ways and compared:
 
 * as the radical of the Gram matrix of Omega on T_pN = g x T_xi S;
 * as the tangent space {(-x, 0) : x in h_xi} of the stabilizer orbit.
@@ -19,14 +20,14 @@ from fractions import Fraction
 from . import linalg as la
 from . import poisson
 from .errors import DimensionMismatch, LiftNotValid
-from .groupoid import CotangentPoint, omega_eval, omega_gram
+from .groupoid import omega_eval, omega_gram
 from .lie import GroupElement, LieAlgebra
 from .linalg import Vector
 
 
 @dataclass(frozen=True)
 class ReducedSpaceModel:
-    base: CotangentPoint
+    xi: Vector
     n_tangent: tuple[Vector, ...]
     kernel: tuple[Vector, ...]
     quotient_dim: int
@@ -51,15 +52,15 @@ class ReducedSpaceModel:
         return la.dot(a, la.mat_vec(self.reduced_form, b))
 
 
-def orbit_tangent_in_universal(alg: LieAlgebra, s_model, p: CotangentPoint) -> list[Vector]:
+def orbit_tangent_in_universal(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
     """{(-x, 0) : x in h_xi}; the stabilizer acts by right translations."""
-    h, _ = poisson.stabilizer_subalgebra(poisson.kks_model(alg), s_model, p.xi)
+    h, _ = poisson.stabilizer_subalgebra(poisson.kks_model(alg), s_model, xi)
     return [tuple(la.neg(x)) + la.zeros(alg.dim) for x in h]
 
 
-def kernel_identity_check(alg: LieAlgebra, s_model, p: CotangentPoint):
-    """Two-route kernel computation; returns (agreement, ReducedSpaceModel)."""
-    xi = tuple(p.xi)
+def kernel_identity_check(alg: LieAlgebra, s_model, xi: Vector):
+    """Two-route kernel computation at (e, xi); returns (agreement, ReducedSpaceModel)."""
+    xi = tuple(xi)
     n = alg.dim
     tangent = s_model.tangent_basis(xi)
     n_basis = [tuple(la.unit(n, i)) + la.zeros(n) for i in range(n)]
@@ -68,7 +69,7 @@ def kernel_identity_check(alg: LieAlgebra, s_model, p: CotangentPoint):
     coeff_kernel = la.nullspace(gram)
     columns = la.transpose(n_basis)
     kernel = la.span_basis([la.mat_vec(columns, c) for c in coeff_kernel])
-    orbit = orbit_tangent_in_universal(alg, s_model, p)
+    orbit = orbit_tangent_in_universal(alg, s_model, xi)
     agree = la.span_equal(kernel, orbit)
     # Completing the kernel by members of n_basis is completing its
     # coefficient vectors by unit vectors.  The pivot column of each added
@@ -76,7 +77,7 @@ def kernel_identity_check(alg: LieAlgebra, s_model, p: CotangentPoint):
     units = la.identity(len(n_basis))
     picked = la.rref(la.extend_to_basis(coeff_kernel, units))[1]
     model = ReducedSpaceModel(
-        base=p,
+        xi=xi,
         n_tangent=tuple(n_basis),
         kernel=tuple(kernel),
         quotient_dim=len(n_basis) - len(kernel),
@@ -88,7 +89,7 @@ def kernel_identity_check(alg: LieAlgebra, s_model, p: CotangentPoint):
 
 def reduced_form_well_defined(alg: LieAlgebra, model: ReducedSpaceModel) -> bool:
     """Omega(k, n) = 0 for every kernel vector k and every n in T_pN."""
-    xi = model.base.xi
+    xi = model.xi
     for k in model.kernel:
         for v in model.n_tangent:
             if omega_eval(alg, xi, k, v) != 0:
@@ -96,11 +97,11 @@ def reduced_form_well_defined(alg: LieAlgebra, model: ReducedSpaceModel) -> bool
     return True
 
 
-def dimension_formula_check(alg: LieAlgebra, s_model, p: CotangentPoint, model: ReducedSpaceModel) -> bool:
+def dimension_formula_check(alg: LieAlgebra, s_model, xi: Vector, model: ReducedSpaceModel) -> bool:
     """quotient_dim = dim g + dim S - rk L_S."""
     pm = poisson.kks_model(alg)
-    fiber = poisson.algebroid_fiber(pm, s_model, p.xi)
-    dim_s = len(s_model.tangent_basis(p.xi))
+    fiber = poisson.algebroid_fiber(pm, s_model, xi)
+    dim_s = len(s_model.tangent_basis(xi))
     return model.quotient_dim == alg.dim + dim_s - fiber.rank
 
 
@@ -115,7 +116,7 @@ def decomposition_form_check(alg: LieAlgebra, s_model, kernel: tuple[bool, Reduc
     agree, model = kernel
     if not agree:
         return False
-    xi = model.base.xi
+    xi = model.xi
     x = alg.sharp(xi)
     pm = poisson.kks_model(alg)
     fiber = poisson.algebroid_fiber(pm, s_model, xi)

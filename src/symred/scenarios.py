@@ -6,6 +6,11 @@ seeded random extras), runs every check exactly, and returns a
 certifies.  Status ``sampled-pass`` marks finite-sample witnesses of
 properties quantified over a whole submanifold (constant rank); every
 other check is a complete verification of a pointwise identity.
+
+A scenario records each pointwise check with ``ScenarioReport.add`` at
+every sample point, where its verdict is computed.  A check's status is
+the conjunction of its records over the sample points, and its data comes
+from the last record that gave data.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ from . import linalg as la
 from . import poisson, reduction
 from . import groupoid as gpd
 from .errors import ConfigError, DimensionMismatch, SymredError
-from .groupoid import CotangentPoint
-from .lie import LieAlgebra, build_chevalley, embed_factor, principal_sl2
+from .lie import LieAlgebra, Sl2Triple, build_chevalley, embed_factor, principal_sl2
 from .linalg import Q, Vector
 
 
@@ -44,7 +48,18 @@ class ScenarioReport:
         return all(c.status != "fail" for c in self.checks)
 
     def add(self, name: str, anchor: str, ok: bool, data: Optional[dict] = None, sampled: bool = False):
+        """Record one verdict of check `name`, usually at one sample point.
+
+        The first record of a name places the check and fixes its anchor.  A
+        later record ANDs `ok` into the status and, when it gives `data`,
+        replaces the data.
+        """
         status = ("sampled-pass" if sampled else "pass") if ok else "fail"
+        for i, old in enumerate(self.checks):
+            if old.name == name:
+                status = "fail" if old.status == "fail" else status
+                self.checks[i] = Check(name, old.anchor, status, old.data if data is None else data)
+                return
         self.checks.append(Check(name, anchor, status, data or {}))
 
     def check_data(self, name: str) -> dict:
@@ -92,6 +107,12 @@ def _rand_nonzero(rng: random.Random) -> Fraction:
             return v
 
 
+def _pre_poisson_sampled(report: ScenarioReport, pm: poisson.PoissonPointModel, s_model) -> None:
+    pp = poisson.pre_poisson_sample_check(pm, s_model)
+    report.add("pre_poisson_sampled", "sigma^{-1}(TS) ∩ TS° has constant rank over S",
+               pp["constant_rank"], {"ranks": pp["ranks"]}, sampled=True)
+
+
 # -- moore-tachikawa ---------------------------------------------------------
 
 
@@ -109,18 +130,15 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
     report.add("sample_points", "rational nilpotent-slice coordinates of the sampled points", True,
                {"slice_parameters": [[la.frac(c) for c in p] for p in fixed + extra]})
 
-    trans_ok = True
     for pt in dia.slice.sample_points:
         x = alg.sharp(pt)
         gf = dia.slice.gf
         bracket_img = [alg.bracket(alg.basis_vec(i), x) for i in range(alg.dim)]
         total = la.rank(list(gf) + bracket_img)
-        trans_ok &= total == alg.dim and la.rank(gf) + la.rank(bracket_img) == alg.dim
-    report.add("slice_transversality", "g = g_f + [g, x] (direct sum)", trans_ok,
-               {"points": len(dia.slice.sample_points)})
+        report.add("slice_transversality", "g = g_f + [g, x] (direct sum)",
+                   total == alg.dim and la.rank(gf) + la.rank(bracket_img) == alg.dim,
+                   {"points": len(dia.slice.sample_points)})
 
-    fiber_route_ok = True
-    rank_ok = True
     ranks = []
     for pt in dia.sample_points:
         fiber = poisson.algebroid_fiber(pm, dia, pt)
@@ -135,39 +153,28 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
                         embed_factor(prod.dim, alg.dim, k + 1, la.neg(z)),
                     )
                 )
-        fiber_route_ok &= la.span_equal(list(fiber.basis), oracle)
         ranks.append(fiber.rank)
-        rank_ok &= fiber.rank == (n - 1) * ell
-    report.add("diagonal_fiber_two_route",
-               "fiber of L over the diagonal slice = {(y_i) in (g_x)^n : sum y_i = 0}",
-               fiber_route_ok, {"ranks": ranks})
-    report.add("fiber_rank", "rk L = (n-1) * rank(g)", rank_ok,
-               {"ranks": ranks, "expected": (n - 1) * ell})
+        report.add("diagonal_fiber_two_route",
+                   "fiber of L over the diagonal slice = {(y_i) in (g_x)^n : sum y_i = 0}",
+                   la.span_equal(list(fiber.basis), oracle), {"ranks": ranks})
+        report.add("fiber_rank", "rk L = (n-1) * rank(g)", fiber.rank == (n - 1) * ell,
+                   {"ranks": ranks, "expected": (n - 1) * ell})
 
-    pp = poisson.pre_poisson_sample_check(pm, dia)
-    report.add("pre_poisson_sampled", "sigma^{-1}(TS) ∩ TS° has constant rank over S",
-               pp["constant_rank"], {"ranks": pp["ranks"]}, sampled=True)
+    _pre_poisson_sampled(report, pm, dia)
     report.add("stable", "L_S ⊆ ker sigma", all(poisson.stable_check(pm, dia)))
 
     expected_dim = values.get("expected_reduced_dim", n * alg.dim + ell - (n - 1) * ell)
-    dims_ok = True
-    kernel_ok = True
-    nondeg_ok = True
-    got_dim = None
     for pt in dia.sample_points:
-        agree, model = reduction.kernel_identity_check(prod, dia, CotangentPoint(pt))
-        kernel_ok &= agree and reduction.reduced_form_well_defined(prod, model)
-        nondeg_ok &= model.nondegenerate()
-        got_dim = model.quotient_dim
-        dims_ok &= model.quotient_dim == expected_dim
-        dims_ok &= reduction.dimension_formula_check(prod, dia, CotangentPoint(pt), model)
-    report.add("kernel_two_route", "T_p(H·p) = T_pN ∩ tau(T_pN°)", kernel_ok)
-    report.add("reduced_form_nondegenerate", "pi* omega_red = i* Omega, omega_red symplectic", nondeg_ok)
-    report.add("reduced_dim", "dim M_red = n dim g + rank - (n-1) rank", dims_ok,
-               {"reduced_dim": got_dim, "expected": expected_dim})
+        agree, model = reduction.kernel_identity_check(prod, dia, pt)
+        report.add("kernel_two_route", "T_p(H·p) = T_pN ∩ tau(T_pN°)",
+                   agree and reduction.reduced_form_well_defined(prod, model))
+        report.add("reduced_form_nondegenerate", "pi* omega_red = i* Omega, omega_red symplectic",
+                   model.nondegenerate())
+        report.add("reduced_dim", "dim M_red = n dim g + rank - (n-1) rank",
+                   reduction.dimension_formula_check(prod, dia, pt, model) and model.quotient_dim == expected_dim,
+                   {"reduced_dim": model.quotient_dim, "expected": expected_dim})
 
     # N_n = N x_c ... x_c N is coisotropic in N^n; det(G ⊕ ... ⊕ G) = det(G)^n
-    cois_ok = True
     for pt_s in dia.slice.sample_points:
         base = [tuple(la.unit(alg.dim, i)) + la.zeros(alg.dim) for i in range(alg.dim)]
         base += [la.zeros(alg.dim) + tuple(t) for t in dia.slice.tangent_basis(pt_s)]
@@ -175,8 +182,8 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
         if la.det(gram_n) == 0:
             raise DimensionMismatch("omega must be nondegenerate")
         w, images = _fibred_product_tangent(gram_n, alg.dim, n)
-        cois_ok &= poisson.orthogonal_in_span(images, w, n * len(base))
-    report.add("fibred_product_coisotropic", "N x_c ... x_c N is coisotropic in N^n", cois_ok)
+        report.add("fibred_product_coisotropic", "N x_c ... x_c N is coisotropic in N^n",
+                   poisson.orthogonal_in_span(images, w, n * len(base)))
 
 
 def _fibred_product_tangent(gram: Sequence[Vector], d: int, n: int) -> tuple[list[Vector], list[Vector]]:
@@ -195,27 +202,27 @@ def _fibred_product_tangent(gram: Sequence[Vector], d: int, n: int) -> tuple[lis
 # -- decomposition classes ---------------------------------------------------
 
 
-def _sl2_structure_certificate(alg: LieAlgebra, m_basis: Sequence[Vector]) -> Optional[dict]:
-    """Exhibit an (e, h, f) basis of the 3-dim subalgebra span(m_basis)."""
+def _sl2_structure_certificate(alg: LieAlgebra, m_basis: Sequence[Vector]) -> bool:
+    """Whether the 3-dim subalgebra span(m_basis) has an exact (e, h, f) basis; it exhibits one."""
     cartan = [alg.basis_vec(i) for i in range(alg.rank)]
     inter = la.intersect_spans(list(m_basis), cartan)
     if len(inter) != 1:
-        return None
+        return False
     h0 = inter[0]
     m_cols = la.transpose(list(m_basis))
     imgs = [la.solve(m_cols, alg.bracket(h0, b)) for b in m_basis]
     if any(v is None for v in imgs):
-        return None
+        return False
     admat = la.transpose(imgs)  # ad_{h0} restricted to m, 3x3
     # char(x) = x^3 - c x with c = lambda^2
     c = -(admat[0][0] * admat[1][1] + admat[0][0] * admat[2][2] + admat[1][1] * admat[2][2]
           - admat[0][1] * admat[1][0] - admat[0][2] * admat[2][0] - admat[1][2] * admat[2][1])
     if c <= 0:
-        return None
+        return False
     num, den = c.numerator, c.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
-        return None
+        return False
     lam = Q(rn, rd)
     h = la.scale(Q(2) / lam, h0)
 
@@ -227,18 +234,12 @@ def _sl2_structure_certificate(alg: LieAlgebra, m_basis: Sequence[Vector]) -> Op
     e = eigvec(Q(2))
     f = eigvec(Q(-2))
     if e is None or f is None:
-        return None
+        return False
     br = alg.bracket(e, f)
     sol = la.solve(la.transpose([h]), br)
     if sol is None or sol[0] == 0:
-        return None
-    f = la.scale(Q(1) / sol[0], f)
-    from .lie import Sl2Triple
-
-    triple = Sl2Triple(e, h, f)
-    if not triple.verify(alg):
-        return None
-    return {"found_triple": True}
+        return False
+    return Sl2Triple(e, h, la.scale(Q(1) / sol[0], f)).verify(alg)
 
 
 def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Random, sample_count: int):
@@ -257,46 +258,31 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
     report.add("sample_points", "equal-pair diagonal parameters, one relabeled", True,
                {"parameters": [1, 2, -3, "1 (permuted)"]})
 
-    tangents_ok = True
-    ann_ok = True
-    sl2_ok = True
-    stable_ok = all(poisson.stable_check(pm, dec))
-    closed_ok = True
     for pt in dec.sample_points:
         tangent = dec.tangent_basis(pt)
-        tangents_ok &= len(tangent) == 5
+        report.add("tangent_space", "T_x D = z(g_{x_s}) + [g, x] of codimension 3", len(tangent) == 5,
+                   {"dim_D": 5, "codim": 3})
         fiber = poisson.algebroid_fiber(pm, dec, pt)
         x = alg.sharp(pt)
         gx = alg.centralizer(x)
         derived = la.span_basis([alg.bracket(a, b) for a in gx for b in gx])
-        ann_ok &= fiber.rank == 3 and la.span_equal(list(fiber.basis), derived)
-        cert = _sl2_structure_certificate(alg, list(fiber.basis))
-        sl2_ok &= cert is not None
-        h, closed = poisson.stabilizer_subalgebra(pm, dec, pt)
-        closed_ok &= closed
-    report.add("tangent_space", "T_x D = z(g_{x_s}) + [g, x] of codimension 3", tangents_ok,
-               {"dim_D": 5, "codim": 3})
-    report.add("annihilator_two_route", "(T_x D)^perp = [g_{x_s}, g_{x_s}]_{x_n}", ann_ok,
-               {"dim": 3})
-    report.add("h_is_sl2", "[g_x, g_x] has an exact (e, h, f) basis", sl2_ok)
-    report.add("stable", "L_S ⊆ ker sigma", stable_ok)
-    report.add("h_bracket_closed", "h_xi = (T_xi S)° ∩ g_xi is a subalgebra", closed_ok)
+        report.add("annihilator_two_route", "(T_x D)^perp = [g_{x_s}, g_{x_s}]_{x_n}",
+                   fiber.rank == 3 and la.span_equal(list(fiber.basis), derived), {"dim": 3})
+        report.add("h_is_sl2", "[g_x, g_x] has an exact (e, h, f) basis",
+                   _sl2_structure_certificate(alg, list(fiber.basis)))
+        report.add("stable", "L_S ⊆ ker sigma", fiber.contained_in_centralizer)
+        _, closed = poisson.stabilizer_subalgebra(pm, dec, pt)
+        report.add("h_bracket_closed", "h_xi = (T_xi S)° ∩ g_xi is a subalgebra", closed)
 
     expected_dim = values.get("expected_reduced_dim", 10)
-    dims_ok = True
-    kernel_ok = True
-    got = None
-    kernels = [reduction.kernel_identity_check(alg, dec, CotangentPoint(pt)) for pt in dec.sample_points]
+    kernels = [reduction.kernel_identity_check(alg, dec, pt) for pt in dec.sample_points]
     for pt, (agree, model) in zip(dec.sample_points, kernels):
-        kernel_ok &= agree and model.nondegenerate() and reduction.reduced_form_well_defined(alg, model)
-        got = model.quotient_dim
-        dims_ok &= model.quotient_dim == expected_dim
-        dims_ok &= reduction.dimension_formula_check(alg, dec, CotangentPoint(pt), model)
-    report.add("kernel_two_route", "T_p(H·p) = T_pN ∩ tau(T_pN°)", kernel_ok)
-    report.add("reduced_dim", "dim M_red = 2 dim G - 6", dims_ok,
-               {"reduced_dim": got, "expected": expected_dim})
+        report.add("kernel_two_route", "T_p(H·p) = T_pN ∩ tau(T_pN°)",
+                   agree and model.nondegenerate() and reduction.reduced_form_well_defined(alg, model))
+        report.add("reduced_dim", "dim M_red = 2 dim G - 6",
+                   reduction.dimension_formula_check(alg, dec, pt, model) and model.quotient_dim == expected_dim,
+                   {"reduced_dim": model.quotient_dim, "expected": expected_dim})
 
-    pairs_ok = True
     n_pairs = max(20, 5 * sample_count)
     for pt, kernel in zip(dec.sample_points, kernels):
         fiber = poisson.algebroid_fiber(pm, dec, pt)
@@ -309,14 +295,10 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
                 z1 = la.add(z1, la.scale(la.random_fraction(rng), b))
                 z2 = la.add(z2, la.scale(la.random_fraction(rng), b))
             pairs.append(((la.random_vector(rng, alg.dim), z1), (la.random_vector(rng, alg.dim), z2)))
-        pairs_ok &= reduction.decomposition_form_check(alg, dec, kernel, pairs)
-    report.add("reduced_form_formula",
-               "omega_red = -<u1,z2> + <u2,z1> - <x,[u1,u2]>", pairs_ok,
-               {"pairs": n_pairs})
+        report.add("reduced_form_formula", "omega_red = -<u1,z2> + <u2,z1> - <x,[u1,u2]>",
+                   reduction.decomposition_form_check(alg, dec, kernel, pairs), {"pairs": n_pairs})
 
-    pp = poisson.pre_poisson_sample_check(pm, dec)
-    report.add("pre_poisson_sampled", "sigma^{-1}(TS) ∩ TS° has constant rank over S",
-               pp["constant_rank"], {"ranks": pp["ranks"]}, sampled=True)
+    _pre_poisson_sampled(report, pm, dec)
 
 
 # -- implosion faces ---------------------------------------------------------
@@ -337,29 +319,21 @@ def implosion_faces_A2(report: ScenarioReport, values: dict, rng: random.Random,
             pts.append(tuple(coords))
         pts = list(dict.fromkeys(pts))
         face = poisson.WeylChamberFace(alg, subset, pts)
-        fiber_ok = True
-        functor_ok = True
-        iso_ok = True
-        got = None
+        name = "face_" + ("interior" if not subset else "_".join(f"a{i+1}" for i in subset))
         for pt in face.sample_points:
             fiber = poisson.algebroid_fiber(pm, face, pt)
             gpsi = face.root_subsystem_algebra(pt)
-            fiber_ok &= la.span_equal(list(fiber.basis), gpsi) and fiber.rank == exp_dim
-            got = fiber.rank
+            dims[name] = fiber.rank
+            report.add(name + "_fiber", "(L_{S_sigma})_xi = g_Psi, Psi = {alpha : alpha(y) = 0}",
+                       la.span_equal(list(fiber.basis), gpsi) and fiber.rank == exp_dim,
+                       {"dim": fiber.rank, "expected": exp_dim})
             gfib = gpd.chamber_face_fiber(alg, face, pt)
-            iso_ok &= gfib.isotropic
-            functor_ok &= gpd.lie_functor_check(gfib, fiber)
-        name = "face_" + ("interior" if not subset else "_".join(f"a{i+1}" for i in subset))
-        dims[name] = got
-        report.add(name + "_fiber", "(L_{S_sigma})_xi = g_Psi, Psi = {alpha : alpha(y) = 0}",
-                   fiber_ok, {"dim": got, "expected": exp_dim})
-        report.add(name + "_groupoid", "[K_S, K_S] x S is isotropic; Lie functor (x, xi) -> (-x, xi)",
-                   iso_ok and functor_ok)
-        dims_ok = True
+            report.add(name + "_groupoid", "[K_S, K_S] x S is isotropic; Lie functor (x, xi) -> (-x, xi)",
+                       gpd.lie_functor_check(gfib, fiber) and gfib.isotropic)
         for pt in face.sample_points:
-            agree, model = reduction.kernel_identity_check(alg, face, CotangentPoint(pt))
-            dims_ok &= agree and reduction.dimension_formula_check(alg, face, CotangentPoint(pt), model)
-        report.add(name + "_dimension", "dim M_red = dim g + dim S - rk L_S", dims_ok)
+            agree, model = reduction.kernel_identity_check(alg, face, pt)
+            report.add(name + "_dimension", "dim M_red = dim g + dim S - rk L_S",
+                       agree and reduction.dimension_formula_check(alg, face, pt, model))
     report.add("face_dims", "fiber dimensions over the face lattice",
                list(dims.values()) == [0, 3, 3, 8], dims)
 
@@ -386,37 +360,29 @@ def c4_prepoisson_remark(report: ScenarioReport, values: dict, rng: random.Rando
                all(pt[0] * pt[0] == pt[2] and pt[0] != 0 and pt[1] == 0 and pt[3] == 0 for pt in pts),
                {"trusted_tangent_constructor": model.trusted, "parameters": list(ts)})
 
-    span_ok = True
-    ann_ok = True
-    omega_perp_ok = True
-    fiber_ok = True
     for pt in pts:
         x = pt[0]
         tb = model.tangent_basis(pt)
-        span_ok &= la.span_equal(tb, [la.vec([1, 0, 2 * x, 0]), la.vec([0, 0, 0, 1])])
+        report.add("tangent_span", "TS = span{d/dx + 2x d/du, d/dv}",
+                   la.span_equal(tb, [la.vec([1, 0, 2 * x, 0]), la.vec([0, 0, 0, 1])]))
         ann = la.annihilator(tb, 4)
-        ann_ok &= la.span_equal(ann, [la.vec([-2 * x, 0, 1, 0]), la.vec([0, 1, 0, 0])])
+        report.add("annihilator_span", "TS° = span{du - 2x dx, dy}",
+                   la.span_equal(ann, [la.vec([-2 * x, 0, 1, 0]), la.vec([0, 1, 0, 0])]))
         rows = [la.mat_vec(omega, t) for t in tb]
         ts_perp = la.nullspace(rows)
-        omega_perp_ok &= la.span_equal(ts_perp, [la.vec([0, 2 * x, 0, -1]), la.vec([1, 0, 0, 0])])
+        report.add("omega_orthogonal_span", "TS^omega = span{2x d/dy - d/dv, d/dx}",
+                   la.span_equal(ts_perp, [la.vec([0, 2 * x, 0, -1]), la.vec([1, 0, 0, 0])]))
         fiber = poisson.algebroid_fiber(pmodel, model, pt)
-        fiber_ok &= fiber.rank == 0
-    report.add("tangent_span", "TS = span{d/dx + 2x d/du, d/dv}", span_ok)
-    report.add("annihilator_span", "TS° = span{du - 2x dx, dy}", ann_ok)
-    report.add("omega_orthogonal_span", "TS^omega = span{2x d/dy - d/dv, d/dx}", omega_perp_ok)
-    report.add("trivial_stabilizer", "L_S = omega(TS) ∩ TS° = 0", fiber_ok)
-    pp = poisson.pre_poisson_sample_check(pmodel, model)
-    report.add("pre_poisson_sampled", "sigma^{-1}(TS) ∩ TS° has constant rank over S",
-               pp["constant_rank"], {"ranks": pp["ranks"]}, sampled=True)
+        report.add("trivial_stabilizer", "L_S = omega(TS) ∩ TS° = 0", fiber.rank == 0)
+    _pre_poisson_sampled(report, pmodel, model)
 
     # self-reduction along S: kernel of the restricted form is zero
-    red_ok = True
     for pt in pts:
         tb = model.tangent_basis(pt)
         gram = [[la.dot(a, la.mat_vec(omega, b)) for b in tb] for a in tb]
         kernel = la.nullspace(gram)
-        red_ok &= len(kernel) == 0 and len(tb) - len(kernel) == 2
-    report.add("reduced_dim", "dim M_red = dim S - rk L_S = 2", red_ok, {"reduced_dim": 2})
+        report.add("reduced_dim", "dim M_red = dim S - rk L_S = 2",
+                   len(kernel) == 0 and len(tb) - len(kernel) == 2, {"reduced_dim": 2})
 
 
 # -- casimir level sets ------------------------------------------------------
@@ -447,28 +413,20 @@ def casimir_sphere(report: ScenarioReport, values: dict, rng: random.Random, sam
     report.add("sample_points", "base point plus exact unipotent translates (level preserved)", True,
                {"level": level, "points": len(model.sample_points)})
 
-    fiber_ok = True
-    stable_ok = True
     for pt in model.sample_points:
         fiber = poisson.algebroid_fiber(pm, model, pt)
         sharp = alg.sharp(pt)
-        fiber_ok &= fiber.rank == 1 and la.span_equal(list(fiber.basis), [sharp])
-        stable_ok &= la.is_zero(alg.ad_star(sharp, pt))
-    report.add("fiber_is_dual_ray", "(T_xi S)° = R xi_*", fiber_ok, {"dim": 1})
-    report.add("stable", "ad*_{xi_sharp} xi = 0", stable_ok)
+        report.add("fiber_is_dual_ray", "(T_xi S)° = R xi_*",
+                   fiber.rank == 1 and la.span_equal(list(fiber.basis), [sharp]), {"dim": 1})
+        report.add("stable", "ad*_{xi_sharp} xi = 0", la.is_zero(alg.ad_star(sharp, pt)))
 
-    dims_ok = True
-    got = None
     for pt in model.sample_points:
-        agree, model_red = reduction.kernel_identity_check(alg, model, CotangentPoint(pt))
-        got = model_red.quotient_dim
-        dims_ok &= agree and model_red.quotient_dim == alg.dim + (alg.dim - 1) - 1
-        dims_ok &= reduction.dimension_formula_check(alg, model, CotangentPoint(pt), model_red)
-    report.add("reduced_dim", "dim M_red = dim g + (dim g - 1) - 1", dims_ok,
-               {"reduced_dim": got})
-    pp = poisson.pre_poisson_sample_check(pm, model)
-    report.add("pre_poisson_sampled", "sigma^{-1}(TS) ∩ TS° has constant rank over S",
-               pp["constant_rank"], {"ranks": pp["ranks"]}, sampled=True)
+        agree, model_red = reduction.kernel_identity_check(alg, model, pt)
+        report.add("reduced_dim", "dim M_red = dim g + (dim g - 1) - 1",
+                   reduction.dimension_formula_check(alg, model, pt, model_red)
+                   and agree and model_red.quotient_dim == alg.dim + (alg.dim - 1) - 1,
+                   {"reduced_dim": model_red.quotient_dim})
+    _pre_poisson_sampled(report, pm, model)
 
 
 # -- polyhedral faces for torus actions --------------------------------------
@@ -496,18 +454,15 @@ def polyhedral_face_torus(report: ScenarioReport, values: dict, rng: random.Rand
                 v = la.add(v, la.scale(la.random_fraction(rng), d))
             pts.append(v)
         face = poisson.PolyhedralFace(base, dirs, pts)
-        ok = True
-        got = None
         for pt in face.sample_points:
             fiber = poisson.algebroid_fiber(pmodel, face, pt)
             ann = la.annihilator(face.tangent_basis(pt), dim_t)
-            ok &= la.span_equal(list(fiber.basis), ann)
-            got = fiber.rank
-        report.add(f"face_{label}_fiber", "L_F = (T_xi F)° (Lie algebra of the cutting torus T_F)",
-                   ok, {"dim": got, "codim": dim_t - len(face.directions)})
-        report.add(f"face_{label}_dimension", "dim M_red = dim t + dim F - rk L_F",
-                   got == dim_t - len(face.directions),
-                   {"reduced_dim": dim_t + len(face.directions) - got})
+            report.add(f"face_{label}_fiber", "L_F = (T_xi F)° (Lie algebra of the cutting torus T_F)",
+                       la.span_equal(list(fiber.basis), ann),
+                       {"dim": fiber.rank, "codim": dim_t - len(face.directions)})
+            report.add(f"face_{label}_dimension", "dim M_red = dim t + dim F - rk L_F",
+                       fiber.rank == dim_t - len(face.directions),
+                       {"reduced_dim": dim_t + len(face.directions) - fiber.rank})
 
 
 # -- registry ----------------------------------------------------------------

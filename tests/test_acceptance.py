@@ -75,7 +75,7 @@ def test_criterion_02_kernel_identity(rank):
         points = 0
         for model in model_list:
             for pt in model.sample_points:
-                agree, red = reduction.kernel_identity_check(ambient, model, CotangentPoint(pt))
+                agree, red = reduction.kernel_identity_check(ambient, model, pt)
                 ok &= agree and reduction.reduced_form_well_defined(ambient, red)
                 points += 1
         ok &= points >= 3
@@ -177,7 +177,7 @@ def test_criterion_06_decomposition_form():
             z1 = la.add(z1, la.scale(la.random_fraction(rng), b))
             z2 = la.add(z2, la.scale(la.random_fraction(rng), b))
         pairs.append(((la.random_vector(rng, 8), z1), (la.random_vector(rng, 8), z2)))
-    kernel = reduction.kernel_identity_check(sl3, dec, CotangentPoint(xi))
+    kernel = reduction.kernel_identity_check(sl3, dec, xi)
     ok = reduction.decomposition_form_check(sl3, dec, kernel, pairs)
     verdict(6, "explicit reduced form on the subregular class (>=20 pairs)", ok)
 

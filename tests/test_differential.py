@@ -22,7 +22,6 @@ from symred import groupoid as gpd
 from symred import lie, poisson, reduction
 from symred import linalg as la
 from symred.errors import DimensionMismatch
-from symred.groupoid import CotangentPoint
 
 nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
 
@@ -286,7 +285,7 @@ def test_omega_gram_dimension_mismatch(sl2):
 
 def _reduced_by_reference(alg, model):
     complement = ref.extend_to_basis(list(model.kernel), list(model.n_tangent))
-    return complement, ref.omega_gram(alg, model.base.xi, complement)
+    return complement, ref.omega_gram(alg, model.xi, complement)
 
 
 def test_kernel_identity_reduced_form_matches_pairwise(sl2, sl3):
@@ -301,7 +300,7 @@ def test_kernel_identity_reduced_form_matches_pairwise(sl2, sl3):
     for pt in dia.sample_points:
         cases.append((dia.product, dia, pt))
     for alg, model, pt in cases:
-        _, red = reduction.kernel_identity_check(alg, model, CotangentPoint(pt))
+        _, red = reduction.kernel_identity_check(alg, model, pt)
         complement, form = _reduced_by_reference(alg, red)
         assert list(red.complement) == complement
         assert [tuple(r) for r in red.reduced_form] == form

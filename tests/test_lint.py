@@ -12,7 +12,9 @@ public method of a top-level class that nothing in ``src/`` or ``tests/``
 reads as an attribute: a keyword argument at construction writes a field
 and does not read it.  Every exception
 class in ``errors.py`` is raised somewhere in ``src/``: a class that only a
-test's ``pytest.raises`` names guards nothing.
+test's ``pytest.raises`` names guards nothing.  ``scenarios.py`` has no
+``&=``: a pointwise verdict folded into a flag loses the point where it
+failed, so every verdict goes through ``ScenarioReport.add``.
 """
 
 import ast
@@ -98,6 +100,14 @@ def dead_members(modules: dict[str, ast.Module], others: list[ast.AST]) -> list[
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     return [f"{module} line {line}: {cls}.{name} is never read" for module, line, cls, name in members if name not in read]
+
+
+def and_assignments(tree: ast.AST) -> list[str]:
+    return [
+        f"line {node.lineno}: &= accumulation"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitAnd)
+    ]
 
 
 def unraised(errors: ast.Module, sources: list[ast.AST]) -> list[str]:
@@ -204,3 +214,13 @@ def test_raise_gate_catches_unraised():
         "line 7: Bare is never raised",
         "line 13: Caught is never raised",
     ]
+
+
+def test_scenarios_record_every_verdict():
+    path = ROOT / "src" / "symred" / "scenarios.py"
+    assert and_assignments(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == []
+
+
+def test_and_assignment_gate_catches_accumulation():
+    tree = ast.parse("ok = True\nfor x in xs:\n    ok &= x > 0\nmask |= 1\nok = ok and y\n")
+    assert and_assignments(tree) == ["line 3: &= accumulation"]

@@ -7,7 +7,7 @@ from symred import groupoid as gpd
 from symred import lie, poisson, scenarios
 from symred import linalg as la
 from symred.errors import ConfigError
-from symred.scenarios import REGISTRY, Param, report_to_dict, run_scenario
+from symred.scenarios import REGISTRY, Check, Param, ScenarioReport, report_to_dict, run_scenario
 
 ALL_DEFAULTS = [
     ("slodowy_moore_tachikawa", {"cartan_type": "A", "rank": 1, "n": 2}),
@@ -78,6 +78,41 @@ def test_forced_failure_override():
     )
     assert not rep.all_passed
     assert any(c.status == "fail" and c.name == "reduced_dim" for c in rep.checks)
+
+
+def test_add_merges_a_repeated_name_at_its_first_position():
+    rep = ScenarioReport("s", {})
+    rep.add("a", "first anchor", True, {"k": 1})
+    rep.add("b", "b", True)
+    rep.add("a", "second anchor", True)
+    assert rep.checks == [Check("a", "first anchor", "pass", {"k": 1}), Check("b", "b", "pass")]
+
+
+@pytest.mark.parametrize("verdicts", [(False, True), (True, False), (True, False, True)])
+def test_add_is_the_conjunction_of_its_records(verdicts):
+    for sampled in (False, True):
+        rep = ScenarioReport("s", {})
+        for ok in verdicts:
+            rep.add("a", "anchor", ok, sampled=sampled)
+        assert [c.status for c in rep.checks] == ["fail"]
+        assert not rep.all_passed
+
+
+def test_add_keeps_sampled_pass_while_every_record_passes():
+    rep = ScenarioReport("s", {})
+    for _ in range(3):
+        rep.add("a", "anchor", True, sampled=True)
+        assert rep.checks[0].status == "sampled-pass"
+
+
+def test_add_takes_data_from_the_last_record_that_gave_data():
+    rep = ScenarioReport("s", {})
+    rep.add("a", "anchor", True, {"dim": 1})
+    rep.add("a", "anchor", True, {"dim": 2})
+    assert rep.check_data("a") == {"dim": 2}
+    rep.add("a", "anchor", True)
+    rep.add("a", "anchor", False)
+    assert rep.checks == [Check("a", "anchor", "fail", {"dim": 2})]
 
 
 def test_unknown_scenario():
