@@ -6,6 +6,7 @@ from symred import groupoid as gpd
 from symred import lie, poisson, reduction
 from symred import linalg as la
 from symred.errors import DimensionMismatch, LiftNotValid, NotStable
+from symred.groupoid import CotangentPoint
 from conftest import subregular_point
 
 
@@ -70,6 +71,19 @@ def test_kernel_identity_slice_orbit_singleton(sl2, sl2_efh):
             assert reduction.reduced_form_well_defined(sl2, model)
             assert la.span_equal(list(model.kernel), kernel_oracle(sl2, model_s, pt))
             assert reduction.dimension_formula_check(sl2, model_s, pt, model)
+
+
+def test_kernel_identity_at_nonidentity_base(sl2, sl2_efh):
+    # In left-trivialised coordinates Omega at (g, xi) depends on xi alone,
+    # so the check at a non-identity base is the check at its xi.
+    e, h, f = sl2_efh
+    hb = sl2.flat(h)
+    orb = poisson.CoadjointOrbit(sl2, hb)
+    gt = sl2.group_element([[3, 0], [0, Q(1, 3)]])
+    p = CotangentPoint(hb, gt)
+    agree, model = reduction.kernel_identity_check(sl2, orb, p.xi)
+    assert agree and model.quotient_dim == 4
+    assert model == reduction.kernel_identity_check(sl2, orb, CotangentPoint(hb).xi)[1]
 
 
 def test_dimension_formula_diagonal(sl2):
