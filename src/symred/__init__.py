@@ -46,7 +46,6 @@ from .poisson import (
     DiagonalSlodowy,
     Explicit,
     PoissonPointModel,
-    PolyhedralFace,
     Singleton,
     SlodowySlice,
     SubmanifoldModel,
@@ -58,7 +57,6 @@ from .poisson import (
     moment_transversality_check,
     poisson_transversal_check,
     pre_poisson_sample_check,
-    stable_check,
     stabilizer_subalgebra,
     symplectic_model,
     trivial_model,

@@ -293,7 +293,6 @@ class LieAlgebra:
         self.root_data = root_data
         self.matrix_rep = tuple(matrix_rep) if matrix_rep is not None else None
         self.name = name or "g"
-        self._index = {lbl: i for i, lbl in enumerate(self.basis_labels)}
         self._extract_cache = None
         self._coadjoint: dict[Vector, Matrix] = {}
         self._lookup = tuple(
@@ -301,9 +300,10 @@ class LieAlgebra:
         )
         self._check_antisymmetry()
         self.killing = self._compute_killing()
-        self._killing_inv = None
-        if la.det(self.killing) != 0:
+        try:
             self._killing_inv = la.inverse(self.killing)
+        except ZeroDivisionError:
+            self._killing_inv = None
 
     # -- construction helpers -------------------------------------------
 
@@ -339,9 +339,6 @@ class LieAlgebra:
         return tuple(rows)
 
     # -- basic operations ------------------------------------------------
-
-    def index(self, label: str) -> int:
-        return self._index[label]
 
     def basis_vec(self, i: int) -> Vector:
         return la.unit(self.dim, i)
@@ -414,14 +411,6 @@ class LieAlgebra:
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         return Q(self._lookup[i][j].get(k, 0))
-
-    def structure_constants(self):
-        """Dense dim x dim x dim array c_{ij}^k; the table is the sparse form."""
-        n = self.dim
-        return tuple(
-            tuple(tuple(self.structure_constant(i, j, k) for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
 
     # -- root-system conveniences -----------------------------------------
 
@@ -549,27 +538,26 @@ class LieAlgebra:
             raise SolveFailure("matrix does not lie in the represented algebra")
         return sol
 
-    def group_element(self, matrix, check: bool = True) -> GroupElement:
+    def group_element(self, matrix) -> GroupElement:
         m = la.mat(matrix)
         self._require_rep()
-        if la.det(m) == 0:
-            raise SolveFailure("group element must be invertible")
-        g = GroupElement(m)
-        if check:
+        try:
             minv = la.inverse(m)
-            imgs = [
-                self.from_matrix(la.mat_mul(la.mat_mul(m, self.matrix_rep[i]), minv))
-                for i in range(self.dim)
-            ]
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    lhs = self.bracket(imgs[i], imgs[j])
-                    rhs = self.zero()
-                    for k, c in self.table[i][j]:
-                        rhs = la.add(rhs, la.scale(c, imgs[k]))
-                    if lhs != rhs:
-                        raise SolveFailure("conjugation does not preserve the bracket")
-        return g
+        except ZeroDivisionError:
+            raise SolveFailure("group element must be invertible") from None
+        imgs = [
+            self.from_matrix(la.mat_mul(la.mat_mul(m, self.matrix_rep[i]), minv))
+            for i in range(self.dim)
+        ]
+        for i in range(self.dim):
+            for j in range(self.dim):
+                lhs = self.bracket(imgs[i], imgs[j])
+                rhs = self.zero()
+                for k, c in self.table[i][j]:
+                    rhs = la.add(rhs, la.scale(c, imgs[k]))
+                if lhs != rhs:
+                    raise SolveFailure("conjugation does not preserve the bracket")
+        return GroupElement(m)
 
     def identity_element(self) -> GroupElement:
         size = len(self._require_rep()[0])
@@ -590,7 +578,8 @@ class LieAlgebra:
                 break
         else:
             raise SolveFailure("representation matrix is not nilpotent")
-        return self.group_element(total, check=False)
+        # exp of a nilpotent matrix is unipotent, so invertible
+        return GroupElement(total)
 
     def adjoint_group_action(self, g: GroupElement, x: Vector) -> Vector:
         """Ad_g x by conjugation in the stored representation."""

@@ -21,15 +21,13 @@ drops an exact zero, so every result equals the one the dense loops give,
 and vectors and matrices stay tuples of ``Fraction`` at every public
 boundary.
 
-``rref`` and ``det`` eliminate on integer rows: each input row is
-multiplied once by the lcm of its denominators.  Both clear a row against
-the pivot row by the cross-multiplication (p/g) row - (f/g) prow, with p
-the pivot, f the row's entry in the pivot column and g = gcd(p, f), on
-the pivot row's nonzero columns only; a row that this rescales is divided
-by the gcd of its entries, so the integers stay small.  Rows with a zero
-in the pivot column are not touched.  ``det`` multiplies the pivots and
-divides out every row scaling it made, the lcms included, in one
-``Fraction``.  ``rref`` builds a ``Fraction`` only at the boundary, one
+``rref`` eliminates on integer rows: each input row is multiplied once by
+the lcm of its denominators.  It clears a row against the pivot row by the
+cross-multiplication (p/g) row - (f/g) prow, with p the pivot, f the row's
+entry in the pivot column and g = gcd(p, f), on the pivot row's nonzero
+columns only; a row that this rescales is divided by the gcd of its
+entries, so the integers stay small.  Rows with a zero in the pivot column
+are not touched.  ``rref`` builds a ``Fraction`` only at the boundary, one
 per nonzero output entry.  The reason is the cost of each operation, not
 denominator growth: a ``Fraction`` multiply or subtract runs two gcds and
 builds a new object, where an ``int`` operation is one C call.
@@ -143,9 +141,9 @@ def transpose(a: Sequence[Vector]) -> Matrix:
     return tuple(zip(*a, strict=True))
 
 
-def _integer_rows(rows: Sequence[Vector]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those multipliers."""
-    m, multipliers = [], []
+def _integer_rows(rows: Sequence[Vector]) -> list[list[int]]:
+    """Each row times the lcm of its denominators."""
+    m = []
     for r in rows:
         # most zero cells are the shared ZERO; `is not` skips Fraction.__bool__ on them
         nonzero = [(j, x) for j, x in enumerate(r) if x is not ZERO and x]
@@ -154,17 +152,15 @@ def _integer_rows(rows: Sequence[Vector]) -> tuple[list[list[int]], list[int]]:
         for j, x in nonzero:
             row[j] = x.numerator * (d // x.denominator)
         m.append(row)
-        multipliers.append(d)
-    return m, multipliers
+    return m
 
 
-def _clear(row: list[int], prow: list[int], c: int, support: list[int]) -> tuple[list[int], int, int]:
+def _clear(row: list[int], prow: list[int], c: int, support: list[int]) -> list[int]:
     """Clear row[c] against the pivot row prow, whose nonzero columns are `support`.
 
     The new row is (p/g) row - (f/g) prow, with p = prow[c], f = row[c] and
     g = gcd(p, f) signed so that p/g > 0; a rescaled row is divided by its
-    content, so the integers stay small.  Returns (new row, p/g, content):
-    the new row is (p/g) / content times row - (f/p) prow.
+    content, so the integers stay small.
     """
     p, f = prow[c], row[c]
     g = math.gcd(p, f) if p > 0 else -math.gcd(p, f)
@@ -174,14 +170,14 @@ def _clear(row: list[int], prow: list[int], c: int, support: list[int]) -> tuple
     for j in support:
         row[j] -= f * prow[j]
     if mult == 1:
-        return row, 1, 1
+        return row
     content = math.gcd(*row) or 1
-    return ([x // content for x in row] if content > 1 else row), mult, content
+    return [x // content for x in row] if content > 1 else row
 
 
 def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m, _ = _integer_rows(rows)
+    m = _integer_rows(rows)
     if not m:
         return [], []
     ncols = len(m[0])
@@ -197,7 +193,7 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
         support = [j for j in range(c, ncols) if prow[j]]
         for i, row in enumerate(m):
             if i != r and row[c]:
-                m[i] = _clear(row, prow, c, support)[0]
+                m[i] = _clear(row, prow, c, support)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -257,29 +253,6 @@ def inverse(a: Sequence[Vector]) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return tuple(tuple(m[i][n:]) for i in range(n))
-
-
-def det(a: Sequence[Vector]) -> Fraction:
-    """Product of the pivots of the integer echelon form over every factor a row was scaled by."""
-    n = len(a)
-    m, multipliers = _integer_rows(a)
-    num, den = 1, math.prod(multipliers)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            num = -num
-        prow = m[c]
-        num *= prow[c]
-        support = [j for j in range(c, n) if prow[j]]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                m[i], mult, content = _clear(m[i], prow, c, support)
-                num *= content
-                den *= mult
-    return Q(num, den)
 
 
 def span_contains(gens: Sequence[Vector], others: Sequence[Vector]) -> bool:

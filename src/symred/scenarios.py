@@ -161,7 +161,8 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
                    {"ranks": ranks, "expected": (n - 1) * ell})
 
     _pre_poisson_sampled(report, pm, dia)
-    report.add("stable", "L_S ⊆ ker sigma", all(poisson.stable_check(pm, dia)))
+    for pt in dia.sample_points:
+        report.add("stable", "L_S ⊆ ker sigma", poisson.algebroid_fiber(pm, dia, pt).contained_in_centralizer)
 
     expected_dim = values.get("expected_reduced_dim", n * alg.dim + ell - (n - 1) * ell)
     for pt in dia.sample_points:
@@ -179,7 +180,7 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
         base = [tuple(la.unit(alg.dim, i)) + la.zeros(alg.dim) for i in range(alg.dim)]
         base += [la.zeros(alg.dim) + tuple(t) for t in dia.slice.tangent_basis(pt_s)]
         gram_n = gpd.omega_gram(alg, pt_s, base)
-        if la.det(gram_n) == 0:
+        if la.rank(gram_n) < len(gram_n):
             raise DimensionMismatch("omega must be nondegenerate")
         w, images = _fibred_product_tangent(gram_n, alg.dim, n)
         report.add("fibred_product_coisotropic", "N x_c ... x_c N is coisotropic in N^n",
@@ -453,7 +454,7 @@ def polyhedral_face_torus(report: ScenarioReport, values: dict, rng: random.Rand
             for d in dirs:
                 v = la.add(v, la.scale(la.random_fraction(rng), d))
             pts.append(v)
-        face = poisson.PolyhedralFace(base, dirs, pts)
+        face = poisson.AffineSubspace(base, dirs, pts)
         for pt in face.sample_points:
             fiber = poisson.algebroid_fiber(pmodel, face, pt)
             ann = la.annihilator(face.tangent_basis(pt), dim_t)

@@ -37,12 +37,6 @@ def test_solve_and_inverse():
         la.inverse(la.mat([[1, 2], [2, 4]]))
 
 
-def test_det():
-    assert la.det(la.mat([[2, 0], [0, 3]])) == 6
-    assert la.det(la.mat([[1, 2], [2, 4]])) == 0
-    assert la.det(la.mat([[0, 1], [1, 0]])) == -1
-
-
 def test_span_operations():
     a = [la.vec([1, 0, 0]), la.vec([0, 1, 0])]
     b = [la.vec([1, 1, 0]), la.vec([1, -1, 0])]

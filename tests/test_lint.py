@@ -7,7 +7,10 @@ an exact library.  Both must stay at zero in ``src/symred``.  An unused
 import is code left behind by a deletion; ``__init__.py`` is exempt because
 its imports are the package's re-exports.  A top-level function or class
 that nothing in ``src/`` or ``tests/`` names outside its own body is left
-behind too; a re-export in ``__init__.py`` is not a use.  So is a field or
+behind too; a re-export in ``__init__.py`` is not a use.  So is a
+top-level function or class in ``tests/`` other than a ``test_*`` function
+that nothing in ``tests/`` names, a fixture counting as named where a test
+or fixture takes it as a parameter.  So is a field or
 public method of a top-level class that nothing in ``src/`` or ``tests/``
 reads as an attribute: a keyword argument at construction writes a field
 and does not read it.  Every exception
@@ -60,8 +63,11 @@ def referenced(tree: ast.AST) -> set[str]:
     return names
 
 
-def dead_names(modules: dict[str, ast.Module], others: list[ast.AST]) -> list[str]:
-    """Top-level functions and classes of `modules` named nowhere but in their own body."""
+def dead_names(modules: dict[str, ast.Module], others: list[ast.AST], uses=referenced) -> list[str]:
+    """Top-level functions and classes of `modules` named nowhere but in their own body.
+
+    `uses` gives the names a tree uses.
+    """
     defined = []
     used = set()
     for module, tree in modules.items():
@@ -70,10 +76,24 @@ def dead_names(modules: dict[str, ast.Module], others: list[ast.AST]) -> list[st
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = node.name
                 defined.append((module, node.lineno, own))
-            used |= referenced(node) - {own}
+            used |= uses(node) - {own}
     for tree in others:
-        used |= referenced(tree)
+        used |= uses(tree)
     return [f"{module} line {line}: {name} is never used" for module, line, name in defined if name not in used]
+
+
+def referenced_or_requested(tree: ast.AST) -> set[str]:
+    """The names `tree` references, and its parameter names: pytest passes a fixture by parameter name."""
+    names = referenced(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            names |= {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    return names
+
+
+def orphaned_test_helpers(modules: dict[str, ast.Module]) -> list[str]:
+    """Top-level functions and classes of the test `modules` that nothing names; pytest collects ``test_*`` itself."""
+    return [found for found in dead_names(modules, [], referenced_or_requested) if ": test_" not in found]
 
 
 def dead_members(modules: dict[str, ast.Module], others: list[ast.AST]) -> list[str]:
@@ -171,6 +191,28 @@ def test_dead_name_gate_catches_unused():
     assert dead_names({"m.py": module}, [test]) == [
         "m.py line 7: recursive is never used",
         "m.py line 10: Orphan is never used",
+    ]
+
+
+def test_no_orphaned_test_helper():
+    modules = {str(p.relative_to(ROOT / "tests")): ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in TESTS}
+    assert orphaned_test_helpers(modules) == []
+
+
+def test_orphaned_helper_gate_catches_unused():
+    conftest = ast.parse(
+        "import pytest\n\n@pytest.fixture\ndef alg():\n    return 1\n\n"
+        "@pytest.fixture\ndef spare():\n    return 2\n\ndef helper():\n    return 3\n"
+    )
+    module = ast.parse(
+        "from conftest import helper\n\ndef square(n):\n    return n * n\n\n"
+        "def cube(n):\n    return n * square(n)\n\nclass Unused:\n    pass\n\n"
+        "def test_alg(alg):\n    assert square(alg) == 1 and helper()\n"
+    )
+    assert orphaned_test_helpers({"conftest.py": conftest, "test_m.py": module}) == [
+        "conftest.py line 8: spare is never used",
+        "test_m.py line 6: cube is never used",
+        "test_m.py line 9: Unused is never used",
     ]
 
 
