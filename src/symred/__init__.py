@@ -77,7 +77,6 @@ from .reduction import (
     decomposition_form_check,
     dimension_formula_check,
     kernel_identity_check,
-    orbit_product_symplecto_check,
     orbit_tangent_in_universal,
 )
 from .shifted import (

@@ -8,7 +8,10 @@ N_{-α,-β} = -N_{α,β}, and the Jacobi identity.
 
 Type A also stores the defining representation of sl(l+1), generated from
 h_i = E_ii - E_{i+1,i+1}, e_{α_i} = E_{i,i+1} and f_{α_i} = E_{i+1,i} by
-the table's own constants; each root vector is then ±E_rs.
+the table's own constants; each root vector is then ±E_rs.  It is type A's
+input and output form only (``to_matrix``, ``from_matrix``,
+``group_element``): a ``GroupElement`` is Ad_g on the Chevalley basis, and
+``unipotent`` builds one as exp(t ad_x) on every type.
 
 Every constructed table is exhaustively certified (antisymmetry, Cartan
 action, coroot brackets, |N| = p+1) and the test suite re-verifies the
@@ -30,9 +33,9 @@ operator handles the ``int``.
 Basis order: Cartan h_1..h_l, then e_β over positive roots by increasing
 (height, coordinates), then the corresponding negative root vectors.
 
-``is_ad_semisimple`` compares rank(ad_x) with rank(ad_x²), both from
-``ad_ranks``.  That decides semisimplicity only in a semisimple g, so on an
-algebra whose Killing form is degenerate it raises ``UnsupportedType``.
+``is_ad_semisimple`` compares rank(ad_x) with rank(ad_x²).  That decides
+semisimplicity only in a semisimple g, so on an algebra whose Killing form
+is degenerate it raises ``UnsupportedType``.
 """
 
 from __future__ import annotations
@@ -253,15 +256,22 @@ class Sl2Triple:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Invertible matrix in the stored representation."""
+    """g in the adjoint group as Ad_g and Ad_{g^-1}: column j of ``ad`` is Ad_g e_j.
 
-    matrix: Matrix
+    With the inverse stored beside it, ``inv`` swaps the two and ``*``
+    multiplies them, so no group operation or action solves a linear
+    system.  ``LieAlgebra.unipotent`` builds one on every type; a type-A
+    matrix enters through ``LieAlgebra.group_element``.
+    """
+
+    ad: Matrix
+    ad_inv: Matrix
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(la.mat_mul(self.matrix, other.matrix))
+        return GroupElement(la.mat_mul(self.ad, other.ad), la.mat_mul(other.ad_inv, self.ad_inv))
 
     def inv(self) -> "GroupElement":
-        return GroupElement(la.inverse(self.matrix))
+        return GroupElement(self.ad_inv, self.ad)
 
 
 def _constant(c):
@@ -481,15 +491,11 @@ class LieAlgebra:
         return True
 
     def verify_matrix_rep(self) -> bool:
-        if self.matrix_rep is None:
-            raise NoMatrixRep("no matrix realization stored")
+        reps = self._require_rep()
         for i in range(self.dim):
             for j in range(self.dim):
-                comm = la.mat_mul(self.matrix_rep[i], self.matrix_rep[j])
-                comm = tuple(
-                    la.sub(r1, r2)
-                    for r1, r2 in zip(comm, la.mat_mul(self.matrix_rep[j], self.matrix_rep[i]))
-                )
+                comm = la.mat_mul(reps[i], reps[j])
+                comm = tuple(la.sub(r1, r2) for r1, r2 in zip(comm, la.mat_mul(reps[j], reps[i])))
                 expect = self.to_matrix(self.bracket(self.basis_vec(i), self.basis_vec(j)))
                 if comm != expect:
                     return False
@@ -539,65 +545,65 @@ class LieAlgebra:
         return sol
 
     def group_element(self, matrix) -> GroupElement:
+        """Type A's input converter: Ad_g and Ad_{g^-1} by conjugating the basis once.
+
+        The matrix is outside input, so the images are certified to keep
+        the bracket.
+        """
         m = la.mat(matrix)
-        self._require_rep()
+        reps = self._require_rep()
         try:
             minv = la.inverse(m)
         except ZeroDivisionError:
             raise SolveFailure("group element must be invertible") from None
-        imgs = [
-            self.from_matrix(la.mat_mul(la.mat_mul(m, self.matrix_rep[i]), minv))
-            for i in range(self.dim)
-        ]
+        imgs = [self.from_matrix(la.mat_mul(la.mat_mul(m, rep), minv)) for rep in reps]
+        ad, basis = la.transpose(imgs), la.identity(self.dim)
         for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = self.bracket(imgs[i], imgs[j])
-                rhs = self.zero()
-                for k, c in self.table[i][j]:
-                    rhs = la.add(rhs, la.scale(c, imgs[k]))
-                if lhs != rhs:
+            for j in range(i + 1, self.dim):
+                if self.bracket(imgs[i], imgs[j]) != la.mat_vec(ad, self.bracket(basis[i], basis[j])):
                     raise SolveFailure("conjugation does not preserve the bracket")
-        return GroupElement(m)
+        back = [self.from_matrix(la.mat_mul(la.mat_mul(minv, rep), m)) for rep in reps]
+        return GroupElement(ad, la.transpose(back))
+
+    # -- the adjoint group ------------------------------------------------------
 
     def identity_element(self) -> GroupElement:
-        size = len(self._require_rep()[0])
-        return GroupElement(la.identity(size))
+        eye = la.identity(self.dim)
+        return GroupElement(eye, eye)
 
     def unipotent(self, x: Vector, t=1) -> GroupElement:
-        """exp(t x) for x with nilpotent representation matrix; exact."""
-        t = la.frac(t)
-        m = self.to_matrix(x)
-        size = len(m)
-        total = la.identity(size)
-        term = la.identity(size)
-        for k in range(1, size + 1):
-            term = la.mat_mul(term, m)
-            term = tuple(tuple(v * t / k for v in row) for row in term)
-            total = tuple(la.add(r1, r2) for r1, r2 in zip(total, term))
-            if all(la.is_zero(row) for row in term):
-                break
-        else:
-            raise SolveFailure("representation matrix is not nilpotent")
-        # exp of a nilpotent matrix is unipotent, so invertible
-        return GroupElement(total)
+        """exp(t x) for ad-nilpotent x: Ad = exp(t ad_x) and its inverse exp(-t ad_x).
+
+        The series is finite, so both sums are exact.  Term k is term k-1
+        times t ad_x, divided by k on its nonzero cells only; the odd terms
+        enter the inverse with a minus sign.  exp(ad_x) is a bracket
+        automorphism for nilpotent ad_x (Chevalley), so it needs no
+        certificate.
+        """
+        step = self.ad_matrix(la.scale(t, x))
+        total, total_inv = ([list(row) for row in la.identity(self.dim)] for _ in range(2))
+        term, k = step, 1
+        while any(map(any, term)):
+            if k > self.dim:
+                raise SolveFailure("ad_x is not nilpotent")
+            for r, row in enumerate(term):
+                for c, v in enumerate(row):
+                    if v:
+                        total[r][c] += v
+                        total_inv[r][c] += -v if k % 2 else v
+            k += 1
+            term = tuple(tuple(v / k if v else la.ZERO for v in row) for row in la.mat_mul(term, step))
+        return GroupElement(tuple(map(tuple, total)), tuple(map(tuple, total_inv)))
 
     def adjoint_group_action(self, g: GroupElement, x: Vector) -> Vector:
-        """Ad_g x by conjugation in the stored representation."""
+        """Ad_g x."""
         self._check_dim(x)
-        m = self.to_matrix(x)
-        conj = la.mat_mul(la.mat_mul(g.matrix, m), la.inverse(g.matrix))
-        return self.from_matrix(conj)
+        return la.mat_vec(g.ad, x)
 
     def coadjoint_group_action(self, g: GroupElement, xi: Vector) -> Vector:
         """Ad*_g xi = xi ∘ Ad_{g^{-1}}."""
         self._check_dim(xi)
-        reps = self._require_rep()
-        ginv = la.inverse(g.matrix)
-        out = []
-        for j in range(self.dim):
-            back = la.mat_mul(la.mat_mul(ginv, reps[j]), g.matrix)
-            out.append(la.dot(xi, self.from_matrix(back)))
-        return tuple(out)
+        return la.mat_vec(la.transpose(g.ad_inv), xi)
 
 
 # -- constructors ----------------------------------------------------------
@@ -758,7 +764,7 @@ def principal_sl2(alg: LieAlgebra) -> Sl2Triple:
 
 
 def direct_power(alg: LieAlgebra, n: int) -> LieAlgebra:
-    """Product algebra g^n with block-diagonal data."""
+    """Product algebra g^n with block-diagonal structure constants."""
     dim = alg.dim
     labels = [f"g{k+1}.{lbl}" for k in range(n) for lbl in alg.basis_labels]
     table = [[[] for _ in range(n * dim)] for _ in range(n * dim)]
@@ -767,18 +773,7 @@ def direct_power(alg: LieAlgebra, n: int) -> LieAlgebra:
         for i in range(dim):
             for j in range(dim):
                 table[off + i][off + j] = [(off + m, c) for m, c in alg.table[i][j]]
-    reps = None
-    if alg.matrix_rep is not None:
-        size = len(alg.matrix_rep[0])
-        reps = []
-        for k in range(n):
-            for m in alg.matrix_rep:
-                big = [[Q(0)] * (n * size) for _ in range(n * size)]
-                for r in range(size):
-                    for s in range(size):
-                        big[k * size + r][k * size + s] = m[r][s]
-                reps.append(tuple(tuple(row) for row in big))
-    return LieAlgebra(labels, table, alg.rank * n, None, reps, name=f"{alg.name}^{n}")
+    return LieAlgebra(labels, table, alg.rank * n, name=f"{alg.name}^{n}")
 
 
 def embed_factor(product_dim: int, factor_dim: int, k: int, x: Vector) -> Vector:
@@ -786,14 +781,6 @@ def embed_factor(product_dim: int, factor_dim: int, k: int, x: Vector) -> Vector
     for i, c in enumerate(x):
         out[k * factor_dim + i] = c
     return tuple(out)
-
-
-def ad_ranks(alg: LieAlgebra, x: Vector) -> tuple[int, int]:
-    """(rank(ad_x), rank(ad_x²)) from one ad matrix, refused as ``is_ad_semisimple`` is."""
-    if alg._killing_inv is None:
-        raise UnsupportedType(f"{alg.name} is not semisimple: the rank test for ad-semisimplicity needs it")
-    ad = alg.ad_matrix(x)
-    return la.rank(ad), la.rank(la.mat_mul(ad, ad))
 
 
 def is_ad_semisimple(alg: LieAlgebra, x: Vector) -> bool:
@@ -807,5 +794,12 @@ def is_ad_semisimple(alg: LieAlgebra, x: Vector) -> bool:
     is wrong (on {x, a, b} with [x, a] = a, [x, b] = a + b it would say
     yes), so an algebra with a degenerate Killing form is refused.
     """
-    rank_ad, rank_ad2 = ad_ranks(alg, x)
-    return rank_ad == rank_ad2
+    if alg._killing_inv is None:
+        raise UnsupportedType(f"{alg.name} is not semisimple: the rank test for ad-semisimplicity needs it")
+    ad = alg.ad_matrix(x)
+    return la.rank(ad) == la.rank(la.mat_mul(ad, ad))
+
+
+def is_subalgebra(alg: LieAlgebra, vectors: Sequence[Vector]) -> bool:
+    """span(vectors) is closed under the bracket: it holds [a, b] for every pair."""
+    return la.span_contains(vectors, [alg.bracket(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1 :]])

@@ -21,7 +21,7 @@ from . import linalg as la
 from . import poisson
 from .errors import DimensionMismatch, LiftNotValid
 from .groupoid import omega_eval, omega_gram
-from .lie import GroupElement, LieAlgebra
+from .lie import LieAlgebra
 from .linalg import Vector
 
 
@@ -54,7 +54,7 @@ class ReducedSpaceModel:
 
 def orbit_tangent_in_universal(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
     """{(-x, 0) : x in h_xi}; the stabilizer acts by right translations."""
-    h, _ = poisson.stabilizer_subalgebra(poisson.kks_model(alg), s_model, xi)
+    h = poisson.stabilizer_subalgebra(poisson.kks_model(alg), s_model, xi)
     return [tuple(la.neg(x)) + la.zeros(alg.dim) for x in h]
 
 
@@ -133,33 +133,6 @@ def decomposition_form_check(alg: LieAlgebra, s_model, kernel: tuple[bool, Reduc
             + alg.killing_form(u2, z1)
             - alg.killing_form(x, alg.bracket(u1, u2))
         )
-        if lhs != rhs:
-            return False
-    return True
-
-
-def orbit_product_symplecto_check(alg: LieAlgebra, g: GroupElement, xi: Vector, pairs) -> bool:
-    """psi*(beta, -beta) = i*Omega on tangent pairs ((x, ad*_y xi) style).
-
-    Pairs are ((x, y), (u, v)) of Lie algebra elements; the pushforward is
-    d psi(x, ad*_y xi) = (ad*_{Ad_g(x+y)} Ad*_g xi, ad*_y xi) and beta is
-    the orbit form beta(ad*_a eta, ad*_b eta) = -eta([a, b]).
-
-    With d psi written in, both sides reduce to
-    -xi([x, u]) - xi([x, v]) - xi([y, u]) for every input, as long as
-    Ad_g preserves the bracket and (Ad*_g xi)(Ad_g a) = xi(a).  A pass
-    therefore certifies exactly that: Ad_g is a Lie algebra automorphism
-    and Ad*_g is its dual, on the given pairs.
-    """
-    xi = tuple(xi)
-    eta = alg.coadjoint_group_action(g, xi)
-    for (x, y), (u, v) in pairs:
-        w1 = alg.adjoint_group_action(g, la.add(x, y))
-        w2 = alg.adjoint_group_action(g, la.add(u, v))
-        lhs = -la.dot(eta, alg.bracket(w1, w2)) + la.dot(xi, alg.bracket(y, v))
-        v1 = tuple(x) + alg.ad_star(y, xi)
-        v2 = tuple(u) + alg.ad_star(v, xi)
-        rhs = omega_eval(alg, xi, v1, v2)
         if lhs != rhs:
             return False
     return True

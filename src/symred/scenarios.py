@@ -25,7 +25,7 @@ from . import linalg as la
 from . import poisson, reduction
 from . import groupoid as gpd
 from .errors import ConfigError, DimensionMismatch, SymredError
-from .lie import LieAlgebra, Sl2Triple, build_chevalley, embed_factor, principal_sl2
+from .lie import LieAlgebra, Sl2Triple, build_chevalley, embed_factor, is_subalgebra, principal_sl2
 from .linalg import Q, Vector
 
 
@@ -272,8 +272,8 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
         report.add("h_is_sl2", "[g_x, g_x] has an exact (e, h, f) basis",
                    _sl2_structure_certificate(alg, list(fiber.basis)))
         report.add("stable", "L_S ⊆ ker sigma", fiber.contained_in_centralizer)
-        _, closed = poisson.stabilizer_subalgebra(pm, dec, pt)
-        report.add("h_bracket_closed", "h_xi = (T_xi S)° ∩ g_xi is a subalgebra", closed)
+        report.add("h_bracket_closed", "h_xi = (T_xi S)° ∩ g_xi is a subalgebra",
+                   is_subalgebra(alg, poisson.stabilizer_subalgebra(pm, dec, pt)))
 
     expected_dim = values.get("expected_reduced_dim", 10)
     kernels = [reduction.kernel_identity_check(alg, dec, pt) for pt in dec.sample_points]

@@ -3,6 +3,8 @@
 Each function is the plain loop the library used before its kernels
 learned to skip zeros: every product is formed, every row is updated on
 every column, and every Gram entry goes through ``omega_eval``.  The
+group oracle is the matrix route the library's adjoint group replaced:
+exponentiate a type-A matrix and conjugate every basis matrix by it.  The
 differential tests require the library to return exactly what these do.
 """
 
@@ -14,7 +16,7 @@ from typing import Sequence
 from symred import groupoid
 from symred import linalg as la
 from symred.lie import LieAlgebra
-from symred.linalg import Q, Vector
+from symred.linalg import Matrix, Q, Vector
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
@@ -224,3 +226,62 @@ def verify_killing_invariance(alg: LieAlgebra) -> bool:
                 if lhs + rhs != 0:
                     return False
     return True
+
+
+def realize(reps: Sequence[Matrix], x: Vector) -> Matrix:
+    """sum_i x_i reps[i], every cell summed."""
+    size = len(reps[0])
+    return tuple(
+        tuple(sum((c * rep[r][s] for c, rep in zip(x, reps, strict=True)), Q(0)) for s in range(size))
+        for r in range(size)
+    )
+
+
+def block_realization(reps: Sequence[Matrix], n: int) -> list[Matrix]:
+    """The realization of g^n: g's matrices in each of n diagonal blocks, factor by factor."""
+    size = len(reps[0])
+    out = []
+    for k in range(n):
+        for rep in reps:
+            big = [[Q(0)] * (n * size) for _ in range(n * size)]
+            for r in range(size):
+                for s in range(size):
+                    big[k * size + r][k * size + s] = rep[r][s]
+            out.append(tuple(tuple(row) for row in big))
+    return out
+
+
+def exp_nilpotent(m: Matrix) -> Matrix:
+    """exp(m) for a nilpotent matrix m, by its finite series."""
+    size = len(m)
+    total = [list(row) for row in la.identity(size)]
+    term = la.identity(size)
+    for k in range(1, size + 1):
+        term = tuple(tuple(dot(row, col) / k for col in zip(*m)) for row in term)
+        for r in range(size):
+            for s in range(size):
+                total[r][s] += term[r][s]
+    if any(v != 0 for row in term for v in row):
+        raise ValueError("matrix is not nilpotent")
+    return tuple(tuple(row) for row in total)
+
+
+def conjugation_adjoint(reps: Sequence[Matrix], g: Matrix) -> tuple[Matrix, Matrix]:
+    """(Ad_g, Ad_{g^-1}) of an invertible matrix g: column j holds the
+    coordinates of g reps[j] g^-1 (of g^-1 reps[j] g), solved for in the
+    span of the flattened ``reps``."""
+    ginv = la.inverse(g)
+    flat = la.transpose([tuple(v for row in rep for v in row) for rep in reps])
+
+    def coords(m):
+        sol = la.solve(flat, tuple(v for row in m for v in row))
+        if sol is None:
+            raise ValueError("conjugate lies outside the realized algebra")
+        return sol
+
+    def product(a, b):
+        return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
+
+    ad = [coords(product(product(g, rep), ginv)) for rep in reps]
+    ad_inv = [coords(product(product(ginv, rep), g)) for rep in reps]
+    return la.transpose(ad), la.transpose(ad_inv)

@@ -138,27 +138,6 @@ def test_criterion_04_isotropy():
     verdict(4, "pairwise Omega-vanishing on stabilizer fibers", ok)
 
 
-# -- 5: orbit-product symplectomorphism ----------------------------------------
-
-
-def test_criterion_05_orbit_product():
-    sl2 = lie.build_chevalley("A", 1)
-    hb = sl2.flat(sl2.basis_vec(0))
-    rng = random.Random(505)
-    pairs = [
-        (
-            (la.random_vector(rng, 3), la.random_vector(rng, 3)),
-            (la.random_vector(rng, 3), la.random_vector(rng, 3)),
-        )
-        for _ in range(22)
-    ]
-    gid = sl2.identity_element()
-    gu = sl2.group_element([[1, 1], [0, 1]])
-    ok = reduction.orbit_product_symplecto_check(sl2, gid, hb, pairs)
-    ok &= reduction.orbit_product_symplecto_check(sl2, gu, hb, pairs)
-    verdict(5, "orbit-product pullback equals the restricted form (>=20 pairs, 2 bases)", ok)
-
-
 # -- 6: decomposition-class reduced form ----------------------------------------
 
 

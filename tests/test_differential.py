@@ -417,6 +417,49 @@ def test_type_a_table_matches_matrix_commutators(rank):
     assert alg.table == ref.sl_table(alg)
 
 
+def realized(name):
+    """(algebra, its type-A matrices): A_n with the stored realization, or sl2^2 block by block."""
+    if name == "A1^2":
+        sl2 = lie.build_chevalley("A", 1)
+        return lie.direct_power(sl2, 2), ref.block_realization(sl2.matrix_rep, 2)
+    alg = lie.build_chevalley(*name)
+    return alg, alg.matrix_rep
+
+
+@pytest.mark.parametrize("name", [("A", r) for r in (1, 2, 3, 4)] + ["A1^2"], ids=str)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_unipotent_matches_matrix_conjugation(name, data):
+    """exp(t ad_x), its inverse and both actions against conjugation by exp(t X)."""
+    alg, reps = realized(name)
+    # x in the span of the positive (or of the negative) root vectors of
+    # every factor: strictly triangular, so nilpotent
+    rank, npos = (1, 1) if name == "A1^2" else (alg.rank, len(alg.root_data.positive))
+    factor_dim = rank + 2 * npos
+    first = rank + (npos if data.draw(st.booleans()) else 0)
+    x = list(la.zeros(alg.dim))
+    for off in range(0, alg.dim, factor_dim):
+        for i in data.draw(st.lists(st.integers(first, first + npos - 1), min_size=1, max_size=3)):
+            x[off + i] = data.draw(nonzero)
+    t = data.draw(nonzero)
+    g = alg.unipotent(tuple(x), t)
+    ad, ad_inv = ref.conjugation_adjoint(reps, ref.exp_nilpotent(ref.realize(reps, la.scale(t, x))))
+    assert (g.ad, g.ad_inv) == (ad, ad_inv)
+    y, xi = data.draw(sparse_rows(2, alg.dim))[:2]
+    assert alg.adjoint_group_action(g, y) == ref.mat_vec(ad, y)
+    assert alg.coadjoint_group_action(g, xi) == ref.mat_vec(la.transpose(ad_inv), xi)
+
+
+def test_torus_group_element_matches_matrix_conjugation(sl3):
+    torus = la.mat([[2, 0, 0], [0, 3, 0], [0, 0, Q(1, 6)]])
+    unip = ref.exp_nilpotent(ref.realize(sl3.matrix_rep, sl3.root_vector((-1, -1))))
+    gt, gu = sl3.group_element(torus), sl3.unipotent(sl3.root_vector((-1, -1)))
+    assert (gt.ad, gt.ad_inv) == ref.conjugation_adjoint(sl3.matrix_rep, torus)
+    # Ad is a homomorphism: the product of the two is conjugation by the matrix product
+    prod = gt * gu.inv()
+    assert (prod.ad, prod.ad_inv) == ref.conjugation_adjoint(sl3.matrix_rep, la.mat_mul(torus, la.inverse(unip)))
+
+
 @pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
 def test_killing_invariance_matches_triple_loop(typ, rank):
     """The library's verdict on these types is True by test_lie.test_killing_invariance."""

@@ -59,13 +59,13 @@ def dual_inverse(m):
     return [[Dual(ainv[i][j], -corr[i][j]) for j in range(n)] for i in range(n)]
 
 
-def source_differential_oracle(alg, g, xi, u, zeta):
-    """eps-part of Ad*_{g(I + eps U)} (xi + eps zeta), component by component."""
-    size = len(alg.matrix_rep[0])
+def source_differential_oracle(alg, m, xi, u, zeta):
+    """eps-part of Ad*_{m(I + eps U)} (xi + eps zeta) for a type-A matrix m, component by component."""
+    size = len(m)
     u_rep = alg.to_matrix(u)
     g_dual = [
         [
-            Dual(g.matrix[i][j], sum(g.matrix[i][k] * u_rep[k][j] for k in range(size)))
+            Dual(m[i][j], sum(m[i][k] * u_rep[k][j] for k in range(size)))
             for j in range(size)
         ]
         for i in range(size)
@@ -142,13 +142,76 @@ def test_source_target_trivial_cases(sl2, rng):
 def test_source_differential_against_dual_number_oracle(sl2, sl2_efh, rng):
     e, h, f = sl2_efh
     fb = sl2.flat(f)
-    g = sl2.group_element([[1, 1], [0, 1]])
+    m = la.mat([[1, 1], [0, 1]])
+    g = sl2.group_element(m)
     cases = [(h, la.zeros(3)), (e, fb), (la.random_vector(rng, 3), la.random_vector(rng, 3))]
     for u, zeta in cases:
         p = CotangentPoint(fb, g)
         ds, dt = gpd.source_target_differentials(sl2, p, tuple(u) + tuple(zeta))
         assert dt == tuple(zeta)
-        assert ds == source_differential_oracle(sl2, g, fb, u, zeta)
+        assert ds == source_differential_oracle(sl2, m, fb, u, zeta)
+
+
+def derivative_at_zero(ts, values):
+    """p'(0) for the vector polynomial p of degree < len(ts) with p(ts[i]) = values[i]."""
+    out = la.zeros(len(values[0]))
+    for i, ti in enumerate(ts):
+        others = [tj for j, tj in enumerate(ts) if j != i]
+        denom = 1
+        for tj in others:
+            denom *= ti - tj
+        # d/dt of prod_j (t - t_j) at 0 is sum_k prod_{j != k} (-t_j)
+        num = 0
+        for k in range(len(others)):
+            term = 1
+            for j, tj in enumerate(others):
+                if j != k:
+                    term *= -tj
+            num += term
+        out = la.add(out, la.scale(Q(num, denom), values[i]))
+    return out
+
+
+def test_source_differential_on_g2(rng):
+    """ds at (g, xi) along (u, zeta) is d/dt at 0 of Ad*_{g exp(tu)} (xi + t zeta).
+
+    For ad-nilpotent u that is a polynomial in t of degree at most dim g, so
+    interpolation at dim g + 1 points gives its derivative exactly, from
+    group elements alone.
+    """
+    g2 = lie.build_chevalley("G2", 2)
+    es, _, fs = g2.simple_vectors()
+    g = g2.unipotent(es[0], 1) * g2.unipotent(fs[1], Q(1, 2))
+    xi, zeta = la.random_vector(rng, g2.dim), la.random_vector(rng, g2.dim)
+    ts = list(range(g2.dim + 1))
+    for u in (es[1], fs[0], la.add(es[0], es[1])):
+        values = [g2.coadjoint_group_action(g * g2.unipotent(u, t), la.add(xi, la.scale(t, zeta))) for t in ts]
+        ds, dt = gpd.source_target_differentials(g2, CotangentPoint(xi, g), tuple(u) + tuple(zeta))
+        assert dt == zeta
+        assert ds == derivative_at_zero(ts, values)
+
+
+@pytest.mark.parametrize("typ", ["B", "G2"])
+def test_groupoid_checks_beyond_type_a(typ):
+    alg = lie.build_chevalley(typ, 2)
+    es, hs, fs = alg.simple_vectors()
+    # a regular semisimple point and a translate of it
+    xi = alg.flat(la.add(hs[0], la.scale(5, hs[1])))
+    g = alg.unipotent(es[0], 1) * alg.unipotent(fs[1], Q(1, 2))
+    orbit = poisson.CoadjointOrbit(alg, xi, [g])
+    xi2 = alg.coadjoint_group_action(g, xi)
+    assert orbit.sample_points == (xi, xi2) and xi2 != xi
+    assert len(orbit.tangent_basis(xi2)) == alg.dim - alg.rank
+    assert gpd.normality_infinitesimal_check(alg, orbit, g, xi)
+    assert gpd.normality_infinitesimal_check(alg, orbit, g.inv(), xi2)
+    # exp(ad e_a) fixes e_a, and Ad*_g flat(x) = flat(Ad_g x) by the invariant Killing form
+    stab = alg.unipotent(es[0], -2)
+    eta = alg.flat(es[0])
+    for p in (CotangentPoint(xi2), CotangentPoint(eta, stab)):
+        fib = gpd.coadjoint_orbit_fiber(alg, p)
+        assert fib.rank == alg.dim and fib.isotropic
+    with pytest.raises(BaseNotInSubgroupoid):
+        gpd.coadjoint_orbit_fiber(alg, CotangentPoint(xi, g))
 
 
 # -- stabilizer fibers ---------------------------------------------------------
@@ -296,18 +359,6 @@ def test_fiber_bases_linearly_independent(sl2, sl3, sl2_efh):
     ]
     for fib in fibers:
         assert la.rank(fib.basis) == fib.rank
-
-
-def test_source_differential_needs_matrix_rep():
-    g2 = lie.build_chevalley("G2", 2)
-    from symred.errors import NoMatrixRep
-    from symred.lie import GroupElement
-
-    fake = GroupElement(la.identity(7))
-    with pytest.raises(NoMatrixRep):
-        gpd.source_target_differentials(
-            g2, CotangentPoint(la.zeros(14), fake), la.unit(14, 0) + la.zeros(14)
-        )
 
 
 def test_omega_eval_dimension_mismatch(sl2):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -200,10 +201,70 @@ def test_coadjoint_group_action(sl2, rng):
     )
 
 
-def test_no_matrix_rep():
+def test_no_matrix_rep(rng):
+    """On G2 only type A's converters need a matrix realization; the group works without one."""
     g2 = lie.build_chevalley("G2", 2)
-    with pytest.raises(NoMatrixRep):
-        g2.identity_element()
+    x = la.random_vector(rng, g2.dim)
+    for convert in (
+        lambda: g2.to_matrix(x),
+        lambda: g2.from_matrix(la.identity(7)),
+        lambda: g2.group_element(la.identity(7)),
+        g2.verify_matrix_rep,
+    ):
+        with pytest.raises(NoMatrixRep):
+            convert()
+    g = g2.identity_element() * g2.unipotent(g2.root_vector((1, 1)), 2).inv()
+    assert g2.adjoint_group_action(g2.identity_element(), x) == x
+    assert g2.coadjoint_group_action(g * g.inv(), x) == x
+    assert g2.adjoint_group_action(g, g2.root_vector((1, 1))) == g2.root_vector((1, 1))
+    # h is not ad-nilpotent, so its exponential is no finite sum
+    with pytest.raises(SolveFailure):
+        g2.unipotent(g2.basis_vec(0))
+
+
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
+def test_adjoint_group_on_every_type(typ, rank, rng):
+    alg = lie.build_chevalley(typ, rank)
+    es, _, fs = alg.simple_vectors()
+    g = alg.unipotent(es[0], Q(1, 2)) * alg.unipotent(fs[-1], -3)
+    e = alg.identity_element()
+    assert g * g.inv() == e == g.inv() * g
+    assert all(type(v) is Q for m in (g.ad, g.ad_inv) for row in m for v in row)
+    # Ad_g is a bracket automorphism: [Ad_g e_i, Ad_g e_j] = Ad_g [e_i, e_j]
+    cols = la.transpose(g.ad)
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            image = alg.adjoint_group_action(g, alg.bracket(alg.basis_vec(i), alg.basis_vec(j)))
+            assert alg.bracket(cols[i], cols[j]) == image
+    # Ad*_g is its dual: (Ad*_g xi)(Ad_g x) = xi(x)
+    for _ in range(3):
+        x, xi = la.random_vector(rng, alg.dim), la.random_vector(rng, alg.dim)
+        assert la.dot(alg.coadjoint_group_action(g, xi), alg.adjoint_group_action(g, x)) == la.dot(xi, x)
+
+
+def test_group_actions_convert_nothing(sl3, rng, monkeypatch):
+    """Ad_g, Ad*_g, inv and * read the stored matrices: no conversion to or from
+    type A's realization and no inverse, on an element that came from a matrix."""
+    g = sl3.group_element([[2, 1, 0], [0, 1, 0], [1, 0, Q(1, 2)]])
+    u = sl3.unipotent(sl3.root_vector((1, 1)), 3)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for owner, name in ((lie.LieAlgebra, "from_matrix"), (lie.LieAlgebra, "to_matrix"), (la, "inverse")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    x, xi = la.random_vector(rng, 8), la.random_vector(rng, 8)
+    sl3.adjoint_group_action(g, x)
+    sl3.coadjoint_group_action(g * u.inv(), xi)
+    assert calls == Counter()
+    # the counters are live
+    sl3.group_element([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    sl3.to_matrix(x)
+    assert calls["from_matrix"] == 2 * sl3.dim and calls["inverse"] >= 1 and calls["to_matrix"] == 1
 
 
 def test_group_element_rejects_singular(sl2):
@@ -341,8 +402,6 @@ def test_direct_power(sl2):
     x = lie.embed_factor(6, 3, 0, sl2.basis_vec(0))
     y = lie.embed_factor(6, 3, 1, sl2.basis_vec(0))
     assert la.is_zero(prod.bracket(x, y))
-    assert prod.matrix_rep is not None
-    assert prod.verify_matrix_rep()
 
 
 def test_flat_sharp_roundtrip(sl3, rng):

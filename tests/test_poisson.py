@@ -198,13 +198,13 @@ def test_stabilizer_subalgebra(sl2, sl3, kks2, kks3, sl2_efh):
     e, h, f = sl2_efh
     hb = sl2.flat(h)
     orb = poisson.CoadjointOrbit(sl2, hb)
-    h_sub, closed = poisson.stabilizer_subalgebra(kks2, orb, hb)
-    assert closed and la.span_equal(h_sub, la.nullspace(la.transpose(sl2.coadjoint_matrix(hb))))
+    h_sub = poisson.stabilizer_subalgebra(kks2, orb, hb)
+    assert lie.is_subalgebra(sl2, h_sub) and la.span_equal(h_sub, la.nullspace(la.transpose(sl2.coadjoint_matrix(hb))))
     # chamber face {alpha_1 vanishing}: a 3-dimensional subalgebra
     pt = tuple([Q(0), Q(1)] + [Q(0)] * 6)
     face = poisson.WeylChamberFace(sl3, (0,), [pt])
-    h_face, closed = poisson.stabilizer_subalgebra(kks3, face, pt)
-    assert closed and len(h_face) == 3
+    h_face = poisson.stabilizer_subalgebra(kks3, face, pt)
+    assert lie.is_subalgebra(sl3, h_face) and len(h_face) == 3
     # oracle: intersect the tangent annihilator with the centralizer
     ann = la.annihilator(face.tangent_basis(pt), sl3.dim)
     cent = la.nullspace(la.transpose(sl3.coadjoint_matrix(pt)))
@@ -217,10 +217,10 @@ def test_stabilizer_subalgebra(sl2, sl3, kks2, kks3, sl2_efh):
     # subregular class point: h = brackets of the centralizer, dim 3
     dec = poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)])
     pt = dec.sample_points[0]
-    h_dec, closed = poisson.stabilizer_subalgebra(kks3, dec, pt)
+    h_dec = poisson.stabilizer_subalgebra(kks3, dec, pt)
     gx = sl3.centralizer(sl3.sharp(pt))
     derived = la.span_basis([sl3.bracket(a, b) for a in gx for b in gx])
-    assert closed and len(h_dec) == 3 and la.span_equal(h_dec, derived)
+    assert lie.is_subalgebra(sl3, h_dec) and len(h_dec) == 3 and la.span_equal(h_dec, derived)
 
 
 def stabilizer_cases():
@@ -251,10 +251,28 @@ def test_stabilizer_subalgebra_matches_intersection_route(alg, model):
     """h_xi read from the stable fiber against (T S)° ∩ g_xi by two nullspaces and intersect_spans; equal bases."""
     pm = poisson.kks_model(alg)
     for pt in model.sample_points:
-        h, closed = poisson.stabilizer_subalgebra(pm, model, pt)
+        h = poisson.stabilizer_subalgebra(pm, model, pt)
         old = la.intersect_spans(la.annihilator(model.tangent_basis(pt), alg.dim), la.nullspace(la.transpose(alg.coadjoint_matrix(pt))))
-        assert h == old and closed
+        assert h == old and lie.is_subalgebra(alg, h)
         assert h == la.span_basis(poisson.algebroid_fiber(pm, model, pt).basis)
+
+
+def test_decomposition_class_forms_ad_once_per_point(sl3, monkeypatch):
+    """_contains and _tangent share one ad_x and its nullspace g_x."""
+    formed = Counter()
+    original = lie.LieAlgebra.ad_matrix
+
+    def counted(self, x):
+        formed[tuple(x)] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(lie.LieAlgebra, "ad_matrix", counted)
+    samples = [subregular_point(sl3), subregular_point(sl3, -3, (0, 2, 1))]
+    dec = poisson.DecompositionClass(sl3, 4, samples)
+    assert formed == Counter(samples)
+    # g_x from the kept nullspace: T_x D = z(g_x) + [g, x] has dimension 5
+    assert all(len(dec.tangent_basis(pt)) == 5 for pt in dec.sample_points)
+    assert formed == Counter(samples)
 
 
 def test_stabilizer_subalgebra_not_closed(sl3, kks3):
@@ -262,8 +280,8 @@ def test_stabilizer_subalgebra_not_closed(sl3, kks3):
     # is not a subalgebra: [e_a1, e_a2] is a multiple of e_{a1+a2}
     simple = [sl3.root_vector((1, 0)), sl3.root_vector((0, 1))]
     model = poisson.Explicit(sl3.dim, lambda xi: la.annihilator(simple, sl3.dim), [la.zeros(8)])
-    h, closed = poisson.stabilizer_subalgebra(kks3, model, la.zeros(8))
-    assert la.span_equal(h, simple) and not closed
+    h = poisson.stabilizer_subalgebra(kks3, model, la.zeros(8))
+    assert la.span_equal(h, simple) and not lie.is_subalgebra(sl3, h)
 
 
 def test_stabilizer_subalgebra_requires_stable(sl2, kks2):

@@ -124,26 +124,6 @@ def test_decomposition_form(sl3, rng):
             reduction.decomposition_form_check(sl3, dec, kernel, [((u, fiber.basis[0]), (u, la.zeros(8)))])
 
 
-def test_orbit_product_symplecto(sl2, sl2_efh, rng):
-    e, h, f = sl2_efh
-    hb = sl2.flat(h)
-    pairs = []
-    for _ in range(25):
-        pairs.append(
-            (
-                (la.random_vector(rng, 3), la.random_vector(rng, 3)),
-                (la.random_vector(rng, 3), la.random_vector(rng, 3)),
-            )
-        )
-    gid = sl2.identity_element()
-    gu = sl2.group_element([[1, 1], [0, 1]])
-    assert reduction.orbit_product_symplecto_check(sl2, gid, hb, pairs)
-    assert reduction.orbit_product_symplecto_check(sl2, gu, hb, pairs)
-    # pairs with y in g_xi kill the bracket term on both routes
-    special = [((la.random_vector(rng, 3), h), (la.random_vector(rng, 3), h)) for _ in range(5)]
-    assert reduction.orbit_product_symplecto_check(sl2, gu, hb, special)
-
-
 def test_push_rejects_wrong_length(sl2):
     hb = sl2.flat(sl2.basis_vec(0))
     _, model = reduction.kernel_identity_check(sl2, poisson.Singleton(hb), hb)
