@@ -32,7 +32,7 @@ from .errors import (
     NotASubalgebra,
 )
 from .lie import GroupElement, LieAlgebra, is_subalgebra
-from .linalg import Vector
+from .linalg import Q, Vector
 
 INVARIANT_KINDS = {"coadjoint-orbit", "decomposition-class", "casimir-level-set"}
 
@@ -69,46 +69,45 @@ def omega_eval(alg: LieAlgebra, xi: Vector, v1: Vector, v2: Vector) -> Fraction:
         raise DimensionMismatch(f"expected length {n}, got {len(xi)}")
     _check_flat(n, (v1, v2))
     u1, z1, u2, z2 = v1[:n], v1[n:], v2[:n], v2[n:]
-    return -la.dot(z2, u1) + la.dot(z1, u2) - la.dot(xi, alg.bracket(u1, u2))
-
-
-def _support(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    return [(i, x) for i, x in enumerate(v) if x]
+    return la.dot(z1, u2) - la.dot(z2, u1) - la.dot(xi, alg.bracket(u1, u2))
 
 
 def omega_gram(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> list[Vector]:
-    """Gram matrix of Omega on flat tangent vectors.
+    """Gram matrix of Omega on flat tangent vectors, summed on ints.
 
-    C[i][j] = xi([e_i, e_j]) is assembled once, and each entry
-    -z_b(u_a) + z_a(u_b) - u_a^T C u_b is summed over nonzeros only.  The
-    table is certified antisymmetric, so Omega is too: the diagonal is
-    zero and only the upper triangle is evaluated.
+    C = xi([e_i, e_j]) and each v_a = (u_a, z_a) are scaled once to ints,
+    so d_a d_C Omega(v_a, .) is the int row (d_C z_a - u_a^T C, -d_C u_a)
+    and an entry is one int sum: one Fraction, one more for its mirror.
+    The table is antisymmetric, so only the upper triangle is evaluated.
     """
     n = alg.dim
     _check_flat(n, vectors)
-    c = alg.coadjoint_matrix(xi)
-    us = [_support(v[:n]) for v in vectors]
-    zs = [_support(v[n:]) for v in vectors]
+    flat, dc = la._integer([x for row in alg.coadjoint_matrix(xi) for x in row])
+    c = [[] for _ in range(n)]
+    for ij, y in flat:
+        c[ij // n].append((ij % n, y))
+    scaled = [la._integer(v) for v in vectors]
+    rows = []
+    for support, _ in scaled:
+        row = [0] * (2 * n)
+        for i, x in support:
+            if i < n:
+                row[n + i] = -dc * x
+                for j, y in c[i]:
+                    row[j] -= x * y
+            else:
+                row[i - n] += dc * x
+        rows.append(row)
     m = len(vectors)
     gram = [[la.ZERO] * m for _ in range(m)]
     for a in range(m):
-        va = vectors[a]
+        row, da = rows[a], scaled[a][1] * dc
         for b in range(a + 1, m):
-            vb = vectors[b]
-            acc = la.ZERO
-            for i, x in zs[b]:
-                if va[i]:
-                    acc -= x * va[i]
-            for i, x in zs[a]:
-                if vb[i]:
-                    acc += x * vb[i]
-            for i, x in us[a]:
-                row = c[i]
-                for j, y in us[b]:
-                    if row[j]:
-                        acc -= x * y * row[j]
-            gram[a][b] = acc
-            gram[b][a] = -acc
+            acc = sum(row[j] * x for j, x in scaled[b][0])
+            if acc:
+                d = da * scaled[b][1]
+                gram[a][b] = Q(acc, d)
+                gram[b][a] = Q(-acc, d)
     return [tuple(row) for row in gram]
 
 

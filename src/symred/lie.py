@@ -21,14 +21,13 @@ Jacobi identity for all basis triples of every supported type.
 integral and as a ``Fraction`` otherwise.  On a Chevalley basis every
 constant is an integer (±(p+1), Cartan integers, coroot coefficients), so
 the antisymmetry, Jacobi and Chevalley certificates and the Killing sums
-run on ints, and a hand-built table with rational constants still works.
+run on ints, as do ``bracket`` and ``coadjoint_matrix``: a hand-built
+table with rational constants is scaled once by its common denominator.
 The reason is the cost of each operation: a ``Fraction`` multiply or add
 runs two gcds and builds a new object, where an ``int`` operation is one C
 call.  Every public boundary stays ``Fraction``: ``killing``, ``bracket``,
 ``coadjoint_matrix``, ``ad_star``, ``killing_form``, the structure
-constants and the matrix realization.  Where a constant meets a vector
-entry the entry comes first (``x * c``), so ``Fraction``'s forward
-operator handles the ``int``.
+constants and the matrix realization.
 
 Basis order: Cartan h_1..h_l, then e_β over positive roots by increasing
 (height, coordinates), then the corresponding negative root vectors.
@@ -40,6 +39,7 @@ is degenerate it raises ``UnsupportedType``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -299,6 +299,11 @@ class LieAlgebra:
         self.table = tuple(
             tuple(tuple((k, _constant(c)) for k, c in entry) for entry in row) for row in table
         )
+        self._den = math.lcm(*{c.denominator for row in self.table for entry in row for _, c in entry})
+        self._int_table = self.table if self._den == 1 else tuple(
+            tuple(tuple((k, c.numerator * (self._den // c.denominator)) for k, c in entry) for entry in row)
+            for row in self.table
+        )
         self.rank = rank
         self.root_data = root_data
         self.matrix_rep = tuple(matrix_rep) if matrix_rep is not None else None
@@ -362,19 +367,20 @@ class LieAlgebra:
                 raise DimensionMismatch(f"expected length {self.dim}, got {len(v)}")
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        """[x, y] summed over the supports of x and y only."""
+        """[x, y] summed on ints over the supports of x and y, each scaled
+        once, as is the table: one ``Fraction`` per nonzero coordinate."""
         self._check_dim(x, y)
-        out = [la.ZERO] * self.dim
-        y_support = [(j, yj) for j, yj in enumerate(y) if yj is not la.ZERO and yj]
-        for i, xi in enumerate(x):
-            if xi is la.ZERO or not xi:
-                continue
-            row = self.table[i]
-            for j, yj in y_support:
-                f = xi * yj
+        x_support, dx = la._integer(x)
+        y_support, dy = la._integer(y)
+        out = [0] * self.dim
+        for i, a in x_support:
+            row = self._int_table[i]
+            for j, b in y_support:
+                f = a * b
                 for k, c in row[j]:
                     out[k] += f * c
-        return tuple(out)
+        d = dx * dy * self._den
+        return tuple(Q(n, d) if n else la.ZERO for n in out)
 
     def ad_matrix(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y] on basis coordinates."""
@@ -404,8 +410,9 @@ class LieAlgebra:
         return la.nullspace(self.ad_matrix(x))
 
     def coadjoint_matrix(self, xi: Vector) -> Matrix:
-        """C with C[i][j] = xi([e_i, e_j]), read off the sparse table.
+        """C with C[i][j] = xi([e_i, e_j]), summed on ints off the sparse table.
 
+        One ``Fraction`` per nonzero entry, as in ``bracket``.
         (ad*_x xi)_j = -(C^T x)_j, and xi([u, v]) = u^T C v.  Memoised by xi:
         the table never changes, so every caller at xi shares one immutable C.
         """
@@ -413,10 +420,13 @@ class LieAlgebra:
         cm = self._coadjoint.get(xi)
         if cm is None:
             self._check_dim(xi)
-            cm = self._coadjoint[xi] = tuple(
-                tuple(sum((xi[k] * c for k, c in entry if xi[k]), la.ZERO) for entry in row)
-                for row in self.table
-            )
+            support, d = la._integer(xi)
+            ns = [0] * self.dim
+            for k, n in support:
+                ns[k] = n
+            d *= self._den
+            sums = ((sum(ns[k] * c for k, c in entry) for entry in row) for row in self._int_table)
+            cm = self._coadjoint[xi] = tuple(tuple(Q(n, d) if n else la.ZERO for n in row) for row in sums)
         return cm
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:

@@ -9,16 +9,17 @@ equality a syntactic comparison.
 Nothing here is numerical: ranks, kernels and solutions are exact, and a
 zero really is zero.
 
-The kernels cost what the nonzeros cost.  ``dot`` (and so ``mat_mul``)
-skips every pair with a zero factor.  ``mat_vec(a, v)`` collects the
-support of ``v`` (its nonzero positions) once and sums each row of ``a``
-over that support only, so a row costs |supp v| products, not len(v).
-``unit``, ``zeros``, ``nullspace`` and ``solve`` fill with the shared
-``ZERO`` and ``ONE`` constants rather than building a ``Fraction`` per
-entry, and a cell that ``is`` the shared ``ZERO`` skips the Python-level
-``Fraction.__bool__``.  Skipping a zero product
-drops an exact zero, so every result equals the one the dense loops give,
-and vectors and matrices stay tuples of ``Fraction`` at every public
+The kernels sum on integers over one common denominator.  ``_integer``
+scales a vector once by the lcm of its denominators (``n * (d // e)``,
+never ``int(x * d)``, a ``Fraction`` multiply per cell); the products are
+summed as ints, and one ``Fraction`` is built per nonzero output entry,
+a zero entry being the shared ``ZERO``.  ``dot`` and each row of
+``mat_vec`` keep a running numerator over a denominator that grows only
+when an entry's denominator does not divide it, and ``mat_vec`` sums a
+row over the support of ``v`` only.  ``add``, ``sub``, ``neg`` and
+``scale`` pass over a cell that ``is`` ``ZERO`` and keep it shared.
+Every result equals the one the dense ``Fraction`` loops give, and
+vectors and matrices stay tuples of ``Fraction`` at every public
 boundary.
 
 ``rref`` eliminates on integer rows: each input row is multiplied once by
@@ -28,8 +29,9 @@ entry in the pivot column and g = gcd(p, f), on the pivot row's nonzero
 columns only; a row that this rescales is divided by the gcd of its
 entries, so the integers stay small.  Rows with a zero in the pivot column
 are not touched.  ``rref`` builds a ``Fraction`` only at the boundary, one
-per nonzero output entry.  The reason is the cost of each operation, not
-denominator growth: a ``Fraction`` multiply or subtract runs two gcds and
+per nonzero output entry; ``rank`` and ``extend_to_basis`` read the
+pivots of the same elimination and build none.  The reason is the cost of
+each operation: a ``Fraction`` multiply or subtract runs two gcds and
 builds a new object, where an ``int`` operation is one C call.
 """
 
@@ -80,29 +82,67 @@ def identity(n: int) -> Matrix:
 
 
 def add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    return tuple(b if a is ZERO else a if b is ZERO else (a + b) or ZERO for a, b in zip(u, v, strict=True))
 
 
 def sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    return tuple(a if b is ZERO else -b if a is ZERO else (a - b) or ZERO for a, b in zip(u, v, strict=True))
 
 
 def neg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
+    return tuple(a if a is ZERO else -a for a in u)
 
 
 def scale(c, u: Vector) -> Vector:
     c = frac(c)
-    return tuple(c * a for a in u)
+    if not c:
+        return zeros(len(u))
+    return tuple(a if a is ZERO else c * a for a in u)
+
+
+def _integer(v: Sequence) -> tuple[list[tuple[int, int]], int]:
+    """(support, d): v[j] = n / d for each (j, n) in support, the nonzero entries of v."""
+    ratios = [(j, x.as_integer_ratio()) for j, x in enumerate(v) if x is not ZERO]
+    d = math.lcm(*[e for _, (_, e) in ratios])
+    if d == 1:
+        return [(j, n) for j, (n, _) in ratios if n], 1
+    return [(j, n * (d // e)) for j, (n, e) in ratios if n], d
+
+
+def _row_sum(row: Sequence, support: list[tuple[int, int]], d: int):
+    """Sum of row[j] * n / d over (j, n) in support: one Fraction, or ZERO."""
+    acc, den = 0, 1
+    for j, b in support:
+        x = row[j]
+        if x is ZERO:
+            continue
+        xn, xd = x.as_integer_ratio()
+        if den % xd:
+            # widen the common denominator to lcm(den, xd)
+            grow = xd // math.gcd(den, xd)
+            acc *= grow
+            den *= grow
+        acc += xn * b * (den // xd)
+    return Q(acc, den * d) if acc else ZERO
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
-    """Sum of a * b over the pairs where neither factor is zero."""
-    acc = ZERO
-    for a, b in zip(u, v, strict=True):
-        if a is not ZERO and b is not ZERO and a and b:
-            acc += a * b
-    return acc
+    """Sum of a * b over the pairs with no ZERO factor, on ints; one ``Fraction`` at most."""
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    acc, den = 0, 1
+    for a, b in zip(u, v):
+        if a is ZERO or b is ZERO:
+            continue
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        pd = ad * bd
+        if den % pd:
+            grow = pd // math.gcd(den, pd)
+            acc *= grow
+            den *= grow
+        acc += an * bn * (den // pd)
+    return Q(acc, den) if acc else ZERO
 
 
 def is_zero(u: Vector) -> bool:
@@ -110,23 +150,18 @@ def is_zero(u: Vector) -> bool:
 
 
 def mat_vec(a: Sequence[Vector], v: Vector) -> Vector:
-    """A v, each row summed over the support of v only.
+    """A v, each row summed on ints over the support of v only.
 
     Raises ``ValueError`` when a row's length differs from len(v), as
     ``dot`` does.
     """
     n = len(v)
-    support = [(j, b) for j, b in enumerate(v) if b is not ZERO and b]
+    support, d = _integer(v)
     out = []
     for row in a:
         if len(row) != n:
             raise ValueError(f"row of length {len(row)} against a vector of length {n}")
-        acc = ZERO
-        for j, b in support:
-            x = row[j]
-            if x is not ZERO and x:
-                acc += x * b
-        out.append(acc)
+        out.append(_row_sum(row, support, d))
     return tuple(out)
 
 
@@ -139,20 +174,6 @@ def transpose(a: Sequence[Vector]) -> Matrix:
     if not a:
         return ()
     return tuple(zip(*a, strict=True))
-
-
-def _integer_rows(rows: Sequence[Vector]) -> list[list[int]]:
-    """Each row times the lcm of its denominators."""
-    m = []
-    for r in rows:
-        # most zero cells are the shared ZERO; `is not` skips Fraction.__bool__ on them
-        nonzero = [(j, x) for j, x in enumerate(r) if x is not ZERO and x]
-        d = math.lcm(*[x.denominator for _, x in nonzero])
-        row = [0] * len(r)
-        for j, x in nonzero:
-            row[j] = x.numerator * (d // x.denominator)
-        m.append(row)
-    return m
 
 
 def _clear(row: list[int], prow: list[int], c: int, support: list[int]) -> list[int]:
@@ -175,9 +196,14 @@ def _clear(row: list[int], prow: list[int], c: int, support: list[int]) -> list[
     return [x // content for x in row] if content > 1 else row
 
 
-def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = _integer_rows(rows)
+def _echelon(rows: Sequence[Vector]) -> tuple[list[list[int]], list[int]]:
+    """rref on integer rows: (rows, pivots), the row of the i-th pivot p being m[i] / m[i][p]."""
+    m = []
+    for r in rows:
+        row = [0] * len(r)
+        for j, x in _integer(r)[0]:
+            row[j] = x
+        m.append(row)
     if not m:
         return [], []
     ncols = len(m[0])
@@ -198,13 +224,21 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    m, pivots = _echelon(rows)
+    if not m:
+        return [], []
     out = [[Q(x, row[c]) if x else ZERO for x in row] for row, c in zip(m, pivots)]
-    out += [[ZERO] * ncols for _ in range(len(m) - len(pivots))]
+    out += [[ZERO] * len(m[0]) for _ in range(len(m) - len(pivots))]
     return out, pivots
 
 
 def rank(rows: Sequence[Vector]) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
@@ -314,7 +348,7 @@ def extend_to_basis(sub: Sequence[Vector], space: Sequence[Vector]) -> list[Vect
     cols = list(sub) + space
     if not cols:
         return []
-    _, pivots = rref(transpose(cols))
+    _, pivots = _echelon(transpose(cols))
     return [space[c - len(sub)] for c in pivots if c >= len(sub)]
 
 

@@ -6,6 +6,26 @@ import pytest
 from symred import lie, poisson
 
 
+@pytest.fixture()
+def fractions_built(monkeypatch):
+    """(``Fraction.__new__`` calls made by fn(), fn()), counted as perfbench's tracer does."""
+
+    def count(fn):
+        original = Q.__new__
+        built = [0]
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Q, "__new__", counted)
+            result = fn()
+        return built[0], result
+
+    return count
+
+
 @pytest.fixture(scope="session")
 def sl2():
     return lie.build_chevalley("A", 1)

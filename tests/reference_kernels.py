@@ -1,8 +1,9 @@
 """Dense Fraction reference kernels, kept as the oracle for the sparse ones.
 
 Each function is the plain loop the library used before its kernels
-learned to skip zeros: every product is formed, every row is updated on
-every column, and every Gram entry goes through ``omega_eval``.  The
+learned to skip zeros and to sum on ints: every product is a
+``Fraction`` product, every row is updated on every column, and every
+Gram entry is evaluated on its own from dense brackets and dots.  The
 group oracle is the matrix route the library's adjoint group replaced:
 exponentiate a type-A matrix and conjugate every basis matrix by it.  The
 differential tests require the library to return exactly what these do.
@@ -13,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from symred import groupoid
 from symred import linalg as la
 from symred.lie import LieAlgebra
 from symred.linalg import Matrix, Q, Vector
@@ -85,9 +85,21 @@ def extend_to_basis(sub: Sequence[Vector], space: Sequence[Vector]) -> list[Vect
     return added
 
 
+def omega(alg: LieAlgebra, xi: Vector, v1: Vector, v2: Vector) -> Fraction:
+    """-z2(u1) + z1(u2) - xi([u1, u2]) by the dense ``dot`` and ``bracket`` below."""
+    n = alg.dim
+    u1, z1, u2, z2 = v1[:n], v1[n:], v2[:n], v2[n:]
+    return -dot(z2, u1) + dot(z1, u2) - dot(xi, bracket(alg, u1, u2))
+
+
 def omega_gram(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> list[Vector]:
-    """Every entry by its own ``omega_eval``, bracket included."""
-    return [tuple(groupoid.omega_eval(alg, xi, a, b) for b in vectors) for a in vectors]
+    """Every entry by its own ``omega``, diagonal and lower triangle included."""
+    return [tuple(omega(alg, xi, a, b) for b in vectors) for a in vectors]
+
+
+def coadjoint_matrix(alg: LieAlgebra, xi: Vector) -> Matrix:
+    """C[i][j] = xi([e_i, e_j]) = sum_k xi_k c_ij^k, a ``Fraction`` sum over every table entry."""
+    return tuple(tuple(sum((xi[k] * c for k, c in entry), Q(0)) for entry in row) for row in alg.table)
 
 
 def verify_jacobi(alg: LieAlgebra) -> bool:

@@ -532,3 +532,92 @@ def test_intersect_spans_is_the_canonical_intersection(data):
     assert got == la.span_basis(got)
     assert la.span_contains(a, got) and la.span_contains(b, got)
     assert len(got) == la.rank(a) + la.rank(b) - la.rank(a + b)
+
+
+# -- integer kernels: ints summed over one common denominator ------------------
+
+INTEGER_ALGEBRAS = sorted(lie.SUPPORTED) + ["sl2_half_f"]
+
+
+def integer_algebra(name):
+    """A built type by its (type, rank), or the rational sl2 table whose common denominator is 2."""
+    return sl2_half_f() if name == "sl2_half_f" else lie.build_chevalley(*name)
+
+
+@pytest.mark.parametrize("name", INTEGER_ALGEBRAS, ids=str)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_integer_lie_kernels_match_reference(name, data):
+    alg = integer_algebra(name)
+    n = alg.dim
+    x, y, xi = data.draw(sparse_rows(3, n))[:3]
+    for u, v in ((x, y), (densified(x), y), (y, densified(xi))):
+        assert alg.bracket(u, v) == ref.bracket(alg, u, v)
+    for form in (xi, densified(xi)):
+        assert alg.coadjoint_matrix(form) == ref.coadjoint_matrix(alg, form)
+    vectors = data.draw(sparse_rows(data.draw(st.integers(0, 3)), 2 * n))
+    vectors += [la.unit(2 * n, i) for i in data.draw(st.lists(st.integers(0, 2 * n - 1), max_size=2))]
+    assert gpd.omega_gram(alg, xi, vectors) == ref.omega_gram(alg, xi, vectors)
+
+
+def test_rational_table_integer_kernels():
+    """On (h, e, f/2) the table is scaled by 2, and [e, f/2] = h/2 keeps its half."""
+    alg = sl2_half_f()
+    h, e, f_half = la.identity(3)
+    assert alg.bracket(e, f_half) == ref.bracket(alg, e, f_half) == la.vec([Q(1, 2), 0, 0])
+    xi = la.vec([Q(1, 3), Q(-2, 5), 1])
+    assert alg.coadjoint_matrix(xi) == ref.coadjoint_matrix(alg, xi)
+    assert alg.coadjoint_matrix(xi)[1][2] == Q(1, 6)
+    tangents = [la.vec([1, 0, 0, 0, 0, Q(1, 7)]), la.vec([0, Q(1, 2), 1, Q(1, 3), 0, 0]), la.unit(6, 4)]
+    assert gpd.omega_gram(alg, xi, tangents) == ref.omega_gram(alg, xi, tangents)
+
+
+@st.composite
+def mixed_rows(draw, nrows, ncols):
+    """nrows x ncols of halves, thirds and fifths, of plain ints, or of both mixed.
+
+    In a sum of such products the common denominator grows mid-sum; a zero
+    cell is the shared ``la.ZERO``, a fresh ``Q(0)`` or the int 0.
+    """
+    fractions = st.builds(Q, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    entry = draw(st.sampled_from([fractions, st.integers(-6, 6), st.one_of(fractions, st.integers(-6, 6))]))
+    cell = st.one_of(st.just(la.ZERO), entry)
+    return [tuple(draw(cell) for _ in range(ncols)) for _ in range(nrows)]
+
+
+@given(st.integers(0, 10).flatmap(lambda n: mixed_rows(2, n)))
+@settings(max_examples=100, deadline=None)
+def test_dot_matches_dense_on_mixed_denominators(rows):
+    u, v = rows
+    got = la.dot(u, v)
+    assert got == ref.dot(u, v) and type(got) is Q
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.integers(1, 6).flatmap(lambda m: mixed_rows(m, n))))
+@settings(max_examples=100, deadline=None)
+def test_mat_vec_matches_dense_on_mixed_denominators(rows):
+    a, v = rows[:-1], rows[-1]
+    got = la.mat_vec(a, v)
+    assert got == ref.mat_vec(a, v) and all(type(x) is Q for x in got)
+
+
+def test_dot_denominator_grows_mid_sum():
+    halves_thirds_fifths = la.vec([Q(1, 2), Q(1, 3), 0, Q(1, 5), Q(-1, 6)])
+    assert la.dot(halves_thirds_fifths, la.vec([1, 1, 7, 1, 1])) == Q(13, 15)
+    assert la.dot((1, 2, 3), (4, 0, -1)) == Q(1) and type(la.dot((1, 2, 3), (4, 0, -1))) is Q
+    assert la.mat_vec([(Q(1, 2), 3), (2, Q(1, 3))], (Q(1, 5), 1)) == (Q(31, 10), Q(11, 15))
+
+
+@given(st.one_of(sparse_matrix(), wide_matrix()))
+@settings(max_examples=100, deadline=None)
+def test_rank_matches_reference_pivots(rows):
+    assert la.rank(rows) == len(ref.rref(rows)[1])
+
+
+@given(space_and_sub())
+@settings(max_examples=100, deadline=None)
+def test_extend_to_basis_matches_reference_pivots(drawn):
+    space, sub = drawn
+    cols = sub + space
+    pivots = ref.rref(la.transpose(cols))[1] if cols else []
+    assert la.extend_to_basis(sub, space) == [space[c - len(sub)] for c in pivots if c >= len(sub)]

@@ -376,3 +376,15 @@ def test_omega_rank_other_types(rng):
     b2 = lie.build_chevalley("B", 2)
     xi = la.random_vector(rng, b2.dim)
     assert la.rank(gpd.omega_gram(b2, xi, la.identity(2 * b2.dim))) == 2 * b2.dim
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("G2", 2)])
+def test_omega_gram_builds_two_fractions_per_nonzero_entry(typ, rank, rng, fractions_built):
+    """At most one per nonzero upper-triangle entry and one for its mirror, with C memoised."""
+    alg = lie.build_chevalley(typ, rank)
+    xi = la.random_vector(rng, alg.dim)
+    vectors = [la.random_vector(rng, 2 * alg.dim) for _ in range(6)]
+    alg.coadjoint_matrix(xi)
+    built, gram = fractions_built(lambda: gpd.omega_gram(alg, xi, vectors))
+    nonzero = sum(1 for a in range(6) for b in range(a + 1, 6) if gram[a][b])
+    assert 0 < built <= 2 * nonzero

@@ -490,26 +490,6 @@ def test_coadjoint_matrix_is_memoised(name, rng):
         alg.coadjoint_matrix(la.zeros(alg.dim + 1))
 
 
-@pytest.fixture()
-def fractions_built(monkeypatch):
-    """(``Fraction.__new__`` calls made by fn(), fn()), counted as perfbench's tracer does."""
-
-    def count(fn):
-        original = Q.__new__
-        built = [0]
-
-        def counted(cls, *args, **kwargs):
-            built[0] += 1
-            return original(cls, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Q, "__new__", counted)
-            result = fn()
-        return built[0], result
-
-    return count
-
-
 @pytest.mark.parametrize("typ,rank", [("B", 4), ("G2", 2)])
 def test_integer_certificates_build_no_fraction(typ, rank, fractions_built):
     alg = lie.build_chevalley(typ, rank)
@@ -518,6 +498,19 @@ def test_integer_certificates_build_no_fraction(typ, rank, fractions_built):
     # one Fraction at most per Killing entry, and none for a zero entry
     built, killing = fractions_built(alg._compute_killing)
     assert built <= alg.dim * alg.dim and killing == alg.killing
+
+
+@pytest.mark.parametrize("name", [("A", 2), ("G2", 2), "A1^3"], ids=str)
+def test_bracket_and_coadjoint_build_one_fraction_per_nonzero_entry(name, rng, fractions_built):
+    built_alg = _algebra(name)
+    # a fresh algebra on the same table, so no coadjoint matrix is memoised yet
+    alg = lie.LieAlgebra(built_alg.basis_labels, built_alg.table, built_alg.rank)
+    x, y, xi = (la.random_vector(rng, alg.dim) for _ in range(3))
+    built, out = fractions_built(lambda: alg.bracket(x, y))
+    assert 0 < built <= sum(1 for v in out if v)
+    built, c = fractions_built(lambda: alg.coadjoint_matrix(xi))
+    assert 0 < built <= sum(1 for row in c for v in row if v)
+    assert fractions_built(lambda: alg.bracket(x, alg.zero())) == (0, alg.zero())
 
 
 # [x, y] = 2y = [y, x]: symmetric where it must be antisymmetric

@@ -1,3 +1,5 @@
+from fractions import Fraction as Q
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,3 +96,42 @@ def test_span_basis_is_canonical(vectors):
 def test_frac_rejects_floats():
     with pytest.raises(TypeError):
         la.frac(0.5)
+
+
+def shared_zeros(v):
+    """v with every zero cell the shared ``la.ZERO``."""
+    return tuple(x or la.ZERO for x in v)
+
+
+@given(vec_strategy(5), vec_strategy(5), fractions)
+@settings(max_examples=60, deadline=None)
+def test_vector_ops_keep_zero_cells_shared(u, v, c):
+    u, v = shared_zeros(u), shared_zeros(v)
+    cases = [
+        (la.add(u, v), [a + b for a, b in zip(u, v)]),
+        (la.add(u, la.neg(u)), [0] * 5),
+        (la.sub(u, v), [a - b for a, b in zip(u, v)]),
+        (la.sub(u, u), [0] * 5),
+        (la.neg(u), [-a for a in u]),
+        (la.scale(c, u), [c * a for a in u]),
+        (la.scale(0, u), [0] * 5),
+    ]
+    for got, want in cases:
+        assert list(got) == want
+        assert all(type(x) is Q for x in got)
+        assert all(x is la.ZERO for x in got if x == 0)
+
+
+def test_dot_builds_at_most_one_fraction(fractions_built, rng):
+    u, v = la.random_vector(rng, 12), la.random_vector(rng, 12)
+    built, got = fractions_built(lambda: la.dot(u, v))
+    assert built <= 1 and got == sum((a * b for a, b in zip(u, v)), Q(0))
+    assert fractions_built(lambda: la.dot(u, la.zeros(12))) == (0, 0)
+
+
+def test_rank_builds_no_fraction(fractions_built, rng):
+    rows = [la.random_vector(rng, 7) for _ in range(5)]
+    rows.append(la.add(rows[0], la.scale(Q(2, 3), rows[1])))
+    assert fractions_built(lambda: la.rank(rows)) == (0, 5)
+    built, added = fractions_built(lambda: la.extend_to_basis(rows, list(la.identity(7))))
+    assert built == 0 and len(added) == 2 and la.rank(rows + added) == 7
