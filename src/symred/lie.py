@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from . import linalg as la
@@ -99,8 +99,11 @@ class RootSystem:
         self.positive = sorted(
             (r for r in self.roots if self._is_positive(r)), key=self._order_key
         )
-        self.pos_index = {r: i for i, r in enumerate(self.positive)}
+        npos = len(self.positive)
+        self._index = {r: rank + i for i, r in enumerate(self.positive)}
+        self._index.update((tuple(-x for x in r), rank + npos + i) for i, r in enumerate(self.positive))
         self._norm2: dict[Root, Fraction] = {}
+        self._extraspecial: dict[Root, tuple[Root, Root]] = {}
 
     # -- basic geometry -------------------------------------------------
 
@@ -170,15 +173,17 @@ class RootSystem:
 
     def vector_index(self, beta: Root) -> int:
         """Basis index of e_beta: Cartan first, then positive, then negative roots."""
-        if self._is_positive(beta):
-            return self.rank + self.pos_index[beta]
-        return self.rank + len(self.positive) + self.pos_index[tuple(-b for b in beta)]
+        return self._index[beta]
 
     def extraspecial(self, gamma: Root) -> tuple[Root, Root]:
         """Minimal positive alpha with alpha, gamma-alpha both positive roots."""
+        pair = self._extraspecial.get(gamma)
+        if pair is not None:
+            return pair
         for a in self.positive:
             b = tuple(g - x for x, g in zip(a, gamma))
             if b in self.root_set and self._is_positive(b):
+                self._extraspecial[gamma] = a, b
                 return a, b
         raise SolveFailure(f"no special pair for {gamma}")
 
@@ -283,7 +288,13 @@ def _constant(c):
 
 
 class LieAlgebra:
-    """Structure constants, Killing form, and optional matrix realization."""
+    """Structure constants, Killing form, and optional matrix realization.
+
+    The table is certified antisymmetric and the Killing form summed when
+    the algebra is built.  Its inverse, which only ``sharp`` and
+    ``is_ad_semisimple`` read, is computed on first use and kept; it is
+    None when the form is degenerate.
+    """
 
     def __init__(
         self,
@@ -315,10 +326,14 @@ class LieAlgebra:
         )
         self._check_antisymmetry()
         self.killing = self._compute_killing()
+
+    @cached_property
+    def _killing_inv(self) -> Optional[Matrix]:
+        """K^-1, or None when the Killing form is degenerate; inverted on first use."""
         try:
-            self._killing_inv = la.inverse(self.killing)
+            return la.inverse(self.killing)
         except ZeroDivisionError:
-            self._killing_inv = None
+            return None
 
     # -- construction helpers -------------------------------------------
 
@@ -337,21 +352,32 @@ class LieAlgebra:
                     )
 
     def _compute_killing(self) -> Matrix:
-        """K[i][j] = tr(ad_i ad_j), summed on the table's constants, one ``Fraction`` per entry."""
+        """K[i][j] = tr(ad_i ad_j) = sum over m, k of c_ik^m c_jm^k, paired by edge.
+
+        ``edges[(m, k)]`` lists the pairs (j, c) with c = c_jm^k, so each
+        product c_ik^m c_jm^k pairs an entry of ``edges[(k, m)]`` with one
+        of ``edges[(m, k)]``, and the sum costs what its nonzero products
+        cost.  It runs on the integer table, scaled by the common
+        denominator as ``bracket``'s is, and builds one ``Fraction`` per
+        nonzero entry.  Nothing about the basis is assumed, so a product
+        g^n comes out block diagonal because its table is.
+        """
         n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = 0
-                for m in range(n):
-                    for k, c in self.table[j][m]:
-                        x = self._lookup[i][k].get(m)
-                        if x:
-                            acc += c * x
-                row.append(Q(acc) if acc else la.ZERO)
-            rows.append(tuple(row))
-        return tuple(rows)
+        edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for j, row in enumerate(self._int_table):
+            for m, entry in enumerate(row):
+                for k, c in entry:
+                    edges.setdefault((m, k), []).append((j, c))
+        acc = [[0] * n for _ in range(n)]
+        for (m, k), right in edges.items():
+            left = edges.get((k, m))
+            if left:
+                for i, x in left:
+                    row = acc[i]
+                    for j, c in right:
+                        row[j] += x * c
+        d = self._den * self._den
+        return tuple(tuple(Q(a, d) if a else la.ZERO for a in row) for row in acc)
 
     # -- basic operations ------------------------------------------------
 
@@ -461,17 +487,27 @@ class LieAlgebra:
         """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i < j < k.
 
         Each term is sum_m c_ab^m [e_m, e_c], summed straight from the sparse
-        table, so a triple costs what its nonzero constants cost.
+        table's item tuples, so a triple costs what its nonzero constants
+        cost.  A triple whose three brackets [e_i,e_j], [e_j,e_k] and
+        [e_k,e_i] are all empty has the cyclic sum 0 exactly and is skipped:
+        when [e_i,e_j] is empty, k runs only over the k with [e_j,e_k] or
+        [e_k,e_i] nonempty.  Every other triple is summed.
         """
         n = self.dim
-        lookup = self._lookup
+        items = tuple(tuple(tuple(entry.items()) for entry in row) for row in self._lookup)
+        right = [{k for k in range(n) if items[j][k]} for j in range(n)]  # [e_j, e_k] != 0
+        left = [{k for k in range(n) if items[k][i]} for i in range(n)]  # [e_k, e_i] != 0
         for i in range(n):
             for j in range(i + 1, n):
-                for k in range(j + 1, n):
+                if items[i][j]:
+                    ks = range(j + 1, n)
+                else:
+                    ks = sorted(k for k in right[j] | left[i] if k > j)
+                for k in ks:
                     total: dict[int, Fraction] = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, x in lookup[a][b].items():
-                            for t, y in lookup[m][c].items():
+                        for m, x in items[a][b]:
+                            for t, y in items[m][c]:
                                 total[t] = total.get(t, 0) + x * y
                     if any(total.values()):
                         return False
@@ -517,13 +553,14 @@ class LieAlgebra:
         """Sum of x_i times the i-th matrix of the stored realization."""
         reps = self._require_rep()
         size = len(reps[0])
-        out = [[Q(0)] * size for _ in range(size)]
+        out = [[la.ZERO] * size for _ in range(size)]
         for i, c in enumerate(x):
             if c == 0:
                 continue
             for r in range(size):
                 for s in range(size):
-                    out[r][s] += c * reps[i][r][s]
+                    if reps[i][r][s]:
+                        out[r][s] += c * reps[i][r][s]
         return tuple(tuple(row) for row in out)
 
     def _require_rep(self):
@@ -787,7 +824,7 @@ def direct_power(alg: LieAlgebra, n: int) -> LieAlgebra:
 
 
 def embed_factor(product_dim: int, factor_dim: int, k: int, x: Vector) -> Vector:
-    out = [Q(0)] * product_dim
+    out = [la.ZERO] * product_dim
     for i, c in enumerate(x):
         out[k * factor_dim + i] = c
     return tuple(out)

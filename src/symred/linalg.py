@@ -30,9 +30,11 @@ columns only; a row that this rescales is divided by the gcd of its
 entries, so the integers stay small.  Rows with a zero in the pivot column
 are not touched.  ``rref`` builds a ``Fraction`` only at the boundary, one
 per nonzero output entry; ``rank`` and ``extend_to_basis`` read the
-pivots of the same elimination and build none.  The reason is the cost of
-each operation: a ``Fraction`` multiply or subtract runs two gcds and
-builds a new object, where an ``int`` operation is one C call.
+pivots of the same elimination and build none, and ``nullspace`` reads
+its basis off the integer rows, one ``Fraction`` per basis entry.  The
+reason is the cost of each operation: a ``Fraction`` multiply or subtract
+runs two gcds and builds a new object, where an ``int`` operation is one
+C call.
 """
 
 from __future__ import annotations
@@ -248,11 +250,15 @@ def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
 
 
 def nullspace(rows: Sequence[Vector]) -> list[Vector]:
-    """Basis of {x : A x = 0} where the input rows are the rows of A."""
+    """Basis of {x : A x = 0} where the input rows are the rows of A.
+
+    Read off ``_echelon``'s integer rows: one ``Fraction`` per nonzero
+    basis entry outside the free column, which is ``ONE``.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
-    m, pivots = rref(rows)
+    m, pivots = _echelon(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for c in free:
@@ -260,7 +266,7 @@ def nullspace(rows: Sequence[Vector]) -> list[Vector]:
         v[c] = ONE
         for i, p in enumerate(pivots):
             if m[i][c]:
-                v[p] = -m[i][c]
+                v[p] = Q(-m[i][c], m[i][p])
         basis.append(tuple(v))
     return basis
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 from . import linalg as la
 from .errors import DimensionMismatch, NotOnModel, NotStable
 from .lie import GroupElement, LieAlgebra, Sl2Triple, direct_power, embed_factor
-from .linalg import Matrix, Q, Vector
+from .linalg import Matrix, Vector
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ def symplectic_model(omega: Matrix) -> PoissonPointModel:
 
 
 def trivial_model(dim: int) -> PoissonPointModel:
-    zero = tuple(tuple(Q(0) for _ in range(dim)) for _ in range(dim))
-    return constant_model(zero)
+    return constant_model((la.zeros(dim),) * dim)
 
 
 # -- submanifold models ------------------------------------------------------

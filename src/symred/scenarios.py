@@ -249,7 +249,7 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
 
     def diag(a, perm=(0, 1, 2)):
         vals = [a, a, -2 * a]
-        m = [[Q(0)] * 3 for _ in range(3)]
+        m = [[la.ZERO] * 3 for _ in range(3)]
         for i in range(3):
             m[i][i] = Q(vals[perm[i]])
         return alg.from_matrix(tuple(tuple(r) for r in m))
@@ -313,7 +313,7 @@ def implosion_faces_A2(report: ScenarioReport, values: dict, rng: random.Random,
     for subset, exp_dim in expected.items():
         pts = []
         for trial in range(max(2, sample_count - 1)):
-            coords = [Q(0)] * alg.dim
+            coords = [la.ZERO] * alg.dim
             for i in range(alg.rank):
                 if i not in subset:
                     coords[i] = Q(trial + 1 + i) if trial < 2 else abs(_rand_nonzero(rng)) + 1

@@ -52,6 +52,21 @@ def rank(rows: Sequence[Vector]) -> int:
     return len(rref(rows)[1])
 
 
+def nullspace(rows: Sequence[Vector]) -> list[Vector]:
+    """One basis vector per free column c of the rref: 1 at c, -rref[i][c] at the i-th pivot."""
+    if not rows:
+        return []
+    m, pivots = rref(rows)
+    basis = []
+    for c in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [Q(0)] * len(rows[0])
+        v[c] = Q(1)
+        for i, p in enumerate(pivots):
+            v[p] = -m[i][c]
+        basis.append(tuple(v))
+    return basis
+
+
 def det(a: Sequence[Vector]) -> Fraction:
     n = len(a)
     m = [list(r) for r in a]

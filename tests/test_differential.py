@@ -621,3 +621,102 @@ def test_extend_to_basis_matches_reference_pivots(drawn):
     cols = sub + space
     pivots = ref.rref(la.transpose(cols))[1] if cols else []
     assert la.extend_to_basis(sub, space) == [space[c - len(sub)] for c in pivots if c >= len(sub)]
+
+
+# -- edge-paired Killing form, pruned Jacobi loop, nullspace off integer rows ----
+
+POWERED = [(typ, rank, n) for typ, rank in ALGEBRAS for n in (2, 3)]
+
+
+@pytest.mark.parametrize("typ,rank,n", POWERED)
+def test_killing_of_direct_power_matches_dense_loop(typ, rank, n):
+    prod = lie.direct_power(lie.build_chevalley(typ, rank), n)
+    assert prod.killing == ref.killing(prod)
+
+
+@pytest.mark.parametrize("typ,rank,n", POWERED)
+def test_killing_of_direct_power_is_block_diagonal(typ, rank, n):
+    """K(g^n) = diag(K(g), ..., K(g)), assembled here from the factor's dense form."""
+    alg = lie.build_chevalley(typ, rank)
+    factor, d = ref.killing(alg), alg.dim
+    want = tuple(
+        tuple(factor[r % d][c % d] if r // d == c // d else 0 for c in range(n * d)) for r in range(n * d)
+    )
+    assert lie.direct_power(alg, n).killing == want
+
+
+def test_killing_of_perturbed_rational_tables_matches_dense_loop():
+    alg = sl2_half_f()
+    for i, j, k, delta in ((0, 1, 1, Q(1, 3)), (1, 2, 0, Q(-1, 2)), (1, 2, 2, Q(5, 7))):
+        broken = perturbed(alg, i, j, k, delta)
+        assert broken.killing == ref.killing(broken)
+    square = lie.direct_power(alg, 2)
+    assert square.killing == ref.killing(square)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_killing_of_perturbed_direct_power_matches_dense_loop(data):
+    base = lie.direct_power(lie.build_chevalley("A", 1), 2)
+    n = base.dim
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    k = data.draw(st.integers(0, n - 1))
+    alg = perturbed(base, i, j, k, data.draw(nonzero))
+    assert alg.killing == ref.killing(alg)
+
+
+def commuting_pairs(alg):
+    """Every (i, j), i < j, with [e_i, e_j] = 0: the pairs the pruned Jacobi loop may skip."""
+    return [(i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim) if not alg.table[i][j]]
+
+
+# a + b is neither a root nor 0, so e_a and e_b commute
+@pytest.mark.parametrize("typ,rank,a,b", [("A", 2, (1, 0), (1, 1)), ("B", 2, (0, 1), (1, 2)), ("G2", 2, (0, 1), (3, 2))])
+def test_verify_jacobi_sees_a_constant_in_a_commuting_pair(typ, rank, a, b):
+    """Putting h_1 into an empty [e_a, e_b] breaks Jacobi, and the skip must not hide it."""
+    alg = lie.build_chevalley(typ, rank)
+    i, j = alg.root_vector_index(a), alg.root_vector_index(b)
+    assert (i, j) in commuting_pairs(alg)
+    broken = perturbed(alg, i, j, 0, Q(1))
+    assert broken.verify_jacobi() is False
+    assert ref.verify_jacobi(broken) is False
+
+
+# (a, b, c) runs over the cyclic orders of the triple (0, 1, 2)
+@pytest.mark.parametrize("a,b,c", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+def test_verify_jacobi_fails_on_a_triple_with_one_live_pair(a, b, c):
+    """[e_a, e_b] = e_3 and [e_3, e_c] = e_3, every other bracket 0.
+
+    The two other pairs of the triple (0, 1, 2) commute, and its cyclic sum
+    is [e_3, e_c] = e_3; every other triple sums to 0.  So the verdict
+    rests on the one triple in which the live pair sits at position (a, b).
+    """
+    table = [[[] for _ in range(4)] for _ in range(4)]
+    for i, j, k in ((a, b, 3), (3, c, 3)):
+        table[i][j], table[j][i] = [(k, 1)], [(k, -1)]
+    alg = lie.LieAlgebra(("e0", "e1", "e2", "e3"), table, 0, name="one_live_pair")
+    assert alg.verify_jacobi() is ref.verify_jacobi(alg) is False
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_verify_jacobi_perturbed_commuting_pair_matches_reference(data):
+    base = lie.build_chevalley(*data.draw(st.sampled_from([("A", 2), ("B", 2)])))
+    i, j = data.draw(st.sampled_from(commuting_pairs(base)))
+    k = data.draw(st.integers(0, base.dim - 1))
+    alg = perturbed(base, i, j, k, data.draw(nonzero))
+    assert alg.verify_jacobi() == ref.verify_jacobi(alg)
+
+
+@given(st.one_of(sparse_matrix(), wide_matrix()))
+@settings(max_examples=100, deadline=None)
+def test_nullspace_matches_reference(rows):
+    got = la.nullspace(rows)
+    assert got == ref.nullspace(rows)
+    assert all(type(x) is Q for v in got for x in v)
+
+
+@pytest.mark.parametrize("rows", EDGE_CASES)
+def test_nullspace_edge_cases(rows):
+    assert la.nullspace(rows) == ref.nullspace(rows)

@@ -410,6 +410,44 @@ def test_flat_sharp_roundtrip(sl3, rng):
     assert la.dot(sl3.flat(x), x) == sl3.killing_form(x, x)
 
 
+def counting_inverse(monkeypatch):
+    """A list that ``la.inverse`` appends each matrix it inverts to, from now on."""
+    seen, original = [], la.inverse
+
+    def counted(a):
+        seen.append(a)
+        return original(a)
+
+    monkeypatch.setattr(la, "inverse", counted)
+    return seen
+
+
+def test_construction_inverts_nothing(monkeypatch):
+    seen = counting_inverse(monkeypatch)
+    alg = lie.build_chevalley.__wrapped__("B", 3)
+    lie.direct_power(alg, 2)
+    lie.LieAlgebra(alg.basis_labels, alg.table, alg.rank)
+    assert seen == []
+
+
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
+def test_sharp_inverts_flat_on_every_type(typ, rank, rng, monkeypatch):
+    built = lie.build_chevalley(typ, rank)
+    alg = lie.LieAlgebra(built.basis_labels, built.table, built.rank)
+    seen = counting_inverse(monkeypatch)
+    x, y = la.random_vector(rng, alg.dim), la.random_vector(rng, alg.dim)
+    assert alg.sharp(alg.flat(x)) == x
+    assert alg.sharp(alg.flat(y)) == y
+    # the inverse is formed on the first call and reused after it
+    assert seen == [alg.killing]
+
+
+def test_embed_factor_shares_zero_cells(sl2):
+    x = lie.embed_factor(9, 3, 1, sl2.basis_vec(0))
+    assert x == la.vec([0, 0, 0, 1, 0, 0, 0, 0, 0])
+    assert all(c is la.ZERO for i, c in enumerate(x) if i != 3)
+
+
 def test_product_group_elements(sl2):
     prod = lie.direct_power(sl2, 2)
     e = sl2.root_vector((1,))

@@ -135,3 +135,12 @@ def test_rank_builds_no_fraction(fractions_built, rng):
     assert fractions_built(lambda: la.rank(rows)) == (0, 5)
     built, added = fractions_built(lambda: la.extend_to_basis(rows, list(la.identity(7))))
     assert built == 0 and len(added) == 2 and la.rank(rows + added) == 7
+
+
+def test_nullspace_builds_one_fraction_per_basis_entry(fractions_built, rng):
+    rows = [la.random_vector(rng, 8) for _ in range(4)]
+    rows.append(la.sub(rows[0], la.scale(Q(3, 2), rows[2])))
+    built, basis = fractions_built(lambda: la.nullspace(rows))
+    assert len(basis) == 4 and all(la.is_zero(la.mat_vec(rows, v)) for v in basis)
+    # each free column holds the shared ONE; each other nonzero entry is one Fraction
+    assert built == sum(1 for v in basis for x in v if x is not la.ZERO and x is not la.ONE)

@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["slice_mt", "scenario_suite"])
+@pytest.mark.parametrize("workload", ["slice_mt", "scenario_suite", "algebra_certify"])
 def test_traced_repetition_is_correct_and_moves_every_boundary(workload):
     cmd = [sys.executable, "perfbench/rep.py", "--workload", workload, "--seed", "1", "--mode", "trace"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
