@@ -43,20 +43,19 @@ from .poisson import (
     CasimirLevelSet,
     CoadjointOrbit,
     DecompositionClass,
-    DiagonalSlodowy,
     Explicit,
     PoissonPointModel,
-    Singleton,
-    SlodowySlice,
     SubmanifoldModel,
     WeylChamberFace,
     algebroid_fiber,
     coisotropic_check,
     constant_model,
+    diagonal,
     kks_model,
     moment_transversality_check,
     poisson_transversal_check,
     pre_poisson_sample_check,
+    slodowy_slice,
     stabilizer_subalgebra,
     symplectic_model,
     trivial_model,

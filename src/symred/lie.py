@@ -324,7 +324,7 @@ class LieAlgebra:
         self._lookup = tuple(
             tuple({k: c for k, c in entry if c} for entry in row) for row in self.table
         )
-        self._check_antisymmetry()
+        self._check_table()
         self.killing = self._compute_killing()
 
     @cached_property
@@ -337,7 +337,16 @@ class LieAlgebra:
 
     # -- construction helpers -------------------------------------------
 
-    def _check_antisymmetry(self):
+    def _check_table(self):
+        """Each entry lists a coordinate once, and [e_j, e_i] = -[e_i, e_j].
+
+        A repeated coordinate would make ``bracket``, which sums the table,
+        disagree with ``structure_constant``, which reads ``_lookup``.
+        """
+        for i, row in enumerate(self.table):
+            for j, entry in enumerate(row):
+                if len(entry) > 1 and len(dict(entry)) < len(entry):
+                    raise CertificateFailed(f"bracket table lists a coordinate twice at ({i}, {j}): {entry}")
         for i in range(self.dim):
             for j in range(i, self.dim):
                 lhs = self._lookup[i][j]

@@ -10,6 +10,13 @@ stabilizer fiber at xi is
 which for the Lie-Poisson structure on g* reads
 { x in g : x in (T_xi S)°, ad*_x xi in T_xi S }.
 
+Every affine S is an :class:`AffineSubspace`, base + span(directions): a
+point {xi} (Marsden-Weinstein), the Slodowy slice e + g_f
+(:func:`slodowy_slice`), its diagonal in (g*)^n (:func:`diagonal`) and the
+chamber faces (:class:`WeylChamberFace`, which adds open conditions).  The
+other models are coadjoint orbits, decomposition classes, Casimir level
+sets and caller-supplied tangents (:class:`Explicit`).
+
 Constant-rank, stability, Poisson-transversality and coisotropy checks are
 finite-sample witnesses: exact at every queried point, silent about the
 rest of the submanifold.
@@ -22,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 from . import linalg as la
 from .errors import DimensionMismatch, NotOnModel, NotStable
-from .lie import GroupElement, LieAlgebra, Sl2Triple, direct_power, embed_factor
+from .lie import GroupElement, LieAlgebra, Sl2Triple
 from .linalg import Matrix, Vector
 
 
@@ -74,7 +81,8 @@ class SubmanifoldModel:
     Construction certifies every declared sample point.  T_xi S and the
     stabilizer fiber are derived once per point (and Poisson model) and kept,
     so a model must not be mutated afterwards.  Subclasses supply the
-    membership test `_contains` and `_tangent`, both given a tuple.
+    membership test `_contains` and `_tangent`, both given a tuple of length
+    `ambient_dim`; a point of any other length raises ``DimensionMismatch``.
     """
 
     kind = "abstract"
@@ -89,17 +97,23 @@ class SubmanifoldModel:
             self.tangent_basis(p)
 
     def contains(self, xi: Vector) -> bool:
-        xi = tuple(xi)
+        xi = self._point(xi)
         return xi in self._tangents or self._contains(xi)
 
     def tangent_basis(self, xi: Vector) -> list[Vector]:
-        xi = tuple(xi)
+        xi = self._point(xi)
         basis = self._tangents.get(xi)
         if basis is None:
             if not self._contains(xi):
                 raise NotOnModel(f"point not on {self.kind} model")
             basis = self._tangents[xi] = tuple(self._tangent(xi))
         return list(basis)
+
+    def _point(self, xi: Vector) -> Vector:
+        xi = tuple(xi)
+        if len(xi) != self.ambient_dim:
+            raise DimensionMismatch(f"{self.kind} model takes points of length {self.ambient_dim}, not {len(xi)}")
+        return xi
 
     def _contains(self, xi: Vector) -> bool:
         raise NotImplementedError
@@ -108,22 +122,8 @@ class SubmanifoldModel:
         raise NotImplementedError
 
 
-class Singleton(SubmanifoldModel):
-    kind = "singleton"
-
-    def __init__(self, point: Vector):
-        self.point = tuple(point)
-        super().__init__(len(point), [point])
-
-    def _contains(self, xi):
-        return xi == self.point
-
-    def _tangent(self, xi):
-        return []
-
-
 class AffineSubspace(SubmanifoldModel):
-    """base + span(directions); used for xi + h° and explicit faces."""
+    """base + span(directions), the one affine model; a point {xi} is ``AffineSubspace(xi, [])``."""
 
     kind = "affine"
 
@@ -138,6 +138,27 @@ class AffineSubspace(SubmanifoldModel):
 
     def _tangent(self, xi):
         return list(self.directions)
+
+
+def slodowy_slice(algebra: LieAlgebra, triple: Sl2Triple, parameters: Sequence[Sequence]) -> AffineSubspace:
+    """e + g_f inside g ≅ g* via the Killing form: e^flat + span (g_f)^flat.
+
+    Sample point k is (e + sum_i parameters[k][i] b_i)^flat over the
+    canonical basis b of g_f; without parameters it is e^flat.
+    """
+    gf = la.span_basis(algebra.centralizer(triple.f))
+    pts = []
+    for params in parameters:
+        x = triple.e
+        for c, b in zip(params, gf, strict=True):
+            x = la.add(x, la.scale(c, b))
+        pts.append(algebra.flat(x))
+    return AffineSubspace(algebra.flat(triple.e), [algebra.flat(b) for b in gf], pts)
+
+
+def diagonal(s: AffineSubspace, n: int) -> AffineSubspace:
+    """The diagonal copy of `s` in the n-th power of its ambient space, as in (g*)^n."""
+    return AffineSubspace(s.base * n, [d * n for d in s.directions], [p * n for p in s.sample_points])
 
 
 class CoadjointOrbit(SubmanifoldModel):
@@ -167,62 +188,6 @@ class CoadjointOrbit(SubmanifoldModel):
     def _tangent(self, xi):
         # ad*_{e_i} xi is minus row i of the coadjoint matrix
         return la.span_basis(self.algebra.coadjoint_matrix(xi))
-
-
-class SlodowySlice(SubmanifoldModel):
-    """e + g_f inside g ≅ g* via the Killing form."""
-
-    kind = "slodowy-slice"
-
-    def __init__(self, algebra: LieAlgebra, triple: Sl2Triple, parameters: Sequence[Sequence] = ()):
-        self.algebra = algebra
-        self.triple = triple
-        self.gf = la.span_basis(algebra.centralizer(triple.f))
-        pts = [self.point_from(params) for params in (parameters or [[0] * len(self.gf)])]
-        super().__init__(algebra.dim, pts)
-
-    def point_from(self, params: Sequence) -> Vector:
-        x = self.triple.e
-        for c, b in zip(params, self.gf, strict=True):
-            x = la.add(x, la.scale(c, b))
-        return self.algebra.flat(x)
-
-    def _contains(self, xi):
-        x = self.algebra.sharp(xi)
-        return la.span_contains(self.gf, [la.sub(x, self.triple.e)])
-
-    def _tangent(self, xi):
-        return [self.algebra.flat(b) for b in self.gf]
-
-
-class DiagonalSlodowy(SubmanifoldModel):
-    """Diagonally embedded slice in (g*)^n; ambient algebra is g^n."""
-
-    kind = "diagonal-slodowy"
-
-    def __init__(self, algebra: LieAlgebra, triple: Sl2Triple, n: int, parameters: Sequence[Sequence] = ()):
-        self.factor = algebra
-        self.n = n
-        self.product = direct_power(algebra, n)
-        self.slice = SlodowySlice(algebra, triple, parameters)
-        pts = [self.embed(p) for p in self.slice.sample_points]
-        super().__init__(self.product.dim, pts)
-
-    def embed(self, xi_factor: Vector) -> Vector:
-        out = la.zeros(self.product.dim)
-        for k in range(self.n):
-            out = la.add(out, embed_factor(self.product.dim, self.factor.dim, k, xi_factor))
-        return out
-
-    def _contains(self, xi):
-        d = self.factor.dim
-        first = xi[:d]
-        if not self.slice.contains(first):
-            return False
-        return all(xi[k * d : (k + 1) * d] == first for k in range(self.n))
-
-    def _tangent(self, xi):
-        return [self.embed(t) for t in self.slice.tangent_basis(xi[: self.factor.dim])]
 
 
 class DecompositionClass(SubmanifoldModel):
@@ -276,11 +241,13 @@ class CasimirLevelSet(SubmanifoldModel):
         return la.nullspace([self.algebra.sharp(xi)])
 
 
-class WeylChamberFace(SubmanifoldModel):
+class WeylChamberFace(AffineSubspace):
     """Face of the fundamental chamber in t* ⊆ g*, cut out by simple coroots.
 
-    A point annihilates exactly the simple coroots indexed by `subset` and
-    takes positive rational values on the remaining ones.
+    The linear subspace along the simple-coroot units outside `subset`, on
+    which a point annihilates the simple coroots in `subset`; it lies on the
+    face when it is positive on the remaining ones and a positive root pairs
+    to zero only if it stays in <subset>.
     """
 
     kind = "weyl-chamber-face"
@@ -288,22 +255,14 @@ class WeylChamberFace(SubmanifoldModel):
     def __init__(self, algebra: LieAlgebra, subset: Sequence[int], sample_points: Sequence[Vector]):
         self.algebra = algebra
         self.subset = frozenset(subset)
-        super().__init__(algebra.dim, sample_points)
+        units = [la.unit(algebra.dim, i) for i in range(algebra.rank) if i not in self.subset]
+        super().__init__(la.zeros(algebra.dim), units, sample_points)
 
     def _contains(self, xi):
         alg = self.algebra
         rs = alg.root_data
-        # must vanish on every root vector (xi in the embedded t*)
-        for i in range(alg.rank, alg.dim):
-            if xi[i] != 0:
-                return False
-        for i in range(alg.rank):
-            v = xi[i]
-            if i in self.subset:
-                if v != 0:
-                    return False
-            elif v <= 0:
-                return False
+        if not super()._contains(xi) or any(xi[i] <= 0 for i in range(alg.rank) if i not in self.subset):
+            return False
         # exactness: a positive root pairs to zero iff it stays in <subset>
         for beta in rs.positive:
             coeffs = rs.coroot_coeffs(beta)
@@ -312,13 +271,6 @@ class WeylChamberFace(SubmanifoldModel):
             if inside != (val == 0):
                 return False
         return True
-
-    def _tangent(self, xi):
-        basis = []
-        for i in range(self.algebra.rank):
-            if i not in self.subset:
-                basis.append(la.unit(self.ambient_dim, i))
-        return basis
 
     def root_subsystem_algebra(self, xi: Vector) -> list[Vector]:
         """g_Psi = span(coroots of Psi) + root spaces of Psi = {alpha : alpha(y)=0}."""

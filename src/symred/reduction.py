@@ -72,10 +72,9 @@ def kernel_identity_check(alg: LieAlgebra, s_model, xi: Vector):
     orbit = orbit_tangent_in_universal(alg, s_model, xi)
     agree = la.span_equal(kernel, orbit)
     # Completing the kernel by members of n_basis is completing its
-    # coefficient vectors by unit vectors.  The pivot column of each added
-    # unit vector is its index into n_basis and into the Gram matrix.
-    units = la.identity(len(n_basis))
-    picked = la.rref(la.extend_to_basis(coeff_kernel, units))[1]
+    # coefficient vectors by unit vectors, returned in increasing order.  The
+    # position of each one's 1 is its index into n_basis and the Gram matrix.
+    picked = [u.index(1) for u in la.extend_to_basis(coeff_kernel, la.identity(len(n_basis)))]
     model = ReducedSpaceModel(
         xi=xi,
         n_tangent=tuple(n_basis),

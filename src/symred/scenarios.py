@@ -25,7 +25,7 @@ from . import linalg as la
 from . import poisson, reduction
 from . import groupoid as gpd
 from .errors import ConfigError, DimensionMismatch, SymredError
-from .lie import LieAlgebra, Sl2Triple, build_chevalley, embed_factor, is_subalgebra, principal_sl2
+from .lie import LieAlgebra, Sl2Triple, build_chevalley, direct_power, embed_factor, is_subalgebra, principal_sl2
 from .linalg import Q, Vector
 
 
@@ -124,20 +124,21 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
 
     fixed = [[0] * ell, [1] + [0] * (ell - 1), [-2] + [1] * (ell - 1)]
     extra = [[_rand_nonzero(rng) for _ in range(ell)] for _ in range(max(0, sample_count - 3))]
-    dia = poisson.DiagonalSlodowy(alg, triple, n, parameters=fixed + extra)
-    prod = dia.product
+    sl = poisson.slodowy_slice(alg, triple, fixed + extra)
+    dia = poisson.diagonal(sl, n)
+    prod = direct_power(alg, n)
     pm = poisson.kks_model(prod)
     report.add("sample_points", "rational nilpotent-slice coordinates of the sampled points", True,
                {"slice_parameters": [[la.frac(c) for c in p] for p in fixed + extra]})
 
-    for pt in dia.slice.sample_points:
+    gf = [alg.sharp(d) for d in sl.directions]  # g_f read back from the slice, not eliminated again
+    for pt in sl.sample_points:
         x = alg.sharp(pt)
-        gf = dia.slice.gf
         bracket_img = [alg.bracket(alg.basis_vec(i), x) for i in range(alg.dim)]
-        total = la.rank(list(gf) + bracket_img)
+        total = la.rank(gf + bracket_img)
         report.add("slice_transversality", "g = g_f + [g, x] (direct sum)",
                    total == alg.dim and la.rank(gf) + la.rank(bracket_img) == alg.dim,
-                   {"points": len(dia.slice.sample_points)})
+                   {"points": len(sl.sample_points)})
 
     ranks = []
     for pt in dia.sample_points:
@@ -176,9 +177,9 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
                    {"reduced_dim": model.quotient_dim, "expected": expected_dim})
 
     # N_n = N x_c ... x_c N is coisotropic in N^n; det(G ⊕ ... ⊕ G) = det(G)^n
-    for pt_s in dia.slice.sample_points:
+    for pt_s in sl.sample_points:
         base = [tuple(la.unit(alg.dim, i)) + la.zeros(alg.dim) for i in range(alg.dim)]
-        base += [la.zeros(alg.dim) + tuple(t) for t in dia.slice.tangent_basis(pt_s)]
+        base += [la.zeros(alg.dim) + tuple(t) for t in sl.tangent_basis(pt_s)]
         gram_n = gpd.omega_gram(alg, pt_s, base)
         if la.rank(gram_n) < len(gram_n):
             raise DimensionMismatch("omega must be nondegenerate")

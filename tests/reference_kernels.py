@@ -6,7 +6,10 @@ learned to skip zeros and to sum on ints: every product is a
 Gram entry is evaluated on its own from dense brackets and dots.  The
 group oracle is the matrix route the library's adjoint group replaced:
 exponentiate a type-A matrix and conjugate every basis matrix by it.  The
-differential tests require the library to return exactly what these do.
+membership rules of the Slodowy slice and of its diagonal, which the
+affine model replaced, are kept as the oracle of ``poisson.slodowy_slice``
+and ``poisson.diagonal``.  The differential tests require the library to
+return exactly what these do.
 """
 
 from __future__ import annotations
@@ -312,3 +315,22 @@ def conjugation_adjoint(reps: Sequence[Matrix], g: Matrix) -> tuple[Matrix, Matr
     ad = [coords(product(product(g, rep), ginv)) for rep in reps]
     ad_inv = [coords(product(product(ginv, rep), g)) for rep in reps]
     return la.transpose(ad), la.transpose(ad_inv)
+
+
+def centralizer(alg: LieAlgebra, x: Vector) -> list[Vector]:
+    """g_x as the nullspace of the dense matrix of ad_x, one ``bracket`` per column."""
+    cols = [bracket(alg, x, alg.basis_vec(i)) for i in range(alg.dim)]
+    return nullspace(list(zip(*cols)))
+
+
+def on_slodowy_slice(alg: LieAlgebra, triple, xi: Vector) -> bool:
+    """sharp(xi) - e lies in g_f, i.e. [f, sharp(xi) - e] = 0."""
+    x = tuple(a - b for a, b in zip(alg.sharp(xi), triple.e, strict=True))
+    return not any(bracket(alg, triple.f, x))
+
+
+def on_diagonal_slice(alg: LieAlgebra, triple, n: int, xi: Vector) -> bool:
+    """All n blocks of xi are equal, and the first block lies on the slice."""
+    d = alg.dim
+    blocks = [tuple(xi[k * d : (k + 1) * d]) for k in range(n)]
+    return all(b == blocks[0] for b in blocks) and on_slodowy_slice(alg, triple, blocks[0])

@@ -54,16 +54,16 @@ def _kernel_models(alg):
     level = la.dot(reg, alg.sharp(reg))
     casimir_pts = [reg] + [alg.coadjoint_group_action(g, reg) for g in translates[:2]]
     slice_params = [[0] * alg.rank, [1] + [0] * (alg.rank - 1), [-2] + [1] * (alg.rank - 1)]
-    singles = [poisson.Singleton(p) for p in casimir_pts]
+    singles = [poisson.AffineSubspace(p, []) for p in casimir_pts]
+    sl = poisson.slodowy_slice(alg, tri, slice_params)
     models = [
         ("singleton", alg, singles),
         ("orbit", alg, [poisson.CoadjointOrbit(alg, reg, translates)]),
-        ("slice", alg, [poisson.SlodowySlice(alg, tri, parameters=slice_params)]),
+        ("slice", alg, [sl]),
         ("class", alg, [poisson.DecompositionClass(alg, subreg_cent_dim, class_pts)]),
         ("casimir", alg, [poisson.CasimirLevelSet(alg, level, casimir_pts)]),
     ]
-    dia = poisson.DiagonalSlodowy(alg, tri, 2, parameters=slice_params)
-    models.append(("diagonal-slice", dia.product, [dia]))
+    models.append(("diagonal-slice", lie.direct_power(alg, 2), [poisson.diagonal(sl, 2)]))
     return models
 
 
@@ -170,9 +170,12 @@ def test_criterion_07_diagonal_fibers():
         alg = lie.build_chevalley("A", rank)
         tri = lie.principal_sl2(alg)
         params = [[0] * rank, [1] + [0] * (rank - 1), [-2] + [1] * (rank - 1)]
+        sl = poisson.slodowy_slice(alg, tri, params)
+        gf = la.span_basis(alg.centralizer(tri.f))
         for n in (2, 3):
-            dia = poisson.DiagonalSlodowy(alg, tri, n, parameters=params)
-            pm = poisson.kks_model(dia.product)
+            dia = poisson.diagonal(sl, n)
+            product = lie.direct_power(alg, n)
+            pm = poisson.kks_model(product)
             for pt in dia.sample_points:
                 fiber = poisson.algebroid_fiber(pm, dia, pt)
                 x = alg.sharp(tuple(pt[: alg.dim]))
@@ -182,18 +185,18 @@ def test_criterion_07_diagonal_fibers():
                     for z in gx:
                         oracle.append(
                             la.add(
-                                lie.embed_factor(dia.product.dim, alg.dim, k, z),
-                                lie.embed_factor(dia.product.dim, alg.dim, k + 1, la.neg(z)),
+                                lie.embed_factor(product.dim, alg.dim, k, z),
+                                lie.embed_factor(product.dim, alg.dim, k + 1, la.neg(z)),
                             )
                         )
                 ok &= la.span_equal(list(fiber.basis), oracle)
                 ok &= fiber.rank == (n - 1) * alg.rank
             # transversality at the same points
-            for pt_s in dia.slice.sample_points:
+            for pt_s in sl.sample_points:
                 x = alg.sharp(pt_s)
                 img = [alg.bracket(alg.basis_vec(i), x) for i in range(alg.dim)]
-                ok &= la.rank(list(dia.slice.gf) + img) == alg.dim
-                ok &= la.rank(dia.slice.gf) + la.rank(img) == alg.dim
+                ok &= la.rank(gf + img) == alg.dim
+                ok &= la.rank(gf) + la.rank(img) == alg.dim
     verdict(7, "diagonal-slice fibers are sum-zero centralizer tuples; slices transverse", ok)
 
 
@@ -241,9 +244,9 @@ def test_criterion_10_lagrangian_criterion():
     hb = sl2.flat(h)
     tri = lie.principal_sl2(sl2)
     library = [
-        (kks2, poisson.Singleton(hb), hb),
-        (kks2, poisson.Singleton(la.zeros(3)), la.zeros(3)),
-        (kks2, poisson.SlodowySlice(sl2, tri, parameters=[[0], [1]]), None),
+        (kks2, poisson.AffineSubspace(hb, []), hb),
+        (kks2, poisson.AffineSubspace(la.zeros(3), []), la.zeros(3)),
+        (kks2, poisson.slodowy_slice(sl2, tri, parameters=[[0], [1]]), None),
         (kks2, poisson.CoadjointOrbit(sl2, hb, [sl2.unipotent(e, 1)]), None),
         (kks2, poisson.CasimirLevelSet(sl2, 8, [hb]), hb),
         (kks3, poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)]), None),

@@ -255,13 +255,13 @@ def test_kernel_identity_reduced_form_matches_pairwise(sl2, sl3):
     cases = []
     hb = sl2.flat(sl2.basis_vec(0))
     cases.append((sl2, poisson.CoadjointOrbit(sl2, hb), hb))
-    cases.append((sl2, poisson.Singleton(hb), hb))
+    cases.append((sl2, poisson.AffineSubspace(hb, []), hb))
     x = sl3.from_matrix(la.mat([[1, 0, 0], [0, 1, 0], [0, 0, -2]]))
     dec = poisson.DecompositionClass(sl3, 4, [x])
     cases.append((sl3, dec, dec.sample_points[0]))
-    dia = poisson.DiagonalSlodowy(sl2, lie.principal_sl2(sl2), 2, parameters=[[0], [Q(1, 2)]])
+    dia = poisson.diagonal(poisson.slodowy_slice(sl2, lie.principal_sl2(sl2), [[0], [Q(1, 2)]]), 2)
     for pt in dia.sample_points:
-        cases.append((dia.product, dia, pt))
+        cases.append((lie.direct_power(sl2, 2), dia, pt))
     for alg, model, pt in cases:
         _, red = reduction.kernel_identity_check(alg, model, pt)
         complement, form = _reduced_by_reference(alg, red)
@@ -720,3 +720,33 @@ def test_nullspace_matches_reference(rows):
 @pytest.mark.parametrize("rows", EDGE_CASES)
 def test_nullspace_edge_cases(rows):
     assert la.nullspace(rows) == ref.nullspace(rows)
+
+
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
+def test_slice_and_diagonal_match_membership_rules(typ, rank):
+    """slodowy_slice and diagonal against the slice models' membership rules, n = 1, 2, 3."""
+    alg = lie.build_chevalley(typ, rank)
+    tri = lie.principal_sl2(alg)
+    params = [[0] * rank, [1] + [0] * (rank - 1), [-2] + [Q(1, 2)] * (rank - 1)]
+    sl = poisson.slodowy_slice(alg, tri, params)
+    gf = [alg.flat(z) for z in ref.centralizer(alg, tri.f)]
+    assert len(gf) == rank
+    off = alg.flat(tri.e)  # [f, e] = -h, so e is not in g_f
+    moved = [la.add(pt, la.scale(Q(3, 2), gf[-1])) for pt in sl.sample_points]  # on the slice, not sampled
+    for pt, fresh in zip(sl.sample_points, moved):
+        assert la.span_equal(sl.tangent_basis(pt), gf)
+        for xi, on in ((pt, True), (fresh, True), (la.add(pt, off), False)):
+            assert ref.on_slodowy_slice(alg, tri, xi) is on
+            assert sl.contains(xi) is on
+    for n in (1, 2, 3):
+        dia = poisson.diagonal(sl, n)
+        assert dia.ambient_dim == n * alg.dim
+        assert [p[: alg.dim] for p in dia.sample_points] == list(sl.sample_points)
+        for pt, fresh, other in zip(sl.sample_points, moved, sl.sample_points[1:]):
+            assert la.span_equal(dia.tangent_basis(pt * n), [t * n for t in gf])
+            cases = [(pt * n, True), (fresh * n, True), (la.add(pt, off) * n, False)]
+            if n > 1:
+                cases.append((pt * (n - 1) + other, False))  # every block on the slice, not diagonal
+            for xi, on in cases:
+                assert ref.on_diagonal_slice(alg, tri, n, xi) is on
+                assert dia.contains(xi) is on

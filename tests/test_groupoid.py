@@ -293,7 +293,7 @@ def test_two_route_fiber_agreement(sl2, sl3, sl2_efh, kks2):
     """Closed-form fibers equal ds^{-1}(TS) ∩ dt^{-1}(TS) ∩ (TS)^Omega."""
     e, h, f = sl2_efh
     hb = sl2.flat(h)
-    single = poisson.Singleton(hb)
+    single = poisson.AffineSubspace(hb, [])
     mw = gpd.mw_fiber(sl2, list(la.identity(3)), hb, la.zeros(3))
     assert la.span_equal(gpd.fiber_by_intersection(sl2, single, hb), mw.basis)
     orb = poisson.CoadjointOrbit(sl2, hb)
@@ -308,7 +308,7 @@ def test_two_route_fiber_agreement(sl2, sl3, sl2_efh, kks2):
 def test_lie_functor(sl2, sl3, kks2, kks3, sl2_efh):
     e, h, f = sl2_efh
     hb = sl2.flat(h)
-    single = poisson.Singleton(hb)
+    single = poisson.AffineSubspace(hb, [])
     mw = gpd.mw_fiber(sl2, list(la.identity(3)), hb, la.zeros(3))
     assert gpd.lie_functor_check(mw, poisson.algebroid_fiber(kks2, single, hb))
     orb = poisson.CoadjointOrbit(sl2, hb)
@@ -319,7 +319,7 @@ def test_lie_functor(sl2, sl3, kks2, kks3, sl2_efh):
     ff = gpd.chamber_face_fiber(sl3, face, pt)
     assert gpd.lie_functor_check(ff, poisson.algebroid_fiber(kks3, face, pt))
     # a wrong expectation is rejected
-    wrong = poisson.algebroid_fiber(kks2, poisson.Singleton(la.zeros(3)), la.zeros(3))
+    wrong = poisson.algebroid_fiber(kks2, poisson.AffineSubspace(la.zeros(3), []), la.zeros(3))
     assert not gpd.lie_functor_check(mw, wrong)
 
 
@@ -340,7 +340,7 @@ def test_normality(sl2, sl3, sl2_efh):
     gt = sl3.group_element([[2, 0, 0], [0, 3, 0], [0, 0, Q(1, 6)]])
     assert gpd.normality_infinitesimal_check(sl3, dec, gt, dec.sample_points[0])
     tri = lie.principal_sl2(sl2)
-    sl = poisson.SlodowySlice(sl2, tri, parameters=[[0]])
+    sl = poisson.slodowy_slice(sl2, tri, parameters=[[0]])
     with pytest.raises(KindNotInvariant):
         gpd.normality_infinitesimal_check(sl2, sl, gid, sl.sample_points[0])
 

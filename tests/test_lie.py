@@ -532,7 +532,7 @@ def test_coadjoint_matrix_is_memoised(name, rng):
 def test_integer_certificates_build_no_fraction(typ, rank, fractions_built):
     alg = lie.build_chevalley(typ, rank)
     assert fractions_built(alg.verify_jacobi) == (0, True)
-    assert fractions_built(alg._check_antisymmetry) == (0, None)
+    assert fractions_built(alg._check_table) == (0, None)
     # one Fraction at most per Killing entry, and none for a zero entry
     built, killing = fractions_built(alg._compute_killing)
     assert built <= alg.dim * alg.dim and killing == alg.killing
@@ -558,6 +558,14 @@ NOT_ANTISYMMETRIC = [[[], [(1, Q(2))]], [[(1, Q(2))], []]]
 def test_non_antisymmetric_table_rejected():
     with pytest.raises(CertificateFailed):
         lie.LieAlgebra(["x", "y"], NOT_ANTISYMMETRIC, 0)
+
+
+def test_table_listing_a_coordinate_twice_rejected():
+    # [x, y] = y + y: bracket would sum to 2y while structure_constant reads 1
+    with pytest.raises(CertificateFailed, match="lists a coordinate twice"):
+        lie.LieAlgebra(["x", "y"], [[[], [(1, 1), (1, 1)]], [[(1, -1), (1, -1)], []]], 0)
+    with pytest.raises(CertificateFailed, match="lists a coordinate twice"):
+        lie.LieAlgebra(["x", "y"], [[[], [(1, 2)]], [[(1, -1), (1, -1)], []]], 0)
 
 
 def test_certificates_survive_optimize():

@@ -17,7 +17,10 @@ and does not read it.  Every exception
 class in ``errors.py`` is raised somewhere in ``src/``: a class that only a
 test's ``pytest.raises`` names guards nothing.  ``scenarios.py`` has no
 ``&=``: a pointwise verdict folded into a flag loses the point where it
-failed, so every verdict goes through ``ScenarioReport.add``.
+failed, so every verdict goes through ``ScenarioReport.add``.  A
+``SubmanifoldModel`` subclass in ``poisson.py`` whose ``_tangent`` never
+reads its point has the same tangent space everywhere, so it is an affine
+model, and ``AffineSubspace`` is the only one.
 """
 
 import ast
@@ -148,6 +151,23 @@ def unraised(errors: ast.Module, sources: list[ast.AST]) -> list[str]:
     ]
 
 
+def second_affine_models(tree: ast.Module) -> list[str]:
+    """``SubmanifoldModel`` subclasses but ``AffineSubspace`` whose ``_tangent`` never reads its point."""
+    models = {"SubmanifoldModel"}
+    found = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or not any(getattr(b, "id", None) in models for b in cls.bases):
+            continue
+        models.add(cls.name)
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "_tangent" and cls.name != "AffineSubspace":
+                point = item.args.args[1].arg if len(item.args.args) > 1 else "its point"
+                loads = {n.id for n in ast.walk(item) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                if point not in loads:
+                    found.append(f"line {item.lineno}: {cls.name}._tangent never reads {point}")
+    return found
+
+
 def test_sources_found():
     assert len(SRC) >= 10
 
@@ -266,3 +286,25 @@ def test_scenarios_record_every_verdict():
 def test_and_assignment_gate_catches_accumulation():
     tree = ast.parse("ok = True\nfor x in xs:\n    ok &= x > 0\nmask |= 1\nok = ok and y\n")
     assert and_assignments(tree) == ["line 3: &= accumulation"]
+
+
+def test_one_affine_model():
+    path = ROOT / "src" / "symred" / "poisson.py"
+    assert second_affine_models(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == []
+
+
+def test_affine_model_gate_catches_a_second_one():
+    tree = ast.parse(
+        "class SubmanifoldModel:\n    def _tangent(self, xi):\n        raise NotImplementedError\n\n"
+        "class AffineSubspace(SubmanifoldModel):\n    def _tangent(self, xi):\n        return self.directions\n\n"
+        "class Orbit(SubmanifoldModel):\n    def _tangent(self, xi):\n        return span(xi)\n\n"
+        "class Slice(SubmanifoldModel):\n    def _tangent(self, xi):\n        return self.gf\n\n"
+        "class Face(AffineSubspace):\n    def _tangent(self, p):\n        xi = 0\n        return [xi]\n\n"
+        "class Point(Orbit):\n    def _tangent(self):\n        return []\n\n"
+        "class Unrelated:\n    def _tangent(self, xi):\n        return []\n"
+    )
+    assert second_affine_models(tree) == [
+        "line 14: Slice._tangent never reads xi",
+        "line 18: Face._tangent never reads p",
+        "line 23: Point._tangent never reads its point",
+    ]

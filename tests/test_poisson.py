@@ -38,13 +38,13 @@ def test_kks_linear_in_xi_and_zero_at_zero(sl2, rng):
 def test_tangent_basis_cases(sl2, sl2_efh, kks2):
     e, h, f = sl2_efh
     hb = sl2.flat(h)
-    assert poisson.Singleton(hb).tangent_basis(hb) == []
+    assert poisson.AffineSubspace(hb, []).tangent_basis(hb) == []
     orb = poisson.CoadjointOrbit(sl2, hb)
     # oracle: rank of {ad*_e h^b, ad*_h h^b, ad*_f h^b}
     gens = [sl2.ad_star(v, hb) for v in (e, h, f)]
     assert len(orb.tangent_basis(hb)) == la.rank(gens) == 2
     tri = lie.principal_sl2(sl2)
-    sl = poisson.SlodowySlice(sl2, tri, parameters=[[0]])
+    sl = poisson.slodowy_slice(sl2, tri, parameters=[[0]])
     eb = sl2.flat(e)
     assert sl.contains(eb)
     assert len(sl.tangent_basis(eb)) == 1
@@ -53,10 +53,38 @@ def test_tangent_basis_cases(sl2, sl2_efh, kks2):
 
 def test_not_on_model(sl2):
     hb = sl2.flat(sl2.basis_vec(0))
-    single = poisson.Singleton(hb)
+    single = poisson.AffineSubspace(hb, [])
     for _ in range(2):  # an off-model point is refused every time, never kept
         with pytest.raises(NotOnModel):
             single.tangent_basis(la.zeros(3))
+
+
+WRONG_LENGTH_MODELS = {
+    poisson.AffineSubspace: lambda sl2, sl3: poisson.AffineSubspace(la.zeros(3), [la.unit(3, 0)]),
+    poisson.CoadjointOrbit: lambda sl2, sl3: poisson.CoadjointOrbit(sl2, sl2.flat(sl2.basis_vec(0))),
+    poisson.DecompositionClass: lambda sl2, sl3: poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)]),
+    poisson.CasimirLevelSet: lambda sl2, sl3: poisson.CasimirLevelSet(sl2, 8, [sl2.flat(sl2.basis_vec(0))]),
+    poisson.WeylChamberFace: lambda sl2, sl3: poisson.WeylChamberFace(sl3, (0,), [tuple([Q(0), Q(1)] + [Q(0)] * 6)]),
+    poisson.Explicit: lambda sl2, sl3: poisson.Explicit(3, lambda xi: [la.unit(3, 0)], [la.zeros(3)]),
+}
+
+
+def test_wrong_length_cases_cover_every_model():
+    models = {c for c in vars(poisson).values() if isinstance(c, type) and issubclass(c, poisson.SubmanifoldModel)}
+    assert models - {poisson.SubmanifoldModel} == set(WRONG_LENGTH_MODELS)
+
+
+@pytest.mark.parametrize("cls", WRONG_LENGTH_MODELS, ids=lambda cls: cls.__name__)
+def test_wrong_length_point_raises_dimension_mismatch(sl2, sl3, cls):
+    model = WRONG_LENGTH_MODELS[cls](sl2, sl3)
+    assert type(model) is cls
+    point = model.sample_points[0]
+    for bad in (point[:1], point + (Q(0),), ()):
+        with pytest.raises(DimensionMismatch):
+            model.contains(bad)
+        with pytest.raises(DimensionMismatch):
+            model.tangent_basis(bad)
+    assert model.contains(point)
 
 
 @pytest.mark.parametrize("build", [
@@ -101,9 +129,9 @@ def test_algebroid_fiber_memberships(sl2, sl3, kks2, kks3, sl2_efh):
     hb = sl2.flat(h)
     tri = lie.principal_sl2(sl2)
     models = [
-        (kks2, poisson.Singleton(hb)),
+        (kks2, poisson.AffineSubspace(hb, [])),
         (kks2, poisson.CoadjointOrbit(sl2, hb, [sl2.unipotent(e, 1)])),
-        (kks2, poisson.SlodowySlice(sl2, tri, parameters=[[0], [1]])),
+        (kks2, poisson.slodowy_slice(sl2, tri, parameters=[[0], [1]])),
         (kks2, poisson.CasimirLevelSet(sl2, 8, [hb])),
         (kks3, poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)])),
     ]
@@ -119,13 +147,13 @@ def test_algebroid_fiber_memberships(sl2, sl3, kks2, kks3, sl2_efh):
 
 def test_singleton_fiber_is_centralizer(sl2, kks2):
     hb = sl2.flat(sl2.basis_vec(0))
-    fib = poisson.algebroid_fiber(kks2, poisson.Singleton(hb), hb)
+    fib = poisson.algebroid_fiber(kks2, poisson.AffineSubspace(hb, []), hb)
     assert la.span_equal(list(fib.basis), la.nullspace(la.transpose(sl2.coadjoint_matrix(hb))))
 
 
 def test_slice_fiber_zero(sl2, kks2):
     tri = lie.principal_sl2(sl2)
-    sl = poisson.SlodowySlice(sl2, tri, parameters=[[0], [1], [-2]])
+    sl = poisson.slodowy_slice(sl2, tri, parameters=[[0], [1], [-2]])
     for pt in sl.sample_points:
         assert poisson.algebroid_fiber(kks2, sl, pt).rank == 0
         assert poisson.poisson_transversal_check(kks2, sl, pt)
@@ -154,10 +182,10 @@ def test_pre_poisson_sample_check(sl2, kks2, sl2_efh):
     out = poisson.pre_poisson_sample_check(kks2, orb)
     assert out["constant_rank"] and out["ranks"] == [1, 1, 1, 1]
     tri = lie.principal_sl2(sl2)
-    dia = poisson.DiagonalSlodowy(sl2, tri, 3, parameters=[[0], [1], [-2]])
-    out = poisson.pre_poisson_sample_check(poisson.kks_model(dia.product), dia)
+    dia = poisson.diagonal(poisson.slodowy_slice(sl2, tri, [[0], [1], [-2]]), 3)
+    out = poisson.pre_poisson_sample_check(poisson.kks_model(lie.direct_power(sl2, 3)), dia)
     assert out["constant_rank"] and set(out["ranks"]) == {2}
-    single = poisson.Singleton(hb)
+    single = poisson.AffineSubspace(hb, [])
     out = poisson.pre_poisson_sample_check(kks2, single)
     assert out["constant_rank"] and out["ranks"] == [1]
 
@@ -167,7 +195,7 @@ def test_stable_checks(sl2, kks2, sl2_efh):
     hb = sl2.flat(h)
     orb = poisson.CoadjointOrbit(sl2, hb, [sl2.unipotent(e, 1)])
     tri = lie.principal_sl2(sl2)
-    sl = poisson.SlodowySlice(sl2, tri, parameters=[[0], [1]])  # vacuous: fiber is zero
+    sl = poisson.slodowy_slice(sl2, tri, parameters=[[0], [1]])  # vacuous: fiber is zero
     cas = poisson.CasimirLevelSet(sl2, 8, [hb, sl2.flat(la.add(e, f))])
     for model in (orb, sl, cas):
         assert all(poisson.algebroid_fiber(kks2, model, pt).contained_in_centralizer for pt in model.sample_points)
@@ -188,7 +216,7 @@ def test_poisson_submanifolds_are_stable(sl3, kks3):
 
 def test_transversal_implies_zero_fiber(sl2, kks2, rng):
     tri = lie.principal_sl2(sl2)
-    sl = poisson.SlodowySlice(sl2, tri, parameters=[[Q(3, 2)], [-1]])
+    sl = poisson.slodowy_slice(sl2, tri, parameters=[[Q(3, 2)], [-1]])
     for pt in sl.sample_points:
         if poisson.poisson_transversal_check(kks2, sl, pt):
             assert poisson.algebroid_fiber(kks2, sl, pt).rank == 0
@@ -229,10 +257,11 @@ def stabilizer_cases():
     cases = []
     for alg, params in ((sl2, [[0], [1], [Q(-3, 2)]]), (sl3, [[0, 0], [1, 0], [-2, 1]])):
         tri = lie.principal_sl2(alg)
-        cases.append((alg, poisson.SlodowySlice(alg, tri, params)))
+        sl = poisson.slodowy_slice(alg, tri, params)
+        cases.append(pytest.param(alg, sl, id=f"{alg.name}-slodowy-slice"))
         for n in (2, 3):
-            dia = poisson.DiagonalSlodowy(alg, tri, n, params)
-            cases.append((dia.product, dia))
+            product = lie.direct_power(alg, n)
+            cases.append(pytest.param(product, poisson.diagonal(sl, n), id=f"{product.name}-diagonal-slodowy"))
     cases.append((sl3, poisson.DecompositionClass(sl3, 4, [subregular_point(sl3), subregular_point(sl3, -3, (0, 2, 1))])))
     hb = sl2.flat(sl2.basis_vec(0))
     translates = [sl2.unipotent(sl2.root_vector((1,)), 1), sl2.unipotent(sl2.root_vector((-1,)), Q(1, 2))]
@@ -321,7 +350,7 @@ def test_fibred_product_coisotropic_in_slice_square(sl2):
     from symred import groupoid as gpd
 
     tri = lie.principal_sl2(sl2)
-    sl = poisson.SlodowySlice(sl2, tri, parameters=[[1]])
+    sl = poisson.slodowy_slice(sl2, tri, parameters=[[1]])
     pt = sl.sample_points[0]
     base = [tuple(la.unit(3, i)) + la.zeros(3) for i in range(3)]
     base += [la.zeros(3) + tuple(t) for t in sl.tangent_basis(pt)]
@@ -338,11 +367,11 @@ def test_fibred_product_coisotropic_in_slice_square(sl2):
 
 def test_moment_transversality(sl2, kks2):
     hb = sl2.flat(sl2.basis_vec(0))
-    single = poisson.Singleton(hb)
+    single = poisson.AffineSubspace(hb, [])
     assert poisson.moment_transversality_check(list(la.identity(3)), single, hb)
     assert not poisson.moment_transversality_check([], single, hb)
     tri = lie.principal_sl2(sl2)
-    sl = poisson.SlodowySlice(sl2, tri, parameters=[[0], [2]])
+    sl = poisson.slodowy_slice(sl2, tri, parameters=[[0], [2]])
     for pt in sl.sample_points:
         sigma = kks2.bivector_at(pt)
         image = [la.mat_vec(sigma, sl2.basis_vec(i)) for i in range(3)]
@@ -353,6 +382,7 @@ def test_weyl_chamber_face_membership(sl3):
     face = poisson.WeylChamberFace(sl3, (0,), [tuple([Q(0), Q(2)] + [Q(0)] * 6)])
     assert not face.contains(tuple([Q(1), Q(2)] + [Q(0)] * 6))
     assert not face.contains(tuple([Q(0), Q(0)] + [Q(0)] * 6))
+    assert not face.contains(tuple([Q(0), Q(2), Q(1)] + [Q(0)] * 5))  # off t*: a root coordinate
     with pytest.raises(NotOnModel):
         poisson.WeylChamberFace(sl3, (0,), [tuple([Q(1), Q(1)] + [Q(0)] * 6)])
 
@@ -368,7 +398,7 @@ def test_casimir_membership(sl2, sl2_efh):
 
 def test_diagonal_slodowy_membership(sl2):
     tri = lie.principal_sl2(sl2)
-    dia = poisson.DiagonalSlodowy(sl2, tri, 2, parameters=[[0]])
+    dia = poisson.diagonal(poisson.slodowy_slice(sl2, tri, [[0]]), 2)
     pt = dia.sample_points[0]
     assert dia.contains(pt)
     off = list(pt)
@@ -417,15 +447,25 @@ def test_orbit_is_poisson_submanifold(sl2, kks2, sl2_efh):
 def test_each_point_derived_once_on_readme_suite(monkeypatch):
     """Traffic on the README suite: T_xi S and membership are each derived at
     most once per (model, point).  `_contains` is the membership computation;
-    public `contains` answers certified points from the model's store."""
+    public `contains` answers certified points from the model's store.  An
+    override that calls its base class's method makes one derivation, so
+    only the outermost call is counted."""
     calls = Counter()
     alive = []  # keep every model alive so that no id is reused
+    running = set()
 
     def counted(name, fn):
         def wrapper(self, xi):
+            key = (name, id(self), tuple(xi))
+            if key in running:
+                return fn(self, xi)
             alive.append(self)
-            calls[(name, id(self), tuple(xi))] += 1
-            return fn(self, xi)
+            calls[key] += 1
+            running.add(key)
+            try:
+                return fn(self, xi)
+            finally:
+                running.remove(key)
         return wrapper
 
     classes = [c for c in vars(poisson).values()

@@ -14,12 +14,12 @@ def test_orbit_tangent_cases(sl2, sl2_efh):
     e, h, f = sl2_efh
     hb = sl2.flat(h)
     tri = lie.principal_sl2(sl2)
-    sl = poisson.SlodowySlice(sl2, tri, parameters=[[0]])
+    sl = poisson.slodowy_slice(sl2, tri, parameters=[[0]])
     assert reduction.orbit_tangent_in_universal(sl2, sl, sl.sample_points[0]) == []
     orb = poisson.CoadjointOrbit(sl2, hb)
     got = reduction.orbit_tangent_in_universal(sl2, orb, hb)
     assert la.span_equal(got, [tuple(la.neg(h)) + la.zeros(3)])
-    single = poisson.Singleton(hb)
+    single = poisson.AffineSubspace(hb, [])
     got = reduction.orbit_tangent_in_universal(sl2, single, hb)
     assert la.span_equal(got, [tuple(la.neg(h)) + la.zeros(3)])
 
@@ -57,9 +57,9 @@ def test_kernel_identity_slice_orbit_singleton(sl2, sl2_efh):
     hb = sl2.flat(h)
     tri = lie.principal_sl2(sl2)
     cases = [
-        (poisson.SlodowySlice(sl2, tri, parameters=[[0], [1], [-2]]), 4, 0),
+        (poisson.slodowy_slice(sl2, tri, parameters=[[0], [1], [-2]]), 4, 0),
         (poisson.CoadjointOrbit(sl2, hb, [sl2.unipotent(e, 1), sl2.unipotent(f, Q(1, 3))]), 4, 1),
-        (poisson.Singleton(hb), 2, 1),
+        (poisson.AffineSubspace(hb, []), 2, 1),
     ]
     for model_s, expect_dim, expect_kernel in cases:
         for pt in model_s.sample_points:
@@ -88,11 +88,12 @@ def test_kernel_identity_at_nonidentity_base(sl2, sl2_efh):
 
 def test_dimension_formula_diagonal(sl2):
     tri = lie.principal_sl2(sl2)
-    dia = poisson.DiagonalSlodowy(sl2, tri, 2, parameters=[[0], [1], [-2]])
+    dia = poisson.diagonal(poisson.slodowy_slice(sl2, tri, [[0], [1], [-2]]), 2)
+    product = lie.direct_power(sl2, 2)
     for pt in dia.sample_points:
-        agree, model = reduction.kernel_identity_check(dia.product, dia, pt)
+        agree, model = reduction.kernel_identity_check(product, dia, pt)
         assert agree and model.quotient_dim == 6  # = dim of the cotangent space of the group
-        assert reduction.dimension_formula_check(dia.product, dia, pt, model)
+        assert reduction.dimension_formula_check(product, dia, pt, model)
 
 
 def test_decomposition_form(sl3, rng):
@@ -126,7 +127,7 @@ def test_decomposition_form(sl3, rng):
 
 def test_push_rejects_wrong_length(sl2):
     hb = sl2.flat(sl2.basis_vec(0))
-    _, model = reduction.kernel_identity_check(sl2, poisson.Singleton(hb), hb)
+    _, model = reduction.kernel_identity_check(sl2, poisson.AffineSubspace(hb, []), hb)
     assert model.push(la.unit(6, 1)) == (Q(1), Q(0))
     for v in (la.vec([1, 0]), la.unit(7, 0)):
         with pytest.raises(DimensionMismatch):

@@ -188,7 +188,7 @@ def test_fibred_product_coisotropy_matches_block_diagonal_route(rank, n):
     """The factor-Gram route of the Moore-Tachikawa scenario against coisotropic_check on G ⊕ ... ⊕ G."""
     alg = lie.build_chevalley("A", rank)
     params = [[0] * rank, [1] + [0] * (rank - 1), [-2] + [1] * (rank - 1), [Q(3, 2)] * rank]
-    sl = poisson.SlodowySlice(alg, lie.principal_sl2(alg), params)
+    sl = poisson.slodowy_slice(alg, lie.principal_sl2(alg), params)
     d = alg.dim
     for pt in sl.sample_points:
         base = [la.unit(d, i) + la.zeros(d) for i in range(d)]

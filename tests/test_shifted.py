@@ -10,7 +10,7 @@ from conftest import subregular_point
 
 def test_build_complex_valid_candidates(sl2, kks2):
     zero = la.zeros(3)
-    s0 = poisson.Singleton(zero)
+    s0 = poisson.AffineSubspace(zero, [])
     fiber = poisson.algebroid_fiber(kks2, s0, zero)
     cmap = shifted.build_complex(kks2, s0, zero, list(fiber.basis))
     assert cmap.verify_commutation()
@@ -24,7 +24,7 @@ def test_build_complex_valid_candidates(sl2, kks2):
 
 def test_build_complex_rejects_non_candidates(sl2, kks2):
     hb = sl2.flat(sl2.basis_vec(0))
-    s1 = poisson.Singleton(hb)
+    s1 = poisson.AffineSubspace(hb, [])
     e = sl2.root_vector((1,))
     with pytest.raises(NotACandidate):
         shifted.build_complex(kks2, s1, hb, [e])  # sigma(e) leaves TS = 0
@@ -36,7 +36,7 @@ def test_build_complex_rejects_non_candidates(sl2, kks2):
 
 def test_verdicts_at_origin(sl2, kks2):
     zero = la.zeros(3)
-    s0 = poisson.Singleton(zero)
+    s0 = poisson.AffineSubspace(zero, [])
     fiber = poisson.algebroid_fiber(kks2, s0, zero)
     v = shifted.criterion_for_candidate(kks2, s0, zero, list(fiber.basis))
     assert v.lagrangian and v.phi_iso and v.psi_iso and v.ker_phi_dim == 0
@@ -61,8 +61,8 @@ def candidate_library(sl2, sl3, kks2, kks3):
     tri = lie.principal_sl2(sl2)
     out = []
     for p, model in [
-        (kks2, poisson.Singleton(hb)),
-        (kks2, poisson.SlodowySlice(sl2, tri, parameters=[[0], [1]])),
+        (kks2, poisson.AffineSubspace(hb, [])),
+        (kks2, poisson.slodowy_slice(sl2, tri, parameters=[[0], [1]])),
         (kks2, poisson.CoadjointOrbit(sl2, hb, [sl2.unipotent(e, 1)])),
         (kks2, poisson.CasimirLevelSet(sl2, 8, [hb])),
         (kks3, poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)])),
