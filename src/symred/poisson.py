@@ -123,18 +123,21 @@ class SubmanifoldModel:
 
 
 class AffineSubspace(SubmanifoldModel):
-    """base + span(directions), the one affine model; a point {xi} is ``AffineSubspace(xi, [])``."""
+    """base + span(directions), the one affine model; a point {xi} is ``AffineSubspace(xi, [])``.
+
+    With ``sample_points`` None the base is the one sample point; an empty list gives none.
+    """
 
     kind = "affine"
 
     def __init__(self, base: Vector, directions: Sequence[Vector], sample_points=None):
         self.base = tuple(base)
         self.directions = la.span_basis(directions)
-        pts = list(sample_points) if sample_points else [self.base]
-        super().__init__(len(base), pts)
+        super().__init__(len(base), [self.base] if sample_points is None else sample_points)
 
     def _contains(self, xi):
-        return la.span_contains(self.directions, [la.sub(xi, self.base)])
+        # the directions are a basis, so one elimination decides membership
+        return la.rank([*self.directions, la.sub(xi, self.base)]) == len(self.directions)
 
     def _tangent(self, xi):
         return list(self.directions)
@@ -144,7 +147,7 @@ def slodowy_slice(algebra: LieAlgebra, triple: Sl2Triple, parameters: Sequence[S
     """e + g_f inside g ≅ g* via the Killing form: e^flat + span (g_f)^flat.
 
     Sample point k is (e + sum_i parameters[k][i] b_i)^flat over the
-    canonical basis b of g_f; without parameters it is e^flat.
+    canonical basis b of g_f; with no parameters the model has no sample points.
     """
     gf = la.span_basis(algebra.centralizer(triple.f))
     pts = []
@@ -379,12 +382,7 @@ def coisotropic_check(omega: Matrix, w: Sequence[Vector]) -> bool:
     q = la.mat(omega)
     if la.rank(q) < len(q):
         raise DimensionMismatch("omega must be nondegenerate")
-    return orthogonal_in_span([la.mat_vec(q, wv) for wv in w], w, len(q))
-
-
-def orthogonal_in_span(images: Sequence[Vector], w: Sequence[Vector], dim: int) -> bool:
-    """span(w) contains every v in Q^dim with v·images[i] = 0: coisotropy, for images[i] = omega w[i]."""
-    return la.span_contains(list(w), la.annihilator(images, dim))
+    return la.span_contains(list(w), la.annihilator([la.mat_vec(q, wv) for wv in w], len(q)))
 
 
 def moment_transversality_check(image_basis: Sequence[Vector], s: SubmanifoldModel, xi: Vector) -> bool:

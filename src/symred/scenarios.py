@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from . import linalg as la
 from . import poisson, reduction
 from . import groupoid as gpd
-from .errors import ConfigError, DimensionMismatch, SymredError
+from .errors import ConfigError, SymredError
 from .lie import LieAlgebra, Sl2Triple, build_chevalley, direct_power, embed_factor, is_subalgebra, principal_sl2
 from .linalg import Q, Vector
 
@@ -175,30 +175,6 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
         report.add("reduced_dim", "dim M_red = n dim g + rank - (n-1) rank",
                    reduction.dimension_formula_check(prod, dia, pt, model) and model.quotient_dim == expected_dim,
                    {"reduced_dim": model.quotient_dim, "expected": expected_dim})
-
-    # N_n = N x_c ... x_c N is coisotropic in N^n; det(G ⊕ ... ⊕ G) = det(G)^n
-    for pt_s in sl.sample_points:
-        base = [tuple(la.unit(alg.dim, i)) + la.zeros(alg.dim) for i in range(alg.dim)]
-        base += [la.zeros(alg.dim) + tuple(t) for t in sl.tangent_basis(pt_s)]
-        gram_n = gpd.omega_gram(alg, pt_s, base)
-        if la.rank(gram_n) < len(gram_n):
-            raise DimensionMismatch("omega must be nondegenerate")
-        w, images = _fibred_product_tangent(gram_n, alg.dim, n)
-        report.add("fibred_product_coisotropic", "N x_c ... x_c N is coisotropic in N^n",
-                   poisson.orthogonal_in_span(images, w, n * len(base)))
-
-
-def _fibred_product_tangent(gram: Sequence[Vector], d: int, n: int) -> tuple[list[Vector], list[Vector]]:
-    """W = g^n + diagonal(T S) in (g x T S)^n, and its images under G ⊕ ... ⊕ G.
-
-    G = `gram` is Omega on g x T S, g (dimension d) first, and W opens with g^n.
-    A vector of W has one unit entry in each block it meets: its image is G's column there.
-    """
-    width, cols = len(gram), la.transpose(gram)
-    w = [la.unit(n * width, k * width + i) for k in range(n) for i in range(d)]
-    images = [la.zeros(k * width) + cols[i] + la.zeros((n - 1 - k) * width) for k in range(n) for i in range(d)]
-    w += [la.unit(width, j) * n for j in range(d, width)]
-    return w, images + [cols[j] * n for j in range(d, width)]
 
 
 # -- decomposition classes ---------------------------------------------------
@@ -384,7 +360,7 @@ def c4_prepoisson_remark(report: ScenarioReport, values: dict, rng: random.Rando
         gram = [[la.dot(a, la.mat_vec(omega, b)) for b in tb] for a in tb]
         kernel = la.nullspace(gram)
         report.add("reduced_dim", "dim M_red = dim S - rk L_S = 2",
-                   len(kernel) == 0 and len(tb) - len(kernel) == 2, {"reduced_dim": 2})
+                   len(kernel) == 0 and len(tb) - len(kernel) == 2, {"reduced_dim": len(tb) - len(kernel)})
 
 
 # -- casimir level sets ------------------------------------------------------

@@ -406,6 +406,41 @@ def test_diagonal_slodowy_membership(sl2):
     assert not dia.contains(tuple(off))
 
 
+def test_empty_sample_points_mean_none(sl2, sl3):
+    hb, eb = sl2.flat(sl2.basis_vec(0)), sl2.flat(sl2.root_vector((1,)))
+    assert poisson.AffineSubspace(hb, [eb], []).sample_points == ()
+    assert poisson.WeylChamberFace(sl3, (0,), []).sample_points == ()
+    assert poisson.slodowy_slice(sl2, lie.principal_sl2(sl2), []).sample_points == ()
+    assert poisson.AffineSubspace(hb, [eb]).sample_points == (hb,)
+
+
+def test_affine_membership_matches_span_contains(sl2, sl3, rng):
+    hb, eb = sl2.flat(sl2.basis_vec(0)), sl2.flat(sl2.root_vector((1,)))
+    face_pt = tuple([Q(0), Q(2)] + [Q(0)] * 6)
+    models = [
+        poisson.AffineSubspace(hb, [eb]),
+        poisson.AffineSubspace(la.zeros(3), [hb, eb]),  # zero base
+        poisson.AffineSubspace(hb, []),  # empty directions
+        poisson.WeylChamberFace(sl3, (0,), [face_pt]),
+    ]
+    for model in models:
+        base, dim = model.base, model.ambient_dim
+        points = [base]
+        for _ in range(3):
+            on = base
+            for d in model.directions:
+                on = la.add(on, la.scale(la.random_fraction(rng), d))
+            points += [on, la.add(on, la.random_vector(rng, dim))]
+        points += [la.add(base, la.unit(dim, j)) for j in range(dim)]
+        verdicts = set()
+        for xi in points:
+            # the face's linear part is the inherited test
+            got = poisson.AffineSubspace._contains(model, xi)
+            assert got is la.span_contains(model.directions, [la.sub(xi, base)])
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
 def test_structure_constants_dense_matches_bracket(sl2):
     for i in range(3):
         for j in range(3):

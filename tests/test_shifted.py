@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -102,3 +103,62 @@ def test_ker_phi_dimension_formula(sl2, sl3, kks2, kks3):
         for cut in range(fiber.rank + 1):
             v = shifted.criterion_for_candidate(p, model, pt, list(fiber.basis)[:cut])
             assert v.ker_phi_dim == fiber.rank - cut
+
+
+# (phi_iso, psi_iso, ker_phi_dim) for the first `cut` fiber vectors, cut = 0 .. rank
+LIBRARY_VERDICTS = [
+    [(False, False, 1), (True, True, 0)],  # the point {h^b}
+    [(True, True, 0)],  # Slodowy slice at e^b
+    [(True, True, 0)],  # Slodowy slice at e^b + f^b
+    [(False, False, 1), (True, True, 0)],  # orbit of h^b at h^b
+    [(False, False, 1), (True, True, 0)],  # orbit of h^b at Ad*_g h^b
+    [(False, False, 1), (True, True, 0)],  # Casimir level 8 at h^b
+    [(False, False, 3), (False, False, 2), (False, False, 1), (True, True, 0)],  # subregular class
+    [(False, False, 3), (False, False, 2), (False, False, 1), (True, True, 0)],  # chamber face a2
+]
+
+
+def symplectic_cases():
+    """(model, S, point): the constant symplectic ambient, a line in the plane and a hyperplane in Q^4.
+
+    On the line and the hyperplane σ(L) ≠ 0, so ε is not zero, and with L = 0 only ψ is an isomorphism.
+    """
+    plane = poisson.symplectic_model([[0, 1], [-1, 0]])
+    q4 = poisson.symplectic_model([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    return [
+        (plane, poisson.AffineSubspace(la.zeros(2), list(la.identity(2))), la.zeros(2)),
+        (plane, poisson.AffineSubspace(la.zeros(2), [la.unit(2, 0)]), la.zeros(2)),
+        (q4, poisson.AffineSubspace(la.zeros(4), [la.unit(4, i) for i in range(3)]), la.zeros(4)),
+    ]
+
+
+SYMPLECTIC_VERDICTS = [
+    [(True, True, 0)],
+    [(False, True, 1), (True, True, 0)],
+    [(False, True, 1), (True, True, 0)],
+]
+
+
+def verdicts_by_cut(p, model, pt, fiber):
+    out = []
+    for cut in range(fiber.rank + 1):
+        v = shifted.criterion_for_candidate(p, model, pt, list(fiber.basis)[:cut])
+        out.append((v.phi_iso, v.psi_iso, v.ker_phi_dim))
+    return out
+
+
+def test_criterion_verdicts_pinned(sl2, sl3, kks2, kks3):
+    got = [verdicts_by_cut(*case) for case in candidate_library(sl2, sl3, kks2, kks3)]
+    assert got == LIBRARY_VERDICTS
+    got = [verdicts_by_cut(p, s, pt, poisson.algebroid_fiber(p, s, pt)) for p, s, pt in symplectic_cases()]
+    assert got == SYMPLECTIC_VERDICTS
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "delta", "epsilon"])
+def test_tampered_column_breaks_commutation(name):
+    p, line, pt = symplectic_cases()[1]
+    cmap = shifted.build_complex(p, line, pt, list(poisson.algebroid_fiber(p, line, pt).basis))
+    assert cmap.verify_commutation() and any(la.dot(v, v) for v in cmap.epsilon)
+    cols = list(getattr(cmap, name))
+    cols[0] = tuple(x + 1 for x in cols[0])
+    assert not replace(cmap, **{name: tuple(cols)}).verify_commutation()
