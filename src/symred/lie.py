@@ -19,10 +19,12 @@ Jacobi identity for all basis triples of every supported type.
 
 ``LieAlgebra`` stores each table constant as an ``int`` when it is
 integral and as a ``Fraction`` otherwise.  On a Chevalley basis every
-constant is an integer (±(p+1), Cartan integers, coroot coefficients), so
-the antisymmetry, Jacobi and Chevalley certificates and the Killing sums
-run on ints, as do ``bracket`` and ``coadjoint_matrix``: a hand-built
-table with rational constants is scaled once by its common denominator.
+constant is an integer (±(p+1), Cartan integers, coroot coefficients).
+The root data that produce them are ints too (a short root has norm 2),
+so the table is built without a ``Fraction``, and the antisymmetry,
+Jacobi and Chevalley certificates and the Killing sums run on ints, as
+do ``bracket`` and ``coadjoint_matrix``: a hand-built table with
+rational constants is scaled once by its common denominator.
 The reason is the cost of each operation: a ``Fraction`` multiply or add
 runs two gcds and builds a new object, where an ``int`` operation is one C
 call.  Every public boundary stays ``Fraction``: ``killing``, ``bracket``,
@@ -61,7 +63,13 @@ SUPPORTED = {
 
 
 def _cartan_and_lengths(cartan_type: str, rank: int):
-    """Cartan matrix C[i][j] = <alpha_i, alpha_j^vee> and half-lengths d_i."""
+    """Cartan matrix C[i][j] = <alpha_i, alpha_j^vee> and half-lengths d_i = (alpha_i, alpha_i) / 2.
+
+    The form is normalised so that a short simple root has (alpha, alpha) =
+    2, which makes every d_i an int: B (2, ..., 2, 1), C (1, ..., 1, 2) and
+    G2 (1, 3).  Only ratios of (beta, gamma) are ever read, so the scale
+    changes no constant.
+    """
     if (cartan_type, rank) not in SUPPORTED:
         raise UnsupportedType(f"unsupported type {cartan_type}{rank}")
     n = rank
@@ -70,25 +78,39 @@ def _cartan_and_lengths(cartan_type: str, rank: int):
         c[i][i] = 2
     for i in range(n - 1):
         c[i][i + 1] = c[i + 1][i] = -1
-    d = [Q(1)] * n
+    d = [1] * n
     if cartan_type == "B":
         c[n - 2][n - 1] = -2  # alpha_{n-1} is short
-        d[n - 1] = Q(1, 2)
+        d = [2] * (n - 1) + [1]
     elif cartan_type == "C":
         c[n - 1][n - 2] = -2  # alpha_{n-1} is long
-        d[n - 1] = Q(2)
+        d[n - 1] = 2
     elif cartan_type == "D":
         # Bourbaki numbering: alpha_n leaves the chain and joins alpha_{n-2}
         c[n - 2][n - 1] = c[n - 1][n - 2] = 0
         c[n - 3][n - 1] = c[n - 1][n - 3] = -1
     elif cartan_type == "G2":
         c[0][1], c[1][0] = -1, -3  # alpha_1 short, alpha_2 long
-        d[0] = Q(1, 3)
+        d[1] = 3
     return tuple(tuple(row) for row in c), tuple(d)
 
 
+def _exact_quotient(num: int, den: int, what: str, *args) -> int:
+    """num / den, which must be an integer: a remainder raises ``CertificateFailed``
+    naming ``what.format(*args)``, formatted only then."""
+    q, r = divmod(num, den)
+    if r:
+        raise CertificateFailed(f"{what.format(*args)} is {num}/{den}, not an integer")
+    return q
+
+
 class RootSystem:
-    """Roots of a split semisimple algebra in simple-root coordinates."""
+    """Roots of a split semisimple algebra in simple-root coordinates.
+
+    The invariant form is scaled so that a short root has (beta, beta) = 2
+    (the half-lengths ``d`` are ints, see ``_cartan_and_lengths``), so
+    ``inner``, ``norm2`` and every quantity derived from them is an ``int``.
+    """
 
     def __init__(self, cartan_type: str, rank: int):
         self.cartan_type = cartan_type
@@ -102,7 +124,7 @@ class RootSystem:
         npos = len(self.positive)
         self._index = {r: rank + i for i, r in enumerate(self.positive)}
         self._index.update((tuple(-x for x in r), rank + npos + i) for i, r in enumerate(self.positive))
-        self._norm2: dict[Root, Fraction] = {}
+        self._norm2: dict[Root, int] = {}
         self._extraspecial: dict[Root, tuple[Root, Root]] = {}
 
     # -- basic geometry -------------------------------------------------
@@ -143,13 +165,12 @@ class RootSystem:
     def _order_key(self, beta: Root):
         return (self.height(beta), beta)
 
-    def inner(self, beta: Root, gamma: Root) -> Fraction:
-        """(beta, gamma) = sum_j d_j <beta, alpha_j^vee> gamma_j."""
-        return sum(
-            (self.d[j] * (self.pairing(beta, j) * gamma[j]) for j in range(self.rank)), la.ZERO
-        )
+    def inner(self, beta: Root, gamma: Root) -> int:
+        """(beta, gamma) = sum_j d_j <beta, alpha_j^vee> gamma_j, an int: a short root has norm 2."""
+        return sum(self.d[j] * self.pairing(beta, j) * gamma[j] for j in range(self.rank))
 
-    def norm2(self, beta: Root) -> Fraction:
+    def norm2(self, beta: Root) -> int:
+        """(beta, beta), memoised: 2 on a short root (every root of A and D), 4 or 6 on a long one."""
         if beta not in self._norm2:
             self._norm2[beta] = self.inner(beta, beta)
         return self._norm2[beta]
@@ -163,13 +184,13 @@ class RootSystem:
             cur = tuple(c - a for a, c in zip(alpha, cur))
         return p
 
-    def coroot_coeffs(self, gamma: Root) -> tuple[Fraction, ...]:
-        """gamma^vee = sum_i c_i alpha_i^vee; all c_i are integers."""
-        dg = self.norm2(gamma) / 2
-        coeffs = tuple(self.d[i] / dg * gamma[i] for i in range(self.rank))
-        if any(c.denominator != 1 for c in coeffs):
-            raise CertificateFailed(f"coroot of {gamma} has non-integer coefficients {coeffs}")
-        return coeffs
+    def coroot_coeffs(self, gamma: Root) -> tuple[int, ...]:
+        """gamma^vee = sum_i c_i alpha_i^vee, c_i = 2 d_i gamma_i / (gamma, gamma) an exact int quotient."""
+        ng = self.norm2(gamma)
+        return tuple(
+            _exact_quotient(2 * self.d[i] * gamma[i], ng, "coefficient {} of the coroot of {}", i, gamma)
+            for i in range(self.rank)
+        )
 
     def vector_index(self, beta: Root) -> int:
         """Basis index of e_beta: Cartan first, then positive, then negative roots."""
@@ -189,11 +210,15 @@ class RootSystem:
 
 
 class _SignBuilder:
-    """Structure constants N_{a,b} via the extraspecial-pair convention."""
+    """Structure constants N_{a,b} via the extraspecial-pair convention.
+
+    Every N is an int, and each is computed as one exact integer quotient
+    of products of ints: a remainder raises ``CertificateFailed``.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.memo: dict[tuple[Root, Root], Fraction] = {}
+        self.memo: dict[tuple[Root, Root], int] = {}
 
     @staticmethod
     def _add(a: Root, b: Root) -> Root:
@@ -203,7 +228,7 @@ class _SignBuilder:
     def _neg(a: Root) -> Root:
         return tuple(-x for x in a)
 
-    def n(self, a: Root, b: Root) -> Fraction:
+    def n(self, a: Root, b: Root) -> int:
         key = (a, b)
         if key in self.memo:
             return self.memo[key]
@@ -218,16 +243,20 @@ class _SignBuilder:
             else:
                 x, y = rs.extraspecial(s)
                 if (a, b) == (x, y):
-                    val = Q(rs.p_string(x, y) + 1)
+                    val = rs.p_string(x, y) + 1
                 else:
-                    acc = Q(0)
+                    # N_{a,b} = (s,s) / N_{x,y} times the sum of the terms t / (r,r)
+                    terms = []
                     ya = self._add(y, self._neg(a))
                     if ya in rs.root_set:
-                        acc += self.n(y, self._neg(a)) * self.n(x, self._neg(b)) / rs.norm2(ya)
+                        terms.append((self.n(y, self._neg(a)) * self.n(x, self._neg(b)), rs.norm2(ya)))
                     xa = self._add(x, self._neg(a))
                     if xa in rs.root_set:
-                        acc += self.n(self._neg(a), x) * self.n(y, self._neg(b)) / rs.norm2(xa)
-                    val = rs.norm2(s) * acc / self.n(x, y)
+                        terms.append((self.n(self._neg(a), x) * self.n(y, self._neg(b)), rs.norm2(xa)))
+                    num, den = 0, 1
+                    for t, r2 in terms:
+                        num, den = num * r2 + t * den, den * r2
+                    val = _exact_quotient(rs.norm2(s) * num, den * self.n(x, y), "N({}, {})", a, b)
         elif not pos_a and not pos_b:
             val = -self.n(self._neg(a), self._neg(b))
         elif not pos_a:
@@ -236,9 +265,9 @@ class _SignBuilder:
             # a positive, b negative; use N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)
             c = self._neg(s)
             if rs._is_positive(s):
-                val = rs.norm2(c) / rs.norm2(a) * self.n(b, c)
+                val = _exact_quotient(rs.norm2(c) * self.n(b, c), rs.norm2(a), "N({}, {})", a, b)
             else:
-                val = rs.norm2(c) / rs.norm2(b) * self.n(c, a)
+                val = _exact_quotient(rs.norm2(c) * self.n(c, a), rs.norm2(b), "N({}, {})", a, b)
         self.memo[key] = val
         return val
 
@@ -523,26 +552,35 @@ class LieAlgebra:
         return True
 
     def verify_killing_invariance(self) -> bool:
-        """kappa([e_i, e_j], e_k) + kappa(e_j, [e_i, e_k]) = 0 for all i and all j <= k.
+        """kappa([e_i, e_j], e_k) + kappa(e_j, [e_i, e_k]) = 0 for all i, j and k.
 
-        For fixed i this is the matrix identity K ad_i + ad_i^T K = 0.  K is
-        a trace form, so symmetric, and then so is K ad_i + ad_i^T K: the
-        entries with j <= k decide it.  The n brackets [e_i, .] are formed
-        once per i, and each term costs what the supports of its two
-        arguments cost, so the whole check is O(n^4) rather than O(n^5).  A
-        term whose bracket is zero is zero, and is not evaluated.
+        For fixed i this is the matrix identity K ad_i + ad_i^T K = 0, and a
+        term can be nonzero only where the table and K both have nonzeros:
+        kappa([e_i, e_j], e_k) = sum_m c_ij^m K[m][k] needs K[m][k] != 0 for
+        some m in the support of [e_i, e_j], and kappa(e_j, [e_i, e_k]) needs
+        K[j][m] != 0 for some m in the support of [e_i, e_k].  So each i
+        forms [e_i, e_j] only where the table entry is nonempty, and sums
+        both terms on every ordered pair (j, k) that either rule admits.  The
+        neighbours are read off the rows and the columns of ``self.killing``
+        as it is now, and no symmetry of K is assumed.  Every other entry is
+        0 + 0 exactly.
         """
-        n = self.dim
+        n, k_mat = self.dim, self.killing
+        row_nbrs = [[k for k, v in enumerate(row) if v] for row in k_mat]  # K[m][k] != 0
+        col_nbrs = [[j for j in range(n) if k_mat[j][m]] for m in range(n)]  # K[j][m] != 0
         basis = [self.basis_vec(i) for i in range(n)]
-        for i in range(n):
-            ad_i = [self.bracket(basis[i], e) for e in basis]
-            live = [not la.is_zero(v) for v in ad_i]
-            for j in range(n):
-                for k in range(j, n):
-                    lhs = self.killing_form(ad_i[j], basis[k]) if live[j] else la.ZERO
-                    rhs = self.killing_form(basis[j], ad_i[k]) if live[k] else la.ZERO
-                    if lhs + rhs:
-                        return False
+        for i, row in enumerate(self.table):
+            ad_i = {j: self.bracket(basis[i], basis[j]) for j, entry in enumerate(row) if entry}
+            pairs = set()
+            for j in ad_i:
+                for m, _ in row[j]:
+                    pairs.update((j, k) for k in row_nbrs[m])  # kappa([e_i, e_j], e_k)
+                    pairs.update((k, j) for k in col_nbrs[m])  # kappa(e_k, [e_i, e_j])
+            for j, k in pairs:
+                lhs = self.killing_form(ad_i[j], basis[k]) if j in ad_i else la.ZERO
+                rhs = self.killing_form(basis[j], ad_i[k]) if k in ad_i else la.ZERO
+                if lhs + rhs:
+                    return False
         return True
 
     def verify_matrix_rep(self) -> bool:

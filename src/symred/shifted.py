@@ -71,13 +71,15 @@ class LagrangianVerdict:
 
 
 def build_complex(p: poisson.PoissonPointModel, s_model, xi: Vector, l_basis: Sequence[Vector]) -> TwoTermComplexMap:
-    """Assemble the diagram at xi for the candidate L = span(l_basis)."""
+    """Assemble the diagram at xi for the candidate L = span(l_basis), l_basis independent."""
     xi = tuple(xi)
     n = p.ambient_dim
     tangent = tuple(s_model.tangent_basis(xi))
     s = len(tangent)
     sigma = p.bivector_at(xi)
     l_basis = tuple(tuple(l) for l in l_basis)
+    if la.rank(l_basis) != len(l_basis):
+        raise NotACandidate("the basis of L must be linearly independent")
     tangent_rows = _rows(tangent, n)
     anchors = []  # σ(l) in the tangent basis
     for l in l_basis:
@@ -129,7 +131,7 @@ def criterion_for_candidate(p: poisson.PoissonPointModel, s_model, xi: Vector, l
     cmap = build_complex(p, s_model, xi, l_basis)
     verdict = lagrangian_criterion(cmap)
     fiber = poisson.algebroid_fiber(p, s_model, tuple(xi))
-    expected_ker = fiber.rank - la.rank(l_basis)
+    expected_ker = fiber.rank - len(l_basis)
     if verdict.ker_phi_dim != expected_ker:
         raise CertificateFailed(
             f"dim ker φ = {verdict.ker_phi_dim}, but (σ^{{-1}}(TS) ∩ TS°)/L has dimension {expected_ker}"

@@ -496,6 +496,51 @@ def test_killing_invariance_of_tampered_form_matches_triple_loop(data):
     assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is False
 
 
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "one-sided"])
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("G2", 2)])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_killing_invariance_of_form_tampered_off_pattern_matches_triple_loop(typ, rank, symmetric, data):
+    """K moved by delta at a cell where the Chevalley K is zero, and at its mirror when symmetric.
+
+    The invariance loop reads its candidate pairs off K's nonzeros at call
+    time, so the new nonzero must bring its own pairs, on either side of K.
+    """
+    base = lie.build_chevalley(typ, rank)
+    alg = lie.LieAlgebra(base.basis_labels, base.table, base.rank, name="tampered")
+    zero_cells = [(a, b) for a in range(alg.dim) for b in range(alg.dim) if not base.killing[a][b]]
+    a, b = data.draw(st.sampled_from(zero_cells))
+    k_mat = [list(row) for row in base.killing]
+    k_mat[a][b] += data.draw(nonzero)
+    if symmetric:
+        k_mat[b][a] = k_mat[a][b]
+    alg.killing = tuple(tuple(row) for row in k_mat)
+    assert (alg.killing == la.transpose(alg.killing)) is (symmetric or a == b)
+    assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is False
+
+
+def _one_cell_form(alg, a, b):
+    """alg's table with K replaced by K + E_ab: one nonzero moved in on one side of K only."""
+    out = lie.LieAlgebra(alg.basis_labels, alg.table, alg.rank, name="one-cell")
+    k_mat = [list(row) for row in alg.killing]
+    k_mat[a][b] += 1
+    out.killing = tuple(tuple(row) for row in k_mat)
+    return out
+
+
+# On sl2 + sl2, K + E_(h2, h1) breaks invariance only in entries with j > k, so
+# a j <= k loop passes it.  On [x, y] = y, E_xy breaks it only in terms that
+# the columns of K admit, and E_yx only in terms that its rows admit.
+@pytest.mark.parametrize("name,a,b", [("sl2^2", 3, 0), ("aff", 0, 1), ("aff", 1, 0)])
+def test_killing_invariance_reads_both_orders_and_both_sides_of_the_form(name, a, b):
+    if name == "aff":
+        alg = lie.LieAlgebra(["x", "y"], [[[], [(1, 1)]], [[(1, -1)], []]], 0, name="aff")
+    else:
+        alg = lie.direct_power(lie.build_chevalley("A", 1), 2)
+    alg = _one_cell_form(alg, a, b)
+    assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is False
+
+
 def sl2_half_f():
     """sl2 on the basis (h, e, f/2): [h, e] = 2e, [h, f/2] = -2 f/2, [e, f/2] = h/2."""
     table = [[[] for _ in range(3)] for _ in range(3)]

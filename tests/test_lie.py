@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -285,6 +286,33 @@ def test_killing_invariance(typ, rank):
     assert lie.build_chevalley(typ, rank).verify_killing_invariance()
 
 
+# the j <= k loop over every pair made 1,680 calls on G2
+@pytest.mark.parametrize("typ,rank,calls", [("G2", 2, 248), ("B", 4, 1212)])
+def test_killing_invariance_evaluates_only_candidate_pairs(typ, rank, calls, monkeypatch):
+    made = Counter()
+    killing_form = lie.LieAlgebra.killing_form
+
+    def counted(self, x, y):
+        made["calls"] += 1
+        return killing_form(self, x, y)
+
+    monkeypatch.setattr(lie.LieAlgebra, "killing_form", counted)
+    assert lie.build_chevalley(typ, rank).verify_killing_invariance()
+    assert made["calls"] == calls
+
+
+@pytest.mark.parametrize("typ,rank,d,root", [("B", 2, (1, 1), (1, 2)), ("G2", 2, (2, 3), (2, 1))])
+def test_inexact_half_length_raises(typ, rank, d, root, monkeypatch):
+    """Wrong half-lengths make a sign N and a coroot coefficient proper fractions: each raises."""
+    cartan_and_lengths = lie._cartan_and_lengths
+    monkeypatch.setattr(lie, "_cartan_and_lengths", lambda t, r: (cartan_and_lengths(t, r)[0], d))
+    rs = lie.RootSystem(typ, rank)
+    with pytest.raises(CertificateFailed, match=r"N\(.*not an integer"):
+        lie._table_from_roots(rs)
+    with pytest.raises(CertificateFailed, match=rf"coroot of {re.escape(str(root))} .*not an integer"):
+        rs.coroot_coeffs(root)
+
+
 @pytest.mark.parametrize("typ,rank", sorted(tr for tr in lie.SUPPORTED if tr[0] == "A"))
 def test_matrix_rep_consistency(typ, rank):
     assert lie.build_chevalley(typ, rank).verify_matrix_rep()
@@ -528,9 +556,15 @@ def test_coadjoint_matrix_is_memoised(name, rng):
         alg.coadjoint_matrix(la.zeros(alg.dim + 1))
 
 
-@pytest.mark.parametrize("typ,rank", [("B", 4), ("G2", 2)])
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
 def test_integer_certificates_build_no_fraction(typ, rank, fractions_built):
     alg = lie.build_chevalley(typ, rank)
+    # root data, the sign recursion and the construction certificate run on ints
+    built, rs = fractions_built(lambda: lie.RootSystem(typ, rank))
+    assert built == 0 and all(type(rs.norm2(beta)) is int for beta in rs.roots)
+    built, table = fractions_built(lambda: lie._table_from_roots(rs))
+    assert built == 0 and all(type(c) is int for row in table for entry in row for _, c in entry)
+    assert fractions_built(lambda: lie._certify_chevalley(alg)) == (0, None)
     assert fractions_built(alg.verify_jacobi) == (0, True)
     assert fractions_built(alg._check_table) == (0, None)
     # one Fraction at most per Killing entry, and none for a zero entry

@@ -98,6 +98,23 @@ def test_enlarged_candidates_rejected(sl2, kks2):
         shifted.build_complex(kks2, orb, hb, enlargement)
 
 
+def test_dependent_candidate_basis_rejected(sl2, sl3, kks2, kks3):
+    """A fiber basis with one vector repeated spans the fiber, but is not a basis of it."""
+    cases = candidate_library(sl2, sl3, kks2, kks3)
+    cases += [(p, s, pt, poisson.algebroid_fiber(p, s, pt)) for p, s, pt in symplectic_cases()]
+    rejected = 0
+    for p, model, pt, fiber in cases:
+        if fiber.rank == 0:
+            continue
+        dependent = list(fiber.basis) + [fiber.basis[0]]
+        with pytest.raises(NotACandidate, match="linearly independent"):
+            shifted.build_complex(p, model, pt, dependent)
+        with pytest.raises(NotACandidate, match="linearly independent"):
+            shifted.criterion_for_candidate(p, model, pt, dependent)
+        rejected += 1
+    assert rejected == 8
+
+
 def test_ker_phi_dimension_formula(sl2, sl3, kks2, kks3):
     for p, model, pt, fiber in candidate_library(sl2, sl3, kks2, kks3):
         for cut in range(fiber.rank + 1):
