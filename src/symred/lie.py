@@ -96,8 +96,10 @@ def _cartan_and_lengths(cartan_type: str, rank: int):
 
 
 def _exact_quotient(num: int, den: int, what: str, *args) -> int:
-    """num / den, which must be an integer: a remainder raises ``CertificateFailed``
-    naming ``what.format(*args)``, formatted only then."""
+    """num / den, which must be an integer, den being built from root norms and so positive:
+    anything else raises ``CertificateFailed`` naming ``what.format(*args)``, formatted only then."""
+    if den <= 0:
+        raise CertificateFailed(f"{what.format(*args)} divides by {den}, not by a positive number")
     q, r = divmod(num, den)
     if r:
         raise CertificateFailed(f"{what.format(*args)} is {num}/{den}, not an integer")

@@ -244,7 +244,19 @@ def rank(rows: Sequence[Vector]) -> int:
 
 
 def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
-    """Canonical basis (nonzero rref rows) of the span of the inputs."""
+    """Canonical basis (nonzero rref rows) of the span of the inputs.
+
+    Rows already in that form are returned as they are: rref is unique.
+    """
+    last = -1
+    for i, row in enumerate(vectors):
+        # compared, never computed: the row leads with 1, right of the row above, alone in its column
+        lead = next((j for j, x in enumerate(row) if x), -1)
+        if lead <= last or row[lead] != 1 or any(vectors[h][lead] for h in range(i)):
+            break
+        last = lead
+    else:
+        return [tuple(v) for v in vectors]
     m, pivots = rref(vectors)
     return [tuple(m[i]) for i in range(len(pivots))]
 

@@ -329,7 +329,8 @@ def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> Al
     """Nullspace of {pair with T_xi S = 0} ∧ {sigma_xi(eta) in T_xi S}."""
     xi = tuple(xi)
     # keyed by the model's value: every kks_model(alg) of one algebra hits
-    if (p, xi) not in s._fibers:
+    fiber = s._fibers.get((p, xi))
+    if fiber is None:
         tangent = s.tangent_basis(xi)
         sigma = p.bivector_at(xi)
         rows = [tuple(t) for t in tangent]
@@ -338,8 +339,8 @@ def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> Al
             rows.append(la.mat_vec(sigma_t, w))
         basis = la.annihilator(rows, p.ambient_dim)
         in_ker = all(la.is_zero(la.mat_vec(sigma, b)) for b in basis)
-        s._fibers[(p, xi)] = AlgebroidFiber(tuple(basis), in_ker)
-    return s._fibers[(p, xi)]
+        fiber = s._fibers[(p, xi)] = AlgebroidFiber(tuple(basis), in_ker)
+    return fiber
 
 
 def pre_poisson_sample_check(p: PoissonPointModel, s: SubmanifoldModel) -> dict:

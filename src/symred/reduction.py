@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg as la
 from . import poisson
 from .errors import DimensionMismatch, LiftNotValid
 from .groupoid import omega_eval, omega_gram
 from .lie import LieAlgebra
-from .linalg import Vector
+from .linalg import Matrix, Vector
 
 
 @dataclass(frozen=True)
@@ -37,15 +38,26 @@ class ReducedSpaceModel:
     def nondegenerate(self) -> bool:
         return la.rank(self.reduced_form) == self.quotient_dim
 
+    @cached_property
+    def _chart(self) -> tuple[list[int], list[int], list[Vector], Matrix]:
+        """(R, F, Mᵀ[F], Eᵀ) off one rref [M | E] of the rows [b_j | e_j], b = kernel + complement, R its
+        pivots: v = sum x_j b_j exactly when v[F] = Mᵀ[F] v[R] off R, and then x = Eᵀ v[R]."""
+        basis = self.kernel + self.complement
+        n = len(basis[0])
+        m, pivots = la.rref([b + la.unit(len(basis), j) for j, b in enumerate(basis)])
+        free = [c for c in range(n) if c not in pivots]
+        t = la.transpose(m)
+        return pivots, free, [t[c] for c in free], t[n + len(self.kernel):]
+
     def push(self, v: Vector) -> Vector:
         """Coordinates of a tangent vector of N in the quotient basis."""
         if len(v) != len(self.n_tangent[0]):
             raise DimensionMismatch("vector has wrong dimension for T(G x S)")
-        cols = list(self.kernel) + list(self.complement)
-        sol = la.solve(la.transpose(cols), v)
-        if sol is None:
+        pivots, free, m_t, e_t = self._chart
+        at_pivots = tuple(v[p] for p in pivots)
+        if la.mat_vec(m_t, at_pivots) != tuple(v[c] for c in free):
             raise LiftNotValid("vector is not tangent to N")
-        return tuple(sol[len(self.kernel):])
+        return la.mat_vec(e_t, at_pivots)
 
     def eval_reduced(self, v: Vector, w: Vector) -> Fraction:
         a, b = self.push(v), self.push(w)
@@ -119,10 +131,10 @@ def decomposition_form_check(alg: LieAlgebra, s_model, kernel: tuple[bool, Reduc
     x = alg.sharp(xi)
     pm = poisson.kks_model(alg)
     fiber = poisson.algebroid_fiber(pm, s_model, xi)
-    m_basis = list(fiber.basis)  # = [g_x, g_x] for these classes
+    m_flats = [alg.flat(mb) for mb in fiber.basis]  # m = [g_x, g_x] for these classes
     for (u1, z1), (u2, z2) in pairs:
         for z in (z1, z2):
-            if any(alg.killing_form(z, mb) != 0 for mb in m_basis):
+            if any(la.dot(z, flat) != 0 for flat in m_flats):
                 raise LiftNotValid("second component must be Killing-orthogonal to m")
         v1 = tuple(u1) + tuple(alg.flat(z1))
         v2 = tuple(u2) + tuple(alg.flat(z2))

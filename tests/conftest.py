@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from symred import lie, poisson
+from symred import linalg as la
 
 
 @pytest.fixture()
@@ -22,6 +23,26 @@ def fractions_built(monkeypatch):
             patch.setattr(Q, "__new__", counted)
             result = fn()
         return built[0], result
+
+    return count
+
+
+@pytest.fixture()
+def eliminations(monkeypatch):
+    """(``linalg._echelon`` calls made by fn(), fn()): one per rref, rank, nullspace, solve or extend_to_basis."""
+
+    def count(fn):
+        original = la._echelon
+        made = [0]
+
+        def counted(rows):
+            made[0] += 1
+            return original(rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(la, "_echelon", counted)
+            result = fn()
+        return made[0], result
 
     return count
 

@@ -9,6 +9,7 @@ is also held to the reference on dense rows with large numerators and
 wide, mostly coprime denominators.  Every comparison is exact equality.
 """
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -18,9 +19,10 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from conftest import perturbed
 from symred import groupoid as gpd
-from symred import lie, poisson, reduction
+from symred import cli, lie, poisson, reduction
 from symred import linalg as la
-from symred.errors import DimensionMismatch
+from symred.errors import DimensionMismatch, LiftNotValid
+from test_golden_report import CONFIGS
 
 nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
 
@@ -795,3 +797,125 @@ def test_slice_and_diagonal_match_membership_rules(typ, rank):
             for xi, on in cases:
                 assert ref.on_diagonal_slice(alg, tri, n, xi) is on
                 assert dia.contains(xi) is on
+
+
+# -- canonical bases skip rref; push solves off one factorization per model ----
+
+
+def ref_span_basis(rows):
+    m, pivots = ref.rref(rows)
+    return [tuple(m[i]) for i in range(len(pivots))]
+
+
+def span_basis_without_elimination(rows):
+    """la.span_basis(rows), failing if it runs an elimination."""
+
+    def refuse(rows):
+        raise AssertionError("a canonical basis was eliminated")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(la, "_echelon", refuse)
+        return la.span_basis(rows)
+
+
+def near_misses(basis):
+    """Rows spanning span(basis) that are not in rref, each by one defect, when it can be made."""
+    if not basis:
+        return []
+    misses = [basis + [la.zeros(len(basis[0]))], basis + basis[-1:], [la.scale(2, basis[0])] + basis[1:]]
+    if len(basis) > 1:
+        misses.append(basis[1::-1] + basis[2:])  # pivots out of order
+        misses.append([la.add(basis[0], la.scale(Q(-1, 3), basis[1]))] + basis[1:])  # nonzero above a pivot
+    return misses
+
+
+CANONICAL = [
+    [],
+    [la.vec([1, 0, 0])],
+    [la.vec([0, 1, Q(-2, 3), 0])],
+    [la.vec([1, 0, 5]), la.vec([0, 1, Q(1, 2)])],
+    [la.vec([0, 1, 0, 3, 0]), la.vec([0, 0, 1, -1, 0]), la.vec([0, 0, 0, 0, 1])],
+]
+
+
+@pytest.mark.parametrize("basis", CANONICAL, ids=lambda b: f"{len(b)} rows")
+def test_span_basis_returns_a_canonical_basis_without_elimination(basis):
+    assert span_basis_without_elimination(basis) == basis == ref_span_basis(basis)
+    for rows in near_misses(basis):
+        assert la.span_basis(rows) == ref_span_basis(rows) == basis
+
+
+NEAR_MISSES = {
+    "leading 2": [la.vec([2, 0]), la.vec([0, 1])],
+    "nonzero above a pivot": [la.vec([1, 3]), la.vec([0, 1])],
+    "nonzero above the last pivot": [la.vec([1, 0, 1]), la.vec([0, 1, 0]), la.vec([0, 0, 1])],
+    "pivots out of order": [la.vec([0, 1]), la.vec([1, 0])],
+    "zero row last": [la.vec([1, 0]), la.zeros(2)],
+    "zero row first": [la.zeros(2), la.vec([1, 0])],
+    "repeated row": [la.vec([1, 0]), la.vec([1, 0])],
+    "leading -1": [la.vec([-1, 0])],
+    "only a zero row": [la.zeros(3)],
+}
+
+
+@pytest.mark.parametrize("rows", NEAR_MISSES.values(), ids=NEAR_MISSES.keys())
+def test_span_basis_eliminates_a_near_miss(rows):
+    got = la.span_basis(rows)
+    assert got == ref_span_basis(rows) != rows
+
+
+@given(sparse_matrix())
+@settings(max_examples=100, deadline=None)
+def test_span_basis_matches_reference_on_canonical_bases_and_near_misses(rows):
+    basis = ref_span_basis(rows)
+    assert la.span_basis(rows) == basis
+    assert span_basis_without_elimination(basis) == basis
+    for miss in near_misses(basis):
+        assert la.span_basis(miss) == ref_span_basis(miss) == basis
+
+
+def readme_suite_models():
+    """Every ReducedSpaceModel that the README suite builds, in order."""
+    models = []
+    check = reduction.kernel_identity_check
+
+    def kept(*args):
+        agree, model = check(*args)
+        models.append(model)
+        return agree, model
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "kernel_identity_check", kept)
+        assert cli.run(cli.parse_config(CONFIGS["readme_suite"]))[1] == 0
+    return models
+
+
+def solved(model, v):
+    """Quotient coordinates of v by a fresh solve against kernel + complement, or None."""
+    sol = la.solve(la.transpose(list(model.kernel) + list(model.complement)), v)
+    return None if sol is None else sol[len(model.kernel):]
+
+
+def test_push_matches_solve_on_the_readme_suite():
+    rng = random.Random(23)
+    models = readme_suite_models()
+    off_tangent = 0
+    assert models
+    for model in models:
+        width = len(model.n_tangent[0])
+        vectors = list(model.kernel) + list(model.complement)
+        for _ in range(4):
+            coeffs = [la.random_fraction(rng) if rng.random() < 0.5 else la.ZERO for _ in model.n_tangent]
+            vectors.append(la.mat_vec(la.transpose(model.n_tangent), tuple(coeffs)))
+        for v in vectors:
+            assert model.push(v) == solved(model, v)
+        for c in range(width):
+            e = la.unit(width, c)
+            if la.span_contains(model.n_tangent, [e]):
+                continue
+            off_tangent += 1
+            for v in (e, la.add(vectors[-1], la.scale(Q(2, 3), e))):
+                assert solved(model, v) is None
+                with pytest.raises(LiftNotValid):
+                    model.push(v)
+    assert off_tangent > 0

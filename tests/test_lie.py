@@ -313,6 +313,20 @@ def test_inexact_half_length_raises(typ, rank, d, root, monkeypatch):
         rs.coroot_coeffs(root)
 
 
+def test_zero_root_norm_raises(monkeypatch):
+    """G2 with equal half-lengths gives (1, 1) norm 0: every division by it raises ``CertificateFailed``."""
+    cartan_and_lengths = lie._cartan_and_lengths
+    monkeypatch.setattr(lie, "_cartan_and_lengths", lambda t, r: (cartan_and_lengths(t, r)[0], (1, 1)))
+    rs = lie.RootSystem("G2", 2)
+    assert rs.norm2((1, 1)) == 0
+    with pytest.raises(CertificateFailed, match=r"coroot of \(1, 1\) divides by 0"):
+        rs.coroot_coeffs((1, 1))
+    with pytest.raises(CertificateFailed, match=r"N\(.*divides by 0"):
+        lie.build_chevalley.__wrapped__("G2", 2)  # past the cache, which may hold the real G2
+    with pytest.raises(CertificateFailed, match="divides by -2"):
+        lie._exact_quotient(4, -2, "a quotient")
+
+
 @pytest.mark.parametrize("typ,rank", sorted(tr for tr in lie.SUPPORTED if tr[0] == "A"))
 def test_matrix_rep_consistency(typ, rank):
     assert lie.build_chevalley(typ, rank).verify_matrix_rep()

@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from symred import groupoid as gpd
-from symred import lie, poisson, reduction
+from symred import lie, poisson, reduction, scenarios
 from symred import linalg as la
 from symred.errors import DimensionMismatch, LiftNotValid, NotStable
 from symred.groupoid import CotangentPoint
@@ -132,3 +133,23 @@ def test_push_rejects_wrong_length(sl2):
     for v in (la.vec([1, 0]), la.unit(7, 0)):
         with pytest.raises(DimensionMismatch):
             model.push(v)
+
+
+def test_push_factors_each_model_once(eliminations, monkeypatch):
+    """decomposition_class_sl3 at sample_count 8 pushes 88 vectors through 4 models:
+    at most one elimination per model, and none per pushed vector."""
+    push = reduction.ReducedSpaceModel.push
+    made_by = Counter()  # model id -> eliminations its pushes ran
+    pushed = []  # the model of every push, kept alive so that no id is reused
+
+    def counted(self, v):
+        made, coords = eliminations(lambda: push(self, v))
+        pushed.append(self)
+        made_by[id(self)] += made
+        return coords
+
+    monkeypatch.setattr(reduction.ReducedSpaceModel, "push", counted)
+    report = scenarios.run_scenario("decomposition_class_sl3", {}, seed=1, sample_count=8)
+    assert report.all_passed
+    assert len(pushed) == 88 and len(made_by) == 4
+    assert max(made_by.values()) <= 1
