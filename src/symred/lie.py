@@ -13,9 +13,9 @@ input and output form only (``to_matrix``, ``from_matrix``,
 ``group_element``): a ``GroupElement`` is Ad_g on the Chevalley basis, and
 ``unipotent`` builds one as exp(t ad_x) on every type.
 
-Every constructed table is exhaustively certified (antisymmetry, Cartan
-action, coroot brackets, |N| = p+1) and the test suite re-verifies the
-Jacobi identity for all basis triples of every supported type.
+Every constructed table is certified entry by entry (antisymmetry, Cartan
+action, coroot brackets, exactly ±(p+1) e_{α+β} on a root sum and 0 off
+one), and the test suite re-verifies Jacobi on every supported type.
 
 ``LieAlgebra`` stores each table constant as an ``int`` when it is
 integral and as a ``Fraction`` otherwise.  On a Chevalley basis every
@@ -42,9 +42,11 @@ is degenerate it raises ``UnsupportedType``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add, mul, neg, sub
 from typing import Optional, Sequence
 
 from . import linalg as la
@@ -118,14 +120,15 @@ class RootSystem:
         self.cartan_type = cartan_type
         self.rank = rank
         self.cartan, self.d = _cartan_and_lengths(cartan_type, rank)
+        self._columns = tuple(zip(*self.cartan))
         self.roots = self._enumerate()
         self.root_set = set(self.roots)
         self.positive = sorted(
             (r for r in self.roots if self._is_positive(r)), key=self._order_key
         )
-        npos = len(self.positive)
-        self._index = {r: rank + i for i, r in enumerate(self.positive)}
-        self._index.update((tuple(-x for x in r), rank + npos + i) for i, r in enumerate(self.positive))
+        # the root of each basis vector, None at each h_i
+        self.by_index = (None,) * rank + tuple(self.positive) + tuple(tuple(-x for x in r) for r in self.positive)
+        self._index = {r: i for i, r in enumerate(self.by_index) if r is not None}
         self._norm2: dict[Root, int] = {}
         self._extraspecial: dict[Root, tuple[Root, Root]] = {}
 
@@ -133,13 +136,7 @@ class RootSystem:
 
     def pairing(self, beta: Root, j: int) -> int:
         """<beta, alpha_j^vee> = beta(h_j)."""
-        return sum(beta[i] * self.cartan[i][j] for i in range(self.rank))
-
-    def reflect(self, beta: Root, j: int) -> Root:
-        c = self.pairing(beta, j)
-        out = list(beta)
-        out[j] -= c
-        return tuple(out)
+        return sum(map(mul, beta, self._columns[j]))
 
     def _enumerate(self) -> list[Root]:
         simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
@@ -149,7 +146,7 @@ class RootSystem:
             nxt = []
             for beta in frontier:
                 for j in range(self.rank):
-                    r = self.reflect(beta, j)
+                    r = beta[:j] + (beta[j] - self.pairing(beta, j),) + beta[j + 1 :]  # s_j(beta)
                     if r not in seen:
                         seen.add(r)
                         nxt.append(r)
@@ -158,7 +155,8 @@ class RootSystem:
 
     @staticmethod
     def _is_positive(beta: Root) -> bool:
-        return any(x > 0 for x in beta) and all(x >= 0 for x in beta)
+        """For a root, whose coordinates share one sign: its first nonzero coordinate is positive."""
+        return beta > (0,) * len(beta)
 
     @staticmethod
     def height(beta: Root) -> int:
@@ -180,10 +178,10 @@ class RootSystem:
     def p_string(self, alpha: Root, beta: Root) -> int:
         """Largest p with beta - p*alpha a root."""
         p = 0
-        cur = tuple(b - a for a, b in zip(alpha, beta))
+        cur = tuple(map(sub, beta, alpha))
         while cur in self.root_set:
             p += 1
-            cur = tuple(c - a for a, c in zip(alpha, cur))
+            cur = tuple(map(sub, cur, alpha))
         return p
 
     def coroot_coeffs(self, gamma: Root) -> tuple[int, ...]:
@@ -224,11 +222,11 @@ class _SignBuilder:
 
     @staticmethod
     def _add(a: Root, b: Root) -> Root:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     @staticmethod
     def _neg(a: Root) -> Root:
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def n(self, a: Root, b: Root) -> int:
         key = (a, b)
@@ -338,8 +336,9 @@ class LieAlgebra:
     ):
         self.dim = len(basis_labels)
         self.basis_labels = tuple(basis_labels)
+        # only a nonempty entry gets a tuple of its own here, or a dict in ``_lookup``
         self.table = tuple(
-            tuple(tuple((k, _constant(c)) for k, c in entry) for entry in row) for row in table
+            tuple(tuple((k, _constant(c)) for k, c in entry) if entry else () for entry in row) for row in table
         )
         self._den = math.lcm(*{c.denominator for row in self.table for entry in row for _, c in entry})
         self._int_table = self.table if self._den == 1 else tuple(
@@ -352,9 +351,7 @@ class LieAlgebra:
         self.name = name or "g"
         self._extract_cache = None
         self._coadjoint: dict[Vector, Matrix] = {}
-        self._lookup = tuple(
-            tuple({k: c for k, c in entry if c} for entry in row) for row in self.table
-        )
+        self._lookup = tuple(tuple({k: c for k, c in e if c} if e else {} for e in row) for row in self.table)
         self._check_table()
         self.killing = self._compute_killing()
 
@@ -374,22 +371,17 @@ class LieAlgebra:
         A repeated coordinate would make ``bracket``, which sums the table,
         disagree with ``structure_constant``, which reads ``_lookup``.
         """
+        lookup = self._lookup
         for i, row in enumerate(self.table):
             for j, entry in enumerate(row):
-                if len(entry) > 1 and len(dict(entry)) < len(entry):
+                # a dict shorter than its entry dropped a zero or a repeated coordinate
+                if len(lookup[i][j]) < len(entry) and len(dict(entry)) < len(entry):
                     raise CertificateFailed(f"bracket table lists a coordinate twice at ({i}, {j}): {entry}")
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                lhs = self._lookup[i][j]
-                rhs = self._lookup[j][i]
-                # every stored constant is nonzero, so a missing key fails
-                if not (
-                    all(rhs.get(k) == -c for k, c in lhs.items())
-                    and all(lhs.get(k) == -c for k, c in rhs.items())
-                ):
-                    raise CertificateFailed(
-                        f"bracket table is not antisymmetric at ({i}, {j}): {lhs} vs {rhs}"
-                    )
+        for i, row in enumerate(lookup):
+            for j, lhs in enumerate(row):
+                # an empty lhs facing a nonempty rhs fails where (j, i) is visited
+                if lhs and (rhs := lookup[j][i]) != {k: -c for k, c in lhs.items()}:
+                    raise CertificateFailed(f"bracket table is not antisymmetric at ({i}, {j}): {lhs} vs {rhs}")
 
     def _compute_killing(self) -> Matrix:
         """K[i][j] = tr(ad_i ad_j) = sum over m, k of c_ik^m c_jm^k, paired by edge.
@@ -526,31 +518,37 @@ class LieAlgebra:
     def verify_jacobi(self) -> bool:
         """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i < j < k.
 
-        Each term is sum_m c_ab^m [e_m, e_c], summed straight from the sparse
-        table's item tuples, so a triple costs what its nonzero constants
-        cost.  A triple whose three brackets [e_i,e_j], [e_j,e_k] and
-        [e_k,e_i] are all empty has the cyclic sum 0 exactly and is skipped:
-        when [e_i,e_j] is empty, k runs only over the k with [e_j,e_k] or
-        [e_k,e_i] nonempty.  Every other triple is summed.
+        For each i the cyclic sums of every j < k go into one accumulator
+        keyed (j, k, t), over nonzero products only: a term [[e_a,e_b],e_c] =
+        sum_m c_ab^m c_mc^t e_t needs m in the support of [e_a,e_b], so the
+        first sweep takes the k > j with [e_m,e_k] != 0, the second those
+        with [e_j,e_k] != 0 and the third those with [e_k,e_i] != 0, each
+        found by bisection in a sorted row.  Every product left out is 0, so
+        no grading is assumed.  Jacobi is homogeneous, so it runs on the
+        integer table.
         """
-        n = self.dim
-        items = tuple(tuple(tuple(entry.items()) for entry in row) for row in self._lookup)
-        right = [{k for k in range(n) if items[j][k]} for j in range(n)]  # [e_j, e_k] != 0
-        left = [{k for k in range(n) if items[k][i]} for i in range(n)]  # [e_k, e_i] != 0
+        n, table = self.dim, self._int_table
+        rows = [[(k, entry) for k, entry in enumerate(row) if entry] for row in table]  # [e_m, e_k] != 0
+        keys = [[k for k, _ in row] for row in rows]
+        # [e_k, e_i] != 0 only where [e_i, e_k] != 0: the table is certified antisymmetric
+        cols = [[(k, table[k][i]) for k in ks] for i, ks in enumerate(keys)]
         for i in range(n):
+            acc: dict[int, int] = {}  # (j, k, t) as (j * n + k) * n + t
             for j in range(i + 1, n):
-                if items[i][j]:
-                    ks = range(j + 1, n)
-                else:
-                    ks = sorted(k for k in right[j] | left[i] if k > j)
-                for k in ks:
-                    total: dict[int, Fraction] = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, x in items[a][b]:
-                            for t, y in items[m][c]:
-                                total[t] = total.get(t, 0) + x * y
-                    if any(total.values()):
-                        return False
+                for m, x in table[i][j]:  # [[e_i, e_j], e_k]
+                    for k, entry in rows[m][bisect_right(keys[m], j) :]:
+                        for t, y in entry:
+                            key = (j * n + k) * n + t
+                            acc[key] = acc.get(key, 0) + x * y
+                # [[e_j, e_k], e_i], then [[e_k, e_i], e_j]
+                for nz, ks, c in ((rows[j], keys[j], i), (cols[i], keys[i], j)):
+                    for k, entry in nz[bisect_right(ks, j) :]:
+                        for m, x in entry:
+                            for t, y in table[m][c]:
+                                key = (j * n + k) * n + t
+                                acc[key] = acc.get(key, 0) + x * y
+            if any(acc.values()):
+                return False
         return True
 
     def verify_killing_invariance(self) -> bool:
@@ -713,39 +711,27 @@ def _labels(rs: RootSystem) -> list[str]:
 
 
 def _table_from_roots(rs: RootSystem):
-    """Structure constants of every type via the sign recursion."""
-    rank = rs.rank
-    npos = len(rs.positive)
-    dim = rank + 2 * npos
+    """Structure constants of every type via the sign recursion, one ``_index`` lookup per root pair."""
+    rank, roots, index = rs.rank, rs.by_index, rs._index
+    dim = len(roots)
     signs = _SignBuilder(rs)
-
-    def root_of(idx: int) -> Root:
-        if idx < rank + npos:
-            return rs.positive[idx - rank]
-        return tuple(-x for x in rs.positive[idx - rank - npos])
-
     table = [[[] for _ in range(dim)] for _ in range(dim)]
 
     def set_entry(i, j, entries):
         table[i][j] = [(k, c) for k, c in entries if c != 0]
         table[j][i] = [(k, -c) for k, c in entries if c != 0]
 
-    for a in range(rank, dim):
-        beta = root_of(a)
+    for a, alpha in enumerate(roots[rank:], rank):
         for i in range(rank):
-            # [h_i, e_beta] = <beta, alpha_i^vee> e_beta
-            set_entry(i, a, [(a, rs.pairing(beta, i))])
-    for a in range(rank, dim):
-        for b in range(a + 1, dim):
-            alpha, beta = root_of(a), root_of(b)
-            s = tuple(x + y for x, y in zip(alpha, beta))
-            if all(x == 0 for x in s):
-                # a indexes the positive root of the pair, so this is
-                # [e_alpha, e_-alpha] = alpha^vee
-                coeffs = rs.coroot_coeffs(alpha)
-                set_entry(a, b, [(i, coeffs[i]) for i in range(rank)])
-            elif s in rs.root_set:
-                set_entry(a, b, [(rs.vector_index(s), signs.n(alpha, beta))])
+            # [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha
+            set_entry(i, a, [(a, rs.pairing(alpha, i))])
+        for b, beta in enumerate(roots[a + 1 :], a + 1):
+            s = tuple(map(add, alpha, beta))
+            k = index.get(s)
+            if k is not None:
+                set_entry(a, b, [(k, signs.n(alpha, beta))])
+            elif not any(s):  # a indexes the positive root of the pair: [e_alpha, e_-alpha] = alpha^vee
+                set_entry(a, b, list(enumerate(rs.coroot_coeffs(alpha))))
     return table
 
 
@@ -796,39 +782,39 @@ def build_chevalley(cartan_type: str, rank: int) -> LieAlgebra:
 
 
 def _certify_chevalley(alg: LieAlgebra):
-    """Cheap construction-time certificate: Cartan action, coroots, |N| = p+1.
+    """Construction-time certificate of the whole table, read off the dicts ``alg._lookup``.
 
-    [e_a, e_b] is read straight off the sparse table as the dict
-    ``alg._lookup[a][b]`` (coordinate -> nonzero constant).
+    [h_i, h_j] = 0, [h_i, e_beta] = <beta, alpha_i^vee> e_beta, and over
+    every ordered pair of roots [e_alpha, e_beta] is exactly ±(p+1)
+    e_{alpha+beta} when alpha + beta is a root, the coroot of alpha when it
+    is 0, and 0 otherwise.  Antisymmetry, certified already, gives the rest.
     """
-    rs = alg.root_data
-    lookup = alg._lookup
-    if len(rs.roots) != alg.dim - alg.rank:
-        raise CertificateFailed(
-            f"{alg.name}: {len(rs.roots)} roots for {alg.dim - alg.rank} root vectors"
-        )
-    for beta in rs.roots:
-        b = alg.root_vector_index(beta)
-        for i in range(alg.rank):
+    rs, lookup, rank = alg.root_data, alg._lookup, alg.rank
+    roots, index = rs.by_index, rs._index
+    if len(rs.roots) != alg.dim - rank:
+        raise CertificateFailed(f"{alg.name}: {len(rs.roots)} roots for {alg.dim - rank} root vectors")
+    for i in range(rank):
+        if any(lookup[i][:rank]):
+            raise CertificateFailed(f"{alg.name}: [h_{i + 1}, h_j] != 0 for some j")
+        for b, beta in enumerate(roots[rank:], rank):
             c = rs.pairing(beta, i)
             if lookup[i][b] != ({b: c} if c else {}):
-                raise CertificateFailed(
-                    f"{alg.name}: [h_{i + 1}, e{beta}] != <{beta}, alpha_{i + 1}^vee> e{beta}"
-                )
-        # [e_beta, e_-beta] = beta^vee in the h basis
-        opp = alg.root_vector_index(tuple(-x for x in beta))
-        coeffs = rs.coroot_coeffs(beta)
-        if lookup[b][opp] != {i: c for i, c in enumerate(coeffs) if c}:
-            raise CertificateFailed(f"{alg.name}: [e{beta}, e-{beta}] is not the coroot of {beta}")
-    for a in rs.roots:
-        for b in rs.roots:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in rs.root_set:
-                entry = lookup[alg.root_vector_index(a)][alg.root_vector_index(b)]
-                coeff = entry.get(alg.root_vector_index(s), 0)
-                expected = rs.p_string(a, b) + 1
+                raise CertificateFailed(f"{alg.name}: [h_{i + 1}, e{beta}] != <{beta}, alpha_{i + 1}^vee> e{beta}")
+    for a, alpha in enumerate(roots[rank:], rank):
+        for b, beta in enumerate(roots[rank:], rank):
+            entry, s = lookup[a][b], tuple(map(add, alpha, beta))
+            k = index.get(s)
+            if k is not None:
+                coeff, expected = entry.get(k, 0), rs.p_string(alpha, beta) + 1
                 if abs(coeff) != expected:
-                    raise CertificateFailed(f"{alg.name}: |N({a}, {b})| = {abs(coeff)}, not p + 1 = {expected}")
+                    raise CertificateFailed(f"{alg.name}: |N({alpha}, {beta})| = {abs(coeff)}, not p + 1 = {expected}")
+                if len(entry) > 1:
+                    raise CertificateFailed(f"{alg.name}: [e{alpha}, e{beta}] = {entry} has terms off e{s}")
+            elif not any(s):
+                if entry != {i: c for i, c in enumerate(rs.coroot_coeffs(alpha)) if c}:
+                    raise CertificateFailed(f"{alg.name}: [e{alpha}, e-{alpha}] is not the coroot of {alpha}")
+            elif entry:
+                raise CertificateFailed(f"{alg.name}: [e{alpha}, e{beta}] = {entry}, but {s} is neither a root nor 0")
 
 
 def principal_sl2(alg: LieAlgebra) -> Sl2Triple:

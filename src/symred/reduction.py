@@ -65,9 +65,13 @@ class ReducedSpaceModel:
 
 
 def orbit_tangent_in_universal(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
-    """{(-x, 0) : x in h_xi}; the stabilizer acts by right translations."""
+    """Span of {(-x, 0) : x in h_xi}, as the stabilizer acts by right translations.
+
+    Returned as {(x, 0)} over the canonical basis of h_xi: the same span,
+    and already a canonical basis, so ``span_equal`` needs no elimination.
+    """
     h = poisson.stabilizer_subalgebra(poisson.kks_model(alg), s_model, xi)
-    return [tuple(la.neg(x)) + la.zeros(alg.dim) for x in h]
+    return [tuple(x) + la.zeros(alg.dim) for x in h]
 
 
 def kernel_identity_check(alg: LieAlgebra, s_model, xi: Vector):

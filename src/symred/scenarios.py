@@ -187,11 +187,14 @@ def _sl2_structure_certificate(alg: LieAlgebra, m_basis: Sequence[Vector]) -> bo
     if len(inter) != 1:
         return False
     h0 = inter[0]
-    m_cols = la.transpose(list(m_basis))
-    imgs = [la.solve(m_cols, alg.bracket(h0, b)) for b in m_basis]
-    if any(v is None for v in imgs):
+    # ad_{h0} restricted to m, 3x3: one rref of [m_cols | images] solves for
+    # all three images, and a pivot right of m_cols is an image off m
+    images = la.transpose([alg.bracket(h0, b) for b in m_basis])
+    rows, pivots = la.rref([a + b for a, b in zip(la.transpose(list(m_basis)), images)])
+    if pivots and pivots[-1] >= 3:
         return False
-    admat = la.transpose(imgs)  # ad_{h0} restricted to m, 3x3
+    solved = dict(zip(pivots, rows))
+    admat = [solved[j][3:] if j in solved else [la.ZERO] * 3 for j in range(3)]
     # char(x) = x^3 - c x with c = lambda^2
     c = -(admat[0][0] * admat[1][1] + admat[0][0] * admat[2][2] + admat[1][1] * admat[2][2]
           - admat[0][1] * admat[1][0] - admat[0][2] * admat[2][0] - admat[1][2] * admat[2][1])

@@ -746,6 +746,26 @@ def test_verify_jacobi_fails_on_a_triple_with_one_live_pair(a, b, c):
     assert alg.verify_jacobi() is ref.verify_jacobi(alg) is False
 
 
+# sl2 with [e, f] = h + e: in its one triple, [[e, f], h] = -2e while [[h, e], f] + [[f, h], e] = 0.
+# The basis order puts that term first, second or third in the cyclic sum
+# of the triple (0, 1, 2), so only one of verify_jacobi's three sweeps meets it.
+@pytest.mark.parametrize("order,sweep", [(("e", "f", "h"), 0), (("h", "e", "f"), 1), (("f", "h", "e"), 2)])
+def test_verify_jacobi_failure_reached_by_one_sweep_only(order, sweep):
+    relations = {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1, "e": 1}}
+    pos = {x: i for i, x in enumerate(order)}
+    table = [[[] for _ in range(3)] for _ in range(3)]
+    for (x, y), out in relations.items():
+        entry = sorted((pos[z], c) for z, c in out.items())
+        table[pos[x]][pos[y]], table[pos[y]][pos[x]] = entry, [(k, -c) for k, c in entry]
+    alg = lie.LieAlgebra(order, table, 1, name="tampered_sl2")
+    basis = [alg.basis_vec(i) for i in range(3)]
+    # [[e_i,e_j],e_k], [[e_j,e_k],e_i] and [[e_k,e_i],e_j] at (i, j, k) = (0, 1, 2)
+    terms = [alg.bracket(alg.bracket(basis[a], basis[b]), basis[c]) for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    others = [t for s, t in enumerate(terms) if s != sweep]
+    assert not la.is_zero(terms[sweep]) and la.is_zero(la.add(*others))
+    assert alg.verify_jacobi() is ref.verify_jacobi(alg) is False
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_verify_jacobi_perturbed_commuting_pair_matches_reference(data):

@@ -663,6 +663,9 @@ def test_certify_chevalley_rejects_cartan_action(typ, rank):
     # <alpha_1, alpha_1^vee> = 2 becomes 3
     with pytest.raises(CertificateFailed, match=r"\[h_1, e\(1, 0\)\]"):
         lie._certify_chevalley(perturbed(alg, 0, e, e, Q(1)))
+    # the Cartan subalgebra stops commuting: [h_1, h_2] = h_1
+    with pytest.raises(CertificateFailed, match=r"\[h_1, h_j\] != 0"):
+        lie._certify_chevalley(perturbed(alg, 0, 1, 0, Q(1)))
 
 
 @pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
@@ -689,3 +692,24 @@ def test_certify_chevalley_rejects_wrong_constant(typ, rank):
         lie._certify_chevalley(perturbed(alg, a, b, s, -n))
     with pytest.raises(CertificateFailed, match=rf"{pair} = {2 * abs(n)}, not p \+ 1 = {abs(n)}"):
         lie._certify_chevalley(perturbed(alg, a, b, s, n))
+
+
+# Each table keeps every coefficient the old certificate read, |N| = p+1 at
+# e_{alpha+beta}, and breaks Jacobi, so only reading whole entries rejects it.
+def test_certify_chevalley_rejects_a_stray_term_on_a_root_sum():
+    """[e_a1, e_a2] = N e_theta + h_1."""
+    alg = lie.build_chevalley("A", 2)
+    broken = perturbed(alg, alg.root_vector_index((1, 0)), alg.root_vector_index((0, 1)), 0, Q(1))
+    assert broken.verify_jacobi() is False
+    with pytest.raises(CertificateFailed, match=r"\[e\(0, 1\), e\(1, 0\)\] = \{.*\} has terms off e\(1, 1\)"):
+        lie._certify_chevalley(broken)
+
+
+def test_certify_chevalley_rejects_a_bracket_off_the_roots():
+    """[e_a1, e_theta] = e_a2, though a1 + theta = (2, 1) is neither a root nor 0."""
+    alg = lie.build_chevalley("A", 2)
+    a1, theta, a2 = (alg.root_vector_index(r) for r in ((1, 0), (1, 1), (0, 1)))
+    broken = perturbed(alg, a1, theta, a2, Q(1))
+    assert broken.verify_jacobi() is False
+    with pytest.raises(CertificateFailed, match=r"\(2, 1\) is neither a root nor 0"):
+        lie._certify_chevalley(broken)

@@ -25,6 +25,17 @@ def test_orbit_tangent_cases(sl2, sl2_efh):
     assert la.span_equal(got, [tuple(la.neg(h)) + la.zeros(3)])
 
 
+def test_orbit_tangent_is_compared_without_elimination(sl3, eliminations):
+    """The orbit side is (x, 0) over the canonical basis of h_xi: the span of {(-x, 0)}, already canonical."""
+    dec = poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)])
+    xi = dec.sample_points[0]
+    h = poisson.stabilizer_subalgebra(poisson.kks_model(sl3), dec, xi)
+    orbit = reduction.orbit_tangent_in_universal(sl3, dec, xi)
+    assert orbit == [tuple(x) + la.zeros(8) for x in h] and len(h) == 3
+    assert la.span_equal(orbit, [tuple(la.neg(x)) + la.zeros(8) for x in h])
+    assert eliminations(lambda: la.span_basis(orbit)) == (0, orbit)
+
+
 def test_orbit_tangent_requires_stable(sl2):
     hb = sl2.flat(sl2.basis_vec(0))
     line = poisson.AffineSubspace(hb, [sl2.flat(sl2.root_vector((1,)))])

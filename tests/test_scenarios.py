@@ -5,7 +5,8 @@ import pytest
 
 import reference_kernels as ref
 from symred import groupoid as gpd
-from symred import lie, poisson
+from conftest import subregular_point
+from symred import lie, poisson, scenarios
 from symred import linalg as la
 from symred.errors import ConfigError
 from symred.scenarios import REGISTRY, Check, Param, ScenarioReport, report_to_dict, run_scenario
@@ -52,6 +53,27 @@ def test_decomposition_reduced_dim_is_ten():
     rep = run_scenario("decomposition_class_sl3", {}, 5, 3)
     assert rep.check_data("reduced_dim")["reduced_dim"] == 10
     assert rep.check_data("annihilator_two_route")["dim"] == 3
+
+
+def test_sl2_structure_certificate_verdicts(sl3, monkeypatch):
+    """True at the four decomposition-class points, where ad_h0 on m is one elimination, not
+    one solve per vector; False on a 3-dim subalgebra that is not sl2 and on a 3-space ad_h0 leaves."""
+    pm = poisson.kks_model(sl3)
+    params = ((1, (0, 1, 2)), (2, (0, 1, 2)), (-3, (0, 1, 2)), (1, (0, 2, 1)))  # as in the scenario
+    dec = poisson.DecompositionClass(sl3, 4, [subregular_point(sl3, a, perm) for a, perm in params])
+    fibers = [list(poisson.algebroid_fiber(pm, dec, pt).basis) for pt in dec.sample_points]
+    solves = []
+    solve = la.solve
+    monkeypatch.setattr(la, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    assert [scenarios._sl2_structure_certificate(sl3, m) for m in fibers] == [True] * 4
+    assert len(solves) == 4  # the last step only, [e, f] against h
+    e1, e2, f1, f2 = (sl3.root_vector(r) for r in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+    # h = 2h_1 + 2h_2 acts by 2 on e_a1 and by -2 on f_a2, but [e_a1, f_a2] = 0: a solvable subalgebra
+    h = la.add(la.scale(2, sl3.basis_vec(0)), la.scale(2, sl3.basis_vec(1)))
+    assert lie.is_subalgebra(sl3, [h, e1, f2])
+    assert scenarios._sl2_structure_certificate(sl3, [h, e1, f2]) is False
+    # [h_1, e_a1 + e_a2] = 2e_a1 - e_a2 leaves span{h_1, e_a1 + e_a2, f_a1}
+    assert scenarios._sl2_structure_certificate(sl3, [sl3.basis_vec(0), la.add(e1, e2), f1]) is False
 
 
 def test_implosion_face_dims():
