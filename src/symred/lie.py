@@ -821,12 +821,8 @@ def principal_sl2(alg: LieAlgebra) -> Sl2Triple:
     """Principal triple: e = sum of simple root vectors, alpha_i(h) = 2."""
     rs = alg._require_roots()
     es, hs, fs = alg.simple_vectors()
-    # Solve sum_j c_j <alpha_i, alpha_j^vee> = 2 for all i.
-    rows = [tuple(Q(rs.cartan[i][j]) for j in range(alg.rank)) for i in range(alg.rank)]
-    target = tuple(Q(2) for _ in range(alg.rank))
-    coeffs = la.solve(rows, target)
-    if coeffs is None:
-        raise SolveFailure("Cartan matrix is singular")
+    # h = 2 rho^vee, the sum of the positive coroots, has alpha_i(h) = 2 for all i
+    coeffs = [sum(c) for c in zip(*map(rs.coroot_coeffs, rs.positive))]
     e = la.zeros(alg.dim)
     h = la.zeros(alg.dim)
     for i in range(alg.rank):

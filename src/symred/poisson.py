@@ -86,7 +86,6 @@ class SubmanifoldModel:
     """
 
     kind = "abstract"
-    trusted = False  # True when membership is taken on the caller's word
 
     def __init__(self, ambient_dim: int, sample_points: Sequence[Vector]):
         self.ambient_dim = ambient_dim
@@ -132,6 +131,9 @@ class AffineSubspace(SubmanifoldModel):
 
     def __init__(self, base: Vector, directions: Sequence[Vector], sample_points=None):
         self.base = tuple(base)
+        for k, d in enumerate(directions):
+            if len(d) != len(self.base):
+                raise DimensionMismatch(f"direction {k} has length {len(d)}, not the base's {len(self.base)}")
         self.directions = la.span_basis(directions)
         super().__init__(len(base), [self.base] if sample_points is None else sample_points)
 
@@ -151,9 +153,11 @@ def slodowy_slice(algebra: LieAlgebra, triple: Sl2Triple, parameters: Sequence[S
     """
     gf = la.span_basis(algebra.centralizer(triple.f))
     pts = []
-    for params in parameters:
+    for k, params in enumerate(parameters):
+        if len(params) != len(gf):
+            raise DimensionMismatch(f"parameter row {k} has length {len(params)}, not dim g_f = {len(gf)}")
         x = triple.e
-        for c, b in zip(params, gf, strict=True):
+        for c, b in zip(params, gf):
             x = la.add(x, la.scale(c, b))
         pts.append(algebra.flat(x))
     return AffineSubspace(algebra.flat(triple.e), [algebra.flat(b) for b in gf], pts)
@@ -258,6 +262,8 @@ class WeylChamberFace(AffineSubspace):
     def __init__(self, algebra: LieAlgebra, subset: Sequence[int], sample_points: Sequence[Vector]):
         self.algebra = algebra
         self.subset = frozenset(subset)
+        if not self.subset <= set(range(algebra.rank)):
+            raise DimensionMismatch(f"simple root indices {sorted(self.subset)} are not all in 0..{algebra.rank - 1}")
         units = [la.unit(algebra.dim, i) for i in range(algebra.rank) if i not in self.subset]
         super().__init__(la.zeros(algebra.dim), units, sample_points)
 
@@ -297,7 +303,6 @@ class Explicit(SubmanifoldModel):
     """Caller-supplied tangent constructor; membership is trusted."""
 
     kind = "explicit"
-    trusted = True
 
     def __init__(self, ambient_dim: int, tangent_fn: Callable[[Vector], Sequence[Vector]], sample_points: Sequence[Vector]):
         self.tangent_fn = tangent_fn

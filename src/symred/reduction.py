@@ -8,8 +8,8 @@ computed two ways and compared:
 * as the radical of the Gram matrix of Omega on T_pN = g x T_xi S;
 * as the tangent space {(-x, 0) : x in h_xi} of the stabilizer orbit.
 
-The quotient T_pN / kernel carries the reduced form, checked nondegenerate
-and against the dimension count dim g + dim S - rk L_S.
+The quotient T_pN / kernel carries the reduced form, checked against the
+dimension count dim g + dim S - rk L_S.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class ReducedSpaceModel:
     quotient_dim: int
     reduced_form: tuple[Vector, ...]
     complement: tuple[Vector, ...]  # lifts of the quotient basis
-
-    def nondegenerate(self) -> bool:
-        return la.rank(self.reduced_form) == self.quotient_dim
 
     @cached_property
     def _chart(self) -> tuple[list[int], list[int], list[Vector], Matrix]:

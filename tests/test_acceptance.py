@@ -227,7 +227,7 @@ def test_criterion_08_implosion_faces():
 def test_criterion_09_c4_quadric():
     rep = scenarios.run_scenario("c4_prepoisson_remark", {}, seed=9, sample_count=3)
     ok = rep.all_passed
-    for name in ("trivial_stabilizer", "omega_orthogonal_span", "tangent_span"):
+    for name in ("trivial_stabilizer", "omega_orthogonal_span", "annihilator_span"):
         ok &= any(c.name == name and c.status == "pass" for c in rep.checks)
     verdict(9, "quadric x^2 = u, y = 0: trivial stabilizer and stated spans", ok)
 

@@ -170,6 +170,21 @@ def test_principal_sl2(sl2, sl3):
         assert len(sl2.centralizer(v)) == sl2.rank
 
 
+@pytest.mark.parametrize("cartan_type,rank", sorted(lie.SUPPORTED))
+def test_principal_h_is_the_cartan_solution(cartan_type, rank):
+    """h = 2 rho^vee, summed over the positive coroots, is the solution of alpha_i(h) = 2."""
+    alg = lie.build_chevalley(cartan_type, rank)
+    cartan = alg.root_data.cartan
+    coeffs = la.solve([tuple(Q(cartan[i][j]) for j in range(rank)) for i in range(rank)], (Q(2),) * rank)
+    tri = lie.principal_sl2(alg)
+    assert tri.h == coeffs + la.zeros(alg.dim - rank)
+    _, _, fs = alg.simple_vectors()
+    f = la.zeros(alg.dim)
+    for c, fi in zip(coeffs, fs):
+        f = la.add(f, la.scale(c, fi))
+    assert tri.f == f
+
+
 def test_principal_sl2_needs_roots(sl2):
     prod = lie.direct_power(sl2, 2)
     with pytest.raises(UnsupportedType):

@@ -1,0 +1,97 @@
+"""Every reported check of two scenarios is shown to fail.
+
+A certificate is worth reporting only if some wrong input makes it reject.
+Each entry of ``MUTATIONS`` names one mutation for one (scenario, check):
+a monkeypatch of one library function, or one wrong scenario parameter.
+Under it the check reports ``fail``, the report still renders, and
+``cli.run`` exits 1.  ``sample_points`` records state the sampled inputs
+and pass by construction, so they have no entry.  A scenario listed here
+gains a check only together with its entry (``test_every_check_has_a_mutation``).
+"""
+
+import pytest
+
+from symred import cli, lie, poisson, reduction, scenarios
+from symred import linalg as la
+from test_golden_report import CONFIGS
+
+README = {entry["name"]: entry["params"] for entry in CONFIGS["readme_suite"]["scenarios"]}
+
+
+def patched(target, name, value):
+    """The mutation that replaces `target.name` by `value`."""
+    def mutate(monkeypatch):
+        monkeypatch.setattr(target, name, value)
+        return {}
+    return mutate
+
+
+def wrong_input(**params):
+    """The mutation that overrides scenario parameters."""
+    return lambda monkeypatch: params
+
+
+def principal_with(member, value):
+    """``principal_sl2`` with one member of the triple replaced by another member, or by zero if None."""
+    def triple(alg):
+        parts = vars(lie.principal_sl2(alg)).copy()
+        parts[member] = la.zeros(alg.dim) if value is None else parts[value]
+        return lie.Sl2Triple(**parts)
+    return triple
+
+
+_annihilator = la.annihilator
+_explicit_tangent = poisson.Explicit._tangent
+
+
+MUTATIONS = {
+    # a triple with e = 0: the slice g_f passes through x = 0, where [g, x] = 0
+    ("slodowy_moore_tachikawa", "slice_transversality"): patched(scenarios, "principal_sl2", principal_with("e", None)),
+    # every centralizer tuple embedded in the first factor: the oracle collapses to 0
+    ("slodowy_moore_tachikawa", "diagonal_fiber_two_route"):
+        patched(scenarios, "embed_factor", lambda product_dim, factor_dim, k, x: lie.embed_factor(product_dim, factor_dim, 0, x)),
+    # the slice along g_e instead of g_f
+    ("slodowy_moore_tachikawa", "fiber_rank"): patched(scenarios, "principal_sl2", principal_with("f", "e")),
+    # the line e + Q h, whose fiber rank jumps at e
+    ("slodowy_moore_tachikawa", "pre_poisson_sampled"): patched(scenarios, "principal_sl2", principal_with("f", "h")),
+    # a kernel test that accepts no vector
+    ("slodowy_moore_tachikawa", "stable"): patched(la, "is_zero", lambda u: False),
+    # pointwise Omega that disagrees with its Gram matrix
+    ("slodowy_moore_tachikawa", "kernel_two_route"): patched(reduction, "omega_eval", lambda alg, xi, u, v: la.ONE),
+    ("slodowy_moore_tachikawa", "reduced_dim"): wrong_input(expected_reduced_dim=9),
+    # an annihilator one vector short
+    ("c4_prepoisson_remark", "annihilator_span"): patched(la, "annihilator", lambda gens, dim: _annihilator(gens, dim)[:-1]),
+    # the tangent of x^2 = -u, not of the quadric
+    ("c4_prepoisson_remark", "omega_orthogonal_span"):
+        patched(poisson.Explicit, "_tangent", lambda self, xi: [la.vec([1, 0, -2 * xi[0], 0]), la.vec([0, 0, 0, 1])]),
+    # the zero bivector in place of omega's inverse
+    ("c4_prepoisson_remark", "trivial_stabilizer"): patched(poisson, "symplectic_model", lambda omega: poisson.trivial_model(4)),
+    # a tangent that loses d/dv at t = 1 only
+    ("c4_prepoisson_remark", "pre_poisson_sampled"):
+        patched(poisson.Explicit, "_tangent", lambda self, xi: _explicit_tangent(self, xi)[: 1 if xi[0] == 1 else 2]),
+    # a pairing that is identically zero
+    ("c4_prepoisson_remark", "reduced_dim"): patched(la, "dot", lambda u, v: la.ZERO),
+}
+
+
+def run(scenario, params):
+    config = {"scenarios": [{"name": scenario, "params": params}], "seed": 42, "sample_count": 3}
+    return cli.run(cli.parse_config(config))
+
+
+@pytest.mark.parametrize("scenario,check", MUTATIONS, ids=lambda v: v)
+def test_mutation_fails_its_check(monkeypatch, scenario, check):
+    params = {**README[scenario], **MUTATIONS[scenario, check](monkeypatch)}
+    document, code = run(scenario, params)
+    statuses = {c["name"]: c["status"] for c in document["scenarios"][0]["checks"]}
+    assert statuses[check] == "fail"
+    assert f'"name": "{check}"' in cli.render_json(document)
+    assert code == 1
+
+
+@pytest.mark.parametrize("scenario", sorted({scenario for scenario, _ in MUTATIONS}))
+def test_every_check_has_a_mutation(scenario):
+    document, code = run(scenario, README[scenario])
+    names = {c["name"] for c in document["scenarios"][0]["checks"]}
+    assert code == 0
+    assert names - {"sample_points"} == {check for s, check in MUTATIONS if s == scenario}

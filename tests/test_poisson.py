@@ -98,6 +98,20 @@ def test_off_model_declared_point_refused_at_construction(sl2, sl3, build):
         build(sl2, sl3)
 
 
+@pytest.mark.parametrize("build,named", [
+    (lambda sl2, sl3: poisson.AffineSubspace((0, 0), [(1, 0, 0)]), "length 3"),
+    (lambda sl2, sl3: poisson.AffineSubspace((0, 0, 0), [(0, 1, 0), (1, 0)]), "direction 1 has length 2"),
+    (lambda sl2, sl3: poisson.WeylChamberFace(sl3, (5,), []), r"\[5\]"),
+    (lambda sl2, sl3: poisson.WeylChamberFace(sl3, (0, -1), []), r"\[-1, 0\]"),
+    (lambda sl2, sl3: poisson.slodowy_slice(sl2, lie.principal_sl2(sl2), [[0], [1, 2]]), "row 1 has length 2"),
+    (lambda sl2, sl3: poisson.slodowy_slice(sl3, lie.principal_sl2(sl3), [[1]]), "row 0 has length 1"),
+], ids=["direction-longer", "direction-shorter", "face-index-past-rank", "face-index-negative",
+        "slice-row-longer", "slice-row-shorter"])
+def test_affine_model_refuses_input_of_wrong_length(sl2, sl3, build, named):
+    with pytest.raises(DimensionMismatch, match=named):
+        build(sl2, sl3)
+
+
 def test_tangent_basis_returns_a_fresh_list(sl2):
     hb = sl2.flat(sl2.basis_vec(0))
     line = poisson.AffineSubspace(hb, [hb])
@@ -170,7 +184,6 @@ def test_c4_quadric_fiber_trivial():
     model = poisson.Explicit(4, tangent, [la.vec([1, 0, 1, 0])])
     fib = poisson.algebroid_fiber(p, model, la.vec([1, 0, 1, 0]))
     assert fib.rank == 0
-    assert model.trusted
 
 
 def test_pre_poisson_sample_check(sl2, kks2, sl2_efh):
