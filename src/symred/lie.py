@@ -6,12 +6,13 @@ extraspecial-pair convention: N_{α,β} = +(p+1) on every extraspecial pair
 of positive roots, all remaining constants being forced by antisymmetry,
 N_{-α,-β} = -N_{α,β}, and the Jacobi identity.
 
-Type A also stores the defining representation of sl(l+1), generated from
+Type A also carries the defining representation of sl(l+1), generated from
 h_i = E_ii - E_{i+1,i+1}, e_{α_i} = E_{i,i+1} and f_{α_i} = E_{i+1,i} by
-the table's own constants; each root vector is then ±E_rs.  It is type A's
-input and output form only (``to_matrix``, ``from_matrix``,
-``group_element``): a ``GroupElement`` is Ad_g on the Chevalley basis, and
-``unipotent`` builds one as exp(t ad_x) on every type.
+the table's own constants on the first read of ``matrix_rep``; each root
+vector is then ±E_rs.  It is type A's input and output form only
+(``to_matrix``, ``from_matrix``, ``group_element``): a ``GroupElement`` is
+Ad_g on the Chevalley basis, and ``unipotent`` builds one as exp(t ad_x)
+on every type.
 
 Every constructed table is certified entry by entry (antisymmetry, Cartan
 action, coroot brackets, exactly ±(p+1) e_{α+β} on a root sum and 0 off
@@ -45,9 +46,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import add, mul, neg, sub
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import linalg as la
 from .errors import CertificateFailed, DimensionMismatch, NoMatrixRep, SolveFailure, UnsupportedType
@@ -319,10 +320,13 @@ def _constant(c):
 class LieAlgebra:
     """Structure constants, Killing form, and optional matrix realization.
 
-    The table is certified antisymmetric and the Killing form summed when
-    the algebra is built.  Its inverse, which only ``sharp`` and
-    ``is_ad_semisimple`` read, is computed on first use and kept; it is
-    None when the form is degenerate.
+    The table is certified antisymmetric when the algebra is built.  The
+    Killing form is summed on its first read and kept, and so is its
+    inverse, which only ``sharp`` and ``is_ad_semisimple`` read; the
+    inverse is None when the form is degenerate.  A matrix realization is
+    passed as a zero-argument builder and built on the first read of
+    ``matrix_rep``, so an algebra that no converter touches never builds
+    its matrices.
     """
 
     def __init__(
@@ -331,7 +335,7 @@ class LieAlgebra:
         table: Sequence[Sequence[Sequence[tuple[int, int | Fraction]]]],
         rank: int,
         root_data: Optional[RootSystem] = None,
-        matrix_rep: Optional[Sequence[Matrix]] = None,
+        matrix_rep: Optional[Callable[[], Sequence[Matrix]]] = None,
         name: str = "",
     ):
         self.dim = len(basis_labels)
@@ -347,13 +351,22 @@ class LieAlgebra:
         )
         self.rank = rank
         self.root_data = root_data
-        self.matrix_rep = tuple(matrix_rep) if matrix_rep is not None else None
+        self._rep_builder = matrix_rep
         self.name = name or "g"
         self._extract_cache = None
         self._coadjoint: dict[Vector, Matrix] = {}
         self._lookup = tuple(tuple({k: c for k, c in e if c} if e else {} for e in row) for row in self.table)
         self._check_table()
-        self.killing = self._compute_killing()
+
+    @cached_property
+    def killing(self) -> Matrix:
+        """K[i][j] = tr(ad_i ad_j), summed on first read and kept."""
+        return self._compute_killing()
+
+    @cached_property
+    def matrix_rep(self) -> Optional[tuple[Matrix, ...]]:
+        """The matrix realization, built on first read; None when the algebra was given none."""
+        return tuple(self._rep_builder()) if self._rep_builder is not None else None
 
     @cached_property
     def _killing_inv(self) -> Optional[Matrix]:
@@ -772,11 +785,16 @@ def _sl_realization(rs: RootSystem, table) -> list[Matrix]:
 
 @lru_cache(maxsize=None)
 def build_chevalley(cartan_type: str, rank: int) -> LieAlgebra:
-    """Split semisimple Lie algebra of the given type on a Chevalley basis."""
+    """Split semisimple Lie algebra of the given type on a Chevalley basis.
+
+    A cold build does only what its certificate reads: the root data, the
+    table, the antisymmetry check and ``_certify_chevalley``.  The Killing
+    form and type A's matrices are built on their first read.
+    """
     rs = RootSystem(cartan_type, rank)
     table = _table_from_roots(rs)
-    reps = _sl_realization(rs, table) if cartan_type == "A" else None
-    alg = LieAlgebra(_labels(rs), table, rank, rs, reps, name=f"{cartan_type}{rank}")
+    realize = partial(_sl_realization, rs, table) if cartan_type == "A" else None
+    alg = LieAlgebra(_labels(rs), table, rank, rs, realize, name=f"{cartan_type}{rank}")
     _certify_chevalley(alg)
     return alg
 
@@ -785,9 +803,15 @@ def _certify_chevalley(alg: LieAlgebra):
     """Construction-time certificate of the whole table, read off the dicts ``alg._lookup``.
 
     [h_i, h_j] = 0, [h_i, e_beta] = <beta, alpha_i^vee> e_beta, and over
-    every ordered pair of roots [e_alpha, e_beta] is exactly ±(p+1)
-    e_{alpha+beta} when alpha + beta is a root, the coroot of alpha when it
-    is 0, and 0 otherwise.  Antisymmetry, certified already, gives the rest.
+    every unordered pair of roots, visited once as (alpha, beta) with beta's
+    index above alpha's, [e_alpha, e_beta] is exactly ±(p+1) e_{alpha+beta}
+    when alpha + beta is a root, the coroot of alpha when it is 0, and 0
+    otherwise.  One visit per pair suffices: ``_check_table`` ran when the
+    algebra was built and certified [e_beta, e_alpha] = -[e_alpha, e_beta],
+    which leaves the diagonal empty.  The mirror entry then passes too,
+    since p_{beta,alpha} = p_{alpha,beta} when alpha + beta is a root
+    (Carter, *Simple Groups of Lie Type*, 1972) and the coroot of -alpha
+    is minus that of alpha.
     """
     rs, lookup, rank = alg.root_data, alg._lookup, alg.rank
     roots, index = rs.by_index, rs._index
@@ -801,7 +825,7 @@ def _certify_chevalley(alg: LieAlgebra):
             if lookup[i][b] != ({b: c} if c else {}):
                 raise CertificateFailed(f"{alg.name}: [h_{i + 1}, e{beta}] != <{beta}, alpha_{i + 1}^vee> e{beta}")
     for a, alpha in enumerate(roots[rank:], rank):
-        for b, beta in enumerate(roots[rank:], rank):
+        for b, beta in enumerate(roots[a + 1 :], a + 1):
             entry, s = lookup[a][b], tuple(map(add, alpha, beta))
             k = index.get(s)
             if k is not None:
@@ -810,7 +834,7 @@ def _certify_chevalley(alg: LieAlgebra):
                     raise CertificateFailed(f"{alg.name}: |N({alpha}, {beta})| = {abs(coeff)}, not p + 1 = {expected}")
                 if len(entry) > 1:
                     raise CertificateFailed(f"{alg.name}: [e{alpha}, e{beta}] = {entry} has terms off e{s}")
-            elif not any(s):
+            elif not any(s):  # alpha is the positive root of the pair, indexed first
                 if entry != {i: c for i, c in enumerate(rs.coroot_coeffs(alpha)) if c}:
                     raise CertificateFailed(f"{alg.name}: [e{alpha}, e-{alpha}] is not the coroot of {alpha}")
             elif entry:
@@ -842,7 +866,12 @@ def principal_sl2(alg: LieAlgebra) -> Sl2Triple:
 
 
 def direct_power(alg: LieAlgebra, n: int) -> LieAlgebra:
-    """Product algebra g^n with block-diagonal structure constants."""
+    """Product algebra g^n with block-diagonal structure constants.
+
+    Its Killing form, block diagonal too, is summed only if something
+    reads it: the Moore-Tachikawa scenario reads the factor's, never the
+    product's.
+    """
     dim = alg.dim
     labels = [f"g{k+1}.{lbl}" for k in range(n) for lbl in alg.basis_labels]
     table = [[[] for _ in range(n * dim)] for _ in range(n * dim)]

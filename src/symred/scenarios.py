@@ -113,6 +113,31 @@ def _pre_poisson_sampled(report: ScenarioReport, pm: poisson.PoissonPointModel, 
                pp["constant_rank"], {"ranks": pp["ranks"]}, sampled=True)
 
 
+def _reduce_at(report: ScenarioReport, alg: LieAlgebra, s_model, pt: Vector, *records):
+    """The reduction step at one point of S, recorded under the caller's names.
+
+    Each record is (name, anchor, verdict), with verdict(agree, model) giving
+    (ok, data) from ``reduction.kernel_identity_check``'s result.  Its orbit
+    route reads h_xi off a stable fiber, so the step first reads the fiber's
+    verdict, cached by the caller's own fiber checks.  At an unstable point
+    it forms no kernel and every record fails, with no data.  Returns
+    (agree, model), or None at an unstable point.
+    """
+    if not poisson.algebroid_fiber(poisson.kks_model(alg), s_model, pt).contained_in_centralizer:
+        for name, anchor, _ in records:
+            report.add(name, anchor, False)
+        return None
+    kernel = reduction.kernel_identity_check(alg, s_model, pt)
+    for name, anchor, verdict in records:
+        report.add(name, anchor, *verdict(*kernel))
+    return kernel
+
+
+def _two_route(alg: LieAlgebra):
+    """The verdict of a ``kernel_two_route`` record: both routes agree and Omega vanishes on the kernel."""
+    return lambda agree, model: (agree and reduction.reduced_form_well_defined(alg, model), None)
+
+
 # -- moore-tachikawa ---------------------------------------------------------
 
 
@@ -164,16 +189,12 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
     _pre_poisson_sampled(report, pm, dia)
     expected_dim = values.get("expected_reduced_dim", n * alg.dim + ell - (n - 1) * ell)
     for pt in dia.sample_points:
-        stable = poisson.algebroid_fiber(pm, dia, pt).contained_in_centralizer
-        report.add("stable", "L_S ⊆ ker sigma", stable)
-        if not stable:
-            continue  # the orbit route reads h_xi off a stable fiber, so the kernel has one route here
-        agree, model = reduction.kernel_identity_check(prod, dia, pt)
-        report.add("kernel_two_route", "T_p(H·p) = T_pN ∩ tau(T_pN°)",
-                   agree and reduction.reduced_form_well_defined(prod, model))
-        report.add("reduced_dim", "dim M_red = n dim g + rank - (n-1) rank",
-                   reduction.dimension_formula_check(prod, dia, pt, model) and model.quotient_dim == expected_dim,
-                   {"reduced_dim": model.quotient_dim, "expected": expected_dim})
+        report.add("stable", "L_S ⊆ ker sigma", poisson.algebroid_fiber(pm, dia, pt).contained_in_centralizer)
+        _reduce_at(report, prod, dia, pt,
+                   ("kernel_two_route", "T_p(H·p) = T_pN ∩ tau(T_pN°)", _two_route(prod)),
+                   ("reduced_dim", "dim M_red = n dim g + rank - (n-1) rank", lambda agree, model: (
+                       reduction.dimension_formula_check(prod, dia, pt, model) and model.quotient_dim == expected_dim,
+                       {"reduced_dim": model.quotient_dim, "expected": expected_dim})))
 
 
 # -- decomposition classes ---------------------------------------------------
@@ -253,17 +274,19 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
         report.add("h_is_sl2", "[g_x, g_x] has an exact (e, h, f) basis",
                    _sl2_structure_certificate(alg, list(fiber.basis)))
         report.add("stable", "L_S ⊆ ker sigma", fiber.contained_in_centralizer)
+        # h_xi is read off a stable fiber only
         report.add("h_bracket_closed", "h_xi = (T_xi S)° ∩ g_xi is a subalgebra",
-                   is_subalgebra(alg, poisson.stabilizer_subalgebra(pm, dec, pt)))
+                   fiber.contained_in_centralizer and is_subalgebra(alg, poisson.stabilizer_subalgebra(pm, dec, pt)))
 
     expected_dim = values.get("expected_reduced_dim", 10)
-    kernels = [reduction.kernel_identity_check(alg, dec, pt) for pt in dec.sample_points]
-    for pt, (agree, model) in zip(dec.sample_points, kernels):
-        report.add("kernel_two_route", "T_p(H·p) = T_pN ∩ tau(T_pN°)",
-                   agree and reduction.reduced_form_well_defined(alg, model))
-        report.add("reduced_dim", "dim M_red = 2 dim G - 6",
-                   reduction.dimension_formula_check(alg, dec, pt, model) and model.quotient_dim == expected_dim,
-                   {"reduced_dim": model.quotient_dim, "expected": expected_dim})
+    kernels = [
+        _reduce_at(report, alg, dec, pt,
+                   ("kernel_two_route", "T_p(H·p) = T_pN ∩ tau(T_pN°)", _two_route(alg)),
+                   ("reduced_dim", "dim M_red = 2 dim G - 6", lambda agree, model: (
+                       reduction.dimension_formula_check(alg, dec, pt, model) and model.quotient_dim == expected_dim,
+                       {"reduced_dim": model.quotient_dim, "expected": expected_dim})))
+        for pt in dec.sample_points
+    ]
 
     n_pairs = max(20, 5 * sample_count)
     for pt, kernel in zip(dec.sample_points, kernels):
@@ -278,7 +301,8 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
                 z2 = la.add(z2, la.scale(la.random_fraction(rng), b))
             pairs.append(((la.random_vector(rng, alg.dim), z1), (la.random_vector(rng, alg.dim), z2)))
         report.add("reduced_form_formula", "omega_red = -<u1,z2> + <u2,z1> - <x,[u1,u2]>",
-                   reduction.decomposition_form_check(alg, dec, kernel, pairs), {"pairs": n_pairs})
+                   kernel is not None and reduction.decomposition_form_check(alg, dec, kernel, pairs),
+                   {"pairs": n_pairs})
 
     _pre_poisson_sampled(report, pm, dec)
 
@@ -313,9 +337,8 @@ def implosion_faces_A2(report: ScenarioReport, values: dict, rng: random.Random,
             report.add(name + "_groupoid", "[K_S, K_S] x S is isotropic; Lie functor (x, xi) -> (-x, xi)",
                        gpd.lie_functor_check(gfib, fiber) and gfib.isotropic)
         for pt in face.sample_points:
-            agree, model = reduction.kernel_identity_check(alg, face, pt)
-            report.add(name + "_dimension", "dim M_red = dim g + dim S - rk L_S",
-                       agree and reduction.dimension_formula_check(alg, face, pt, model))
+            _reduce_at(report, alg, face, pt, (name + "_dimension", "dim M_red = dim g + dim S - rk L_S",
+                       lambda agree, model: (agree and reduction.dimension_formula_check(alg, face, pt, model), None)))
     report.add("face_dims", "fiber dimensions over the face lattice",
                list(dims.values()) == [0, 3, 3, 8], dims)
 
@@ -398,11 +421,10 @@ def casimir_sphere(report: ScenarioReport, values: dict, rng: random.Random, sam
         report.add("stable", "ad*_{xi_sharp} xi = 0", la.is_zero(alg.ad_star(sharp, pt)))
 
     for pt in model.sample_points:
-        agree, model_red = reduction.kernel_identity_check(alg, model, pt)
-        report.add("reduced_dim", "dim M_red = dim g + (dim g - 1) - 1",
-                   reduction.dimension_formula_check(alg, model, pt, model_red)
-                   and agree and model_red.quotient_dim == alg.dim + (alg.dim - 1) - 1,
-                   {"reduced_dim": model_red.quotient_dim})
+        _reduce_at(report, alg, model, pt, ("reduced_dim", "dim M_red = dim g + (dim g - 1) - 1",
+                   lambda agree, red: (reduction.dimension_formula_check(alg, model, pt, red)
+                                       and agree and red.quotient_dim == alg.dim + (alg.dim - 1) - 1,
+                                       {"reduced_dim": red.quotient_dim})))
     _pre_poisson_sampled(report, pm, model)
 
 

@@ -601,6 +601,66 @@ def test_integer_certificates_build_no_fraction(typ, rank, fractions_built):
     assert built <= alg.dim * alg.dim and killing == alg.killing
 
 
+# -- a cold build pays only for its certificate ---------------------------------
+
+
+def calls_to(monkeypatch, owner, name):
+    """A list that gets the arguments of each call to ``owner.name``, from now on."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cold_build_builds_no_killing_form_and_no_matrices(monkeypatch, fractions_built):
+    killing = calls_to(monkeypatch, lie.LieAlgebra, "_compute_killing")
+    realization = calls_to(monkeypatch, lie, "_sl_realization")
+    for typ, rank in sorted(lie.SUPPORTED):
+        assert fractions_built(lambda: lie.build_chevalley.__wrapped__(typ, rank))[0] == 0, (typ, rank)
+    assert killing == [] and realization == []
+
+
+KILLING_READS = {"sharp": lambda alg, x: alg.sharp(x), "killing_form": lambda alg, x: alg.killing_form(x, x)}
+
+
+@pytest.mark.parametrize("read", KILLING_READS)
+def test_killing_form_is_summed_once_on_first_read(read, monkeypatch, rng):
+    killing = calls_to(monkeypatch, lie.LieAlgebra, "_compute_killing")
+    alg = lie.build_chevalley.__wrapped__("B", 2)
+    assert killing == []
+    for _ in range(2):
+        KILLING_READS[read](alg, la.random_vector(rng, alg.dim))
+    assert killing == [(alg,)]
+    assert alg.killing == lie.build_chevalley("B", 2).killing
+
+
+A2_DIAGONAL = la.mat([[1, 0, 0], [0, 0, 0], [0, 0, -1]])  # h_1 + h_2
+FIRST_READS = {
+    "to_matrix": lambda alg: alg.to_matrix(la.add(alg.basis_vec(0), alg.basis_vec(1))) == A2_DIAGONAL,
+    "from_matrix": lambda alg: alg.from_matrix(A2_DIAGONAL) == la.add(alg.basis_vec(0), alg.basis_vec(1)),
+    "group_element": lambda alg: alg.group_element(la.identity(3)).ad == la.identity(alg.dim),
+    "verify_matrix_rep": lambda alg: alg.verify_matrix_rep(),
+}
+
+
+@pytest.mark.parametrize("first", FIRST_READS)
+def test_type_a_matrices_are_built_once_on_first_read(first, monkeypatch, sl3):
+    realization = calls_to(monkeypatch, lie, "_sl_realization")
+    alg = lie.build_chevalley.__wrapped__("A", 2)
+    assert realization == []
+    assert FIRST_READS[first](alg)
+    assert all(read(alg) for read in FIRST_READS.values())
+    assert len(realization) == 1 and alg.matrix_rep == sl3.matrix_rep
+    # an algebra given no realization, root data or not, still has none
+    for read in FIRST_READS.values():
+        with pytest.raises(NoMatrixRep):
+            read(perturbed(sl3, 0, 0, 0, Q(0)))
+
+
 @pytest.mark.parametrize("name", [("A", 2), ("G2", 2), "A1^3"], ids=str)
 def test_bracket_and_coadjoint_build_one_fraction_per_nonzero_entry(name, rng, fractions_built):
     built_alg = _algebra(name)
@@ -631,23 +691,24 @@ def test_table_listing_a_coordinate_twice_rejected():
         lie.LieAlgebra(["x", "y"], [[[], [(1, 2)]], [[(1, -1), (1, -1)], []]], 0)
 
 
-def test_certificates_survive_optimize():
-    """Under python -O, where assert statements are stripped, the table is still rejected."""
+def rejected_under_optimize(build):
+    """Whether `build`, source that raises ``CertificateFailed`` on a bad table, raises it under python -O."""
     script = textwrap.dedent(
-        f"""
+        """
         import sys
         from fractions import Fraction
+        from symred import lie
         from symred.errors import CertificateFailed
         from symred.lie import LieAlgebra
 
         try:
-            LieAlgebra(["x", "y"], {NOT_ANTISYMMETRIC!r}, 0)
+        {}
         except CertificateFailed:
             print("rejected", sys.flags.optimize)
         else:
             print("accepted", sys.flags.optimize)
         """
-    )
+    ).format(textwrap.indent(textwrap.dedent(build), "    "))
     src = os.path.dirname(os.path.dirname(os.path.abspath(symred.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
@@ -655,7 +716,12 @@ def test_certificates_survive_optimize():
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["rejected", "1"]
+    return done.stdout.split() == ["rejected", "1"]
+
+
+def test_certificates_survive_optimize():
+    """Under python -O, where assert statements are stripped, the table is still rejected."""
+    assert rejected_under_optimize(f"LieAlgebra(['x', 'y'], {NOT_ANTISYMMETRIC!r}, 0)")
 
 
 # -- the construction-time certificate rejects tampered tables ------------------
@@ -728,3 +794,70 @@ def test_certify_chevalley_rejects_a_bracket_off_the_roots():
     assert broken.verify_jacobi() is False
     with pytest.raises(CertificateFailed, match=r"\(2, 1\) is neither a root nor 0"):
         lie._certify_chevalley(broken)
+
+
+# -- one certificate visit per unordered root pair -------------------------------
+
+
+def one_sided(alg, i, j, k, delta):
+    """alg's table with c_ij^k moved by delta and c_ji^k left as it is."""
+    table = [[dict(entry) for entry in row] for row in alg.table]
+    table[i][j][k] = table[i][j].get(k, 0) + delta
+    return [[[(m, c) for m, c in sorted(entry.items()) if c] for entry in row] for row in table]
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
+def test_check_table_rejects_a_tampered_mirror_entry(typ, rank):
+    """``_certify_chevalley`` reads [e_alpha, e_beta] at index b > a only; its mirror is antisymmetry's."""
+    alg = lie.build_chevalley(typ, rank)
+    a, b = sorted(alg.root_vector_index(r) for r in ((1, 0), (0, 1)))
+    s, e, f = (alg.root_vector_index(r) for r in ((1, 1), (1, 0), (-1, 0)))
+    mirrors = [
+        (b, a, s, alg.structure_constant(b, a, s)),  # |N| doubled on the mirror alone
+        (b, a, 0, Q(1)),  # a stray h_1 on the mirror alone
+        (f, e, 0, Q(1)),  # [e_-alpha, e_alpha] off minus the coroot of alpha
+        (e, e, e, Q(1)),  # the diagonal: [e_alpha, e_alpha] = e_alpha
+    ]
+    for i, j, k, delta in mirrors:
+        assert i >= j
+        with pytest.raises(CertificateFailed, match="not antisymmetric"):
+            lie.LieAlgebra(alg.basis_labels, one_sided(alg, i, j, k, delta), alg.rank, alg.root_data)
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
+def test_certify_chevalley_rejects_a_wrong_constant_on_every_root_pair(typ, rank):
+    """|N| doubled on both entries of a pair, consistently, in either order of the pair."""
+    alg = lie.build_chevalley(typ, rank)
+    rs = alg.root_data
+    pairs = [(x, y, tuple(map(sum, zip(x, y)))) for x in rs.roots for y in rs.roots]
+    pairs = [(x, y, z) for x, y, z in pairs if z in rs.root_set]
+    assert pairs
+    for x, y, z in pairs:
+        a, b, s = (alg.root_vector_index(r) for r in (x, y, z))
+        n = alg.structure_constant(a, b, s)
+        with pytest.raises(CertificateFailed, match=rf"= {2 * abs(n)}, not p \+ 1 = {abs(n)}"):
+            lie._certify_chevalley(perturbed(alg, a, b, s, n))
+
+
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
+def test_p_string_is_symmetric_on_root_sums(typ, rank):
+    """p_{alpha,beta} = p_{beta,alpha} whenever alpha + beta is a root, so one visit per pair suffices."""
+    rs = lie.RootSystem(typ, rank)
+    pairs = [(x, y) for x in rs.roots for y in rs.roots if tuple(map(sum, zip(x, y))) in rs.root_set]
+    assert bool(pairs) is (rank > 1)
+    assert all(rs.p_string(x, y) == rs.p_string(y, x) for x, y in pairs)
+
+
+def test_unordered_certificate_rejects_under_optimize():
+    """A consistently doubled N_{alpha_2, alpha_1}, met once, is still rejected with asserts stripped."""
+    assert rejected_under_optimize(
+        """
+        alg = lie.build_chevalley("A", 2)
+        a, b, s = (alg.root_vector_index(r) for r in ((0, 1), (1, 0), (1, 1)))
+        table = [[dict(entry) for entry in row] for row in alg.table]
+        table[a][b][s] *= 2
+        table[b][a][s] *= 2
+        rows = [[sorted(entry.items()) for entry in row] for row in table]
+        lie._certify_chevalley(LieAlgebra(alg.basis_labels, rows, alg.rank, alg.root_data))
+        """
+    )
