@@ -340,9 +340,10 @@ class LieAlgebra:
     ):
         self.dim = len(basis_labels)
         self.basis_labels = tuple(basis_labels)
-        # only a nonempty entry gets a tuple of its own here, or a dict in ``_lookup``
+        # zero constants are dropped; only a nonempty entry gets a tuple of its own
         self.table = tuple(
-            tuple(tuple((k, _constant(c)) for k, c in entry) if entry else () for entry in row) for row in table
+            tuple(tuple(kc for kc in ((k, _constant(c)) for k, c in entry) if kc[1]) if entry else () for entry in row)
+            for row in table
         )
         self._den = math.lcm(*{c.denominator for row in self.table for entry in row for _, c in entry})
         self._int_table = self.table if self._den == 1 else tuple(
@@ -353,9 +354,7 @@ class LieAlgebra:
         self.root_data = root_data
         self._rep_builder = matrix_rep
         self.name = name or "g"
-        self._extract_cache = None
         self._coadjoint: dict[Vector, Matrix] = {}
-        self._lookup = tuple(tuple({k: c for k, c in e if c} if e else {} for e in row) for row in self.table)
         self._check_table()
 
     @cached_property
@@ -382,18 +381,18 @@ class LieAlgebra:
         """Each entry lists a coordinate once, and [e_j, e_i] = -[e_i, e_j].
 
         A repeated coordinate would make ``bracket``, which sums the table,
-        disagree with ``structure_constant``, which reads ``_lookup``.
+        disagree with ``structure_constant``, which reads the first match.
+        Zero constants were dropped, so two entries agree when their dicts do.
         """
-        lookup = self._lookup
-        for i, row in enumerate(self.table):
+        table = self.table
+        for i, row in enumerate(table):
             for j, entry in enumerate(row):
-                # a dict shorter than its entry dropped a zero or a repeated coordinate
-                if len(lookup[i][j]) < len(entry) and len(dict(entry)) < len(entry):
+                if len(entry) > 1 and len(dict(entry)) < len(entry):
                     raise CertificateFailed(f"bracket table lists a coordinate twice at ({i}, {j}): {entry}")
-        for i, row in enumerate(lookup):
+        for i, row in enumerate(table):
             for j, lhs in enumerate(row):
                 # an empty lhs facing a nonempty rhs fails where (j, i) is visited
-                if lhs and (rhs := lookup[j][i]) != {k: -c for k, c in lhs.items()}:
+                if lhs and dict(rhs := table[j][i]) != {k: -c for k, c in lhs}:
                     raise CertificateFailed(f"bracket table is not antisymmetric at ({i}, {j}): {lhs} vs {rhs}")
 
     def _compute_killing(self) -> Matrix:
@@ -501,7 +500,7 @@ class LieAlgebra:
         return cm
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return Q(self._lookup[i][j].get(k, 0))
+        return Q(next((c for m, c in self.table[i][j] if m == k), 0))
 
     # -- root-system conveniences -----------------------------------------
 
@@ -612,6 +611,7 @@ class LieAlgebra:
     def to_matrix(self, x: Vector) -> Matrix:
         """Sum of x_i times the i-th matrix of the stored realization."""
         reps = self._require_rep()
+        self._check_dim(x)
         size = len(reps[0])
         out = [[la.ZERO] * size for _ in range(size)]
         for i, c in enumerate(x):
@@ -623,31 +623,20 @@ class LieAlgebra:
                         out[r][s] += c * reps[i][r][s]
         return tuple(tuple(row) for row in out)
 
-    def _require_rep(self):
+    def _require_rep(self, m: Optional[Matrix] = None):
+        """The realization; with `m`, first certify that `m` has the realization's size."""
         if self.matrix_rep is None:
             raise NoMatrixRep(f"type {self.name} carries no matrix realization")
+        size = len(self.matrix_rep[0])
+        if m is not None and (len(m) != size or any(len(row) != size for row in m)):
+            raise DimensionMismatch(f"{self.name} needs a {size}x{size} matrix, got row lengths {list(map(len, m))}")
         return self.matrix_rep
 
-    def _extractor(self):
-        """Cached left inverse of coords -> flattened matrix."""
-        if self._extract_cache is None:
-            reps = self._require_rep()
-            size = len(reps[0])
-            cols = [
-                tuple(rep[r][s] for r in range(size) for s in range(size)) for rep in reps
-            ]
-            r_mat = la.transpose(cols)  # size^2 x dim
-            gram = la.mat_mul(cols, r_mat)  # dim x dim, invertible
-            self._extract_cache = (la.mat_mul(la.inverse(gram), cols), r_mat)
-        return self._extract_cache
-
     def from_matrix(self, m: Matrix) -> Vector:
-        """Coordinates of a matrix in the stored realization."""
-        extractor, r_mat = self._extractor()
-        size = len(self._require_rep()[0])
-        flat = tuple(m[r][s] for r in range(size) for s in range(size))
-        sol = tuple(la.mat_vec(extractor, flat))
-        if la.mat_vec(r_mat, sol) != flat:
+        """Coordinates of a matrix in the stored realization: one exact solve against the flattened basis."""
+        reps = self._require_rep(m)
+        sol = la.solve(la.transpose([[c for row in rep for c in row] for rep in reps]), [c for row in m for c in row])
+        if sol is None:
             raise SolveFailure("matrix does not lie in the represented algebra")
         return sol
 
@@ -658,7 +647,7 @@ class LieAlgebra:
         the bracket.
         """
         m = la.mat(matrix)
-        reps = self._require_rep()
+        reps = self._require_rep(m)
         try:
             minv = la.inverse(m)
         except ZeroDivisionError:
@@ -800,7 +789,7 @@ def build_chevalley(cartan_type: str, rank: int) -> LieAlgebra:
 
 
 def _certify_chevalley(alg: LieAlgebra):
-    """Construction-time certificate of the whole table, read off the dicts ``alg._lookup``.
+    """Construction-time certificate of the whole table, read off ``alg.table``.
 
     [h_i, h_j] = 0, [h_i, e_beta] = <beta, alpha_i^vee> e_beta, and over
     every unordered pair of roots, visited once as (alpha, beta) with beta's
@@ -813,20 +802,20 @@ def _certify_chevalley(alg: LieAlgebra):
     (Carter, *Simple Groups of Lie Type*, 1972) and the coroot of -alpha
     is minus that of alpha.
     """
-    rs, lookup, rank = alg.root_data, alg._lookup, alg.rank
+    rs, table, rank = alg.root_data, alg.table, alg.rank
     roots, index = rs.by_index, rs._index
     if len(rs.roots) != alg.dim - rank:
         raise CertificateFailed(f"{alg.name}: {len(rs.roots)} roots for {alg.dim - rank} root vectors")
     for i in range(rank):
-        if any(lookup[i][:rank]):
+        if any(table[i][:rank]):
             raise CertificateFailed(f"{alg.name}: [h_{i + 1}, h_j] != 0 for some j")
         for b, beta in enumerate(roots[rank:], rank):
             c = rs.pairing(beta, i)
-            if lookup[i][b] != ({b: c} if c else {}):
+            if table[i][b] != (((b, c),) if c else ()):
                 raise CertificateFailed(f"{alg.name}: [h_{i + 1}, e{beta}] != <{beta}, alpha_{i + 1}^vee> e{beta}")
     for a, alpha in enumerate(roots[rank:], rank):
         for b, beta in enumerate(roots[a + 1 :], a + 1):
-            entry, s = lookup[a][b], tuple(map(add, alpha, beta))
+            entry, s = dict(table[a][b]), tuple(map(add, alpha, beta))
             k = index.get(s)
             if k is not None:
                 coeff, expected = entry.get(k, 0), rs.p_string(alpha, beta) + 1

@@ -267,35 +267,26 @@ class WeylChamberFace(AffineSubspace):
         units = [la.unit(algebra.dim, i) for i in range(algebra.rank) if i not in self.subset]
         super().__init__(la.zeros(algebra.dim), units, sample_points)
 
+    def _psi(self, xi: Vector) -> list:
+        """Psi, the positive roots beta with beta(y) = 0, y having coordinates xi on the simple coroots."""
+        rs = self.algebra.root_data
+        return [beta for beta in rs.positive if sum(c * x for c, x in zip(rs.coroot_coeffs(beta), xi)) == 0]
+
     def _contains(self, xi):
-        alg = self.algebra
-        rs = alg.root_data
-        if not super()._contains(xi) or any(xi[i] <= 0 for i in range(alg.rank) if i not in self.subset):
+        rs = self.algebra.root_data
+        outside = [i for i in range(rs.rank) if i not in self.subset]
+        if not super()._contains(xi) or any(xi[i] <= 0 for i in outside):
             return False
         # exactness: a positive root pairs to zero iff it stays in <subset>
-        for beta in rs.positive:
-            coeffs = rs.coroot_coeffs(beta)
-            val = sum(coeffs[i] * xi[i] for i in range(alg.rank))
-            inside = all(beta[i] == 0 for i in range(alg.rank) if i not in self.subset)
-            if inside != (val == 0):
-                return False
-        return True
+        return self._psi(xi) == [beta for beta in rs.positive if not any(beta[i] for i in outside)]
 
     def root_subsystem_algebra(self, xi: Vector) -> list[Vector]:
-        """g_Psi = span(coroots of Psi) + root spaces of Psi = {alpha : alpha(y)=0}."""
+        """g_Psi = span(coroots of Psi) + root spaces of Psi, each coroot being [e_beta, e_-beta]."""
         alg = self.algebra
-        rs = alg.root_data
-        xi = tuple(xi)
         gens = []
-        for beta in rs.positive:
-            coeffs = rs.coroot_coeffs(beta)
-            if sum(coeffs[i] * xi[i] for i in range(alg.rank)) == 0:
-                coroot = la.zeros(alg.dim)
-                for i in range(alg.rank):
-                    coroot = la.add(coroot, la.scale(coeffs[i], alg.basis_vec(i)))
-                gens.append(coroot)
-                gens.append(alg.root_vector(beta))
-                gens.append(alg.root_vector(tuple(-b for b in beta)))
+        for beta in self._psi(tuple(xi)):
+            e, f = alg.root_vector(beta), alg.root_vector(tuple(-b for b in beta))
+            gens += [alg.bracket(e, f), e, f]
         return la.span_basis(gens)
 
 
@@ -372,15 +363,16 @@ def stabilizer_subalgebra(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector)
 
 
 def poisson_transversal_check(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> bool:
-    """T_xi S ∩ sigma((T_xi S)°) = 0 and dimensions sum to the ambient."""
+    """T_xi S ⊕ sigma((T_xi S)°) is the ambient space.
+
+    dim sigma((T S)°) <= dim (T S)° = n - dim T S, so T S + sigma((T S)°)
+    has rank n only as a direct sum: one rank decides both.
+    """
     xi = tuple(xi)
     tangent = s.tangent_basis(xi)
     sigma = p.bivector_at(xi)
-    ann = la.annihilator(tangent, p.ambient_dim)
-    image = la.span_basis([la.mat_vec(sigma, w) for w in ann])
-    if la.intersect_spans(tangent, image):
-        return False
-    return la.rank(list(tangent) + list(image)) == p.ambient_dim
+    image = [la.mat_vec(sigma, w) for w in la.annihilator(tangent, p.ambient_dim)]
+    return la.rank(tangent + image) == p.ambient_dim
 
 
 def coisotropic_check(omega: Matrix, w: Sequence[Vector]) -> bool:

@@ -156,13 +156,10 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
     report.add("sample_points", "rational nilpotent-slice coordinates of the sampled points", True,
                {"slice_parameters": [[la.frac(c) for c in p] for p in fixed + extra]})
 
-    gf = [alg.sharp(d) for d in sl.directions]  # g_f read back from the slice, not eliminated again
+    # g = g_f ⊕ [g, x] exactly when the slice is Poisson transversal at x^flat
     for pt in sl.sample_points:
-        x = alg.sharp(pt)
-        bracket_img = [alg.bracket(alg.basis_vec(i), x) for i in range(alg.dim)]
-        total = la.rank(gf + bracket_img)
         report.add("slice_transversality", "g = g_f + [g, x] (direct sum)",
-                   total == alg.dim and len(gf) + la.rank(bracket_img) == alg.dim,
+                   poisson.poisson_transversal_check(poisson.kks_model(alg), sl, pt),
                    {"points": len(sl.sample_points)})
 
     ranks = []
@@ -201,48 +198,20 @@ def slodowy_moore_tachikawa(report: ScenarioReport, values: dict, rng: random.Ra
 
 
 def _sl2_structure_certificate(alg: LieAlgebra, m_basis: Sequence[Vector]) -> bool:
-    """Whether the 3-dim subalgebra span(m_basis) has an exact (e, h, f) basis; it exhibits one."""
-    cartan = [alg.basis_vec(i) for i in range(alg.rank)]
-    inter = la.intersect_spans(list(m_basis), cartan)
-    if len(inter) != 1:
-        return False
-    h0 = inter[0]
-    # ad_{h0} restricted to m, 3x3: one rref of [m_cols | images] solves for
-    # all three images, and a pivot right of m_cols is an image off m
-    images = la.transpose([alg.bracket(h0, b) for b in m_basis])
-    rows, pivots = la.rref([a + b for a, b in zip(la.transpose(list(m_basis)), images)])
-    if pivots and pivots[-1] >= 3:
-        return False
-    solved = dict(zip(pivots, rows))
-    admat = [solved[j][3:] if j in solved else [la.ZERO] * 3 for j in range(3)]
-    # char(x) = x^3 - c x with c = lambda^2
-    c = -(admat[0][0] * admat[1][1] + admat[0][0] * admat[2][2] + admat[1][1] * admat[2][2]
-          - admat[0][1] * admat[1][0] - admat[0][2] * admat[2][0] - admat[1][2] * admat[2][1])
-    if c <= 0:
-        return False
-    num, den = c.numerator, c.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return False
-    lam = Q(rn, rd)
-    h = la.scale(Q(2) / lam, h0)
+    """Whether span(m_basis) is a root sl2, span{e_b, [e_b, e_-b], e_-b}; it exhibits the triple.
 
-    def eigvec(val):
-        # column k of (2/lambda) ad_{h0} - val on m is the image of m_basis[k]
-        images = [tuple((Q(2) / lam) * admat[j][k] - (val if j == k else Q(0)) for j in range(3)) for k in range(3)]
-        ker = la.kernel_within(images, m_basis)
-        return ker[0] if len(ker) == 1 else None
-    e = eigvec(Q(2))
-    f = eigvec(Q(-2))
-    if e is None or f is None:
+    Root sl2s only, as the decomposition class's diagonal points give: a unit
+    vector lies in an rref row space only as one of its rows, so e_b and e_-b are read off.
+    """
+    basis = la.span_basis(m_basis)
+    rs = alg.root_data
+    units = {rs.by_index[v.index(1)] for v in basis if sum(map(bool, v)) == 1}
+    beta = next((b for b in rs.positive if b in units and tuple(-c for c in b) in units), None)
+    if beta is None:
         return False
-    # [e, f] = s h with s != 0, s read at h's first nonzero coordinate
-    br = alg.bracket(e, f)
-    j = next(i for i, c in enumerate(h) if c)
-    s = br[j] / h[j]
-    if s == 0 or br != la.scale(s, h):
-        return False
-    return Sl2Triple(e, h, la.scale(1 / s, f)).verify(alg)
+    e, f = alg.root_vector(beta), alg.root_vector(tuple(-c for c in beta))
+    triple = Sl2Triple(e, alg.bracket(e, f), f)
+    return triple.verify(alg) and la.span_equal(basis, [e, triple.h, f])
 
 
 def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Random, sample_count: int):

@@ -288,6 +288,42 @@ def test_group_element_rejects_singular(sl2):
         sl2.group_element([[1, 0], [1, 0]])
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_from_matrix_inverts_to_matrix(rank, rng):
+    """One solve against the flattened realization recovers every coordinate vector;
+    the identity, whose trace is not 0, lies outside sl(rank+1)."""
+    alg = lie.build_chevalley("A", rank)
+    for _ in range(3):
+        x = la.random_vector(rng, alg.dim)
+        assert alg.from_matrix(alg.to_matrix(x)) == x
+    with pytest.raises(SolveFailure, match="does not lie in the represented algebra"):
+        alg.from_matrix(la.identity(rank + 1))
+
+
+WRONG_SIZE = {
+    # a 4x4 matrix whose top-left 3x3 block is h_1
+    "from_matrix-4x4": lambda alg: alg.from_matrix(la.mat([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])),
+    "from_matrix-2x2": lambda alg: alg.from_matrix(la.mat([[1, 0], [0, -1]])),
+    "group_element-2x2": lambda alg: alg.group_element([[1, 0], [0, 1]]),
+}
+
+
+def test_to_matrix_refuses_a_vector_of_the_wrong_length(sl3):
+    """A length-1 vector once came back as h_1's matrix, and a length-9 one raised IndexError."""
+    for x in (la.unit(1, 0), la.zeros(9)):
+        with pytest.raises(DimensionMismatch, match="expected length 8"):
+            sl3.to_matrix(x)
+
+
+@pytest.mark.parametrize("convert", WRONG_SIZE)
+def test_wrong_size_matrix_is_refused_before_any_solve(convert, sl3, monkeypatch):
+    """A matrix of the wrong size raises DimensionMismatch naming 3x3, before any solve or inverse."""
+    calls = [calls_to(monkeypatch, la, name) for name in ("solve", "inverse", "rref")]
+    with pytest.raises(DimensionMismatch, match="3x3"):
+        WRONG_SIZE[convert](sl3)
+    assert calls == [[], [], []]
+
+
 @pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
 def test_jacobi_all_types(typ, rank):
     alg = lie.build_chevalley(typ, rank)

@@ -1,4 +1,4 @@
-"""Every reported check of two scenarios is shown to fail.
+"""Every reported check of three scenarios is shown to fail.
 
 A certificate is worth reporting only if some wrong input makes it reject.
 Each entry of ``MUTATIONS`` names one mutation for one (scenario, check):
@@ -44,6 +44,19 @@ def principal_with(member, value):
 
 _annihilator = la.annihilator
 _explicit_tangent = poisson.Explicit._tangent
+_casimir_tangent = poisson.CasimirLevelSet._tangent
+
+
+def unstable_fibers(monkeypatch):
+    """``algebroid_fiber`` reporting every fiber of positive rank as not inside ker sigma, its basis kept."""
+    original = poisson.algebroid_fiber
+
+    def fiber(p, s, xi):
+        f = original(p, s, xi)
+        return dataclasses.replace(f, contained_in_centralizer=False) if f.rank else f
+
+    monkeypatch.setattr(poisson, "algebroid_fiber", fiber)
+    return {}
 
 
 MUTATIONS = {
@@ -73,19 +86,17 @@ MUTATIONS = {
         patched(poisson.Explicit, "_tangent", lambda self, xi: _explicit_tangent(self, xi)[: 1 if xi[0] == 1 else 2]),
     # a pairing that is identically zero
     ("c4_prepoisson_remark", "reduced_dim"): patched(la, "dot", lambda u, v: la.ZERO),
+    # a kernel test that accepts no vector
+    ("casimir_sphere", "stable"): patched(la, "is_zero", lambda u: False),
+    # the tangent (e_0)^perp at every point, which is T_xi S at the base point h^flat only
+    ("casimir_sphere", "fiber_is_dual_ray"):
+        patched(poisson.CasimirLevelSet, "_tangent", lambda self, xi: la.nullspace([la.unit(self.ambient_dim, 0)])),
+    # a tangent one vector short at the first point only
+    ("casimir_sphere", "pre_poisson_sampled"): patched(poisson.CasimirLevelSet, "_tangent", lambda self, xi: (
+        _casimir_tangent(self, xi)[: -1 if xi == self.sample_points[0] else None])),
+    # every fiber reported unstable; its own stable record, ad*_{xi_sharp} xi = 0, still passes
+    ("casimir_sphere", "reduced_dim"): unstable_fibers,
 }
-
-
-def unstable_fibers(monkeypatch):
-    """``algebroid_fiber`` reporting every fiber of positive rank as not inside ker sigma, its basis kept."""
-    original = poisson.algebroid_fiber
-
-    def fiber(p, s, xi):
-        f = original(p, s, xi)
-        return dataclasses.replace(f, contained_in_centralizer=False) if f.rank else f
-
-    monkeypatch.setattr(poisson, "algebroid_fiber", fiber)
-    return {}
 
 
 # At an unstable point the reduction step forms no kernel and fails its
@@ -95,8 +106,6 @@ UNSTABLE = {
     ("decomposition_class_sl3", "stable"): unstable_fibers,
     # no stable record here: the face's dimension record fails
     ("implosion_faces_A2", "face_a1_dimension"): unstable_fibers,
-    # its own stable record, ad*_{xi_sharp} xi = 0, still passes
-    ("casimir_sphere", "reduced_dim"): unstable_fibers,
 }
 
 

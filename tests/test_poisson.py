@@ -336,6 +336,33 @@ def test_stabilizer_subalgebra_requires_stable(sl2, kks2):
             poisson.stabilizer_subalgebra(kks2, line, hb)
 
 
+def direct_sum_verdicts(alg, sl):
+    """At each slice point x^flat: rank(g_f + [g, x]) = dim g = dim g_f + rank [g, x], by ranks in g."""
+    gf = [alg.sharp(d) for d in sl.directions]
+    verdicts = []
+    for pt in sl.sample_points:
+        x = alg.sharp(pt)
+        image = [alg.bracket(alg.basis_vec(i), x) for i in range(alg.dim)]
+        verdicts.append(la.rank(gf + image) == alg.dim == len(gf) + la.rank(image))
+    return verdicts
+
+
+@pytest.mark.parametrize("cartan_type,rank", sorted(lie.SUPPORTED))
+def test_poisson_transversal_check_is_the_direct_sum(cartan_type, rank):
+    """On the principal slice, and on the slice of a triple with e = 0, the check on g* gives
+    the verdict of g = g_f ⊕ [g, x]: true at every principal point, false at every point with e = 0."""
+    alg = lie.build_chevalley(cartan_type, rank)
+    kks = poisson.kks_model(alg)
+    tri = lie.principal_sl2(alg)
+    params = [[0] * rank, [1] + [0] * (rank - 1), [-2] + [1] * (rank - 1)]
+    sl = poisson.slodowy_slice(alg, tri, params)
+    assert [poisson.poisson_transversal_check(kks, sl, pt) for pt in sl.sample_points] == [True] * 3
+    assert direct_sum_verdicts(alg, sl) == [True] * 3
+    sl = poisson.slodowy_slice(alg, lie.Sl2Triple(alg.zero(), tri.h, tri.f), params)
+    verdicts = [poisson.poisson_transversal_check(kks, sl, pt) for pt in sl.sample_points]
+    assert verdicts == direct_sum_verdicts(alg, sl) == [False] * 3
+
+
 def test_poisson_transversal_cases(sl2, kks2):
     hb = sl2.flat(sl2.basis_vec(0))
     orb = poisson.CoadjointOrbit(sl2, hb)

@@ -56,8 +56,9 @@ def test_decomposition_reduced_dim_is_ten():
 
 
 def test_sl2_structure_certificate_verdicts(sl3, monkeypatch):
-    """True at the four decomposition-class points, where ad_h0 on m is one elimination and
-    no step solves; False on a 3-dim subalgebra that is not sl2 and on a 3-space ad_h0 leaves."""
+    """True at the four decomposition-class points, whose e_b and e_-b are rows of the canonical
+    basis, with no solve; False on a 3-dim solvable subalgebra, on a 3-space that is no
+    subalgebra, and on span{e_b, e_-b, h} for a Cartan h other than b's coroot."""
     pm = poisson.kks_model(sl3)
     params = ((1, (0, 1, 2)), (2, (0, 1, 2)), (-3, (0, 1, 2)), (1, (0, 2, 1)))  # as in the scenario
     dec = poisson.DecompositionClass(sl3, 4, [subregular_point(sl3, a, perm) for a, perm in params])
@@ -74,6 +75,18 @@ def test_sl2_structure_certificate_verdicts(sl3, monkeypatch):
     assert scenarios._sl2_structure_certificate(sl3, [h, e1, f2]) is False
     # [h_1, e_a1 + e_a2] = 2e_a1 - e_a2 leaves span{h_1, e_a1 + e_a2, f_a1}
     assert scenarios._sl2_structure_certificate(sl3, [sl3.basis_vec(0), la.add(e1, e2), f1]) is False
+    # [e_a1, f_a1] = h_1, not h_2 or h_1 + h_2
+    for h in (sl3.basis_vec(1), la.add(sl3.basis_vec(0), sl3.basis_vec(1))):
+        assert scenarios._sl2_structure_certificate(sl3, [e1, f1, h]) is False
+
+
+@pytest.mark.parametrize("cartan_type,rank", sorted(lie.SUPPORTED))
+def test_sl2_structure_certificate_accepts_every_root_sl2(cartan_type, rank):
+    """span{e_b, [e_b, e_-b], e_-b} passes for every positive root b of every supported type."""
+    alg = lie.build_chevalley(cartan_type, rank)
+    for beta in alg.root_data.positive:
+        e, f = alg.root_vector(beta), alg.root_vector(tuple(-c for c in beta))
+        assert scenarios._sl2_structure_certificate(alg, [e, alg.bracket(e, f), f]), beta
 
 
 def test_implosion_face_dims():
