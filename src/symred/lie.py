@@ -14,9 +14,10 @@ vector is then ±E_rs.  It is type A's input and output form only
 Ad_g on the Chevalley basis, and ``unipotent`` builds one as exp(t ad_x)
 on every type.
 
-Every constructed table is certified entry by entry (antisymmetry, Cartan
-action, coroot brackets, exactly ±(p+1) e_{α+β} on a root sum and 0 off
-one), and the test suite re-verifies Jacobi on every supported type.
+Roots are read by basis index (``RootSystem``).  Every constructed table is
+certified entry by entry (antisymmetry, Cartan action, coroot brackets,
+±(p+1) e_{α+β} on a root sum with N_{-α,-β} = -N_{α,β}, and 0 off one),
+and the test suite re-verifies Jacobi on every supported type.
 
 ``LieAlgebra`` stores each table constant as an ``int`` when it is
 integral and as a ``Fraction`` otherwise.  On a Chevalley basis every
@@ -47,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from operator import add, mul, neg, sub
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from . import linalg as la
@@ -55,6 +56,7 @@ from .errors import CertificateFailed, DimensionMismatch, NoMatrixRep, SolveFail
 from .linalg import Matrix, Q, Vector
 
 Root = tuple[int, ...]
+ZERO_SUM = -1  # the root-sum table's entry where alpha + beta = 0
 
 SUPPORTED = {
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -110,88 +112,98 @@ def _exact_quotient(num: int, den: int, what: str, *args) -> int:
 
 
 class RootSystem:
-    """Roots of a split semisimple algebra in simple-root coordinates.
+    """Roots of a split semisimple algebra in simple-root coordinates, read by basis index.
+
+    Index order is the basis order: h_1..h_l, the positive roots by
+    increasing (height, coordinates), then their negatives in that order.
+    So with n = |Phi+| the negative of the root at a is at a ± n, and it is
+    positive exactly when a < rank + n.  Built once, by index: each root's
+    pairings <beta, alpha_j^vee> and norm, the extraspecial pair of each
+    positive root, and the root-sum table ``_sums``: ``_sums[a][b]`` is the
+    index of alpha + beta when that is a root, ``ZERO_SUM`` when it is 0,
+    and absent otherwise.  The tuple API reads the same data.
 
     The invariant form is scaled so that a short root has (beta, beta) = 2
-    (the half-lengths ``d`` are ints, see ``_cartan_and_lengths``), so
-    ``inner``, ``norm2`` and every quantity derived from them is an ``int``.
+    (the half-lengths ``d`` are ints, see ``_cartan_and_lengths``), so every
+    norm and every quantity derived from one is an ``int``.
     """
 
     def __init__(self, cartan_type: str, rank: int):
         self.cartan_type = cartan_type
         self.rank = rank
         self.cartan, self.d = _cartan_and_lengths(cartan_type, rank)
-        self._columns = tuple(zip(*self.cartan))
-        self.roots = self._enumerate()
-        self.root_set = set(self.roots)
-        self.positive = sorted(
-            (r for r in self.roots if self._is_positive(r)), key=self._order_key
-        )
-        # the root of each basis vector, None at each h_i
+        pairings = self._enumerate()
+        self.roots = sorted(pairings)
+        self.root_set = set(pairings)
+        self.positive = sorted((r for r in self.roots if r > (0,) * rank), key=lambda r: (sum(r), r))
+        n = self._npos = len(self.positive)
         self.by_index = (None,) * rank + tuple(self.positive) + tuple(tuple(-x for x in r) for r in self.positive)
         self._index = {r: i for i, r in enumerate(self.by_index) if r is not None}
-        self._norm2: dict[Root, int] = {}
-        self._extraspecial: dict[Root, tuple[Root, Root]] = {}
+        self._neg = tuple(range(rank)) + tuple(range(rank + n, rank + 2 * n)) + tuple(range(rank, rank + n))
+        roots = self.by_index[rank:]
+        self._pairings = (None,) * rank + tuple(pairings[r] for r in roots)
+        self._norms = (None,) * rank + tuple(sum(map(mul, self.d, map(mul, pairings[r], r))) for r in roots)
+        # the root-sum table, each root packed as one int in base 3 max|coordinate| + 1: the digits
+        # add as the coordinates do, and a sum of two roots meets a root's int only when it is that root
+        base, top = 3 * max(map(max, self.positive)) + 1, rank + n
+        keys = [sum(c * base**j for j, c in enumerate(r)) for r in roots]
+        at = {k: i for i, k in enumerate(keys, rank)} | {0: ZERO_SUM}
+        self._sums: list[dict[int, int]] = [{} for _ in self.by_index]
+        self._special: dict[int, tuple[int, int]] = {}  # the extraspecial pair (x, y) of each root sum s
+        for a, ka in enumerate(keys, rank):
+            for b, kb in enumerate(keys[a - rank + 1 :], a + 1):
+                s = at.get(ka + kb)
+                if s is not None:
+                    self._sums[a][b] = self._sums[b][a] = s
+                    if b < top:  # a < b both positive, and the first such a is the minimal x
+                        self._special.setdefault(s, (a, b))
 
-    # -- basic geometry -------------------------------------------------
-
-    def pairing(self, beta: Root, j: int) -> int:
-        """<beta, alpha_j^vee> = beta(h_j)."""
-        return sum(map(mul, beta, self._columns[j]))
-
-    def _enumerate(self) -> list[Root]:
-        simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
-        seen = set(simple)
-        frontier = list(simple)
+    def _enumerate(self) -> dict[Root, tuple[int, ...]]:
+        """Each root with its pairings: the simple roots (pairings C[i]) closed under the reflections."""
+        rank, cartan = self.rank, self.cartan
+        found = {tuple(int(j == i) for j in range(rank)): cartan[i] for i in range(rank)}
+        frontier = list(found)
         while frontier:
             nxt = []
             for beta in frontier:
-                for j in range(self.rank):
-                    r = beta[:j] + (beta[j] - self.pairing(beta, j),) + beta[j + 1 :]  # s_j(beta)
-                    if r not in seen:
-                        seen.add(r)
+                pb = found[beta]
+                for j, c in enumerate(pb):  # s_j(beta) = beta - c alpha_j, and pairings are linear
+                    r = beta[:j] + (beta[j] - c,) + beta[j + 1 :]
+                    if r not in found:
+                        found[r] = tuple(p - c * x for p, x in zip(pb, cartan[j]))
                         nxt.append(r)
             frontier = nxt
-        return sorted(seen)
+        return found
 
-    @staticmethod
-    def _is_positive(beta: Root) -> bool:
-        """For a root, whose coordinates share one sign: its first nonzero coordinate is positive."""
-        return beta > (0,) * len(beta)
+    def _p_string(self, a: int, b: int) -> int:
+        """Largest p with beta - p alpha a root, for the roots at a and b."""
+        sums, na, p = self._sums, self._neg[a], 0
+        b = sums[b].get(na, ZERO_SUM)
+        while b != ZERO_SUM:
+            p, b = p + 1, sums[b].get(na, ZERO_SUM)
+        return p
 
-    @staticmethod
-    def height(beta: Root) -> int:
-        return sum(beta)
+    def _coroot(self, a: int) -> tuple[int, ...]:
+        """gamma^vee = sum_i c_i alpha_i^vee, c_i = 2 d_i gamma_i / (gamma, gamma) an exact int quotient."""
+        gamma, norm, what = self.by_index[a], self._norms[a], "coefficient {} of the coroot of {}"
+        return tuple(_exact_quotient(2 * d * g, norm, what, i, gamma) for i, (d, g) in enumerate(zip(self.d, gamma)))
 
-    def _order_key(self, beta: Root):
-        return (self.height(beta), beta)
+    # -- the tuple API -------------------------------------------------------
 
-    def inner(self, beta: Root, gamma: Root) -> int:
-        """(beta, gamma) = sum_j d_j <beta, alpha_j^vee> gamma_j, an int: a short root has norm 2."""
-        return sum(self.d[j] * self.pairing(beta, j) * gamma[j] for j in range(self.rank))
+    def pairing(self, beta: Root, j: int) -> int:
+        """<beta, alpha_j^vee> = beta(h_j)."""
+        return self._pairings[self._index[beta]][j]
 
     def norm2(self, beta: Root) -> int:
-        """(beta, beta), memoised: 2 on a short root (every root of A and D), 4 or 6 on a long one."""
-        if beta not in self._norm2:
-            self._norm2[beta] = self.inner(beta, beta)
-        return self._norm2[beta]
+        """(beta, beta): 2 on a short root (every root of A and D), 4 or 6 on a long one."""
+        return self._norms[self._index[beta]]
 
     def p_string(self, alpha: Root, beta: Root) -> int:
         """Largest p with beta - p*alpha a root."""
-        p = 0
-        cur = tuple(map(sub, beta, alpha))
-        while cur in self.root_set:
-            p += 1
-            cur = tuple(map(sub, cur, alpha))
-        return p
+        return self._p_string(self._index[alpha], self._index[beta])
 
     def coroot_coeffs(self, gamma: Root) -> tuple[int, ...]:
-        """gamma^vee = sum_i c_i alpha_i^vee, c_i = 2 d_i gamma_i / (gamma, gamma) an exact int quotient."""
-        ng = self.norm2(gamma)
-        return tuple(
-            _exact_quotient(2 * self.d[i] * gamma[i], ng, "coefficient {} of the coroot of {}", i, gamma)
-            for i in range(self.rank)
-        )
+        return self._coroot(self._index[gamma])
 
     def vector_index(self, beta: Root) -> int:
         """Basis index of e_beta: Cartan first, then positive, then negative roots."""
@@ -199,78 +211,10 @@ class RootSystem:
 
     def extraspecial(self, gamma: Root) -> tuple[Root, Root]:
         """Minimal positive alpha with alpha, gamma-alpha both positive roots."""
-        pair = self._extraspecial.get(gamma)
-        if pair is not None:
-            return pair
-        for a in self.positive:
-            b = tuple(g - x for x, g in zip(a, gamma))
-            if b in self.root_set and self._is_positive(b):
-                self._extraspecial[gamma] = a, b
-                return a, b
-        raise SolveFailure(f"no special pair for {gamma}")
-
-
-class _SignBuilder:
-    """Structure constants N_{a,b} via the extraspecial-pair convention.
-
-    Every N is an int, and each is computed as one exact integer quotient
-    of products of ints: a remainder raises ``CertificateFailed``.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.memo: dict[tuple[Root, Root], int] = {}
-
-    @staticmethod
-    def _add(a: Root, b: Root) -> Root:
-        return tuple(map(add, a, b))
-
-    @staticmethod
-    def _neg(a: Root) -> Root:
-        return tuple(map(neg, a))
-
-    def n(self, a: Root, b: Root) -> int:
-        key = (a, b)
-        if key in self.memo:
-            return self.memo[key]
-        rs = self.rs
-        s = self._add(a, b)
-        if s not in rs.root_set:
-            raise CertificateFailed(f"N({a}, {b}) asked for, but {s} is not a root")
-        pos_a, pos_b = rs._is_positive(a), rs._is_positive(b)
-        if pos_a and pos_b:
-            if rs._order_key(a) > rs._order_key(b):
-                val = -self.n(b, a)
-            else:
-                x, y = rs.extraspecial(s)
-                if (a, b) == (x, y):
-                    val = rs.p_string(x, y) + 1
-                else:
-                    # N_{a,b} = (s,s) / N_{x,y} times the sum of the terms t / (r,r)
-                    terms = []
-                    ya = self._add(y, self._neg(a))
-                    if ya in rs.root_set:
-                        terms.append((self.n(y, self._neg(a)) * self.n(x, self._neg(b)), rs.norm2(ya)))
-                    xa = self._add(x, self._neg(a))
-                    if xa in rs.root_set:
-                        terms.append((self.n(self._neg(a), x) * self.n(y, self._neg(b)), rs.norm2(xa)))
-                    num, den = 0, 1
-                    for t, r2 in terms:
-                        num, den = num * r2 + t * den, den * r2
-                    val = _exact_quotient(rs.norm2(s) * num, den * self.n(x, y), "N({}, {})", a, b)
-        elif not pos_a and not pos_b:
-            val = -self.n(self._neg(a), self._neg(b))
-        elif not pos_a:
-            val = -self.n(b, a)
-        else:
-            # a positive, b negative; use N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)
-            c = self._neg(s)
-            if rs._is_positive(s):
-                val = _exact_quotient(rs.norm2(c) * self.n(b, c), rs.norm2(a), "N({}, {})", a, b)
-            else:
-                val = _exact_quotient(rs.norm2(c) * self.n(c, a), rs.norm2(b), "N({}, {})", a, b)
-        self.memo[key] = val
-        return val
+        pair = self._special.get(self._index.get(gamma))
+        if pair is None:
+            raise SolveFailure(f"no special pair for {gamma}")
+        return self.by_index[pair[0]], self.by_index[pair[1]]
 
 
 @dataclass(frozen=True)
@@ -309,12 +253,16 @@ class GroupElement:
         return GroupElement(self.ad_inv, self.ad)
 
 
-def _constant(c):
-    """A structure constant as an ``int`` when it is integral, else a ``Fraction``."""
-    if type(c) is int:
-        return c
-    c = la.frac(c)
-    return c.numerator if c.denominator == 1 else c
+def _entry(entry) -> tuple:
+    """A table entry's nonzero (k, c), each constant an ``int`` when it is integral, else a ``Fraction``."""
+    out = []
+    for k, c in entry:
+        if type(c) is not int:
+            c = la.frac(c)
+            c = c.numerator if c.denominator == 1 else c
+        if c:
+            out.append((k, c))
+    return tuple(out)
 
 
 class LieAlgebra:
@@ -341,11 +289,8 @@ class LieAlgebra:
         self.dim = len(basis_labels)
         self.basis_labels = tuple(basis_labels)
         # zero constants are dropped; only a nonempty entry gets a tuple of its own
-        self.table = tuple(
-            tuple(tuple(kc for kc in ((k, _constant(c)) for k, c in entry) if kc[1]) if entry else () for entry in row)
-            for row in table
-        )
-        self._den = math.lcm(*{c.denominator for row in self.table for entry in row for _, c in entry})
+        self.table = tuple(tuple(_entry(entry) if entry else () for entry in row) for row in table)
+        self._den = math.lcm(*{c.denominator for row in self.table for entry in row if entry for _, c in entry})
         self._int_table = self.table if self._den == 1 else tuple(
             tuple(tuple((k, c.numerator * (self._den // c.denominator)) for k, c in entry) for entry in row)
             for row in self.table
@@ -382,7 +327,8 @@ class LieAlgebra:
 
         A repeated coordinate would make ``bracket``, which sums the table,
         disagree with ``structure_constant``, which reads the first match.
-        Zero constants were dropped, so two entries agree when their dicts do.
+        Zero constants were dropped, so two entries agree when their dicts
+        do, and antisymmetry is read once per unordered pair, at j >= i.
         """
         table = self.table
         for i, row in enumerate(table):
@@ -390,9 +336,9 @@ class LieAlgebra:
                 if len(entry) > 1 and len(dict(entry)) < len(entry):
                     raise CertificateFailed(f"bracket table lists a coordinate twice at ({i}, {j}): {entry}")
         for i, row in enumerate(table):
-            for j, lhs in enumerate(row):
-                # an empty lhs facing a nonempty rhs fails where (j, i) is visited
-                if lhs and dict(rhs := table[j][i]) != {k: -c for k, c in lhs}:
+            for j in range(i, len(row)):
+                lhs, rhs = row[j], table[j][i]
+                if (lhs or rhs) and dict(rhs) != {k: -c for k, c in lhs}:
                     raise CertificateFailed(f"bracket table is not antisymmetric at ({i}, {j}): {lhs} vs {rhs}")
 
     def _compute_killing(self) -> Matrix:
@@ -464,7 +410,10 @@ class LieAlgebra:
         return la.neg(la.mat_vec(la.transpose(self.coadjoint_matrix(xi)), x))
 
     def killing_form(self, x: Vector, y: Vector) -> Fraction:
-        return la.dot(x, la.mat_vec(self.killing, y))
+        """x^T K y, read off the rows of K in the support of x only."""
+        self._check_dim(x, y)
+        support, k_mat = [i for i, c in enumerate(x) if c is not la.ZERO], self.killing
+        return la.dot([x[i] for i in support], la.mat_vec([k_mat[i] for i in support], y))
 
     def flat(self, x: Vector) -> Vector:
         """x -> kappa(x, .), a covector."""
@@ -632,19 +581,24 @@ class LieAlgebra:
             raise DimensionMismatch(f"{self.name} needs a {size}x{size} matrix, got row lengths {list(map(len, m))}")
         return self.matrix_rep
 
-    def from_matrix(self, m: Matrix) -> Vector:
-        """Coordinates of a matrix in the stored realization: one exact solve against the flattened basis."""
-        reps = self._require_rep(m)
-        sol = la.solve(la.transpose([[c for row in rep for c in row] for rep in reps]), [c for row in m for c in row])
-        if sol is None:
+    def _coordinates(self, mats: Sequence[Matrix]) -> list[Vector]:
+        """Coordinates of same-size matrices in the stored realization: one elimination against the flattened basis."""
+        flat = la.transpose([[c for row in rep for c in row] for rep in self._require_rep(mats[0])])
+        sols = la.solve_many(flat, [[c for row in m for c in row] for m in mats])
+        if sols is None:
             raise SolveFailure("matrix does not lie in the represented algebra")
-        return sol
+        return sols
+
+    def from_matrix(self, m: Matrix) -> Vector:
+        """Coordinates of a matrix in the stored realization, or ``SolveFailure`` outside it."""
+        return self._coordinates([m])[0]
 
     def group_element(self, matrix) -> GroupElement:
         """Type A's input converter: Ad_g and Ad_{g^-1} by conjugating the basis once.
 
-        The matrix is outside input, so the images are certified to keep
-        the bracket.
+        The 2·dim conjugated basis matrices are solved for together, in one
+        elimination.  The matrix is outside input, so the images are
+        certified to keep the bracket.
         """
         m = la.mat(matrix)
         reps = self._require_rep(m)
@@ -652,13 +606,14 @@ class LieAlgebra:
             minv = la.inverse(m)
         except ZeroDivisionError:
             raise SolveFailure("group element must be invertible") from None
-        imgs = [self.from_matrix(la.mat_mul(la.mat_mul(m, rep), minv)) for rep in reps]
+        conj = [la.mat_mul(la.mat_mul(a, rep), b) for a, b in ((m, minv), (minv, m)) for rep in reps]
+        coords = self._coordinates(conj)
+        imgs, back = coords[: self.dim], coords[self.dim :]
         ad, basis = la.transpose(imgs), la.identity(self.dim)
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 if self.bracket(imgs[i], imgs[j]) != la.mat_vec(ad, self.bracket(basis[i], basis[j])):
                     raise SolveFailure("conjugation does not preserve the bracket")
-        back = [self.from_matrix(la.mat_mul(la.mat_mul(minv, rep), m)) for rep in reps]
         return GroupElement(ad, la.transpose(back))
 
     # -- the adjoint group ------------------------------------------------------
@@ -713,27 +668,63 @@ def _labels(rs: RootSystem) -> list[str]:
 
 
 def _table_from_roots(rs: RootSystem):
-    """Structure constants of every type via the sign recursion, one ``_index`` lookup per root pair."""
-    rank, roots, index = rs.rank, rs.by_index, rs._index
-    dim = len(roots)
-    signs = _SignBuilder(rs)
-    table = [[[] for _ in range(dim)] for _ in range(dim)]
+    """Structure constants of every type by the extraspecial-pair sign recursion, on basis indices.
 
-    def set_entry(i, j, entries):
-        table[i][j] = [(k, c) for k, c in entries if c != 0]
-        table[j][i] = [(k, -c) for k, c in entries if c != 0]
+    N_{a,b} is +(p+1) on an extraspecial pair (x, y); on another pair of
+    positive roots in index order, (s,s) / N_{x,y} times the terms t / (r,r)
+    of y - a and x - a; elsewhere it follows from antisymmetry,
+    N_{-a,-b} = -N_{a,b} and N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b).
+    Each N is one exact int quotient (a remainder raises
+    ``CertificateFailed``), memoised under a * dim + b.
+    """
+    rank, roots, sums, neg, norm = rs.rank, rs.by_index, rs._sums, rs._neg, rs._norms
+    dim, top = len(roots), rs.rank + rs._npos  # the first negative root
+    memo: dict[int, int] = {}
 
-    for a, alpha in enumerate(roots[rank:], rank):
-        for i in range(rank):
-            # [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha
-            set_entry(i, a, [(a, rs.pairing(alpha, i))])
-        for b, beta in enumerate(roots[a + 1 :], a + 1):
-            s = tuple(map(add, alpha, beta))
-            k = index.get(s)
-            if k is not None:
-                set_entry(a, b, [(k, signs.n(alpha, beta))])
-            elif not any(s):  # a indexes the positive root of the pair: [e_alpha, e_-alpha] = alpha^vee
-                set_entry(a, b, list(enumerate(rs.coroot_coeffs(alpha))))
+    def n(a: int, b: int) -> int:
+        key = a * dim + b
+        if key in memo:
+            return memo[key]
+        s = sums[a].get(b, ZERO_SUM)
+        if s == ZERO_SUM:
+            s = tuple(map(add, roots[a], roots[b]))
+            raise CertificateFailed(f"N({roots[a]}, {roots[b]}) asked for, but {s} is not a root")
+        if a >= top:
+            val = -n(neg[a], neg[b]) if b >= top else -n(b, a)
+        elif b < top:
+            if a > b:
+                val = -n(b, a)
+            else:
+                x, y = rs._special[s]
+                if a == x:
+                    val = rs._p_string(x, y) + 1
+                else:
+                    num, den, na, nb = 0, 1, neg[a], neg[b]
+                    r = sums[y].get(na, ZERO_SUM)
+                    if r != ZERO_SUM:
+                        num, den = n(y, na) * n(x, nb), norm[r]
+                    r = sums[x].get(na, ZERO_SUM)
+                    if r != ZERO_SUM:
+                        num, den = num * norm[r] + n(na, x) * n(y, nb) * den, den * norm[r]
+                    val = _exact_quotient(norm[s] * num, den * n(x, y), "N({}, {})", roots[a], roots[b])
+        elif s < top:  # a positive, b negative, c = -s
+            val = _exact_quotient(norm[s] * n(b, neg[s]), norm[a], "N({}, {})", roots[a], roots[b])
+        else:
+            val = _exact_quotient(norm[s] * n(neg[s], a), norm[b], "N({}, {})", roots[a], roots[b])
+        memo[key] = val
+        return val
+
+    table = [[()] * dim for _ in range(dim)]
+    for a in range(rank, dim):
+        for i, c in enumerate(rs._pairings[a]):  # [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha
+            if c:
+                table[i][a], table[a][i] = ((a, c),), ((a, -c),)
+        for b, s in sums[a].items():
+            if b > a:
+                # a indexes the positive root of a pair that sums to 0: [e_alpha, e_-alpha] = alpha^vee
+                entry = tuple(enumerate(rs._coroot(a))) if s == ZERO_SUM else ((s, n(a, b)),)
+                table[a][b] = tuple((k, c) for k, c in entry if c)
+                table[b][a] = tuple((k, -c) for k, c in table[a][b])
     return table
 
 
@@ -746,7 +737,7 @@ def _sl_realization(rs: RootSystem, table) -> list[Matrix]:
     order: with (x, y) the extraspecial pair of gamma, e_{±gamma} =
     [e_{±x}, e_{±y}] / N_{±x,±y}, and each root vector comes out as ±E_rs.
     """
-    rank = rs.rank
+    rank, neg = rs.rank, rs._neg
 
     def elementary(*entries):
         m = [[la.ZERO] * (rank + 1) for _ in range(rank + 1)]
@@ -754,16 +745,15 @@ def _sl_realization(rs: RootSystem, table) -> list[Matrix]:
             m[r][s] = Q(c)
         return tuple(tuple(row) for row in m)
 
-    reps = [None] * (rank + 2 * len(rs.positive))
+    reps = [None] * len(rs.by_index)
     for i in range(rank):
         simple = tuple(int(j == i) for j in range(rank))
         reps[i] = elementary((i, i, 1), (i + 1, i + 1, -1))
         reps[rs.vector_index(simple)] = elementary((i, i + 1, 1))
-        reps[rs.vector_index(tuple(-c for c in simple))] = elementary((i + 1, i, 1))
-    for gamma in rs.positive[rank:]:  # the simple roots come first
-        pair = rs.extraspecial(gamma)
-        for sign in (1, -1):
-            x, y, g = (rs.vector_index(tuple(sign * c for c in r)) for r in (*pair, gamma))
+        reps[neg[rs.vector_index(simple)]] = elementary((i + 1, i, 1))
+    for g in range(2 * rank, rank + rs._npos):  # the simple roots come first
+        x, y = rs._special[g]
+        for x, y, g in ((x, y, g), (neg[x], neg[y], neg[g])):
             n = dict(table[x][y])[g]
             xy, yx = la.mat_mul(reps[x], reps[y]), la.mat_mul(reps[y], reps[x])
             reps[g] = tuple(
@@ -789,45 +779,55 @@ def build_chevalley(cartan_type: str, rank: int) -> LieAlgebra:
 
 
 def _certify_chevalley(alg: LieAlgebra):
-    """Construction-time certificate of the whole table, read off ``alg.table``.
+    """Construction-time certificate of the whole table, read off ``alg.table`` by root index.
 
     [h_i, h_j] = 0, [h_i, e_beta] = <beta, alpha_i^vee> e_beta, and over
     every unordered pair of roots, visited once as (alpha, beta) with beta's
     index above alpha's, [e_alpha, e_beta] is exactly ±(p+1) e_{alpha+beta}
     when alpha + beta is a root, the coroot of alpha when it is 0, and 0
-    otherwise.  One visit per pair suffices: ``_check_table`` ran when the
-    algebra was built and certified [e_beta, e_alpha] = -[e_alpha, e_beta],
-    which leaves the diagonal empty.  The mirror entry then passes too,
-    since p_{beta,alpha} = p_{alpha,beta} when alpha + beta is a root
-    (Carter, *Simple Groups of Lie Type*, 1972) and the coroot of -alpha
-    is minus that of alpha.
+    otherwise.  One visit per pair suffices: ``_check_table`` certified
+    [e_beta, e_alpha] = -[e_alpha, e_beta] when the algebra was built, and
+    p_{beta,alpha} = p_{alpha,beta} when alpha + beta is a root (Carter,
+    *Simple Groups of Lie Type*, 1972).  A second pass ties the signs:
+    N_{-alpha,-beta} = -N_{alpha,beta} on every root-sum pair with alpha
+    positive, which meets each pair or its negative.
     """
-    rs, table, rank = alg.root_data, alg.table, alg.rank
-    roots, index = rs.by_index, rs._index
-    if len(rs.roots) != alg.dim - rank:
-        raise CertificateFailed(f"{alg.name}: {len(rs.roots)} roots for {alg.dim - rank} root vectors")
+    rs, table, rank, dim = alg.root_data, alg.table, alg.rank, alg.dim
+    roots, sums, neg = rs.by_index, rs._sums, rs._neg
+    if len(rs.roots) != dim - rank:
+        raise CertificateFailed(f"{alg.name}: {len(rs.roots)} roots for {dim - rank} root vectors")
     for i in range(rank):
         if any(table[i][:rank]):
             raise CertificateFailed(f"{alg.name}: [h_{i + 1}, h_j] != 0 for some j")
         for b, beta in enumerate(roots[rank:], rank):
-            c = rs.pairing(beta, i)
+            c = rs._pairings[b][i]
             if table[i][b] != (((b, c),) if c else ()):
                 raise CertificateFailed(f"{alg.name}: [h_{i + 1}, e{beta}] != <{beta}, alpha_{i + 1}^vee> e{beta}")
-    for a, alpha in enumerate(roots[rank:], rank):
-        for b, beta in enumerate(roots[a + 1 :], a + 1):
-            entry, s = dict(table[a][b]), tuple(map(add, alpha, beta))
-            k = index.get(s)
-            if k is not None:
-                coeff, expected = entry.get(k, 0), rs.p_string(alpha, beta) + 1
+    for a in range(rank, dim):
+        row, row_sums, alpha = table[a], sums[a], roots[a]
+        for b in range(a + 1, dim):
+            entry, s, beta = row[b], row_sums.get(b), roots[b]
+            if s is None:
+                if entry:
+                    s = f"{tuple(map(add, alpha, beta))} is neither a root nor 0"
+                    raise CertificateFailed(f"{alg.name}: [e{alpha}, e{beta}] = {dict(entry)}, but {s}")
+            elif s == ZERO_SUM:  # alpha is the positive root of the pair, indexed first
+                if dict(entry) != {i: c for i, c in enumerate(rs._coroot(a)) if c}:
+                    raise CertificateFailed(f"{alg.name}: [e{alpha}, e-{alpha}] is not the coroot of {alpha}")
+            else:
+                coeff, expected = dict(entry).get(s, 0), rs._p_string(a, b) + 1
                 if abs(coeff) != expected:
                     raise CertificateFailed(f"{alg.name}: |N({alpha}, {beta})| = {abs(coeff)}, not p + 1 = {expected}")
                 if len(entry) > 1:
-                    raise CertificateFailed(f"{alg.name}: [e{alpha}, e{beta}] = {entry} has terms off e{s}")
-            elif not any(s):  # alpha is the positive root of the pair, indexed first
-                if entry != {i: c for i, c in enumerate(rs.coroot_coeffs(alpha)) if c}:
-                    raise CertificateFailed(f"{alg.name}: [e{alpha}, e-{alpha}] is not the coroot of {alpha}")
-            elif entry:
-                raise CertificateFailed(f"{alg.name}: [e{alpha}, e{beta}] = {entry}, but {s} is neither a root nor 0")
+                    raise CertificateFailed(f"{alg.name}: [e{alpha}, e{beta}] = {dict(entry)} has terms off e{roots[s]}")
+    for a in range(rank, rank + rs._npos):
+        alpha = roots[a]
+        for b, s in sums[a].items():
+            if b > a and s != ZERO_SUM:
+                (_, c), na, nb = table[a][b][0], neg[a], neg[b]
+                if table[na][nb] != ((neg[s], -c),):
+                    got, want = dict(table[na][nb]).get(neg[s], 0), f"-N({alpha}, {roots[b]}) = {-c}"
+                    raise CertificateFailed(f"{alg.name}: N({roots[na]}, {roots[nb]}) = {got}, not {want}")
 
 
 def principal_sl2(alg: LieAlgebra) -> Sl2Triple:

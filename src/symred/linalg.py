@@ -285,17 +285,28 @@ def nullspace(rows: Sequence[Vector]) -> list[Vector]:
 
 def solve(a: Sequence[Vector], b: Vector):
     """One exact solution of A x = b, or None if inconsistent."""
+    sols = solve_many(a, [b])
+    return None if sols is None else sols[0]
+
+
+def solve_many(a: Sequence[Vector], bs: Sequence[Vector]):
+    """One exact solution of A x = b for each b in bs, all read off one rref of [A | b_1 .. b_k].
+
+    None if any b is inconsistent: then some row of the rref is zero on A
+    and not on the b's, so its pivot lies right of A.
+    """
     if not a:
-        return None if not is_zero(b) else ()
-    aug = [list(row) + [bi] for row, bi in zip(a, b, strict=True)]
+        return None if not all(map(is_zero, bs)) else [()] * len(bs)
+    aug = [list(row) + list(bi) for row, bi in zip(a, zip(*bs, strict=True), strict=True)]
     ncols = len(a[0])
     m, pivots = rref(aug)
-    if ncols in pivots:
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [ZERO] * ncols
+    xs = [[ZERO] * ncols for _ in bs]
     for i, p in enumerate(pivots):
-        x[p] = m[i][ncols]
-    return tuple(x)
+        for t, x in enumerate(xs, ncols):
+            x[p] = m[i][t]
+    return [tuple(x) for x in xs]
 
 
 def inverse(a: Sequence[Vector]) -> Matrix:

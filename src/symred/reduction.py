@@ -137,14 +137,10 @@ def decomposition_form_check(alg: LieAlgebra, s_model, kernel: tuple[bool, Reduc
         for z in (z1, z2):
             if any(la.dot(z, flat) != 0 for flat in m_flats):
                 raise LiftNotValid("second component must be Killing-orthogonal to m")
-        v1 = tuple(u1) + tuple(alg.flat(z1))
-        v2 = tuple(u2) + tuple(alg.flat(z2))
-        lhs = model.eval_reduced(v1, v2)
-        rhs = (
-            -alg.killing_form(u1, z2)
-            + alg.killing_form(u2, z1)
-            - alg.killing_form(x, alg.bracket(u1, u2))
-        )
+        flat1, flat2 = alg.flat(z1), alg.flat(z2)
+        lhs = model.eval_reduced(tuple(u1) + tuple(flat1), tuple(u2) + tuple(flat2))
+        # <u1, z2> = u1 . z2^flat, and <u2, z1> likewise, off the flats the lifts use
+        rhs = -la.dot(u1, flat2) + la.dot(u2, flat1) - alg.killing_form(x, alg.bracket(u1, u2))
         if lhs != rhs:
             return False
     return True

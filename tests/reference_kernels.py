@@ -8,15 +8,20 @@ group oracle is the matrix route the library's adjoint group replaced:
 exponentiate a type-A matrix and conjugate every basis matrix by it.  The
 membership rules of the Slodowy slice and of its diagonal, which the
 affine model replaced, are kept as the oracle of ``poisson.slodowy_slice``
-and ``poisson.diagonal``.  The differential tests require the library to
-return exactly what these do.
+and ``poisson.diagonal``.  The sign recursion on root tuples (``TupleRoots``,
+``SignBuilder``, ``chevalley_table``) is the one the library ran before it
+read roots by basis index, kept as the oracle of ``lie._table_from_roots``
+and of ``RootSystem``'s tuple API.  The differential tests require the
+library to return exactly what these do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, neg, sub
 from typing import Sequence
 
+from symred import lie
 from symred import linalg as la
 from symred.lie import LieAlgebra
 from symred.linalg import Matrix, Q, Vector
@@ -334,3 +339,147 @@ def on_diagonal_slice(alg: LieAlgebra, triple, n: int, xi: Vector) -> bool:
     d = alg.dim
     blocks = [tuple(xi[k * d : (k + 1) * d]) for k in range(n)]
     return all(b == blocks[0] for b in blocks) and on_slodowy_slice(alg, triple, blocks[0])
+
+
+# -- Chevalley tables by tuple arithmetic on roots ------------------------------
+
+
+def _quotient(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if den <= 0 or r:
+        raise ValueError(f"{num}/{den} is not an exact quotient by a positive number")
+    return q
+
+
+class TupleRoots:
+    """Root data in simple-root coordinates, each quantity by tuple arithmetic on demand."""
+
+    def __init__(self, cartan_type: str, rank: int):
+        self.rank = rank
+        self.cartan, self.d = lie._cartan_and_lengths(cartan_type, rank)
+        self._columns = tuple(zip(*self.cartan))
+        self.roots = self._enumerate()
+        self.root_set = set(self.roots)
+        self.positive = sorted((r for r in self.roots if self.is_positive(r)), key=self.order_key)
+        self.by_index = (None,) * rank + tuple(self.positive) + tuple(tuple(-x for x in r) for r in self.positive)
+        self.index = {r: i for i, r in enumerate(self.by_index) if r is not None}
+
+    def pairing(self, beta, j: int) -> int:
+        return sum(map(mul, beta, self._columns[j]))
+
+    def _enumerate(self):
+        simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
+        seen = set(simple)
+        frontier = list(simple)
+        while frontier:
+            nxt = []
+            for beta in frontier:
+                for j in range(self.rank):
+                    r = beta[:j] + (beta[j] - self.pairing(beta, j),) + beta[j + 1 :]  # s_j(beta)
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
+            frontier = nxt
+        return sorted(seen)
+
+    @staticmethod
+    def is_positive(beta) -> bool:
+        return beta > (0,) * len(beta)
+
+    @staticmethod
+    def order_key(beta):
+        return (sum(beta), beta)
+
+    def norm2(self, beta) -> int:
+        return sum(self.d[j] * self.pairing(beta, j) * beta[j] for j in range(self.rank))
+
+    def p_string(self, alpha, beta) -> int:
+        p = 0
+        cur = tuple(map(sub, beta, alpha))
+        while cur in self.root_set:
+            p += 1
+            cur = tuple(map(sub, cur, alpha))
+        return p
+
+    def coroot_coeffs(self, gamma):
+        return tuple(_quotient(2 * self.d[i] * gamma[i], self.norm2(gamma)) for i in range(self.rank))
+
+    def extraspecial(self, gamma):
+        for a in self.positive:
+            b = tuple(g - x for x, g in zip(a, gamma))
+            if b in self.root_set and self.is_positive(b):
+                return a, b
+        raise ValueError(f"no special pair for {gamma}")
+
+
+class SignBuilder:
+    """N_{a,b} by the extraspecial-pair convention, memoised on root tuples."""
+
+    def __init__(self, rs: TupleRoots):
+        self.rs = rs
+        self.memo = {}
+
+    def n(self, a, b) -> int:
+        key = (a, b)
+        if key in self.memo:
+            return self.memo[key]
+        rs = self.rs
+        s = tuple(map(add, a, b))
+        assert s in rs.root_set, (a, b)
+        pos_a, pos_b = rs.is_positive(a), rs.is_positive(b)
+        if pos_a and pos_b:
+            if rs.order_key(a) > rs.order_key(b):
+                val = -self.n(b, a)
+            else:
+                x, y = rs.extraspecial(s)
+                if (a, b) == (x, y):
+                    val = rs.p_string(x, y) + 1
+                else:
+                    # N_{a,b} = (s,s) / N_{x,y} times the sum of the terms t / (r,r)
+                    terms = []
+                    ya = tuple(map(add, y, map(neg, a)))
+                    if ya in rs.root_set:
+                        terms.append((self.n(y, tuple(map(neg, a))) * self.n(x, tuple(map(neg, b))), rs.norm2(ya)))
+                    xa = tuple(map(add, x, map(neg, a)))
+                    if xa in rs.root_set:
+                        terms.append((self.n(tuple(map(neg, a)), x) * self.n(y, tuple(map(neg, b))), rs.norm2(xa)))
+                    num, den = 0, 1
+                    for t, r2 in terms:
+                        num, den = num * r2 + t * den, den * r2
+                    val = _quotient(rs.norm2(s) * num, den * self.n(x, y))
+        elif not pos_a and not pos_b:
+            val = -self.n(tuple(map(neg, a)), tuple(map(neg, b)))
+        elif not pos_a:
+            val = -self.n(b, a)
+        else:
+            # a positive, b negative; use N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)
+            c = tuple(map(neg, s))
+            if rs.is_positive(s):
+                val = _quotient(rs.norm2(c) * self.n(b, c), rs.norm2(a))
+            else:
+                val = _quotient(rs.norm2(c) * self.n(c, a), rs.norm2(b))
+        self.memo[key] = val
+        return val
+
+
+def chevalley_table(cartan_type: str, rank: int) -> list:
+    """The table of ``lie.build_chevalley``, a list of lists of (k, c) lists, by tuple arithmetic."""
+    rs = TupleRoots(cartan_type, rank)
+    roots, dim = rs.by_index, len(rs.by_index)
+    signs = SignBuilder(rs)
+    table = [[[] for _ in range(dim)] for _ in range(dim)]
+
+    def set_entry(i, j, entries):
+        table[i][j] = [(k, c) for k, c in entries if c != 0]
+        table[j][i] = [(k, -c) for k, c in entries if c != 0]
+
+    for a, alpha in enumerate(roots[rank:], rank):
+        for i in range(rank):
+            set_entry(i, a, [(a, rs.pairing(alpha, i))])  # [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha
+        for b, beta in enumerate(roots[a + 1 :], a + 1):
+            s = tuple(map(add, alpha, beta))
+            if s in rs.root_set:
+                set_entry(a, b, [(rs.index[s], signs.n(alpha, beta))])
+            elif not any(s):  # [e_alpha, e_-alpha] = alpha^vee
+                set_entry(a, b, list(enumerate(rs.coroot_coeffs(alpha))))
+    return table

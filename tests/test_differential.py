@@ -713,6 +713,57 @@ def test_killing_of_perturbed_direct_power_matches_dense_loop(data):
     assert alg.killing == ref.killing(alg)
 
 
+def as_tuples(table):
+    return tuple(tuple(tuple(entry) for entry in row) for row in table)
+
+
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
+def test_chevalley_table_matches_the_tuple_recursion(typ, rank):
+    """The sign recursion on basis indices builds the table that the recursion on root tuples builds."""
+    table = as_tuples(ref.chevalley_table(typ, rank))
+    assert as_tuples(lie._table_from_roots(lie.RootSystem(typ, rank))) == table
+    assert lie.build_chevalley(typ, rank).table == table
+
+
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
+def test_root_data_match_tuple_arithmetic(typ, rank):
+    """The root-sum table and the tuple API read by index agree with tuple arithmetic on every root and pair."""
+    rs, oracle = lie.RootSystem(typ, rank), ref.TupleRoots(typ, rank)
+    assert (rs.roots, rs.positive, rs.by_index) == (oracle.roots, oracle.positive, oracle.by_index)
+    for a, alpha in enumerate(rs.by_index[rank:], rank):
+        assert [rs.pairing(alpha, j) for j in range(rank)] == [oracle.pairing(alpha, j) for j in range(rank)]
+        assert (rs.norm2(alpha), rs.coroot_coeffs(alpha)) == (oracle.norm2(alpha), oracle.coroot_coeffs(alpha))
+        for b, beta in enumerate(rs.by_index[rank:], rank):
+            s = tuple(x + y for x, y in zip(alpha, beta))
+            want = lie.ZERO_SUM if not any(s) else oracle.index.get(s)
+            assert rs._sums[a].get(b) == want, (alpha, beta)
+            assert rs.p_string(alpha, beta) == oracle.p_string(alpha, beta)
+    for gamma in rs.positive[rank:]:
+        assert rs.extraspecial(gamma) == oracle.extraspecial(gamma)
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
+def test_killing_form_matches_the_dense_product_on_a_non_symmetric_form(typ, rank):
+    """x^T K y, read off the rows of K in x's support, equals the dense sum when K is not symmetric."""
+    built = lie.build_chevalley(typ, rank)
+    alg = lie.LieAlgebra(built.basis_labels, built.table, built.rank)
+    k_mat = [list(row) for row in built.killing]
+    k_mat[0][1] += 1
+    k_mat[-1][0] += Q(1, 3)
+    alg.killing = tuple(map(tuple, k_mat))
+    rng = random.Random(7)
+    basis = [alg.basis_vec(i) for i in range(alg.dim)]
+    fresh_zeros = tuple(Q(0) if v is la.ZERO else v for v in basis[1])  # zeros that are not the shared ZERO
+    vectors = [alg.zero(), *basis, fresh_zeros, la.add(basis[0], basis[-1])]
+    vectors += [la.random_vector(rng, alg.dim) for _ in range(4)]
+    for x in vectors:
+        for y in vectors:
+            assert alg.killing_form(x, y) == ref.dot(x, ref.mat_vec(alg.killing, y))
+    assert alg.killing_form(basis[0], basis[1]) != alg.killing_form(basis[1], basis[0])
+    with pytest.raises(DimensionMismatch):
+        alg.killing_form(basis[0][:-1], basis[0])
+
+
 def commuting_pairs(alg):
     """Every (i, j), i < j, with [e_i, e_j] = 0: the pairs the pruned Jacobi loop may skip."""
     return [(i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim) if not alg.table[i][j]]

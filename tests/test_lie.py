@@ -259,8 +259,9 @@ def test_adjoint_group_on_every_type(typ, rank, rng):
 
 
 def test_group_actions_convert_nothing(sl3, rng, monkeypatch):
-    """Ad_g, Ad*_g, inv and * read the stored matrices: no conversion to or from
-    type A's realization and no inverse, on an element that came from a matrix."""
+    """Ad_g, Ad*_g, inv and * read the stored matrices: no elimination against
+    type A's realization, no conversion to it and no inverse, on an element
+    that came from a matrix."""
     g = sl3.group_element([[2, 1, 0], [0, 1, 0], [1, 0, Q(1, 2)]])
     u = sl3.unipotent(sl3.root_vector((1, 1)), 3)
     calls = Counter()
@@ -271,16 +272,16 @@ def test_group_actions_convert_nothing(sl3, rng, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for owner, name in ((lie.LieAlgebra, "from_matrix"), (lie.LieAlgebra, "to_matrix"), (la, "inverse")):
+    for owner, name in ((la, "solve_many"), (lie.LieAlgebra, "to_matrix"), (la, "inverse")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     x, xi = la.random_vector(rng, 8), la.random_vector(rng, 8)
     sl3.adjoint_group_action(g, x)
     sl3.coadjoint_group_action(g * u.inv(), xi)
     assert calls == Counter()
-    # the counters are live
+    # the counters are live: group_element solves its 2·dim conjugated images in one elimination
     sl3.group_element([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     sl3.to_matrix(x)
-    assert calls["from_matrix"] == 2 * sl3.dim and calls["inverse"] >= 1 and calls["to_matrix"] == 1
+    assert calls["solve_many"] == 1 and calls["inverse"] >= 1 and calls["to_matrix"] == 1
 
 
 def test_group_element_rejects_singular(sl2):
@@ -830,6 +831,35 @@ def test_certify_chevalley_rejects_a_bracket_off_the_roots():
     assert broken.verify_jacobi() is False
     with pytest.raises(CertificateFailed, match=r"\(2, 1\) is neither a root nor 0"):
         lie._certify_chevalley(broken)
+
+
+def flipped_sign(alg):
+    """alg's table with N_{alpha_1, alpha_2} negated on both entries of the pair."""
+    a, b, s = (alg.root_vector_index(r) for r in ((1, 0), (0, 1), (1, 1)))
+    return perturbed(alg, a, b, s, -2 * alg.structure_constant(a, b, s))
+
+
+def test_certify_chevalley_rejects_a_flipped_sign():
+    """Every |N| is still p + 1 and the table is antisymmetric, but N_{-a,-b} = -N_{a,b} fails, and so does Jacobi."""
+    broken = flipped_sign(lie.build_chevalley("A", 2))
+    assert broken.verify_jacobi() is False
+    with pytest.raises(CertificateFailed, match=r"N\(\(0, -1\), \(-1, 0\)\) = -?\d+, not -N\(\(0, 1\), \(1, 0\)\) = "):
+        lie._certify_chevalley(broken)
+
+
+def test_sign_certificate_rejects_under_optimize():
+    """N_{alpha_1, alpha_2} negated on both entries of the pair is still rejected with asserts stripped."""
+    assert rejected_under_optimize(
+        """
+        alg = lie.build_chevalley("A", 2)
+        a, b, s = (alg.root_vector_index(r) for r in ((1, 0), (0, 1), (1, 1)))
+        table = [[dict(entry) for entry in row] for row in alg.table]
+        table[a][b][s] *= -1
+        table[b][a][s] *= -1
+        rows = [[sorted(entry.items()) for entry in row] for row in table]
+        lie._certify_chevalley(LieAlgebra(alg.basis_labels, rows, alg.rank, alg.root_data))
+        """
+    )
 
 
 # -- one certificate visit per unordered root pair -------------------------------

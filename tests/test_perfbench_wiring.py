@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from symred import lie
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -25,3 +27,14 @@ def test_traced_repetition_is_correct_and_moves_every_boundary(workload):
     assert out["checks"] > 0 and out["checks_failed"] == 0
     assert out["answers"] > 0 and out["answer_mismatch"] == []
     assert out["trace"]["zero_call_failures"] == []
+
+
+def test_supported_types_are_the_twelve_the_benchmark_certifies():
+    """``algebra_certify`` builds and certifies every type in ``SUPPORTED``: a wider set is a new workload."""
+    assert sorted(lie.SUPPORTED) == [
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+        ("B", 2), ("B", 3), ("B", 4),
+        ("C", 2), ("C", 3), ("C", 4),
+        ("D", 4),
+        ("G2", 2),
+    ]
