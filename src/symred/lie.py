@@ -44,7 +44,7 @@ is degenerate it raises ``UnsupportedType``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -190,24 +190,27 @@ class RootSystem:
 
     # -- the tuple API -------------------------------------------------------
 
+    def vector_index(self, beta: Root) -> int:
+        """Basis index of e_beta: Cartan first, then positive, then negative roots."""
+        a = self._index.get(beta)
+        if a is None:
+            raise SolveFailure(f"{beta} is not a root of {self.cartan_type}{self.rank}")
+        return a
+
     def pairing(self, beta: Root, j: int) -> int:
         """<beta, alpha_j^vee> = beta(h_j)."""
-        return self._pairings[self._index[beta]][j]
+        return self._pairings[self.vector_index(beta)][j]
 
     def norm2(self, beta: Root) -> int:
         """(beta, beta): 2 on a short root (every root of A and D), 4 or 6 on a long one."""
-        return self._norms[self._index[beta]]
+        return self._norms[self.vector_index(beta)]
 
     def p_string(self, alpha: Root, beta: Root) -> int:
         """Largest p with beta - p*alpha a root."""
-        return self._p_string(self._index[alpha], self._index[beta])
+        return self._p_string(self.vector_index(alpha), self.vector_index(beta))
 
     def coroot_coeffs(self, gamma: Root) -> tuple[int, ...]:
-        return self._coroot(self._index[gamma])
-
-    def vector_index(self, beta: Root) -> int:
-        """Basis index of e_beta: Cartan first, then positive, then negative roots."""
-        return self._index[beta]
+        return self._coroot(self.vector_index(gamma))
 
     def extraspecial(self, gamma: Root) -> tuple[Root, Root]:
         """Minimal positive alpha with alpha, gamma-alpha both positive roots."""
@@ -254,7 +257,16 @@ class GroupElement:
 
 
 def _entry(entry) -> tuple:
-    """A table entry's nonzero (k, c), each constant an ``int`` when it is integral, else a ``Fraction``."""
+    """A table entry's nonzero (k, c), each constant an ``int`` when it is integral, else a ``Fraction``.
+
+    An entry that is already a tuple of (int, nonzero int) tuples, as every
+    constructed Chevalley entry is, is returned as it is."""
+    if type(entry) is tuple:
+        for kc in entry:
+            if type(kc) is not tuple or len(kc) != 2 or type(kc[0]) is not int or type(kc[1]) is not int or not kc[1]:
+                break
+        else:
+            return entry
     out = []
     for k, c in entry:
         if type(c) is not int:
@@ -328,7 +340,8 @@ class LieAlgebra:
         A repeated coordinate would make ``bracket``, which sums the table,
         disagree with ``structure_constant``, which reads the first match.
         Zero constants were dropped, so two entries agree when their dicts
-        do, and antisymmetry is read once per unordered pair, at j >= i.
+        do, and antisymmetry is read once per unordered pair, at j >= i: as
+        tuples first, and as dicts only when the tuples differ.
         """
         table = self.table
         for i, row in enumerate(table):
@@ -338,7 +351,7 @@ class LieAlgebra:
         for i, row in enumerate(table):
             for j in range(i, len(row)):
                 lhs, rhs = row[j], table[j][i]
-                if (lhs or rhs) and dict(rhs) != {k: -c for k, c in lhs}:
+                if (lhs or rhs) and rhs != tuple((k, -c) for k, c in lhs) and dict(rhs) != {k: -c for k, c in lhs}:
                     raise CertificateFailed(f"bracket table is not antisymmetric at ({i}, {j}): {lhs} vs {rhs}")
 
     def _compute_killing(self) -> Matrix:
@@ -372,6 +385,8 @@ class LieAlgebra:
     # -- basic operations ------------------------------------------------
 
     def basis_vec(self, i: int) -> Vector:
+        if not 0 <= i < self.dim:
+            raise DimensionMismatch(f"basis index {i} outside 0..{self.dim - 1}")
         return la.unit(self.dim, i)
 
     def zero(self) -> Vector:
@@ -476,26 +491,83 @@ class LieAlgebra:
 
     # -- verification -----------------------------------------------------
 
+    def _diagonal(self) -> dict[int, list]:
+        """lambda_i, on the integer table, of each diagonal i: every nonempty [e_i, e_j] is lambda_i(j) e_j."""
+        return {
+            i: [entry[0][1] if entry else 0 for entry in row]
+            for i, row in enumerate(self._int_table)
+            if all(len(entry) == 1 and entry[0][0] == j for j, entry in enumerate(row) if entry)
+        }
+
+    def _omega_bound(self, diagonal: dict[int, list], nonzero: list) -> int:
+        """rank + |Phi+| when ``verify_jacobi``'s involution step holds, else ``dim``.
+
+        Entries are compared as tuples: one listed in another order costs the step, never the verdict.
+        """
+        rs, n, table = self.root_data, self.dim, self._int_table
+        if rs is None or len(rs._neg) != n or any(i not in diagonal for i in range(rs.rank)):
+            return n
+        neg, rank, top = rs._neg, rs.rank, rs.rank + rs._npos
+        for a, b in enumerate(neg):
+            if not 0 <= b < n or neg[b] != a or (b != a if a < rank else (a < top) == (b < top)):
+                return n
+        for a, row in enumerate(nonzero):
+            image = table[neg[a]]
+            for b, entry in row:
+                if b > a and image[neg[b]] != tuple([(neg[t], -c) for t, c in entry]):
+                    return n
+        return top
+
     def verify_jacobi(self) -> bool:
         """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i < j < k.
 
-        For each i the cyclic sums of every j < k go into one accumulator
-        keyed (j, k, t), over nonzero products only: a term [[e_a,e_b],e_c] =
-        sum_m c_ab^m c_mc^t e_t needs m in the support of [e_a,e_b], so the
-        first sweep takes the k > j with [e_m,e_k] != 0, the second those
-        with [e_j,e_k] != 0 and the third those with [e_k,e_i] != 0, each
-        found by bisection in a sorted row.  Every product left out is 0, so
-        no grading is assumed.  Jacobi is homogeneous, so it runs on the
-        integer table.
+        Diagonal indices: i is diagonal when [e_i, e_j] = lambda_i(j) e_j for
+        every j.  As the table is certified antisymmetric, J(e_i, e_j, e_k) =
+        sum_t c_jk^t (lambda_i(j) + lambda_i(k) - lambda_i(t)) e_t.  So one
+        pass over the nonzeros [e_j, e_k], j < k, checks lambda_i(t) =
+        lambda_i(j) + lambda_i(k) for every diagonal i at once: a failure is
+        a failing triple (j = i reads lambda_i(k) = lambda_i(k)), and a pass
+        makes every triple with a diagonal index 0, so none is summed.
+
+        Involution: with root data whose ``_neg`` is an involution fixing
+        each Cartan index and swapping the positive and negative index
+        ranges, every Cartan index diagonal, and [e_{neg(a)}, e_{neg(b)}] =
+        -omega([e_a, e_b]) on every nonzero entry, a < b, the map omega(e_a) =
+        -e_{neg(a)} is an automorphism (Carter, *Simple Groups of Lie Type*,
+        1972, for the Chevalley table).  Then J(omega x, omega y, omega z) =
+        omega J(x, y, z), so a triple holds iff its image does.  A triple
+        left is three roots, and it or its image has two positive ones: in
+        index order, j < rank + |Phi+|.  Otherwise every triple left is summed.
+
+        For each i the cyclic sums of every j < k left go into one
+        accumulator keyed (j, k, t), over nonzero products only: a term
+        [[e_a,e_b],e_c] = sum_m c_ab^m c_mc^t e_t needs m in the support of
+        [e_a,e_b], so the first sweep takes the k > j with [e_m,e_k] != 0,
+        the second those with [e_j,e_k] != 0 and the third those with
+        [e_k,e_i] != 0, each found by bisection in a sorted row.  Every
+        product left out is 0, so no grading is assumed.  Jacobi is
+        homogeneous, so it runs on the integer table.
         """
-        n, table = self.dim, self._int_table
-        rows = [[(k, entry) for k, entry in enumerate(row) if entry] for row in table]  # [e_m, e_k] != 0
+        n, table, diagonal = self.dim, self._int_table, self._diagonal()
+        nonzero = [[(k, entry) for k, entry in enumerate(row) if entry] for row in table]
+        w = list(zip(*diagonal.values()))  # w[j]: lambda_i(j) over the diagonal i
+        for j, row in enumerate(nonzero if w else ()):
+            for k, entry in row:
+                if k > j:
+                    s = tuple(map(add, w[j], w[k]))
+                    for t, _ in entry:
+                        if w[t] != s:
+                            return False
+        top = self._omega_bound(diagonal, nonzero)
+        rows = [[(k, entry) for k, entry in row if k not in diagonal] for row in nonzero]  # [e_m, e_k] != 0
         keys = [[k for k, _ in row] for row in rows]
         # [e_k, e_i] != 0 only where [e_i, e_k] != 0: the table is certified antisymmetric
         cols = [[(k, table[k][i]) for k in ks] for i, ks in enumerate(keys)]
-        for i in range(n):
+        live = [i for i in range(n) if i not in diagonal]
+        heads = live[: bisect_left(live, top)]  # the i and j of i < j < k
+        for at, i in enumerate(heads):
             acc: dict[int, int] = {}  # (j, k, t) as (j * n + k) * n + t
-            for j in range(i + 1, n):
+            for j in heads[at + 1 :]:
                 for m, x in table[i][j]:  # [[e_i, e_j], e_k]
                     for k, entry in rows[m][bisect_right(keys[m], j) :]:
                         for t, y in entry:
@@ -515,22 +587,28 @@ class LieAlgebra:
     def verify_killing_invariance(self) -> bool:
         """kappa([e_i, e_j], e_k) + kappa(e_j, [e_i, e_k]) = 0 for all i, j and k.
 
-        For fixed i this is the matrix identity K ad_i + ad_i^T K = 0, and a
-        term can be nonzero only where the table and K both have nonzeros:
-        kappa([e_i, e_j], e_k) = sum_m c_ij^m K[m][k] needs K[m][k] != 0 for
-        some m in the support of [e_i, e_j], and kappa(e_j, [e_i, e_k]) needs
-        K[j][m] != 0 for some m in the support of [e_i, e_k].  So each i
-        forms [e_i, e_j] only where the table entry is nonempty, and sums
-        both terms on every ordered pair (j, k) that either rule admits.  The
-        neighbours are read off the rows and the columns of ``self.killing``
-        as it is now, and no symmetry of K is assumed.  Every other entry is
-        0 + 0 exactly.
+        For a diagonal i (see ``verify_jacobi``) the two terms sum to
+        (lambda_i(j) + lambda_i(k)) K[j][k], so i's identity is read off the
+        nonzeros of K with no bracket.  For any other i it is the matrix
+        identity K ad_i + ad_i^T K = 0, and a term can be nonzero only where
+        the table and K both have nonzeros: kappa([e_i, e_j], e_k) = sum_m
+        c_ij^m K[m][k] needs K[m][k] != 0 for some m in the support of [e_i,
+        e_j], and kappa(e_j, [e_i, e_k]) needs K[j][m] != 0 for some m in the
+        support of [e_i, e_k].  So each such i forms [e_i, e_j] only where the
+        table entry is nonempty, and sums both terms on every ordered pair
+        (j, k) that either rule admits.  The neighbours are read off the rows
+        and the columns of ``self.killing`` as it is now, and no symmetry of
+        K is assumed.  Every other entry is 0 + 0 exactly.
         """
-        n, k_mat = self.dim, self.killing
+        n, k_mat, diagonal = self.dim, self.killing, self._diagonal()
         row_nbrs = [[k for k, v in enumerate(row) if v] for row in k_mat]  # K[m][k] != 0
+        if any(lam[j] + lam[k] for lam in diagonal.values() for j, ks in enumerate(row_nbrs) for k in ks):
+            return False
         col_nbrs = [[j for j in range(n) if k_mat[j][m]] for m in range(n)]  # K[j][m] != 0
         basis = [self.basis_vec(i) for i in range(n)]
         for i, row in enumerate(self.table):
+            if i in diagonal:
+                continue
             ad_i = {j: self.bracket(basis[i], basis[j]) for j, entry in enumerate(row) if entry}
             pairs = set()
             for j in ad_i:
@@ -873,6 +951,9 @@ def direct_power(alg: LieAlgebra, n: int) -> LieAlgebra:
 
 
 def embed_factor(product_dim: int, factor_dim: int, k: int, x: Vector) -> Vector:
+    n = product_dim // factor_dim
+    if len(x) != factor_dim or not 0 <= k < n:
+        raise DimensionMismatch(f"factor index {k} with length {len(x)}: the product has {n} factors of length {factor_dim}")
     out = [la.ZERO] * product_dim
     for i, c in enumerate(x):
         out[k * factor_dim + i] = c

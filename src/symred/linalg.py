@@ -76,7 +76,11 @@ def zeros(n: int) -> Vector:
 
 
 def unit(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    if not 0 <= i < n:
+        raise ValueError(f"unit vector index {i} outside 0..{n - 1}")
+    v = [ZERO] * n
+    v[i] = ONE
+    return tuple(v)
 
 
 def identity(n: int) -> Matrix:

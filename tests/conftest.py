@@ -93,3 +93,37 @@ def perturbed(alg, i, j, k, delta):
     table[j][i][k] = table[j][i].get(k, 0) - delta
     rows = [[[(m, c) for m, c in sorted(entry.items()) if c] for entry in row] for row in table]
     return lie.LieAlgebra(alg.basis_labels, rows, alg.rank, alg.root_data, name="perturbed")
+
+
+def tampered(alg, kind, a, b=None):
+    """alg's table with its root data, changed by kind and built without the Chevalley certificate.
+
+    "flip" negates [e_a, e_b] and its mirror, "flip+omega" also their image
+    [e_-a, e_-b] under the Chevalley involution, which then stays an
+    automorphism, and "scale" doubles [e_a, e_b].  "cartan" moves [h_a, e_b]
+    off <beta, alpha_a^vee> by 1.  Each of these breaks Jacobi.  "sign",
+    "sign+omega" and "rescale" only change the basis, by e_a -> -e_a, by
+    e_{±a} -> -e_{±a} and by e_a -> 2 e_a, so Jacobi and invariance hold;
+    only "sign+omega" keeps the involution an automorphism.
+    """
+    table = [[list(entry) for entry in row] for row in alg.table]
+    neg = alg.root_data._neg
+
+    def times(x, y, f):
+        for u, v in ((x, y), (y, x)):
+            table[u][v] = [(k, c * f) for k, c in table[u][v]]
+
+    if kind == "cartan":
+        c = dict(table[a][b]).get(b, 0) + 1
+        table[a][b], table[b][a] = [(b, c)], [(b, -c)]
+    elif kind in ("flip", "flip+omega", "scale"):
+        times(a, b, 2 if kind == "scale" else -1)
+        if kind == "flip+omega" and {neg[a], neg[b]} != {a, b}:
+            times(neg[a], neg[b], -1)
+    else:
+        s = {a: 2} if kind == "rescale" else {a: -1, neg[a]: -1} if kind == "sign+omega" else {a: -1}
+        table = [
+            [[(k, c * Q(s.get(x, 1) * s.get(y, 1), s.get(k, 1))) for k, c in table[x][y]] for y in range(alg.dim)]
+            for x in range(alg.dim)
+        ]
+    return lie.LieAlgebra(alg.basis_labels, table, alg.rank, alg.root_data, name=kind)

@@ -9,7 +9,13 @@ is also held to the reference on dense rows with large numerators and
 wide, mostly coprime denominators.  Every comparison is exact equality.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import types
 from fractions import Fraction as Q
 
 import pytest
@@ -17,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from conftest import perturbed
+from conftest import perturbed, tampered
 from symred import groupoid as gpd
 from symred import cli, lie, poisson, reduction
 from symred import linalg as la
@@ -271,10 +277,129 @@ def test_kernel_identity_reduced_form_matches_pairwise(sl2, sl3):
         assert [tuple(r) for r in red.reduced_form] == form
 
 
-@pytest.mark.parametrize("typ,rank", ALGEBRAS + [("A", 3), ("C", 3)])
-def test_verify_jacobi_matches_bracket_route(typ, rank):
+@pytest.fixture()
+def omega_bounds(monkeypatch):
+    """Each bound ``LieAlgebra._omega_bound`` returns during the test: ``dim`` means no involution step."""
+    seen, bound = [], lie.LieAlgebra._omega_bound
+
+    def spy(self, *args):
+        seen.append(bound(self, *args))
+        return seen[-1]
+
+    monkeypatch.setattr(lie.LieAlgebra, "_omega_bound", spy)
+    return seen
+
+
+@pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
+def test_verify_jacobi_matches_bracket_route(typ, rank, omega_bounds):
+    """Every supported type, through the diagonal skip and the involution step, which each takes."""
     alg = lie.build_chevalley(typ, rank)
     assert alg.verify_jacobi() is ref.verify_jacobi(alg) is True
+    assert sorted(alg._diagonal()) == list(range(rank))
+    assert omega_bounds == [rank + len(alg.root_data.positive)]
+
+
+def tamper_cases(alg):
+    """Every kind of ``tampered`` at every root pair with a nonzero bracket, Cartan-root pair and root."""
+    rank, n = alg.rank, alg.dim
+    pairs = [(a, b) for a in range(rank, n) for b in range(a + 1, n) if alg.table[a][b]]
+    cases = [(kind, a, b) for kind in ("flip", "flip+omega", "scale") for a, b in pairs]
+    cases += [("cartan", i, b) for i in range(rank) for b in range(rank, n)]
+    return cases + [(kind, a, None) for kind in ("sign", "sign+omega", "rescale") for a in range(rank, n)]
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2), ("A", 3)])
+def test_certificates_of_tampered_chevalley_tables_match_reference(typ, rank, omega_bounds):
+    """Both certificates give the reference's verdict on every tampered table, and the involution
+    step is taken exactly where the involution is still an automorphism."""
+    alg = lie.build_chevalley(typ, rank)
+    top = rank + len(alg.root_data.positive)
+    for kind, a, b in tamper_cases(alg):
+        broken, taken = tampered(alg, kind, a, b), len(omega_bounds)
+        holds = ref.verify_jacobi(broken)
+        assert broken.verify_jacobi() is holds is (kind in ("sign", "sign+omega", "rescale")), (kind, a, b)
+        if kind == "cartan":
+            assert len(omega_bounds) == taken  # the weight pass fails first
+        else:
+            # a flip or a scale of [e_a, e_-a] is its own image
+            automorphism = kind.endswith("+omega") or alg.root_data._neg[a] == b
+            assert omega_bounds[-1] == (top if automorphism else alg.dim), (kind, a, b)
+        if rank == 2 or kind in ("cartan", "rescale"):
+            assert broken.verify_killing_invariance() is ref.verify_killing_invariance(broken), (kind, a, b)
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
+def test_a_flip_among_negative_roots_is_summed(typ, rank, omega_bounds):
+    """N_{-alpha_1,-alpha_2} flipped on its own enters only triples with two negative roots,
+    which the involution step leaves out: omega is no automorphism then, and they are summed."""
+    alg = lie.build_chevalley(typ, rank)
+    neg = alg.root_data._neg
+    broken = tampered(alg, "flip", neg[rank], neg[rank + 1])
+    assert broken.verify_jacobi() is ref.verify_jacobi(broken) is False
+    assert omega_bounds == [alg.dim]
+
+
+def test_direct_power_takes_no_involution_step(sl2, omega_bounds):
+    """g^n carries no root data, so every triple without a diagonal index is summed."""
+    square = lie.direct_power(sl2, 2)
+    assert square.verify_jacobi() is ref.verify_jacobi(square) is True
+    assert sorted(square._diagonal()) == [0, 3]
+    assert omega_bounds == [square.dim]
+
+
+def sl2_squared_with_root_data(neg):
+    """sl2 + sl2 on (h1, h2, e1, f1, e2, f2) with [e2, f2] = h2 + h1, carrying root data whose ``_neg`` is neg.
+
+    The table breaks Jacobi only on (e1, e2, f2), whose cyclic sum is
+    [h1, e1] = 2 e1.  Chevalley's omega (e1 <-> f1, e2 <-> f2) is still an
+    automorphism of it, but with two "positive" indices it does not swap the
+    ranges: a bound of rank + 2 would leave that triple out.
+    """
+    relations = [(0, 2, 2, 2), (0, 3, 3, -2), (1, 4, 4, 2), (1, 5, 5, -2), (2, 3, 0, 1), (4, 5, 0, 1), (4, 5, 1, 1)]
+    table = [[[] for _ in range(6)] for _ in range(6)]
+    for i, j, k, c in relations:
+        table[i][j].append((k, c))
+        table[j][i].append((k, -c))
+    roots = types.SimpleNamespace(rank=2, _npos=2, _neg=neg)
+    return lie.LieAlgebra(("h1", "h2", "e1", "f1", "e2", "f2"), table, 2, roots, name="sl2^2")
+
+
+@pytest.mark.parametrize(
+    "neg",
+    [(0, 1, 3, 2, 5, 4), (0, 1, 3, 2, 5), (0, 1, 3, 2, 5, 6), (1, 0, 4, 5, 2, 3), (0, 1, 4, 5, 3, 2)],
+    ids=["keeps-ranges", "short", "out-of-range", "moves-cartan", "not-an-involution"],
+)
+def test_involution_step_needs_neg_to_swap_the_root_ranges(neg, omega_bounds):
+    alg = sl2_squared_with_root_data(neg)
+    assert alg.verify_jacobi() is ref.verify_jacobi(alg) is False
+    assert omega_bounds == [alg.dim]
+
+
+def test_certificates_agree_under_optimization():
+    """python -O drops asserts: the verdicts, the tampered ones included, must not move."""
+    script = textwrap.dedent(
+        """
+        import json
+        from symred import lie
+        from conftest import tampered
+        out = []
+        for typ, rank in (("A", 2), ("G2", 2)):
+            alg = lie.build_chevalley(typ, rank)
+            for kind in ("flip+omega", "sign+omega", "cartan"):
+                t = tampered(alg, kind, 0 if kind == "cartan" else rank, rank + 1)
+                out.append([t.verify_jacobi(), t.verify_killing_invariance()])
+            out.append([alg.verify_jacobi(), alg.verify_killing_invariance()])
+        print(json.dumps(out))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lie.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(os.path.abspath(__file__)))))
+    verdicts = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        verdicts.append(json.loads(done.stdout))
+    assert verdicts[0] == verdicts[1] == [[False, False], [True, True], [False, False], [True, True]] * 2
 
 
 def test_verify_jacobi_false_branch(sl2):
@@ -464,8 +589,8 @@ def test_torus_group_element_matches_matrix_conjugation(sl3):
 
 @pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
 def test_killing_invariance_matches_triple_loop(typ, rank):
-    """The library's verdict on these types is True by test_lie.test_killing_invariance."""
-    assert ref.verify_killing_invariance(lie.build_chevalley(typ, rank)) is True
+    alg = lie.build_chevalley(typ, rank)
+    assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is True
 
 
 @given(st.data())
@@ -540,6 +665,15 @@ def test_killing_invariance_reads_both_orders_and_both_sides_of_the_form(name, a
     else:
         alg = lie.direct_power(lie.build_chevalley("A", 1), 2)
     alg = _one_cell_form(alg, a, b)
+    assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is False
+
+
+def test_killing_invariance_fails_at_a_diagonal_index_only():
+    """On [x, y] = y the form E_xy - E_yx is ad_y-invariant, so only x fails it: x is diagonal,
+    and its identity (lambda_x(x) + lambda_x(y)) K[x][y] = 0 is read off K."""
+    alg = lie.LieAlgebra(["x", "y"], [[[], [(1, 1)]], [[(1, -1)], []]], 0, name="aff")
+    alg.killing = ((la.ZERO, Q(1)), (Q(-1), la.ZERO))
+    assert list(alg._diagonal()) == [0]
     assert alg.verify_killing_invariance() is ref.verify_killing_invariance(alg) is False
 
 

@@ -316,6 +316,36 @@ def test_to_matrix_refuses_a_vector_of_the_wrong_length(sl3):
             sl3.to_matrix(x)
 
 
+@pytest.mark.parametrize("i", [3, 5, -1])
+def test_basis_vec_refuses_an_index_out_of_range(sl2, i):
+    """basis_vec(5) on sl2 was the zero vector."""
+    with pytest.raises(DimensionMismatch, match=f"basis index {i} outside 0..2"):
+        sl2.basis_vec(i)
+
+
+@pytest.mark.parametrize("k,length", [(5, 3), (2, 3), (-1, 3), (0, 4)])
+def test_embed_factor_refuses_a_factor_out_of_range(k, length):
+    """Factor 5 of a product of two raised a bare IndexError; a vector of the wrong length spilled into the next factor."""
+    with pytest.raises(DimensionMismatch, match=f"factor index {k} with length {length}: the product has 2 factors"):
+        lie.embed_factor(6, 3, k, la.zeros(length))
+    assert lie.embed_factor(6, 3, 1, la.unit(3, 0)) == la.unit(6, 3)
+
+
+def test_root_lookups_name_a_tuple_that_is_not_a_root(sl2):
+    """root_vector((2,)) on A1 raised a bare KeyError; every tuple lookup names the tuple instead."""
+    rs = sl2.root_data
+    lookups = [
+        lambda: sl2.root_vector((2,)),
+        lambda: rs.pairing((2,), 0),
+        lambda: rs.norm2((2,)),
+        lambda: rs.p_string((1,), (2,)),
+        lambda: rs.coroot_coeffs((2,)),
+    ]
+    for lookup in lookups:
+        with pytest.raises(SolveFailure, match=r"\(2,\) is not a root of A1"):
+            lookup()
+
+
 @pytest.mark.parametrize("convert", WRONG_SIZE)
 def test_wrong_size_matrix_is_refused_before_any_solve(convert, sl3, monkeypatch):
     """A matrix of the wrong size raises DimensionMismatch naming 3x3, before any solve or inverse."""
@@ -338,8 +368,9 @@ def test_killing_invariance(typ, rank):
     assert lie.build_chevalley(typ, rank).verify_killing_invariance()
 
 
-# the j <= k loop over every pair made 1,680 calls on G2
-@pytest.mark.parametrize("typ,rank,calls", [("G2", 2, 248), ("B", 4, 1212)])
+# the j <= k loop over every pair made 1,680 calls on G2, and every i's candidate pairs 248 (B4: 1,212);
+# a Cartan index is diagonal, so its identity is read off K with no call
+@pytest.mark.parametrize("typ,rank,calls", [("G2", 2, 208), ("B", 4, 1052)])
 def test_killing_invariance_evaluates_only_candidate_pairs(typ, rank, calls, monkeypatch):
     made = Counter()
     killing_form = lie.LieAlgebra.killing_form

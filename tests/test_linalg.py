@@ -98,6 +98,14 @@ def test_frac_rejects_floats():
         la.frac(0.5)
 
 
+@pytest.mark.parametrize("i", [5, 3, -1])
+def test_unit_refuses_an_index_out_of_range(i):
+    """unit(3, 5) was the zero vector, and unit(3, -1) too, as a length mismatch in ``dot`` is not."""
+    with pytest.raises(ValueError, match=f"index {i} outside 0..2"):
+        la.unit(3, i)
+    assert la.unit(3, 2) == (la.ZERO, la.ZERO, la.ONE)
+
+
 def shared_zeros(v):
     """v with every zero cell the shared ``la.ZERO``."""
     return tuple(x or la.ZERO for x in v)
