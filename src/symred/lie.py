@@ -6,13 +6,10 @@ extraspecial-pair convention: N_{α,β} = +(p+1) on every extraspecial pair
 of positive roots, all remaining constants being forced by antisymmetry,
 N_{-α,-β} = -N_{α,β}, and the Jacobi identity.
 
-Type A also carries the defining representation of sl(l+1), generated from
-h_i = E_ii - E_{i+1,i+1}, e_{α_i} = E_{i,i+1} and f_{α_i} = E_{i+1,i} by
-the table's own constants on the first read of ``matrix_rep``; each root
-vector is then ±E_rs.  It is type A's input and output form only
-(``to_matrix``, ``from_matrix``, ``group_element``): a ``GroupElement`` is
-Ad_g on the Chevalley basis, and ``unipotent`` builds one as exp(t ad_x)
-on every type.
+Type A's matrices are an input form only: ``from_matrix`` reads the
+Chevalley coordinates of a traceless matrix off its entries, in closed
+form.  A ``GroupElement`` is Ad_g on the Chevalley basis, and
+``unipotent`` builds one as exp(t ad_x) on every type.
 
 Roots are read by basis index (``RootSystem``).  Every constructed table is
 certified entry by entry (antisymmetry, Cartan action, coroot brackets,
@@ -30,8 +27,8 @@ rational constants is scaled once by its common denominator.
 The reason is the cost of each operation: a ``Fraction`` multiply or add
 runs two gcds and builds a new object, where an ``int`` operation is one C
 call.  Every public boundary stays ``Fraction``: ``killing``, ``bracket``,
-``coadjoint_matrix``, ``ad_star``, ``killing_form``, the structure
-constants and the matrix realization.
+``coadjoint_matrix``, ``ad_star``, ``killing_form``, ``from_matrix`` and
+the structure constants.
 
 Basis order: Cartan h_1..h_l, then e_β over positive roots by increasing
 (height, coordinates), then the corresponding negative root vectors.
@@ -47,9 +44,10 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from operator import add, mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg as la
 from .errors import CertificateFailed, DimensionMismatch, NoMatrixRep, SolveFailure, UnsupportedType
@@ -242,8 +240,7 @@ class GroupElement:
 
     With the inverse stored beside it, ``inv`` swaps the two and ``*``
     multiplies them, so no group operation or action solves a linear
-    system.  ``LieAlgebra.unipotent`` builds one on every type; a type-A
-    matrix enters through ``LieAlgebra.group_element``.
+    system.  ``LieAlgebra.unipotent`` builds one on every type.
     """
 
     ad: Matrix
@@ -278,15 +275,12 @@ def _entry(entry) -> tuple:
 
 
 class LieAlgebra:
-    """Structure constants, Killing form, and optional matrix realization.
+    """Structure constants and the Killing form, on one basis.
 
     The table is certified antisymmetric when the algebra is built.  The
     Killing form is summed on its first read and kept, and so is its
     inverse, which only ``sharp`` and ``is_ad_semisimple`` read; the
-    inverse is None when the form is degenerate.  A matrix realization is
-    passed as a zero-argument builder and built on the first read of
-    ``matrix_rep``, so an algebra that no converter touches never builds
-    its matrices.
+    inverse is None when the form is degenerate.
     """
 
     def __init__(
@@ -295,7 +289,6 @@ class LieAlgebra:
         table: Sequence[Sequence[Sequence[tuple[int, int | Fraction]]]],
         rank: int,
         root_data: Optional[RootSystem] = None,
-        matrix_rep: Optional[Callable[[], Sequence[Matrix]]] = None,
         name: str = "",
     ):
         self.dim = len(basis_labels)
@@ -309,7 +302,6 @@ class LieAlgebra:
         )
         self.rank = rank
         self.root_data = root_data
-        self._rep_builder = matrix_rep
         self.name = name or "g"
         self._coadjoint: dict[Vector, Matrix] = {}
         self._check_table()
@@ -318,11 +310,6 @@ class LieAlgebra:
     def killing(self) -> Matrix:
         """K[i][j] = tr(ad_i ad_j), summed on first read and kept."""
         return self._compute_killing()
-
-    @cached_property
-    def matrix_rep(self) -> Optional[tuple[Matrix, ...]]:
-        """The matrix realization, built on first read; None when the algebra was given none."""
-        return tuple(self._rep_builder()) if self._rep_builder is not None else None
 
     @cached_property
     def _killing_inv(self) -> Optional[Matrix]:
@@ -622,77 +609,49 @@ class LieAlgebra:
                     return False
         return True
 
-    def verify_matrix_rep(self) -> bool:
-        reps = self._require_rep()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                comm = la.mat_mul(reps[i], reps[j])
-                comm = tuple(la.sub(r1, r2) for r1, r2 in zip(comm, la.mat_mul(reps[j], reps[i])))
-                expect = self.to_matrix(self.bracket(self.basis_vec(i), self.basis_vec(j)))
-                if comm != expect:
-                    return False
-        return True
-
-    # -- matrix representation helpers -------------------------------------
-
-    def to_matrix(self, x: Vector) -> Matrix:
-        """Sum of x_i times the i-th matrix of the stored realization."""
-        reps = self._require_rep()
-        self._check_dim(x)
-        size = len(reps[0])
-        out = [[la.ZERO] * size for _ in range(size)]
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            for r in range(size):
-                for s in range(size):
-                    if reps[i][r][s]:
-                        out[r][s] += c * reps[i][r][s]
-        return tuple(tuple(row) for row in out)
-
-    def _require_rep(self, m: Optional[Matrix] = None):
-        """The realization; with `m`, first certify that `m` has the realization's size."""
-        if self.matrix_rep is None:
-            raise NoMatrixRep(f"type {self.name} carries no matrix realization")
-        size = len(self.matrix_rep[0])
-        if m is not None and (len(m) != size or any(len(row) != size for row in m)):
-            raise DimensionMismatch(f"{self.name} needs a {size}x{size} matrix, got row lengths {list(map(len, m))}")
-        return self.matrix_rep
-
-    def _coordinates(self, mats: Sequence[Matrix]) -> list[Vector]:
-        """Coordinates of same-size matrices in the stored realization: one elimination against the flattened basis."""
-        flat = la.transpose([[c for row in rep for c in row] for rep in self._require_rep(mats[0])])
-        sols = la.solve_many(flat, [[c for row in m for c in row] for m in mats])
-        if sols is None:
-            raise SolveFailure("matrix does not lie in the represented algebra")
-        return sols
+    # -- type A's matrices ------------------------------------------------------
 
     def from_matrix(self, m: Matrix) -> Vector:
-        """Coordinates of a matrix in the stored realization, or ``SolveFailure`` outside it."""
-        return self._coordinates([m])[0]
+        """Chevalley coordinates of a matrix of sl(rank+1), read off its entries.
 
-    def group_element(self, matrix) -> GroupElement:
-        """Type A's input converter: Ad_g and Ad_{g^-1} by conjugating the basis once.
+        Input is refused in this order: an algebra without type-A root data
+        raises ``NoMatrixRep``, a matrix that is not (rank+1)-square raises
+        ``DimensionMismatch`` before any entry is read, and a nonzero trace
+        raises ``SolveFailure``.  Every other matrix lies in sl(rank+1), and
+        its coordinates are read in closed form, with no elimination:
 
-        The 2·dim conjugated basis matrices are solved for together, in one
-        elimination.  The matrix is outside input, so the images are
-        certified to keep the bracket.
+        - h_k = E_kk - E_{k+1,k+1}, so x_k = m_00 + ... + m_kk;
+        - for beta = alpha_i + ... + alpha_j (indices from 0) and s =
+          (-1)^(ht beta - 1), e_beta = s E_{i,j+1} and e_-beta = s E_{j+1,i},
+          so the coordinates of ±beta are s m[i][j+1] and s m[j+1][i].
+
+        The matrices are those of the homomorphism that sends e_{alpha_i} to
+        E_{i,i+1} and f_{alpha_i} to E_{i+1,i}, and the sign holds by
+        induction on the height.  For ht beta >= 2 the extraspecial pair of
+        beta is (x, y) = (alpha_j, beta - alpha_j): alpha_j precedes alpha_i
+        in index order, and both leave a positive root.  y - alpha_j is not a
+        root, so N_{x,y} = p + 1 = 1 and N_{-x,-y} = -1.  With e_y = -s E_{i,j}
+        and [E_{j,j+1}, E_{i,j}] = -E_{i,j+1}, e_beta = [e_x, e_y] / N_{x,y} =
+        s E_{i,j+1}; with [E_{j+1,j}, E_{j,i}] = E_{j+1,i}, e_-beta =
+        [e_-x, e_-y] / N_{-x,-y} = s E_{j+1,i}.
         """
-        m = la.mat(matrix)
-        reps = self._require_rep(m)
-        try:
-            minv = la.inverse(m)
-        except ZeroDivisionError:
-            raise SolveFailure("group element must be invertible") from None
-        conj = [la.mat_mul(la.mat_mul(a, rep), b) for a, b in ((m, minv), (minv, m)) for rep in reps]
-        coords = self._coordinates(conj)
-        imgs, back = coords[: self.dim], coords[self.dim :]
-        ad, basis = la.transpose(imgs), la.identity(self.dim)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.bracket(imgs[i], imgs[j]) != la.mat_vec(ad, self.bracket(basis[i], basis[j])):
-                    raise SolveFailure("conjugation does not preserve the bracket")
-        return GroupElement(ad, la.transpose(back))
+        rs = self.root_data
+        if rs is None or rs.cartan_type != "A":
+            raise NoMatrixRep(f"{self.name} has no type-A root data, so no sl(n) matrices")
+        size = rs.rank + 1
+        if len(m) != size or any(len(row) != size for row in m):
+            raise DimensionMismatch(f"{self.name} needs a {size}x{size} matrix, got row lengths {list(map(len, m))}")
+        m = la.mat(m)
+        *cartan, trace = accumulate(m[k][k] for k in range(size))
+        if trace:
+            raise SolveFailure("matrix does not lie in the represented algebra")
+        out = [x or la.ZERO for x in cartan] + [la.ZERO] * (2 * rs._npos)
+        for a, beta in enumerate(rs.positive, rs.rank):
+            i, ht = beta.index(1), sum(beta)
+            for b, c in ((a, m[i][i + ht]), (a + rs._npos, m[i + ht][i])):
+                if c:
+                    out[b] = c if ht % 2 else -c
+        return tuple(out)
 
     # -- the adjoint group ------------------------------------------------------
 
@@ -806,52 +765,16 @@ def _table_from_roots(rs: RootSystem):
     return table
 
 
-def _sl_realization(rs: RootSystem, table) -> list[Matrix]:
-    """The defining representation of sl(rank+1) on the basis of ``table``.
-
-    h_i = E_ii - E_{i+1,i+1}, e_{alpha_i} = E_{i,i+1} and f_{alpha_i} =
-    E_{i+1,i} satisfy the Chevalley-Serre relations of the table, so exactly
-    one homomorphism extends them.  It is computed root by root in height
-    order: with (x, y) the extraspecial pair of gamma, e_{±gamma} =
-    [e_{±x}, e_{±y}] / N_{±x,±y}, and each root vector comes out as ±E_rs.
-    """
-    rank, neg = rs.rank, rs._neg
-
-    def elementary(*entries):
-        m = [[la.ZERO] * (rank + 1) for _ in range(rank + 1)]
-        for r, s, c in entries:
-            m[r][s] = Q(c)
-        return tuple(tuple(row) for row in m)
-
-    reps = [None] * len(rs.by_index)
-    for i in range(rank):
-        simple = tuple(int(j == i) for j in range(rank))
-        reps[i] = elementary((i, i, 1), (i + 1, i + 1, -1))
-        reps[rs.vector_index(simple)] = elementary((i, i + 1, 1))
-        reps[neg[rs.vector_index(simple)]] = elementary((i + 1, i, 1))
-    for g in range(2 * rank, rank + rs._npos):  # the simple roots come first
-        x, y = rs._special[g]
-        for x, y, g in ((x, y, g), (neg[x], neg[y], neg[g])):
-            n = dict(table[x][y])[g]
-            xy, yx = la.mat_mul(reps[x], reps[y]), la.mat_mul(reps[y], reps[x])
-            reps[g] = tuple(
-                tuple((u - v) / n if u != v else la.ZERO for u, v in zip(r1, r2)) for r1, r2 in zip(xy, yx)
-            )
-    return reps
-
-
 @lru_cache(maxsize=None)
 def build_chevalley(cartan_type: str, rank: int) -> LieAlgebra:
     """Split semisimple Lie algebra of the given type on a Chevalley basis.
 
     A cold build does only what its certificate reads: the root data, the
     table, the antisymmetry check and ``_certify_chevalley``.  The Killing
-    form and type A's matrices are built on their first read.
+    form is summed on its first read.
     """
     rs = RootSystem(cartan_type, rank)
-    table = _table_from_roots(rs)
-    realize = partial(_sl_realization, rs, table) if cartan_type == "A" else None
-    alg = LieAlgebra(_labels(rs), table, rank, rs, realize, name=f"{cartan_type}{rank}")
+    alg = LieAlgebra(_labels(rs), _table_from_roots(rs), rank, rs, name=f"{cartan_type}{rank}")
     _certify_chevalley(alg)
     return alg
 

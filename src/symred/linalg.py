@@ -314,12 +314,18 @@ def solve_many(a: Sequence[Vector], bs: Sequence[Vector]):
 
 
 def inverse(a: Sequence[Vector]) -> Matrix:
+    """A^-1, its columns solved for in one rref of [A | I].
+
+    Raises ``ValueError`` on a matrix that is not square, as ``dot`` does,
+    and ``ZeroDivisionError`` on a singular one.
+    """
     n = len(a)
-    aug = [list(row) + list(unit(n, i)) for i, row in enumerate(a)]
-    m, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    if any(len(row) != n for row in a):
+        raise ValueError(f"{n} rows of lengths {[len(row) for row in a]}: not a square matrix")
+    columns = solve_many(a, identity(n))
+    if columns is None:
         raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(m[i][n:]) for i in range(n))
+    return transpose(columns)
 
 
 def span_contains(gens: Sequence[Vector], others: Sequence[Vector]) -> bool:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import linalg as la
-from .errors import DimensionMismatch, NotOnModel, NotStable
+from .errors import CertificateFailed, DimensionMismatch, NotOnModel, NotStable
 from .lie import GroupElement, LieAlgebra, Sl2Triple
 from .linalg import Matrix, Vector
 
@@ -57,15 +57,34 @@ def kks_model(algebra: LieAlgebra) -> PoissonPointModel:
     return PoissonPointModel(algebra.dim, "kks", algebra=algebra)
 
 
+def _skew(form: Matrix, name: str) -> Matrix:
+    """`form` as a matrix of Fractions: ``DimensionMismatch`` unless it is square, ``CertificateFailed`` unless it is skew."""
+    q = la.mat(form)
+    if any(len(row) != len(q) for row in q):
+        raise DimensionMismatch(f"{name} must be square, got row lengths {[len(row) for row in q]}")
+    for i, row in enumerate(q):
+        if row[i] or any(row[j] != -q[j][i] for j in range(i + 1, len(q))):
+            raise CertificateFailed(f"{name} is not skew: row {i} is not minus column {i}")
+    return q
+
+
 def constant_model(sigma: Matrix) -> PoissonPointModel:
-    return PoissonPointModel(len(sigma), "constant", sigma=la.mat(sigma))
+    """The constant bivector sigma, which must be a square skew matrix."""
+    q = _skew(sigma, "sigma")
+    return PoissonPointModel(len(q), "constant", sigma=q)
 
 
 def symplectic_model(omega: Matrix) -> PoissonPointModel:
-    """Constant model with sigma inverse to v -> omega(v, .)."""
-    q = la.mat(omega)
-    flat = tuple(tuple(q[i][j] for i in range(len(q))) for j in range(len(q)))
-    return constant_model(la.inverse(flat))
+    """Constant model with sigma inverse to v -> omega(v, .), for a square, skew, nondegenerate omega.
+
+    The inverse of a skew matrix is skew, so sigma needs no second check.
+    """
+    q = _skew(omega, "omega")
+    try:
+        sigma = la.inverse(la.transpose(q))
+    except ZeroDivisionError:
+        raise DimensionMismatch("omega must be nondegenerate") from None
+    return PoissonPointModel(len(q), "constant", sigma=sigma)
 
 
 def trivial_model(dim: int) -> PoissonPointModel:
@@ -366,13 +385,13 @@ def poisson_transversal_check(p: PoissonPointModel, s: SubmanifoldModel, xi: Vec
     """T_xi S ⊕ sigma((T_xi S)°) is the ambient space.
 
     dim sigma((T S)°) <= dim (T S)° = n - dim T S, so T S + sigma((T S)°)
-    has rank n only as a direct sum: one rank decides both.
+    has rank n only as a direct sum: one rank decides both, that of
+    ``moment_transversality_check`` with the image sigma((T S)°).
     """
     xi = tuple(xi)
-    tangent = s.tangent_basis(xi)
     sigma = p.bivector_at(xi)
-    image = [la.mat_vec(sigma, w) for w in la.annihilator(tangent, p.ambient_dim)]
-    return la.rank(tangent + image) == p.ambient_dim
+    image = [la.mat_vec(sigma, w) for w in la.annihilator(s.tangent_basis(xi), p.ambient_dim)]
+    return moment_transversality_check(image, s, xi)
 
 
 def coisotropic_check(omega: Matrix, w: Sequence[Vector]) -> bool:

@@ -3,7 +3,10 @@
 Each function is the plain loop the library used before its kernels
 learned to skip zeros and to sum on ints: every product is a
 ``Fraction`` product, every row is updated on every column, and every
-Gram entry is evaluated on its own from dense brackets and dots.  The
+Gram entry is evaluated on its own from dense brackets and dots.  Type
+A's defining representation (``sl_realization``), which the library
+built beside its Chevalley coordinates until ``from_matrix`` read them in
+closed form, is the oracle of ``from_matrix`` and of type A's table.  The
 group oracle is the matrix route the library's adjoint group replaced:
 exponentiate a type-A matrix and conjugate every basis matrix by it.  The
 membership rules of the Slodowy slice and of its diagonal, which the
@@ -214,15 +217,57 @@ def sl_position(beta):
     return beta.index(1), len(beta) - tuple(reversed(beta)).index(1)
 
 
+def product(a: Matrix, b: Matrix) -> Matrix:
+    """a b, every entry a dense ``dot``."""
+    return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
+
+
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(product(a, b), product(b, a)))
+
+
+def sl_realization(alg: LieAlgebra) -> list[Matrix]:
+    """The defining representation of sl(rank+1) on the basis of a type-A ``alg``, from its table.
+
+    h_i = E_ii - E_{i+1,i+1}, e_{alpha_i} = E_{i,i+1} and f_{alpha_i} =
+    E_{i+1,i} satisfy the Chevalley-Serre relations of the table, so exactly
+    one homomorphism extends them.  It is computed root by root in height
+    order: with (x, y) the extraspecial pair of gamma, e_{±gamma} =
+    [e_{±x}, e_{±y}] / N_{±x,±y}, each N read off the table.
+    """
+    rank, rs = alg.rank, alg.root_data
+    size = rank + 1
+
+    def elementary(*entries):
+        m = [[Q(0)] * size for _ in range(size)]
+        for r, s, c in entries:
+            m[r][s] = Q(c)
+        return tuple(tuple(row) for row in m)
+
+    reps = [None] * alg.dim
+    for i in range(rank):
+        simple = tuple(int(j == i) for j in range(rank))
+        reps[i] = elementary((i, i, 1), (i + 1, i + 1, -1))
+        reps[rs.vector_index(simple)] = elementary((i, i + 1, 1))
+        reps[rs.vector_index(tuple(-c for c in simple))] = elementary((i + 1, i, 1))
+    for gamma in rs.positive[rank:]:  # the simple roots come first
+        x, y = rs.extraspecial(gamma)
+        for sign in (1, -1):
+            a, b, c = (rs.vector_index(tuple(sign * v for v in r)) for r in (x, y, gamma))
+            n = alg.structure_constant(a, b, c)
+            reps[c] = tuple(tuple(v / n for v in row) for row in commutator(reps[a], reps[b]))
+    return reps
+
+
 def sl_table(alg: LieAlgebra):
-    """Type-A structure constants from two ``mat_mul`` calls per basis pair.
+    """Type-A structure constants from one ``commutator`` per basis pair.
 
     A matrix m of sl(rank+1) has coordinates h_k = m_00 + ... + m_kk.  The
     root alpha_i + ... + alpha_j has e = ±E_{i,j+1} and f = ±E_{j+1,i} in
-    the stored realization, so m's e- and f-coordinates are m[i][j+1] and
-    m[j+1][i], each times the sign of the stored matrix.
+    ``sl_realization``, so m's e- and f-coordinates are m[i][j+1] and
+    m[j+1][i], each times the sign of the realization's matrix.
     """
-    rank, reps, positive = alg.rank, alg.matrix_rep, alg.root_data.positive
+    rank, reps, positive = alg.rank, sl_realization(alg), alg.root_data.positive
     npos = len(positive)
 
     def extract(m):
@@ -239,8 +284,7 @@ def sl_table(alg: LieAlgebra):
     for i in range(alg.dim):
         row = []
         for j in range(alg.dim):
-            ab, ba = la.mat_mul(reps[i], reps[j]), la.mat_mul(reps[j], reps[i])
-            comm = [tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba)]
+            comm = commutator(reps[i], reps[j])
             row.append(tuple((k, c) for k, c in enumerate(extract(comm)) if c != 0))
         table.append(tuple(row))
     return tuple(table)
@@ -314,12 +358,14 @@ def conjugation_adjoint(reps: Sequence[Matrix], g: Matrix) -> tuple[Matrix, Matr
             raise ValueError("conjugate lies outside the realized algebra")
         return sol
 
-    def product(a, b):
-        return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
-
     ad = [coords(product(product(g, rep), ginv)) for rep in reps]
     ad_inv = [coords(product(product(ginv, rep), g)) for rep in reps]
     return la.transpose(ad), la.transpose(ad_inv)
+
+
+def matrix_group_element(alg: LieAlgebra, g) -> lie.GroupElement:
+    """Ad_g of an invertible type-A matrix g, by conjugating ``sl_realization``."""
+    return lie.GroupElement(*conjugation_adjoint(sl_realization(alg), la.mat(g)))
 
 
 def centralizer(alg: LieAlgebra, x: Vector) -> list[Vector]:

@@ -10,6 +10,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import reference_kernels as ref
 from symred import cli, lie, poisson, reduction, scenarios, shifted
 from symred import groupoid as gpd
 from symred import linalg as la
@@ -127,7 +128,7 @@ def test_criterion_04_isotropy():
         fib = gpd.mw_fiber(sl2, h_sub, xi, eta)
         ok &= fib.isotropic
     # orbit-stabilizer fibers at three bases, one a non-identity element
-    gt = sl2.group_element([[2, 0], [0, Q(1, 2)]])
+    gt = ref.matrix_group_element(sl2, [[2, 0], [0, Q(1, 2)]])
     xi2 = sl2.coadjoint_group_action(sl2.unipotent(e, 1), hb)
     for base in [CotangentPoint(hb), CotangentPoint(hb, gt), CotangentPoint(xi2)]:
         fib = gpd.coadjoint_orbit_fiber(sl2, base)

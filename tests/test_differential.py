@@ -527,30 +527,31 @@ def test_bracket_matches_dense_loop(typ, rank, data):
 @pytest.mark.parametrize("rank", sorted(r for t, r in lie.SUPPORTED if t == "A"))
 def test_type_a_table_matches_matrix_commutators(rank):
     alg = lie.build_chevalley("A", rank)
-    size, reps = rank + 1, alg.matrix_rep
+    size, reps = rank + 1, ref.sl_realization(alg)
 
     def elementary(entries):
         return la.mat([[entries.get((r, s), 0) for s in range(size)] for r in range(size)])
 
-    # the realization ref.sl_table reads: h_i = E_ii - E_{i+1,i+1}, and every
-    # root vector ±E_rs at its root's position (E_sr for a negative root)
+    # the realization ref.sl_table reads: h_i = E_ii - E_{i+1,i+1}, and every root
+    # vector (-1)^(ht - 1) E_rs at its root's position (E_sr for a negative root),
+    # the sign rule that lie's from_matrix reads coordinates by
     for i in range(rank):
         assert reps[i] == elementary({(i, i): 1, (i + 1, i + 1): -1})
     for beta in alg.root_data.roots:
         r, s = ref.sl_position(tuple(abs(c) for c in beta))
         if min(beta) < 0:
             r, s = s, r
-        assert reps[alg.root_vector_index(beta)] in (elementary({(r, s): 1}), elementary({(r, s): -1}))
+        assert reps[alg.root_vector_index(beta)] == elementary({(r, s): (-1) ** (sum(map(abs, beta)) - 1)})
     assert alg.table == ref.sl_table(alg)
 
 
 def realized(name):
-    """(algebra, its type-A matrices): A_n with the stored realization, or sl2^2 block by block."""
+    """(algebra, its type-A matrices): A_n with the oracle's realization, or sl2^2 block by block."""
     if name == "A1^2":
         sl2 = lie.build_chevalley("A", 1)
-        return lie.direct_power(sl2, 2), ref.block_realization(sl2.matrix_rep, 2)
+        return lie.direct_power(sl2, 2), ref.block_realization(ref.sl_realization(sl2), 2)
     alg = lie.build_chevalley(*name)
-    return alg, alg.matrix_rep
+    return alg, ref.sl_realization(alg)
 
 
 @pytest.mark.parametrize("name", [("A", r) for r in (1, 2, 3, 4)] + ["A1^2"], ids=str)
@@ -578,13 +579,16 @@ def test_unipotent_matches_matrix_conjugation(name, data):
 
 
 def test_torus_group_element_matches_matrix_conjugation(sl3):
+    reps = ref.sl_realization(sl3)
     torus = la.mat([[2, 0, 0], [0, 3, 0], [0, 0, Q(1, 6)]])
-    unip = ref.exp_nilpotent(ref.realize(sl3.matrix_rep, sl3.root_vector((-1, -1))))
-    gt, gu = sl3.group_element(torus), sl3.unipotent(sl3.root_vector((-1, -1)))
-    assert (gt.ad, gt.ad_inv) == ref.conjugation_adjoint(sl3.matrix_rep, torus)
+    unip = ref.exp_nilpotent(ref.realize(reps, sl3.root_vector((-1, -1))))
+    gt, gu = lie.GroupElement(*ref.conjugation_adjoint(reps, torus)), sl3.unipotent(sl3.root_vector((-1, -1)))
+    # Ad_t scales e_beta by beta(t): t = diag(2, 3, 1/6) has alpha_1(t) = 2/3 and alpha_2(t) = 18
+    for beta, scale in (((1, 0), Q(2, 3)), ((0, 1), Q(18)), ((1, 1), Q(12)), ((-1, -1), Q(1, 12))):
+        assert sl3.adjoint_group_action(gt, sl3.root_vector(beta)) == la.scale(scale, sl3.root_vector(beta))
     # Ad is a homomorphism: the product of the two is conjugation by the matrix product
     prod = gt * gu.inv()
-    assert (prod.ad, prod.ad_inv) == ref.conjugation_adjoint(sl3.matrix_rep, la.mat_mul(torus, la.inverse(unip)))
+    assert (prod.ad, prod.ad_inv) == ref.conjugation_adjoint(reps, la.mat_mul(torus, la.inverse(unip)))
 
 
 @pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))

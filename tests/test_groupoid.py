@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernels as ref
 from symred import groupoid as gpd
 from symred import lie, poisson
 from symred import linalg as la
@@ -61,8 +62,8 @@ def dual_inverse(m):
 
 def source_differential_oracle(alg, m, xi, u, zeta):
     """eps-part of Ad*_{m(I + eps U)} (xi + eps zeta) for a type-A matrix m, component by component."""
-    size = len(m)
-    u_rep = alg.to_matrix(u)
+    size, reps = len(m), ref.sl_realization(alg)
+    u_rep = ref.realize(reps, u)
     g_dual = [
         [
             Dual(m[i][j], sum(m[i][k] * u_rep[k][j] for k in range(size)))
@@ -73,7 +74,7 @@ def source_differential_oracle(alg, m, xi, u, zeta):
     g_inv = dual_inverse(g_dual)
     out = []
     for j in range(alg.dim):
-        rep_j = [[Dual(v) for v in row] for row in alg.matrix_rep[j]]
+        rep_j = [[Dual(v) for v in row] for row in reps[j]]
         back = dual_mat_mul(dual_mat_mul(g_inv, rep_j), g_dual)  # Ad_{g(t)^{-1}} e_j
         a_part = alg.from_matrix(la.mat([[e.a for e in row] for row in back]))
         b_part = alg.from_matrix(la.mat([[e.b for e in row] for row in back]))
@@ -143,7 +144,7 @@ def test_source_differential_against_dual_number_oracle(sl2, sl2_efh, rng):
     e, h, f = sl2_efh
     fb = sl2.flat(f)
     m = la.mat([[1, 1], [0, 1]])
-    g = sl2.group_element(m)
+    g = sl2.unipotent(e)  # exp(e) = m
     cases = [(h, la.zeros(3)), (e, fb), (la.random_vector(rng, 3), la.random_vector(rng, 3))]
     for u, zeta in cases:
         p = CotangentPoint(fb, g)
@@ -274,7 +275,7 @@ def test_coadjoint_orbit_fiber(sl2, sl2_efh):
     fib = gpd.coadjoint_orbit_fiber(sl2, CotangentPoint(hb))
     # dim g_xi + dim orbit = 1 + 2
     assert fib.rank == 3 and fib.isotropic
-    gt = sl2.group_element([[2, 0], [0, Q(1, 2)]])
+    gt = ref.matrix_group_element(sl2, [[2, 0], [0, Q(1, 2)]])
     fib2 = gpd.coadjoint_orbit_fiber(sl2, CotangentPoint(hb, gt))
     assert fib2.rank == 3 and fib2.isotropic
     # every basis vector satisfies the defining condition
@@ -329,7 +330,7 @@ def test_normality(sl2, sl3, sl2_efh):
     orb = poisson.CoadjointOrbit(sl2, hb)
     gid = sl2.identity_element()
     assert gpd.normality_infinitesimal_check(sl2, orb, gid, hb)
-    gu = sl2.group_element([[1, 1], [0, 1]])
+    gu = sl2.unipotent(e)
     assert gpd.normality_infinitesimal_check(sl2, orb, gu, hb)
     # oracle: conjugate the centralizer basis and compare with the
     # centralizer at the translated point
@@ -337,7 +338,7 @@ def test_normality(sl2, sl3, sl2_efh):
     xi2 = sl2.coadjoint_group_action(gu, hb)
     assert la.span_equal(conj, la.nullspace(la.transpose(sl2.coadjoint_matrix(xi2))))
     dec = poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)])
-    gt = sl3.group_element([[2, 0, 0], [0, 3, 0], [0, 0, Q(1, 6)]])
+    gt = ref.matrix_group_element(sl3, [[2, 0, 0], [0, 3, 0], [0, 0, Q(1, 6)]])
     assert gpd.normality_infinitesimal_check(sl3, dec, gt, dec.sample_points[0])
     tri = lie.principal_sl2(sl2)
     sl = poisson.slodowy_slice(sl2, tri, parameters=[[0]])

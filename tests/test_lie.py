@@ -1,4 +1,5 @@
 import functools
+import inspect
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernels as ref
 import symred
 from conftest import perturbed
 from symred import lie
@@ -110,15 +112,11 @@ def test_bracket_dimension_mismatch(sl2):
 
 def test_sl3_simple_bracket_matches_matrix_commutator(sl3):
     # oracle: commutator of the defining matrices
+    reps = ref.sl_realization(sl3)
     e1 = sl3.root_vector((1, 0))
     e2 = sl3.root_vector((0, 1))
-    m1, m2 = sl3.to_matrix(e1), sl3.to_matrix(e2)
-    comm = tuple(
-        la.sub(r1, r2)
-        for r1, r2 in zip(la.mat_mul(m1, m2), la.mat_mul(m2, m1))
-    )
     got = sl3.bracket(e1, e2)
-    assert sl3.to_matrix(got) == comm
+    assert ref.realize(reps, got) == ref.commutator(ref.realize(reps, e1), ref.realize(reps, e2))
     e12 = sl3.root_vector((1, 1))
     assert got in (e12, la.neg(e12))
 
@@ -196,8 +194,8 @@ def test_adjoint_group_action(sl2, rng):
     gid = sl2.identity_element()
     x = la.random_vector(rng, 3)
     assert sl2.adjoint_group_action(gid, x) == x
-    g = sl2.group_element([[1, 1], [0, 1]])
-    # oracle: 2x2 conjugation computed by hand: g f g^{-1} = f + h - e
+    g = sl2.unipotent(e)
+    # oracle: conjugation by g = [[1, 1], [0, 1]] computed by hand: g f g^{-1} = f + h - e
     assert sl2.adjoint_group_action(g, f) == la.add(f, la.sub(h, e))
     for _ in range(5):
         a, b = la.random_vector(rng, 3), la.random_vector(rng, 3)
@@ -207,7 +205,7 @@ def test_adjoint_group_action(sl2, rng):
 
 
 def test_coadjoint_group_action(sl2, rng):
-    g = sl2.group_element([[1, 1], [0, 1]])
+    g = sl2.unipotent(sl2.root_vector((1,)))
     ginv = g.inv()
     xi = la.random_vector(rng, 3)
     y = la.random_vector(rng, 3)
@@ -217,18 +215,13 @@ def test_coadjoint_group_action(sl2, rng):
     )
 
 
-def test_no_matrix_rep(rng):
-    """On G2 only type A's converters need a matrix realization; the group works without one."""
+def test_no_matrix_rep(sl2, rng):
+    """Only type A reads matrices: G2 and sl2 x sl2, which has no root data, refuse them; the group works without."""
     g2 = lie.build_chevalley("G2", 2)
     x = la.random_vector(rng, g2.dim)
-    for convert in (
-        lambda: g2.to_matrix(x),
-        lambda: g2.from_matrix(la.identity(7)),
-        lambda: g2.group_element(la.identity(7)),
-        g2.verify_matrix_rep,
-    ):
+    for alg, size in ((g2, 7), (g2, 3), (lie.direct_power(sl2, 2), 4), (lie.direct_power(sl2, 2), 2)):
         with pytest.raises(NoMatrixRep):
-            convert()
+            alg.from_matrix(la.mat([[0] * size] * size))
     g = g2.identity_element() * g2.unipotent(g2.root_vector((1, 1)), 2).inv()
     assert g2.adjoint_group_action(g2.identity_element(), x) == x
     assert g2.coadjoint_group_action(g * g.inv(), x) == x
@@ -259,44 +252,34 @@ def test_adjoint_group_on_every_type(typ, rank, rng):
 
 
 def test_group_actions_convert_nothing(sl3, rng, monkeypatch):
-    """Ad_g, Ad*_g, inv and * read the stored matrices: no elimination against
-    type A's realization, no conversion to it and no inverse, on an element
-    that came from a matrix."""
-    g = sl3.group_element([[2, 1, 0], [0, 1, 0], [1, 0, Q(1, 2)]])
+    """Ad_g, Ad*_g, inv and * read the stored matrices: no elimination and no
+    inverse, on an element that came from a matrix."""
+    g = ref.matrix_group_element(sl3, [[2, 1, 0], [0, 1, 0], [1, 0, Q(1, 2)]])
     u = sl3.unipotent(sl3.root_vector((1, 1)), 3)
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for owner, name in ((la, "solve_many"), (lie.LieAlgebra, "to_matrix"), (la, "inverse")):
-        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    solves, inverses = calls_to(monkeypatch, la, "solve_many"), calls_to(monkeypatch, la, "inverse")
     x, xi = la.random_vector(rng, 8), la.random_vector(rng, 8)
     sl3.adjoint_group_action(g, x)
     sl3.coadjoint_group_action(g * u.inv(), xi)
-    assert calls == Counter()
-    # the counters are live: group_element solves its 2·dim conjugated images in one elimination
-    sl3.group_element([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    sl3.to_matrix(x)
-    assert calls["solve_many"] == 1 and calls["inverse"] >= 1 and calls["to_matrix"] == 1
-
-
-def test_group_element_rejects_singular(sl2):
-    with pytest.raises(SolveFailure):
-        sl2.group_element([[1, 0], [1, 0]])
+    assert solves == inverses == []
+    # the counters are live: the matrix oracle inverts g, itself one solve_many, and solves for
+    # each conjugated basis matrix
+    ref.matrix_group_element(sl3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert len(inverses) == 1 and len(solves) == 1 + 2 * sl3.dim
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_from_matrix_inverts_to_matrix(rank, rng):
-    """One solve against the flattened realization recovers every coordinate vector;
-    the identity, whose trace is not 0, lies outside sl(rank+1)."""
+def test_from_matrix_inverts_to_matrix(rank, rng, monkeypatch):
+    """from_matrix reads back every coordinate vector from the oracle's matrix, with no
+    elimination; the identity, whose trace is not 0, lies outside sl(rank+1)."""
     alg = lie.build_chevalley("A", rank)
-    for _ in range(3):
-        x = la.random_vector(rng, alg.dim)
-        assert alg.from_matrix(alg.to_matrix(x)) == x
+    reps = ref.sl_realization(alg)
+    xs = [la.random_vector(rng, alg.dim) for _ in range(3)] + [alg.basis_vec(i) for i in range(alg.dim)]
+    mats = [ref.realize(reps, x) for x in xs]
+    calls = [calls_to(monkeypatch, la, name) for name in ("rref", "solve_many", "inverse")]
+    got = [alg.from_matrix(m) for m in mats]
+    assert calls == [[], [], []]
+    assert got == xs
+    assert all(type(c) is Q and (c or c is la.ZERO) for x in got for c in x)
     with pytest.raises(SolveFailure, match="does not lie in the represented algebra"):
         alg.from_matrix(la.identity(rank + 1))
 
@@ -305,15 +288,10 @@ WRONG_SIZE = {
     # a 4x4 matrix whose top-left 3x3 block is h_1
     "from_matrix-4x4": lambda alg: alg.from_matrix(la.mat([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])),
     "from_matrix-2x2": lambda alg: alg.from_matrix(la.mat([[1, 0], [0, -1]])),
-    "group_element-2x2": lambda alg: alg.group_element([[1, 0], [0, 1]]),
+    "from_matrix-ragged": lambda alg: alg.from_matrix(la.mat([[1, 0, 0], [0, -1], [0, 0, 0]])),
+    # entries that la.mat cannot read: the shape is refused before any of them is read
+    "from_matrix-unread-2x2": lambda alg: alg.from_matrix([[object()] * 2] * 2),
 }
-
-
-def test_to_matrix_refuses_a_vector_of_the_wrong_length(sl3):
-    """A length-1 vector once came back as h_1's matrix, and a length-9 one raised IndexError."""
-    for x in (la.unit(1, 0), la.zeros(9)):
-        with pytest.raises(DimensionMismatch, match="expected length 8"):
-            sl3.to_matrix(x)
 
 
 @pytest.mark.parametrize("i", [3, 5, -1])
@@ -412,7 +390,12 @@ def test_zero_root_norm_raises(monkeypatch):
 
 @pytest.mark.parametrize("typ,rank", sorted(tr for tr in lie.SUPPORTED if tr[0] == "A"))
 def test_matrix_rep_consistency(typ, rank):
-    assert lie.build_chevalley(typ, rank).verify_matrix_rep()
+    """The oracle's matrices are a representation: [rho(e_i), rho(e_j)] = rho([e_i, e_j]) on every basis pair."""
+    alg = lie.build_chevalley(typ, rank)
+    reps = ref.sl_realization(alg)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert ref.commutator(reps[i], reps[j]) == ref.realize(reps, alg.bracket(alg.basis_vec(i), alg.basis_vec(j)))
 
 
 def test_structure_constants_are_chevalley(sl3):
@@ -685,11 +668,12 @@ def calls_to(monkeypatch, owner, name):
 
 
 def test_cold_build_builds_no_killing_form_and_no_matrices(monkeypatch, fractions_built):
+    """No Killing form and no Fraction: ``lie`` keeps no matrices of any type to build."""
     killing = calls_to(monkeypatch, lie.LieAlgebra, "_compute_killing")
-    realization = calls_to(monkeypatch, lie, "_sl_realization")
     for typ, rank in sorted(lie.SUPPORTED):
         assert fractions_built(lambda: lie.build_chevalley.__wrapped__(typ, rank))[0] == 0, (typ, rank)
-    assert killing == [] and realization == []
+    assert killing == []
+    assert not hasattr(lie.LieAlgebra, "matrix_rep") and "matrix_rep" not in inspect.signature(lie.LieAlgebra).parameters
 
 
 KILLING_READS = {"sharp": lambda alg, x: alg.sharp(x), "killing_form": lambda alg, x: alg.killing_form(x, x)}
@@ -706,27 +690,12 @@ def test_killing_form_is_summed_once_on_first_read(read, monkeypatch, rng):
     assert alg.killing == lie.build_chevalley("B", 2).killing
 
 
-A2_DIAGONAL = la.mat([[1, 0, 0], [0, 0, 0], [0, 0, -1]])  # h_1 + h_2
-FIRST_READS = {
-    "to_matrix": lambda alg: alg.to_matrix(la.add(alg.basis_vec(0), alg.basis_vec(1))) == A2_DIAGONAL,
-    "from_matrix": lambda alg: alg.from_matrix(A2_DIAGONAL) == la.add(alg.basis_vec(0), alg.basis_vec(1)),
-    "group_element": lambda alg: alg.group_element(la.identity(3)).ad == la.identity(alg.dim),
-    "verify_matrix_rep": lambda alg: alg.verify_matrix_rep(),
-}
-
-
-@pytest.mark.parametrize("first", FIRST_READS)
-def test_type_a_matrices_are_built_once_on_first_read(first, monkeypatch, sl3):
-    realization = calls_to(monkeypatch, lie, "_sl_realization")
-    alg = lie.build_chevalley.__wrapped__("A", 2)
-    assert realization == []
-    assert FIRST_READS[first](alg)
-    assert all(read(alg) for read in FIRST_READS.values())
-    assert len(realization) == 1 and alg.matrix_rep == sl3.matrix_rep
-    # an algebra given no realization, root data or not, still has none
-    for read in FIRST_READS.values():
-        with pytest.raises(NoMatrixRep):
-            read(perturbed(sl3, 0, 0, 0, Q(0)))
+def test_perturbed_a2_table_still_reads_matrices(sl3):
+    """Coordinates come from the basis convention that the root data name, not from the table:
+    a perturbed table that keeps A2's root data reads diag(1, 0, -1) as h_1 + h_2, as A2 does."""
+    diagonal = la.mat([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
+    h1_h2 = la.add(sl3.basis_vec(0), sl3.basis_vec(1))
+    assert perturbed(sl3, 0, 3, 3, Q(1)).from_matrix(diagonal) == sl3.from_matrix(diagonal) == h1_h2
 
 
 @pytest.mark.parametrize("name", [("A", 2), ("G2", 2), "A1^3"], ids=str)

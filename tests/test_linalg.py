@@ -39,6 +39,24 @@ def test_solve_and_inverse():
         la.inverse(la.mat([[1, 2], [2, 4]]))
 
 
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1, 0], [0, 1], [1, 1]], [[1, 0], [0]]], ids=["1x2", "3x2", "ragged"])
+def test_inverse_refuses_a_matrix_that_is_not_square(rows):
+    """[[1, 2]] once came back as ((2, 1),), and a 3x2 matrix as a 3x2 "inverse"."""
+    with pytest.raises(ValueError, match="not a square matrix"):
+        la.inverse(la.mat(rows))
+
+
+def test_inverse_is_one_solve_against_the_identity(monkeypatch):
+    """The rref of [A | I] that solve_many makes: the same Fractions, and the empty matrix inverts to itself."""
+    a = la.mat([[0, 2, 1], [1, Q(1, 3), 0], [4, 0, 1]])
+    m, _ = la.rref([row + e for row, e in zip(a, la.identity(3))])
+    original, calls = la.solve_many, []
+    monkeypatch.setattr(la, "solve_many", lambda *args: calls.append(args) or original(*args))
+    assert la.inverse(a) == tuple(tuple(row[3:]) for row in m)
+    assert calls == [(a, la.identity(3))]
+    assert la.inverse(()) == ()
+
+
 def test_span_operations():
     a = [la.vec([1, 0, 0]), la.vec([0, 1, 0])]
     b = [la.vec([1, 1, 0]), la.vec([1, -1, 0])]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symred import cli, lie, poisson
 from symred import linalg as la
-from symred.errors import DimensionMismatch, NotOnModel, NotStable
+from symred.errors import CertificateFailed, DimensionMismatch, NotOnModel, NotStable
 from conftest import subregular_point
 from test_golden_report import CONFIGS
 
@@ -370,6 +370,39 @@ def test_poisson_transversal_cases(sl2, kks2):
     whole = poisson.AffineSubspace(la.zeros(2), list(la.identity(2)))
     symp = poisson.symplectic_model([[0, 1], [-1, 0]])
     assert poisson.poisson_transversal_check(symp, whole, la.zeros(2))
+
+
+def test_poisson_transversality_is_moment_transversality_of_the_annihilator_image(sl2, kks2, monkeypatch):
+    """One rank decides it: ``moment_transversality_check`` with the image sigma((T S)°)."""
+    original, calls = poisson.moment_transversality_check, []
+    monkeypatch.setattr(poisson, "moment_transversality_check", lambda *args: calls.append(args) or original(*args))
+    hb = sl2.flat(sl2.basis_vec(0))
+    orb = poisson.CoadjointOrbit(sl2, hb)
+    assert not poisson.poisson_transversal_check(kks2, orb, hb)
+    # T S is the orbit's tangent (ad*_g xi), so (T S)° is g_xi, which sigma_xi sends to 0
+    (image, model, point), = calls
+    assert model is orb and point == hb and image == [la.zeros(3)]
+
+
+NOT_A_FORM = {
+    "omega-1x2": (lambda: poisson.symplectic_model([[0, 1]]), DimensionMismatch, "omega must be square"),
+    "omega-ragged": (lambda: poisson.symplectic_model([[0, 1], [-1]]), DimensionMismatch, "omega must be square"),
+    "omega-degenerate": (
+        lambda: poisson.symplectic_model([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), DimensionMismatch, "nondegenerate"),
+    "omega-identity": (lambda: poisson.symplectic_model(la.identity(2)), CertificateFailed, "omega is not skew"),
+    "sigma-symmetric": (lambda: poisson.constant_model([[0, 1], [1, 0]]), CertificateFailed, "sigma is not skew"),
+    "sigma-diagonal": (lambda: poisson.constant_model([[1, 0], [0, -1]]), CertificateFailed, "row 0 is not minus column 0"),
+    "sigma-2x3": (lambda: poisson.constant_model([[0, 1, 0], [-1, 0, 0]]), DimensionMismatch, "sigma must be square"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_A_FORM)
+def test_constant_models_refuse_a_form_that_is_not_a_bivector(case):
+    """A non-square omega raised a bare IndexError, a degenerate one ZeroDivisionError, and the
+    identity came back as sigma = I; constant_model took any sigma."""
+    build, error, message = NOT_A_FORM[case]
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_coisotropic_check():

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import reference_kernels as ref
 from symred import groupoid as gpd
 from symred import lie, poisson, reduction, scenarios
 from symred import linalg as la
@@ -91,7 +92,7 @@ def test_kernel_identity_at_nonidentity_base(sl2, sl2_efh):
     e, h, f = sl2_efh
     hb = sl2.flat(h)
     orb = poisson.CoadjointOrbit(sl2, hb)
-    gt = sl2.group_element([[3, 0], [0, Q(1, 3)]])
+    gt = ref.matrix_group_element(sl2, [[3, 0], [0, Q(1, 3)]])
     p = CotangentPoint(hb, gt)
     agree, model = reduction.kernel_identity_check(sl2, orb, p.xi)
     assert agree and model.quotient_dim == 4
