@@ -433,9 +433,11 @@ class LieAlgebra:
     def coadjoint_matrix(self, xi: Vector) -> Matrix:
         """C with C[i][j] = xi([e_i, e_j]), summed on ints off the sparse table.
 
-        One ``Fraction`` per nonzero entry, as in ``bracket``.
-        (ad*_x xi)_j = -(C^T x)_j, and xi([u, v]) = u^T C v.  Memoised by xi:
-        the table never changes, so every caller at xi shares one immutable C.
+        Only the nonempty table entries are summed; every other cell is the
+        shared ``ZERO``, and a nonzero sum is one ``Fraction``, as in
+        ``bracket``.  (ad*_x xi)_j = -(C^T x)_j, and xi([u, v]) = u^T C v.
+        Memoised by xi: the table never changes, so every caller at xi
+        shares one immutable C.
         """
         xi = tuple(xi)
         cm = self._coadjoint.get(xi)
@@ -446,8 +448,16 @@ class LieAlgebra:
             for k, n in support:
                 ns[k] = n
             d *= self._den
-            sums = ((sum(ns[k] * c for k, c in entry) for entry in row) for row in self._int_table)
-            cm = self._coadjoint[xi] = tuple(tuple(Q(n, d) if n else la.ZERO for n in row) for row in sums)
+            rows = []
+            for row in self._int_table:
+                out = [la.ZERO] * self.dim
+                for j, entry in enumerate(row):
+                    if entry:
+                        n = sum(ns[k] * c for k, c in entry)
+                        if n:
+                            out[j] = Q(n, d)
+                rows.append(tuple(out))
+            cm = self._coadjoint[xi] = tuple(rows)
         return cm
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:

@@ -23,11 +23,14 @@ vectors and matrices stay tuples of ``Fraction`` at every public
 boundary.
 
 ``rref`` eliminates on integer rows: each input row is multiplied once by
-the lcm of its denominators.  It clears a row against the pivot row by the
+the lcm of its denominators.  Each column pivots on its smallest |entry|
+at or below the current row, the first one on ties: a small pivot divides
+more of the entries it clears, and the reduced form is unique, so the
+choice changes no result.  It clears a row against the pivot row by the
 cross-multiplication (p/g) row - (f/g) prow, with p the pivot, f the row's
 entry in the pivot column and g = gcd(p, f), on the pivot row's nonzero
-columns only; a row that this rescales is divided by the gcd of its
-entries, so the integers stay small.  Rows with a zero in the pivot column
+columns only; a row that this rescales (p/g > 1) is divided by the gcd of
+its entries, so the integers stay small.  Rows with a zero in the pivot column
 are not touched.  ``rref`` builds a ``Fraction`` only at the boundary, one
 per nonzero output entry; ``rank`` and ``extend_to_basis`` read the
 pivots of the same elimination and build none, and ``nullspace`` reads
@@ -216,7 +219,14 @@ def _echelon(rows: Sequence[Vector]) -> tuple[list[list[int]], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        # the smallest |entry| pivots; nothing is smaller than 1
+        pivot_row, least = None, 0
+        for i in range(r, len(m)):
+            x = m[i][c]
+            if x and (pivot_row is None or abs(x) < least):
+                pivot_row, least = i, abs(x)
+                if least == 1:
+                    break
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]

@@ -102,6 +102,8 @@ class SubmanifoldModel:
     so a model must not be mutated afterwards.  Subclasses supply the
     membership test `_contains` and `_tangent`, both given a tuple of length
     `ambient_dim`; a point of any other length raises ``DimensionMismatch``.
+    `_tangent` returns a basis of T_xi S, independent vectors: the fiber's
+    multipliers are coordinates in it.
     """
 
     kind = "abstract"
@@ -310,7 +312,11 @@ class WeylChamberFace(AffineSubspace):
 
 
 class Explicit(SubmanifoldModel):
-    """Caller-supplied tangent constructor; membership is trusted."""
+    """Caller-supplied tangent constructor; membership is trusted.
+
+    The caller's vectors need only span T_xi S: ``tangent_basis`` returns
+    their canonical basis, so a repeated or dependent vector is dropped.
+    """
 
     kind = "explicit"
 
@@ -322,7 +328,8 @@ class Explicit(SubmanifoldModel):
         return True
 
     def _tangent(self, xi):
-        return [tuple(v) for v in self.tangent_fn(xi)]
+        # a basis, as every model's tangent is: algebroid_fiber reads its multipliers off it
+        return la.span_basis([tuple(v) for v in self.tangent_fn(xi)])
 
 
 # -- fibers and checks -------------------------------------------------------
@@ -341,20 +348,27 @@ class AlgebroidFiber:
 
 
 def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> AlgebroidFiber:
-    """Nullspace of {pair with T_xi S = 0} ∧ {sigma_xi(eta) in T_xi S}."""
+    """L_xi as the eta-parts of one nullspace in the unknowns (eta, c) in Q^(n+s).
+
+    With t_1 .. t_s the basis of T_xi S, the rows are [sigma_xi[j] | t_1[j] .. t_s[j]]
+    for j < n and [t_b | 0]: a solution has eta in (T_xi S)° and
+    sigma_xi(eta) = -sum_b c_b t_b in T_xi S.  The t_b are independent, so
+    eta = 0 forces c = 0, and the eta-parts of the nullspace basis are a
+    basis of L_xi.  The multipliers c give sigma_xi on L_xi in that basis:
+    L_xi ⊆ ker sigma_xi exactly when every c-part is zero.
+    """
     xi = tuple(xi)
     # keyed by the model's value: every kks_model(alg) of one algebra hits
     fiber = s._fibers.get((p, xi))
     if fiber is None:
+        n = p.ambient_dim
         tangent = s.tangent_basis(xi)
-        sigma = p.bivector_at(xi)
-        rows = [tuple(t) for t in tangent]
-        sigma_t = la.transpose(sigma)
-        for w in la.annihilator(tangent, p.ambient_dim):
-            rows.append(la.mat_vec(sigma_t, w))
-        basis = la.annihilator(rows, p.ambient_dim)
-        in_ker = all(la.is_zero(la.mat_vec(sigma, b)) for b in basis)
-        fiber = s._fibers[(p, xi)] = AlgebroidFiber(tuple(basis), in_ker)
+        columns = list(zip(*tangent)) or [()] * n
+        rows = [row + col for row, col in zip(p.bivector_at(xi), columns, strict=True)]
+        rows += [tuple(t) + la.zeros(len(tangent)) for t in tangent]
+        solutions = la.nullspace(rows)
+        in_ker = all(la.is_zero(v[n:]) for v in solutions)
+        fiber = s._fibers[(p, xi)] = AlgebroidFiber(tuple(v[:n] for v in solutions), in_ker)
     return fiber
 
 

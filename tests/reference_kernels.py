@@ -14,8 +14,11 @@ affine model replaced, are kept as the oracle of ``poisson.slodowy_slice``
 and ``poisson.diagonal``.  The sign recursion on root tuples (``TupleRoots``,
 ``SignBuilder``, ``chevalley_table``) is the one the library ran before it
 read roots by basis index, kept as the oracle of ``lie._table_from_roots``
-and of ``RootSystem``'s tuple API.  The differential tests require the
-library to return exactly what these do.
+and of ``RootSystem``'s tuple API.  The stabilizer fiber's two-step route,
+an annihilator and then a second nullspace with sigma's image of it,
+which ``poisson.algebroid_fiber`` replaced by one linear system, is the
+oracle of that system.  The differential tests require the library to
+return exactly what these do, or, for the fiber, the same span.
 """
 
 from __future__ import annotations
@@ -109,6 +112,19 @@ def extend_to_basis(sub: Sequence[Vector], space: Sequence[Vector]) -> list[Vect
             added.append(v)
             r += 1
     return added
+
+
+def algebroid_fiber(sigma: Matrix, tangent: Sequence[Vector], n: int) -> tuple[list[Vector], bool]:
+    """(basis of L_xi, L_xi ⊆ ker sigma) by two nullspaces: (T S)°, then the eta in it with sigma eta in T S.
+
+    sigma eta lies in T S exactly when it pairs to zero with every w in
+    (T S)°, that is when (sigma^T w) . eta = 0.  `tangent` need only span T S.
+    """
+    tangent = list(tangent)
+    ann = nullspace(tangent) if tangent else [tuple(Q(int(i == j)) for j in range(n)) for i in range(n)]
+    sigma_t = [tuple(row[j] for row in sigma) for j in range(n)]
+    basis = nullspace(tangent + [mat_vec(sigma_t, w) for w in ann])
+    return basis, all(x == 0 for b in basis for x in mat_vec(sigma, b))
 
 
 def omega(alg: LieAlgebra, xi: Vector, v1: Vector, v2: Vector) -> Fraction:

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from conftest import perturbed, tampered
+from conftest import perturbed, subregular_point, tampered
 from symred import groupoid as gpd
 from symred import cli, lie, poisson, reduction
 from symred import linalg as la
@@ -109,6 +109,44 @@ EDGE_CASES = [
 @pytest.mark.parametrize("rows", EDGE_CASES)
 def test_rref_edge_cases(rows):
     assert la.rref(rows) == ref.rref(rows)
+
+
+# column 0 reads 6, 8, 1, 7 on integer rows: its first nonzero is 6, its smallest 1;
+# the last row is the sum of the first and the third
+PIVOT_CHOICE = [la.vec([6, 1, 0, 2, 3]), la.vec([4, 0, 3, 1, Q(1, 2)]), la.vec([1, 2, 5, 0, 1]), la.vec([7, 3, 5, 2, 4])]
+
+
+def column_pivots(monkeypatch, rows, column):
+    """The pivot rows that _echelon clears `column` against, one entry per clear."""
+    original, seen = la._clear, []
+
+    def clear(row, prow, c, support):
+        if c == column:
+            seen.append(list(prow))
+        return original(row, prow, c, support)
+
+    monkeypatch.setattr(la, "_clear", clear)
+    la.rank(rows)
+    monkeypatch.undo()
+    return seen
+
+
+def test_elimination_pivots_on_the_smallest_entry(monkeypatch):
+    """The pivot of a column is its smallest |entry| at or below the pivot row, the first one on ties."""
+    assert column_pivots(monkeypatch, PIVOT_CHOICE, 0) == [[1, 2, 5, 0, 1]] * 3
+    # -2 and 2 tie below 3: the first of them pivots
+    ties = [la.vec([3, 1, 0]), la.vec([-2, 1, 1]), la.vec([2, 0, 1])]
+    assert column_pivots(monkeypatch, ties, 0) == [[-2, 1, 1]] * 2
+
+
+def test_kernels_match_reference_when_the_first_entry_is_not_the_smallest():
+    rows = PIVOT_CHOICE
+    assert la.rref(rows) == ref.rref(rows)
+    assert la.nullspace(rows) == ref.nullspace(rows)
+    assert la.rank(rows) == ref.rank(rows) == 3
+    columns = la.transpose(rows)
+    for sub, space in ((rows[:1], rows[1:]), ([], rows), (columns[1:2], columns)):
+        assert la.extend_to_basis(sub, space) == ref.extend_to_basis(sub, space)
 
 
 @given(wide_matrix())
@@ -1128,3 +1166,50 @@ def test_push_matches_solve_on_the_readme_suite():
                 with pytest.raises(LiftNotValid):
                     model.push(v)
     assert off_tangent > 0
+
+
+# -- the stabilizer fiber as one linear system -----------------------------------
+
+
+def fiber_cases():
+    """(Poisson model, submanifold model, stable) by label: every model kind, each Poisson kind, stable and not."""
+    sl2, sl3 = lie.build_chevalley("A", 1), lie.build_chevalley("A", 2)
+    kks2, kks3 = poisson.kks_model(sl2), poisson.kks_model(sl3)
+    hb = sl2.flat(sl2.basis_vec(0))
+    e = sl2.root_vector((1,))
+    orbit_tangent = poisson.CoadjointOrbit(sl2, hb).tangent_basis(hb)
+    # S = xi + b° for the Borel b of A2 and a character xi of b: L_S = b, never inside ker sigma
+    borel = [la.unit(8, i) for i in range(2)] + [sl3.root_vector(beta) for beta in sl3.root_data.positive]
+    character = la.vec([1, -2, 0, 0, 0, 0, 0, 0])
+    # a constant bivector of rank 2 on Q^4, and omega of the C^4 quadric
+    degenerate = poisson.constant_model(la.mat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+    symplectic = poisson.symplectic_model(la.mat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]))
+    quadric = [la.vec([1, 0, 2, 0]), la.vec([0, 0, 0, 1])]
+    return [
+        pytest.param(kks2, poisson.AffineSubspace(hb, []), True, id="affine-point"),
+        pytest.param(kks2, poisson.AffineSubspace(hb, la.identity(3)), True, id="affine-full-space"),
+        pytest.param(kks3, poisson.WeylChamberFace(sl3, (0,), [la.vec([0, 1, 0, 0, 0, 0, 0, 0])]), True, id="chamber-face"),
+        pytest.param(kks3, poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)]), True, id="decomposition-class"),
+        pytest.param(kks2, poisson.CasimirLevelSet(sl2, 8, [hb]), True, id="casimir-level-set"),
+        pytest.param(kks2, poisson.CoadjointOrbit(sl2, hb, [sl2.unipotent(e, 1)]), True, id="coadjoint-orbit"),
+        pytest.param(kks2, poisson.Explicit(3, lambda xi: orbit_tangent + [orbit_tangent[0]], [hb]), True, id="explicit-dependent-tangent"),
+        pytest.param(kks3, poisson.AffineSubspace(character, la.annihilator(borel, 8)), False, id="character-of-the-Borel"),
+        pytest.param(degenerate, poisson.AffineSubspace(la.zeros(4), [la.unit(4, 2)]), True, id="constant-stable"),
+        pytest.param(degenerate, poisson.AffineSubspace(la.zeros(4), [la.unit(4, 0)]), False, id="constant-unstable"),
+        pytest.param(symplectic, poisson.Explicit(4, lambda xi: quadric + [la.add(*quadric)], [la.vec([1, 0, 1, 0])]), True, id="symplectic-quadric"),
+        pytest.param(symplectic, poisson.AffineSubspace(la.zeros(4), [la.unit(4, 0)]), False, id="symplectic-line"),
+    ]
+
+
+@pytest.mark.parametrize("p,model,stable", fiber_cases())
+def test_algebroid_fiber_matches_two_step_route(p, model, stable):
+    """One nullspace in (eta, c) against an annihilator and a second nullspace: the same span and verdict.
+
+    The reference reads an ``Explicit`` model's raw vectors, dependent ones included.
+    """
+    for pt in model.sample_points:
+        raw = model.tangent_fn(pt) if isinstance(model, poisson.Explicit) else model.tangent_basis(pt)
+        basis, in_ker = ref.algebroid_fiber(p.bivector_at(pt), raw, p.ambient_dim)
+        fiber = poisson.algebroid_fiber(p, model, pt)
+        assert fiber.rank == len(basis) and la.span_equal(list(fiber.basis), basis)
+        assert fiber.contained_in_centralizer is in_ker is stable

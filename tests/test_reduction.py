@@ -5,7 +5,7 @@ import pytest
 
 import reference_kernels as ref
 from symred import groupoid as gpd
-from symred import lie, poisson, reduction, scenarios
+from symred import cli, lie, poisson, reduction, scenarios
 from symred import linalg as la
 from symred.errors import DimensionMismatch, LiftNotValid, NotStable
 from symred.groupoid import CotangentPoint
@@ -97,6 +97,33 @@ def test_kernel_identity_at_nonidentity_base(sl2, sl2_efh):
     agree, model = reduction.kernel_identity_check(sl2, orb, p.xi)
     assert agree and model.quotient_dim == 4
     assert model == reduction.kernel_identity_check(sl2, orb, CotangentPoint(hb).xi)[1]
+
+
+def test_explicit_dependent_tangent_counts_once(sl2, kks2):
+    """A tangent vector given twice at h^flat once gave quotient_dim 5 against the orbit's 4, with agree still True."""
+    hb = sl2.flat(sl2.basis_vec(0))
+    orbit = poisson.CoadjointOrbit(sl2, hb)
+    tangent = orbit.tangent_basis(hb)
+    repeated = poisson.Explicit(3, lambda xi: tangent + [tangent[0]], [hb])
+    assert repeated.tangent_basis(hb) == tangent
+    fiber = poisson.algebroid_fiber(kks2, repeated, hb)
+    assert fiber.rank == poisson.algebroid_fiber(kks2, orbit, hb).rank == 1 and fiber.contained_in_centralizer
+    agree, model = reduction.kernel_identity_check(sl2, repeated, hb)
+    assert agree and model.quotient_dim == reduction.kernel_identity_check(sl2, orbit, hb)[1].quotient_dim == 4
+    assert reduction.dimension_formula_check(sl2, repeated, hb, model)
+
+
+def test_kernel_routes_are_independent(monkeypatch):
+    """Omega's Gram matrix taken at xi = 0 breaks the Gram route only: the orbit route reads no Gram matrix,
+    so the routes disagree, and the report fails kernel_two_route and reduced_dim."""
+    original = reduction.omega_gram
+    monkeypatch.setattr(reduction, "omega_gram", lambda alg, xi, vectors: original(alg, la.zeros(len(xi)), vectors))
+    config = {"scenarios": [{"name": "slodowy_moore_tachikawa", "params": {"cartan_type": "A", "rank": 1, "n": 3}}],
+              "seed": 42, "sample_count": 3}
+    document, code = cli.run(cli.parse_config(config))
+    statuses = {c["name"]: c["status"] for c in document["scenarios"][0]["checks"]}
+    assert statuses["kernel_two_route"] == statuses["reduced_dim"] == "fail"
+    assert code == 1
 
 
 def test_dimension_formula_diagonal(sl2):
