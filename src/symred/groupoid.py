@@ -6,7 +6,12 @@ canonical symplectic form is
 
     Omega((u1, z1), (u2, z2)) = -z2(u1) + z1(u2) - xi([u1, u2]),
 
-which depends on the base only through xi.  Source and target are
+which depends on the base only through xi.  ``omega_eval`` sums one value
+pairwise: the two pairings by ``la.dot`` and xi([u1, u2]) by
+``LieAlgebra.bracket_pairing`` off the structure table, with no bracket
+vector and no coadjoint matrix C.  ``omega_gram`` sums a whole Gram matrix
+off C instead, so a check that compares the two routes compares two
+independent sums.  Source and target are
 s(g, xi) = Ad*_g xi and t(g, xi) = xi, with differentials
 ds(u, zeta) = Ad*_g(ad*_u xi + zeta) and dt(u, zeta) = zeta.
 
@@ -63,13 +68,23 @@ def _check_flat(n: int, vectors: Sequence[Vector]) -> None:
 
 
 def omega_eval(alg: LieAlgebra, xi: Vector, v1: Vector, v2: Vector) -> Fraction:
-    """-z2(u1) + z1(u2) - xi([u1, u2]) on flat v1 = (u1, z1), v2 = (u2, z2)."""
+    """-z2(u1) + z1(u2) - xi([u1, u2]) on flat v1 = (u1, z1), v2 = (u2, z2).
+
+    The pairings are two ``la.dot``s and ``bracket_pairing``, which sums
+    xi([u1, u2]) off the table with no bracket vector.  It never reads C,
+    so a pairwise check stays independent of ``omega_gram``.  A ZERO term
+    costs no ``Fraction`` operation, and a zero value is ``ZERO``.
+    """
     n = alg.dim
     if len(xi) != n:
         raise DimensionMismatch(f"expected length {n}, got {len(xi)}")
     _check_flat(n, (v1, v2))
     u1, z1, u2, z2 = v1[:n], v1[n:], v2[:n], v2[n:]
-    return la.dot(z1, u2) - la.dot(z2, u1) - la.dot(xi, alg.bracket(u1, u2))
+    value = la.dot(z1, u2)
+    for term in (la.dot(z2, u1), alg.bracket_pairing(xi, u1, u2)):
+        if term is not la.ZERO:
+            value = -term if value is la.ZERO else (value - term) or la.ZERO
+    return value
 
 
 def omega_gram(alg: LieAlgebra, xi: Vector, vectors: Sequence[Vector]) -> list[Vector]:

@@ -22,13 +22,13 @@ constant is an integer (±(p+1), Cartan integers, coroot coefficients).
 The root data that produce them are ints too (a short root has norm 2),
 so the table is built without a ``Fraction``, and the antisymmetry,
 Jacobi and Chevalley certificates and the Killing sums run on ints, as
-do ``bracket`` and ``coadjoint_matrix``: a hand-built table with
-rational constants is scaled once by its common denominator.
-The reason is the cost of each operation: a ``Fraction`` multiply or add
-runs two gcds and builds a new object, where an ``int`` operation is one C
-call.  Every public boundary stays ``Fraction``: ``killing``, ``bracket``,
-``coadjoint_matrix``, ``ad_star``, ``killing_form``, ``from_matrix`` and
-the structure constants.
+do ``bracket``, ``bracket_pairing`` and ``coadjoint_matrix``: a
+hand-built table with rational constants is scaled once by its common
+denominator.  The reason is the cost of each operation: a ``Fraction``
+multiply or add runs two gcds and builds a new object, where an ``int``
+operation is one C call.  Every public boundary stays ``Fraction``:
+``killing``, ``bracket``, ``bracket_pairing``, ``coadjoint_matrix``,
+``ad_star``, ``killing_form``, ``from_matrix`` and the structure constants.
 
 Basis order: Cartan h_1..h_l, then e_β over positive roots by increasing
 (height, coordinates), then the corresponding negative root vectors.
@@ -399,6 +399,38 @@ class LieAlgebra:
                     out[k] += f * c
         d = dx * dy * self._den
         return tuple(Q(n, d) if n else la.ZERO for n in out)
+
+    def bracket_pairing(self, xi: Vector, x: Vector, y: Vector) -> Fraction:
+        """xi([x, y]) off the table, with no bracket vector.
+
+        y is scaled once to ints; x[i] and xi[k] are read as they are, in the
+        terms that need them, and summed on ints over a running common
+        denominator, so the sum is one ``Fraction``, or ``ZERO``.
+        """
+        self._check_dim(xi, x, y)
+        y_support, dy = la._integer(y)
+        if not y_support:
+            return la.ZERO
+        acc, den = 0, 1
+        for i, a in enumerate(x):
+            if a is la.ZERO:
+                continue
+            an, ad = a.as_integer_ratio()
+            row = self._int_table[i]
+            for j, b in y_support:
+                f = an * b
+                for k, c in row[j]:
+                    z = xi[k]
+                    if z is la.ZERO:
+                        continue
+                    zn, zd = z.as_integer_ratio()
+                    zd *= ad
+                    if den % zd:
+                        grow = zd // math.gcd(den, zd)
+                        acc *= grow
+                        den *= grow
+                    acc += f * c * zn * (den // zd)
+        return Q(acc, den * dy * self._den) if acc else la.ZERO
 
     def ad_matrix(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y] on basis coordinates."""

@@ -795,6 +795,53 @@ def test_rational_table_integer_kernels():
     assert gpd.omega_gram(alg, xi, tangents) == ref.omega_gram(alg, xi, tangents)
 
 
+PAIRING_ALGEBRAS = INTEGER_ALGEBRAS + ["A1^2"]
+
+
+def pairing_algebra(name):
+    """An integer algebra by name, or sl2 x sl2, whose table is block diagonal."""
+    return lie.direct_power(lie.build_chevalley("A", 1), 2) if name == "A1^2" else integer_algebra(name)
+
+
+def exact_value(got, want):
+    """got equals want, is a Fraction, and is the shared ZERO when it is zero."""
+    assert got == want and type(got) is Q
+    assert got is la.ZERO or got != 0
+
+
+@pytest.mark.parametrize("name", PAIRING_ALGEBRAS, ids=str)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_bracket_pairing_matches_reference(name, data):
+    """xi([x, y]) summed off the table equals the dense bracket paired with xi."""
+    alg = pairing_algebra(name)
+    xi, x, y = data.draw(sparse_rows(3, alg.dim))[:3]
+    units = [alg.basis_vec(data.draw(st.integers(0, alg.dim - 1))) for _ in range(2)]
+    for u, v in ((x, y), (densified(x), y), (x, densified(y)), (densified(x), densified(y)), tuple(units), (x, x)):
+        dense = ref.bracket(alg, u, v)
+        for form in (xi, densified(xi)):
+            exact_value(alg.bracket_pairing(form, u, v), ref.dot(form, dense))
+
+
+@pytest.mark.parametrize("name", PAIRING_ALGEBRAS, ids=str)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_omega_eval_matches_reference(name, data):
+    """Omega pairwise equals the reference on random, g-only, g*-only and repeated tangent vectors."""
+    alg = pairing_algebra(name)
+    n = alg.dim
+    xi = data.draw(sparse_rows(1, n))[0]
+    v1, v2 = data.draw(sparse_rows(2, 2 * n))[:2]
+    zero = la.zeros(n)
+    shaped = [v1[:n] + zero, zero + v2[n:], la.unit(2 * n, data.draw(st.integers(0, 2 * n - 1)))]
+    pairs = [(v1, v2), (densified(v1), v2), (v1, densified(v2))] + [(a, b) for a in shaped for b in shaped]
+    for a, b in pairs:
+        exact_value(gpd.omega_eval(alg, xi, a, b), ref.omega(alg, xi, a, b))
+        assert gpd.omega_eval(alg, xi, a, a) is la.ZERO
+    dense = (densified(xi), densified(v1), densified(v2))
+    exact_value(gpd.omega_eval(alg, *dense), ref.omega(alg, *dense))
+
+
 @st.composite
 def mixed_rows(draw, nrows, ncols):
     """nrows x ncols of halves, thirds and fifths, of plain ints, or of both mixed.

@@ -108,6 +108,9 @@ def test_bracket_bilinear(x, y, c):
 def test_bracket_dimension_mismatch(sl2):
     with pytest.raises(DimensionMismatch):
         sl2.bracket(la.zeros(4), la.zeros(3))
+    for args in ((4, 3, 3), (3, 4, 3), (3, 3, 2)):
+        with pytest.raises(DimensionMismatch):
+            sl2.bracket_pairing(*map(la.zeros, args))
 
 
 def test_sl3_simple_bracket_matches_matrix_commutator(sl3):

@@ -20,7 +20,12 @@ test's ``pytest.raises`` names guards nothing.  ``scenarios.py`` has no
 failed, so every verdict goes through ``ScenarioReport.add``.  A
 ``SubmanifoldModel`` subclass in ``poisson.py`` whose ``_tangent`` never
 reads its point has the same tangent space everywhere, so it is an affine
-model, and ``AffineSubspace`` is the only one.
+model, and ``AffineSubspace`` is the only one.  The two routes of a
+two-route check stay independent: the pairwise route of Omega
+(``omega_eval``, ``LieAlgebra.bracket_pairing``,
+``reduced_form_well_defined``) names none of the Gram route's
+``coadjoint_matrix``, ``_coadjoint`` or ``omega_gram``, and the orbit route
+of the kernel (``orbit_tangent_in_universal``) names no ``omega_gram``.
 """
 
 import ast
@@ -168,6 +173,39 @@ def second_affine_models(tree: ast.Module) -> list[str]:
     return found
 
 
+def definition(tree: ast.Module, qualname: str) -> ast.AST | None:
+    """The top-level function ``f`` or method ``Class.f`` of `tree`, or None."""
+    body = tree.body
+    *owner, name = qualname.split(".")
+    for part in owner:
+        body = next((node.body for node in body if isinstance(node, ast.ClassDef) and node.name == part), [])
+    return next((node for node in body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name), None)
+
+
+def crossings(modules: dict[str, ast.Module], route: dict[str, tuple[str, ...]], forbidden: set[str]) -> list[str]:
+    """The `forbidden` names each function of `route` (module -> qualified names) uses, and the route's missing functions."""
+    found = []
+    for module, qualnames in route.items():
+        for qualname in qualnames:
+            node = definition(modules[module], qualname)
+            if node is None:
+                found.append(f"{module}: {qualname} is not defined")
+            else:
+                found += [f"{module}: {qualname} names {name}" for name in sorted(referenced(node) & forbidden)]
+    return found
+
+
+# The two routes of each two-route check read disjoint data: the pairwise
+# route and the orbit route never read the Gram route's coadjoint matrix C.
+GRAM_ROUTE = {"coadjoint_matrix", "_coadjoint", "omega_gram"}
+PAIRWISE_ROUTE = {
+    "groupoid.py": ("omega_eval",),
+    "lie.py": ("LieAlgebra.bracket_pairing",),
+    "reduction.py": ("reduced_form_well_defined",),
+}
+ORBIT_ROUTE = {"reduction.py": ("orbit_tangent_in_universal",)}
+
+
 def test_sources_found():
     assert len(SRC) >= 10
 
@@ -307,4 +345,26 @@ def test_affine_model_gate_catches_a_second_one():
         "line 14: Slice._tangent never reads xi",
         "line 18: Face._tangent never reads p",
         "line 23: Point._tangent never reads its point",
+    ]
+
+
+def test_two_route_checks_stay_independent():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC}
+    assert crossings(modules, PAIRWISE_ROUTE, GRAM_ROUTE) == []
+    assert crossings(modules, ORBIT_ROUTE, {"omega_gram"}) == []
+
+
+def test_independence_gate_catches_a_crossing():
+    module = ast.parse(
+        "def omega_eval(alg, xi, v1, v2):\n    return alg.coadjoint_matrix(xi)[0][0]\n\n"
+        "def clean(alg, xi):\n    return alg.bracket_pairing(xi, xi, xi)\n\n"
+        "class Algebra:\n    def pairing(self, xi):\n        return self._coadjoint.get(xi) or omega_gram(self, xi, [])\n"
+    )
+    route = {"m.py": ("omega_eval", "clean", "Algebra.pairing", "Algebra.renamed", "gone")}
+    assert crossings({"m.py": module}, route, GRAM_ROUTE) == [
+        "m.py: omega_eval names coadjoint_matrix",
+        "m.py: Algebra.pairing names _coadjoint",
+        "m.py: Algebra.pairing names omega_gram",
+        "m.py: Algebra.renamed is not defined",
+        "m.py: gone is not defined",
     ]

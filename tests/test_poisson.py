@@ -122,6 +122,46 @@ def test_tangent_basis_returns_a_fresh_list(sl2):
     assert line.tangent_basis(hb) == kept == la.span_basis([hb])
 
 
+def independence_cases(sl2, sl3):
+    """Models of each ``SubmanifoldModel`` subclass, by class, at representative points."""
+    e, h = sl2.root_vector((1,)), sl2.basis_vec(0)
+    hb = sl2.flat(h)
+    reg = sl3.flat(sl3.from_matrix(la.mat([[1, 0, 0], [0, 0, 0], [0, 0, -1]])))
+    moves = [sl3.unipotent(sl3.root_vector((1, 0)), 1), sl3.unipotent(sl3.root_vector((0, -1)), Q(1, 2))]
+    moved = [reg] + [sl3.coadjoint_group_action(g, reg) for g in moves]
+    sl = poisson.slodowy_slice(sl3, lie.principal_sl2(sl3), [[0, 0], [1, 0], [-2, Q(1, 3)]])
+    faces = []
+    for subset in ((), (0,), (1,), (0, 1)):
+        point = [Q(0)] * 8
+        for i in {0, 1} - set(subset):
+            point[i] = Q(2 + i)
+        faces.append(poisson.WeylChamberFace(sl3, subset, [tuple(point)]))
+    return {
+        poisson.AffineSubspace: [sl, poisson.diagonal(sl, 2), poisson.AffineSubspace(hb, [hb, la.scale(2, hb), la.unit(3, 1)])],
+        poisson.CoadjointOrbit: [poisson.CoadjointOrbit(sl2, hb, [sl2.unipotent(e, 1)]), poisson.CoadjointOrbit(sl2, sl2.flat(e)),
+                                 poisson.CoadjointOrbit(sl3, reg, moves)],
+        poisson.DecompositionClass: [poisson.DecompositionClass(sl3, 4, [subregular_point(sl3), subregular_point(sl3, 2)]),
+                                     poisson.DecompositionClass(sl3, 2, [sl3.sharp(reg)])],
+        poisson.CasimirLevelSet: [poisson.CasimirLevelSet(sl2, 8, [hb]), poisson.CasimirLevelSet(sl3, la.dot(reg, sl3.sharp(reg)), moved)],
+        poisson.WeylChamberFace: faces,
+        poisson.Explicit: [poisson.Explicit(3, lambda xi: [xi, la.scale(2, xi), la.unit(3, 1), la.add(xi, la.unit(3, 1))], [hb])],
+    }
+
+
+def test_every_model_returns_independent_tangent_vectors(sl2, sl3):
+    """``algebroid_fiber`` reads multipliers off T_xi S as coordinates, so every subclass's
+    ``_tangent`` returns independent vectors; a subclass with no case here fails the test."""
+    cases = independence_cases(sl2, sl3)
+    models = {c for c in vars(poisson).values() if isinstance(c, type) and issubclass(c, poisson.SubmanifoldModel)}
+    assert models - {poisson.SubmanifoldModel} == set(cases)
+    for cls, built in cases.items():
+        for model in built:
+            assert type(model) is cls and model.sample_points
+            for pt in model.sample_points:
+                tangent = model.tangent_basis(pt)
+                assert la.rank(tangent) == len(tangent), (cls.__name__, pt)
+
+
 def test_fiber_kept_per_poisson_model(sl2):
     hb = sl2.flat(sl2.basis_vec(0))
     line = poisson.AffineSubspace(hb, [hb])
