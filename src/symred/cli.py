@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from . import __version__
 from .errors import ConfigError, SymredError
@@ -36,7 +35,7 @@ class RunConfig:
     scenarios: tuple[tuple[str, dict], ...]
     seed: int = 0
     sample_count: int = 3
-    output_path: Optional[str] = None
+    output_path: str | None = None
 
 
 # ``parallel`` is left in older configs and ignored
@@ -134,7 +133,7 @@ def _summary_lines(document: dict) -> list[str]:
     return lines
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="symred", description="exact reduction check suites")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute scenarios from a JSON config")

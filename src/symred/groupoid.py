@@ -23,9 +23,9 @@ intersection ds^{-1}(TS) ∩ dt^{-1}(TS) ∩ (TS)^Omega.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import linalg as la
 from . import poisson
@@ -47,7 +47,7 @@ class CotangentPoint:
     """(g, xi) with g omitted when only the xi-dependence matters."""
 
     xi: Vector
-    g: Optional[GroupElement] = None
+    g: GroupElement | None = None
 
 
 @dataclass(frozen=True)
@@ -216,11 +216,15 @@ def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
 
 
 def lie_functor_check(fiber: GroupoidTangentFiber, expected: poisson.AlgebroidFiber) -> bool:
-    """ker-dt part of the fiber, negated, must span the algebroid fiber."""
+    """ker-dt part of the fiber, negated, must span the algebroid fiber.
+
+    ker dt is the kernel of (u, zeta) -> zeta inside span(fiber), read by
+    ``kernel_within`` off the basis and its zeta-parts.
+    """
     if not fiber.basis:
         return expected.rank == 0
     n = len(fiber.basis[0]) // 2
-    ker_dt = la.intersect_spans(fiber.basis, [la.unit(2 * n, i) for i in range(n)])
+    ker_dt = la.kernel_within([v[n:] for v in fiber.basis], fiber.basis)
     us = [tuple(-v[i] for i in range(n)) for v in ker_dt]
     return la.span_equal(us, list(expected.basis))
 

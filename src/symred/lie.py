@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import add, mul
-from typing import Optional, Sequence
 
 from . import linalg as la
 from .errors import CertificateFailed, DimensionMismatch, NoMatrixRep, SolveFailure, UnsupportedType
@@ -288,7 +288,7 @@ class LieAlgebra:
         basis_labels: Sequence[str],
         table: Sequence[Sequence[Sequence[tuple[int, int | Fraction]]]],
         rank: int,
-        root_data: Optional[RootSystem] = None,
+        root_data: RootSystem | None = None,
         name: str = "",
     ):
         self.dim = len(basis_labels)
@@ -312,7 +312,7 @@ class LieAlgebra:
         return self._compute_killing()
 
     @cached_property
-    def _killing_inv(self) -> Optional[Matrix]:
+    def _killing_inv(self) -> Matrix | None:
         """K^-1, or None when the Killing form is degenerate; inverted on first use."""
         try:
             return la.inverse(self.killing)
@@ -433,10 +433,21 @@ class LieAlgebra:
         return Q(acc, den * dy * self._den) if acc else la.ZERO
 
     def ad_matrix(self, x: Vector) -> Matrix:
-        """Matrix of y -> [x, y] on basis coordinates."""
+        """Matrix of y -> [x, y] on basis coordinates: ad_x[k][j] = sum_i x_i c_ij^k.
+
+        One pass over the support of x, scaled once, in the integer table,
+        with one ``Fraction`` per nonzero cell, as in ``bracket``.
+        """
         self._check_dim(x)
-        cols = [self.bracket(x, self.basis_vec(j)) for j in range(self.dim)]
-        return la.transpose(cols)
+        support, dx = la._integer(x)
+        n = self.dim
+        acc = [[0] * n for _ in range(n)]
+        for i, a in support:
+            for j, entry in enumerate(self._int_table[i]):
+                for k, c in entry:
+                    acc[k][j] += a * c
+        d = dx * self._den
+        return tuple(tuple(Q(v, d) if v else la.ZERO for v in row) for row in acc)
 
     def ad_star(self, x: Vector, xi: Vector) -> Vector:
         """ad*_x xi = -xi([x, .]) = -C^T x, with C the coadjoint matrix."""

@@ -16,7 +16,11 @@ summed as ints, and one ``Fraction`` is built per nonzero output entry,
 a zero entry being the shared ``ZERO``.  ``dot`` and each row of
 ``mat_vec`` keep a running numerator over a denominator that grows only
 when an entry's denominator does not divide it, and ``mat_vec`` sums a
-row over the support of ``v`` only.  ``add``, ``sub``, ``neg`` and
+row over the support of ``v`` only.  ``mat_mul`` scales each row of B
+once, and each row of A sums the scaled rows of B that its nonzero entries
+pick, over a running common denominator.  It raises ``ValueError`` on a
+ragged B and on a row of A whose length is not len(B), and a B of no
+columns gives one empty row per row of A.  ``add``, ``sub``, ``neg`` and
 ``scale`` pass over a cell that ``is`` ``ZERO`` and keep it shared.
 Every result equals the one the dense ``Fraction`` loops give, and
 vectors and matrices stay tuples of ``Fraction`` at every public
@@ -44,8 +48,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Q = Fraction
 
@@ -175,8 +179,35 @@ def mat_vec(a: Sequence[Vector], v: Vector) -> Vector:
 
 
 def mat_mul(a: Sequence[Vector], b: Sequence[Vector]) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """A B, each row of A summing the rows of B that its nonzero entries pick, on ints; see the module docstring."""
+    width = len(b[0]) if b else 0
+    if any(len(row) != width for row in b):
+        raise ValueError(f"rows of lengths {sorted({len(row) for row in b})}: a ragged matrix")
+    if not width:
+        return tuple(() for _ in a)
+    scaled = [_integer(row) for row in b]
+    zero_row = (ZERO,) * width
+    out = []
+    for row in a:
+        if len(row) != len(b):
+            raise ValueError(f"row of length {len(row)} against a matrix of {len(b)} rows")
+        acc, den = None, 1
+        for x, (support, d) in zip(row, scaled):
+            if x is ZERO or not support:
+                continue
+            if acc is None:
+                acc = [0] * width
+            xn, xd = x.as_integer_ratio()
+            xd *= d
+            if den % xd:
+                grow = xd // math.gcd(den, xd)
+                acc = [n * grow for n in acc]
+                den *= grow
+            f = xn * (den // xd)
+            for j, n in support:
+                acc[j] += f * n
+        out.append(zero_row if acc is None else tuple(Q(n, den) if n else ZERO for n in acc))
+    return tuple(out)
 
 
 def transpose(a: Sequence[Vector]) -> Matrix:
@@ -401,8 +432,18 @@ def extend_to_basis(sub: Sequence[Vector], space: Sequence[Vector]) -> list[Vect
     return [space[c - len(sub)] for c in pivots if c >= len(sub)]
 
 
+# _RANDOM[n + 4][d - 1] is n/d, zero the shared ZERO
+_RANDOM = tuple(tuple(Q(n, d) if n else ZERO for d in (1, 2, 3)) for n in range(-4, 5))
+
+
 def random_fraction(rng: random.Random) -> Fraction:
-    return Q(rng.randint(-4, 4), rng.randint(1, 3))
+    """Q(rng.randint(-4, 4), rng.randint(1, 3)), read off a table of the 27 values.
+
+    ``choice`` draws ``_randbelow(len(seq))`` as ``randint`` draws
+    ``_randbelow(b - a + 1)``, numerator first, so the stream and every
+    value are those of the two ``randint`` calls; a zero is ``ZERO``.
+    """
+    return rng.choice(rng.choice(_RANDOM))
 
 
 def random_vector(rng: random.Random, n: int) -> Vector:

@@ -24,8 +24,8 @@ rest of the submanifold.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 from . import linalg as la
 from .errors import CertificateFailed, DimensionMismatch, NotOnModel, NotStable
@@ -39,8 +39,8 @@ class PoissonPointModel:
 
     ambient_dim: int
     kind: str  # "kks" or "constant"
-    algebra: Optional[LieAlgebra] = None
-    sigma: Optional[Matrix] = None
+    algebra: LieAlgebra | None = None
+    sigma: Matrix | None = None
 
     def bivector_at(self, xi: Vector) -> Matrix:
         """Matrix B with (sigma_xi eta)_j = sum_i B[j][i] eta_i."""

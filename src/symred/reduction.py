@@ -23,7 +23,7 @@ from . import poisson
 from .errors import DimensionMismatch, LiftNotValid
 from .groupoid import omega_eval, omega_gram
 from .lie import LieAlgebra
-from .linalg import Matrix, Vector
+from .linalg import Vector
 
 
 @dataclass(frozen=True)
@@ -36,25 +36,30 @@ class ReducedSpaceModel:
     complement: tuple[Vector, ...]  # lifts of the quotient basis
 
     @cached_property
-    def _chart(self) -> tuple[list[int], list[int], list[Vector], Matrix]:
-        """(R, F, Mᵀ[F], Eᵀ) off one rref [M | E] of the rows [b_j | e_j], b = kernel + complement, R its
+    def _chart(self) -> tuple[list[int], list[int], list[Vector]]:
+        """(R, F, Mᵀ[F] over Eᵀ) off one rref [M | E] of the rows [b_j | e_j], b = kernel + complement, R its
         pivots: v = sum x_j b_j exactly when v[F] = Mᵀ[F] v[R] off R, and then x = Eᵀ v[R]."""
         basis = self.kernel + self.complement
         n = len(basis[0])
         m, pivots = la.rref([b + la.unit(len(basis), j) for j, b in enumerate(basis)])
         free = [c for c in range(n) if c not in pivots]
         t = la.transpose(m)
-        return pivots, free, [t[c] for c in free], t[n + len(self.kernel):]
+        return pivots, free, [t[c] for c in free] + list(t[n + len(self.kernel):])
 
     def push(self, v: Vector) -> Vector:
-        """Coordinates of a tangent vector of N in the quotient basis."""
+        """Coordinates of a tangent vector of N in the quotient basis.
+
+        One ``mat_vec`` of the stacked chart on v[R] gives both Mᵀ[F] v[R],
+        which must equal v[F] (else ``LiftNotValid``), and the coordinates
+        Eᵀ v[R].
+        """
         if len(v) != len(self.n_tangent[0]):
             raise DimensionMismatch("vector has wrong dimension for T(G x S)")
-        pivots, free, m_t, e_t = self._chart
-        at_pivots = tuple(v[p] for p in pivots)
-        if la.mat_vec(m_t, at_pivots) != tuple(v[c] for c in free):
+        pivots, free, stacked = self._chart
+        image = la.mat_vec(stacked, tuple(v[p] for p in pivots))
+        if image[: len(free)] != tuple(v[c] for c in free):
             raise LiftNotValid("vector is not tangent to N")
-        return la.mat_vec(e_t, at_pivots)
+        return image[len(free):]
 
     def eval_reduced(self, v: Vector, w: Vector) -> Fraction:
         a, b = self.push(v), self.push(w)
@@ -124,24 +129,25 @@ def decomposition_form_check(alg: LieAlgebra, s_model, kernel: tuple[bool, Reduc
     `kernel` is what ``kernel_identity_check`` returned at the point; the
     check fails when its two routes disagreed.  Each tangent is a pair
     (u, z) with u in g a lift of [u] and z in the Killing-perp of
-    m = [g_x, g_x]; the lift into T(G x D) is (u, z^flat).
+    m = [g_x, g_x], tested as one ``mat_vec`` against the flats of m's
+    basis; the lift into T(G x D) is (u, z^flat).  With x = xi^sharp and K
+    symmetric, <x, [u1, u2]> = xi([u1, u2]), read by ``bracket_pairing``.
     """
     agree, model = kernel
     if not agree:
         return False
     xi = model.xi
-    x = alg.sharp(xi)
     pm = poisson.kks_model(alg)
     fiber = poisson.algebroid_fiber(pm, s_model, xi)
     m_flats = [alg.flat(mb) for mb in fiber.basis]  # m = [g_x, g_x] for these classes
     for (u1, z1), (u2, z2) in pairs:
         for z in (z1, z2):
-            if any(la.dot(z, flat) != 0 for flat in m_flats):
+            if not la.is_zero(la.mat_vec(m_flats, z)):
                 raise LiftNotValid("second component must be Killing-orthogonal to m")
         flat1, flat2 = alg.flat(z1), alg.flat(z2)
         lhs = model.eval_reduced(tuple(u1) + tuple(flat1), tuple(u2) + tuple(flat2))
         # <u1, z2> = u1 . z2^flat, and <u2, z1> likewise, off the flats the lifts use
-        rhs = -la.dot(u1, flat2) + la.dot(u2, flat1) - alg.killing_form(x, alg.bracket(u1, u2))
+        rhs = -la.dot(u1, flat2) + la.dot(u2, flat1) - alg.bracket_pairing(xi, u1, u2)
         if lhs != rhs:
             return False
     return True

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
 
 from . import linalg as la
 from . import poisson, reduction
@@ -47,7 +47,7 @@ class ScenarioReport:
     def all_passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def add(self, name: str, anchor: str, ok: bool, data: Optional[dict] = None, sampled: bool = False):
+    def add(self, name: str, anchor: str, ok: bool, data: dict | None = None, sampled: bool = False):
         """Record one verdict of check `name`, usually at one sample point.
 
         The first record of a name places the check and fixes its anchor.  A
@@ -261,13 +261,12 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
     for pt, kernel in zip(dec.sample_points, kernels):
         fiber = poisson.algebroid_fiber(pm, dec, pt)
         mperp = la.annihilator([alg.flat(mb) for mb in fiber.basis], alg.dim)
+        columns = la.transpose(mperp)
         pairs = []
         for _ in range(n_pairs // len(dec.sample_points) + 1):
-            z1 = la.zeros(alg.dim)
-            z2 = la.zeros(alg.dim)
-            for b in mperp:
-                z1 = la.add(z1, la.scale(la.random_fraction(rng), b))
-                z2 = la.add(z2, la.scale(la.random_fraction(rng), b))
+            # z = sum_b c_b b, the coefficients of z1 and z2 drawn in turn
+            c = [la.random_fraction(rng) for _ in range(2 * len(mperp))]
+            z1, z2 = la.mat_vec(columns, c[::2]), la.mat_vec(columns, c[1::2])
             pairs.append(((la.random_vector(rng, alg.dim), z1), (la.random_vector(rng, alg.dim), z2)))
         report.add("reduced_form_formula", "omega_red = -<u1,z2> + <u2,z1> - <x,[u1,u2]>",
                    kernel is not None and reduction.decomposition_form_check(alg, dec, kernel, pairs),

@@ -23,8 +23,8 @@ basis of L and the basis of TS.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import linalg as la
 from . import poisson

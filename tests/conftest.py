@@ -2,9 +2,15 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import Phase, settings
 
 from symred import lie, poisson
 from symred import linalg as la
+
+# ``pytest --hypothesis-profile=mutation`` for a mutation check: every example
+# is generated as in the default profile, but a failing one is not shrunk,
+# which on the widest algebras takes minutes.  The default profile is unchanged.
+settings.register_profile("mutation", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 @pytest.fixture()

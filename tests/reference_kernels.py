@@ -233,13 +233,18 @@ def sl_position(beta):
     return beta.index(1), len(beta) - tuple(reversed(beta)).index(1)
 
 
-def product(a: Matrix, b: Matrix) -> Matrix:
-    """a b, every entry a dense ``dot``."""
-    return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
+def mat_mul(a: Sequence[Vector], b: Sequence[Vector]) -> Matrix:
+    """a b, every entry a dense ``dot`` of a row of a with a column of b.
+
+    A ragged b or a row of a whose length is not len(b) raises ``ValueError``
+    (both zips are strict), and a b of no columns gives empty rows.
+    """
+    cols = list(zip(*b, strict=True))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(product(a, b), product(b, a)))
+    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(mat_mul(a, b), mat_mul(b, a)))
 
 
 def sl_realization(alg: LieAlgebra) -> list[Matrix]:
@@ -374,8 +379,8 @@ def conjugation_adjoint(reps: Sequence[Matrix], g: Matrix) -> tuple[Matrix, Matr
             raise ValueError("conjugate lies outside the realized algebra")
         return sol
 
-    ad = [coords(product(product(g, rep), ginv)) for rep in reps]
-    ad_inv = [coords(product(product(ginv, rep), g)) for rep in reps]
+    ad = [coords(mat_mul(mat_mul(g, rep), ginv)) for rep in reps]
+    ad_inv = [coords(mat_mul(mat_mul(ginv, rep), g)) for rep in reps]
     return la.transpose(ad), la.transpose(ad_inv)
 
 

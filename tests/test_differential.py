@@ -1260,3 +1260,103 @@ def test_algebroid_fiber_matches_two_step_route(p, model, stable):
         fiber = poisson.algebroid_fiber(p, model, pt)
         assert fiber.rank == len(basis) and la.span_equal(list(fiber.basis), basis)
         assert fiber.contained_in_centralizer is in_ker is stable
+
+
+# -- mat_mul and ad_matrix in one integer pass ------------------------------------
+
+
+def exact_matrix(got, want):
+    """got equals want, is a tuple of tuples of Fractions, and every zero cell is the shared ZERO."""
+    assert got == want and type(got) is tuple
+    for row in got:
+        assert type(row) is tuple
+        for x in row:
+            assert type(x) is Q and (x is la.ZERO or x != 0)
+
+
+@st.composite
+def matrix_pair(draw):
+    """(A, B) with len(A[0]) = len(B), any of the three sizes possibly 0, B rational, zero rows in both."""
+    width = draw(st.integers(0, 6))
+    b = draw(st.one_of(sparse_rows(draw(st.integers(0, 6)), width), wide_rows(draw(st.integers(0, 5)), width),
+                       mixed_rows(draw(st.integers(0, 5)), width)))
+    a = draw(sparse_rows(draw(st.integers(0, 6)), len(b)))
+    for m in (a, b):
+        if m and draw(st.booleans()):
+            m[draw(st.integers(0, len(m) - 1))] = la.zeros(len(m[0]))
+    return a, b
+
+
+@given(matrix_pair())
+@settings(max_examples=150, deadline=None)
+def test_mat_mul_matches_dense(drawn):
+    a, b = drawn
+    exact_matrix(la.mat_mul(a, b), ref.mat_mul(a, b))
+    exact_matrix(la.mat_mul(a, [densified(row) for row in b]), ref.mat_mul(a, [densified(row) for row in b]))
+
+
+def test_mat_mul_contract():
+    a = la.mat([[1, Q(1, 2)], [0, 0]])
+    for b in [(), [(), ()]]:
+        # a B of no columns gives empty rows and reads no row of A
+        exact_matrix(la.mat_mul(a, b), ref.mat_mul(a, b))
+        assert la.mat_mul(a, b) == ((), ())
+    assert la.mat_mul((), la.identity(2)) == ref.mat_mul((), la.identity(2)) == ()
+    exact_matrix(la.mat_mul(a, la.mat([[Q(2, 3)], [4]])), ((Q(8, 3),), (la.ZERO,)))
+    exact_matrix(la.mat_mul(a, la.identity(2)), a)
+    ragged = [la.zeros(2), la.zeros(3)]
+    for left, right in [(a, la.identity(3)), (a, ragged), ((), ragged), (la.mat([[1, 0, 0]]), la.identity(2))]:
+        with pytest.raises(ValueError):
+            ref.mat_mul(left, right)
+        with pytest.raises(ValueError):
+            la.mat_mul(left, right)
+
+
+AD_ALGEBRAS = sorted(lie.SUPPORTED) + ["A1^2", "sl2_half_f"]
+
+
+def transposed_brackets(alg, x):
+    """The route ad_matrix replaced: [x, e_j] for each j, as columns."""
+    return la.transpose([alg.bracket(x, alg.basis_vec(j)) for j in range(alg.dim)])
+
+
+@pytest.mark.parametrize("name", AD_ALGEBRAS, ids=str)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_ad_matrix_is_the_transposed_brackets(name, data):
+    alg = pairing_algebra(name)
+    x = data.draw(sparse_rows(1, alg.dim))[0]
+    rational = la.vec([Q(k - 2, k % 3 + 1) for k in range(alg.dim)])
+    for u in (x, densified(x), rational, alg.basis_vec(alg.dim - 1), alg.zero()):
+        exact_matrix(alg.ad_matrix(u), transposed_brackets(alg, u))
+    with pytest.raises(DimensionMismatch):
+        alg.ad_matrix(la.zeros(alg.dim + 1))
+
+
+def test_ad_matrix_of_the_rational_table():
+    """On (h, e, f/2), with common denominator 2, ad_e sends f/2 to h/2."""
+    alg = sl2_half_f()
+    assert alg._den == 2
+    h, e, f_half = la.identity(3)
+    exact_matrix(alg.ad_matrix(e), transposed_brackets(alg, e))
+    assert alg.ad_matrix(e)[0][2] == Q(1, 2)
+    for x in (h, f_half, la.vec([Q(1, 3), Q(-2, 5), 1])):
+        exact_matrix(alg.ad_matrix(x), transposed_brackets(alg, x))
+
+
+def test_random_fraction_keeps_the_randint_stream():
+    """Each draw is Q(randint(-4, 4), randint(1, 3)) of a twin generator, which ends in the same state."""
+    zeros = 0
+    for seed in range(50):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            got = la.random_fraction(rng)
+            want = Q(twin.randint(-4, 4), twin.randint(1, 3))
+            assert got == want and type(got) is Q
+            if not want:
+                assert got is la.ZERO
+                zeros += 1
+            rng.random()
+            twin.random()
+        assert rng.getstate() == twin.getstate()
+    assert zeros

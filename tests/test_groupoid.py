@@ -324,6 +324,36 @@ def test_lie_functor(sl2, sl3, kks2, kks3, sl2_efh):
     assert not gpd.lie_functor_check(mw, wrong)
 
 
+def lie_functor_by_intersection(fiber, expected):
+    """The route lie_functor_check replaced: ker dt as span(fiber) ∩ span(e_0 .. e_{n-1}) inside Q^2n."""
+    if not fiber.basis:
+        return expected.rank == 0
+    n = len(fiber.basis[0]) // 2
+    ker_dt = la.intersect_spans(fiber.basis, [la.unit(2 * n, i) for i in range(n)])
+    return la.span_equal([tuple(-v[i] for i in range(n)) for v in ker_dt], list(expected.basis))
+
+
+@pytest.mark.parametrize("typ", ["A", "B", "G2"])
+def test_lie_functor_check_matches_the_intersection_route_on_every_chamber_face(typ):
+    alg = lie.build_chevalley(typ, 2)
+    pm = poisson.kks_model(alg)
+    tampered = 0
+    for subset in ((), (0,), (1,), (0, 1)):
+        # two points of the face, coordinates 1, 2 and 3, 2 off the subset
+        pts = [tuple(Q(c[i]) if i < 2 and i not in subset else la.ZERO for i in range(alg.dim)) for c in ((1, 2), (3, 2))]
+        face = poisson.WeylChamberFace(alg, subset, pts)
+        for pt in face.sample_points:
+            fiber = poisson.algebroid_fiber(pm, face, pt)
+            gfib = gpd.chamber_face_fiber(alg, face, pt)
+            assert gpd.lie_functor_check(gfib, fiber) is lie_functor_by_intersection(gfib, fiber) is True
+            if fiber.rank:
+                # one basis vector of the expected fiber dropped
+                short = poisson.AlgebroidFiber(fiber.basis[1:], fiber.contained_in_centralizer)
+                assert gpd.lie_functor_check(gfib, short) is lie_functor_by_intersection(gfib, short) is False
+                tampered += 1
+    assert tampered == 6  # the interior face has fiber 0
+
+
 def test_normality(sl2, sl3, sl2_efh):
     e, h, f = sl2_efh
     hb = sl2.flat(h)

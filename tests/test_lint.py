@@ -26,9 +26,14 @@ two-route check stay independent: the pairwise route of Omega
 ``reduced_form_well_defined``) names none of the Gram route's
 ``coadjoint_matrix``, ``_coadjoint`` or ``omega_gram``, and the orbit route
 of the kernel (``orbit_tangent_in_universal``) names no ``omega_gram``.
+Every annotation is a string (``from __future__ import annotations``), so
+``import symred`` loads no ``typing``, whose import is a cost that every
+run pays.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -368,3 +373,11 @@ def test_independence_gate_catches_a_crossing():
         "m.py: Algebra.renamed is not defined",
         "m.py: gone is not defined",
     ]
+
+
+def test_import_loads_no_typing():
+    """Checked in a fresh interpreter started with -S, as ``site`` may import ``typing`` itself."""
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import symred, symred.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    modules = out.stdout.split()
+    assert "symred.cli" in modules and "typing" not in modules

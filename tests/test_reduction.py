@@ -165,6 +165,19 @@ def test_decomposition_form(sl3, rng):
             reduction.decomposition_form_check(sl3, dec, kernel, [((u, fiber.basis[0]), (u, la.zeros(8)))])
 
 
+def test_sharp_pairs_as_xi_at_the_decomposition_points(sl3, rng):
+    """<xi^sharp, y> = xi(y), as K is symmetric, at the four points of decomposition_class_sl3.
+
+    So ``decomposition_form_check`` reads <x, [u1, u2]> as xi([u1, u2]).
+    """
+    for xi in (subregular_point(sl3), subregular_point(sl3, 2), subregular_point(sl3, -3), subregular_point(sl3, 1, (0, 2, 1))):
+        x = sl3.sharp(xi)
+        for y in list(la.identity(8)) + [la.random_vector(rng, 8)]:
+            assert sl3.killing_form(x, y) == la.dot(xi, y)
+        u1, u2 = la.random_vector(rng, 8), la.random_vector(rng, 8)
+        assert sl3.killing_form(x, sl3.bracket(u1, u2)) == sl3.bracket_pairing(xi, u1, u2)
+
+
 def test_push_rejects_wrong_length(sl2):
     hb = sl2.flat(sl2.basis_vec(0))
     _, model = reduction.kernel_identity_check(sl2, poisson.AffineSubspace(hb, []), hb)
