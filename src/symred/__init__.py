@@ -64,7 +64,6 @@ from .groupoid import (
     CotangentPoint,
     GroupoidTangentFiber,
     coadjoint_orbit_fiber,
-    fiber_by_intersection,
     lie_functor_check,
     mw_fiber,
     normality_infinitesimal_check,

@@ -17,8 +17,8 @@ ds(u, zeta) = Ad*_g(ad*_u xi + zeta) and dt(u, zeta) = zeta.
 
 Fibers of the stabilizer subgroupoids are computed from their defining
 linear conditions and certified isotropic by a zero Gram matrix of Omega;
-at the identity they are cross-checked against the independent
-intersection ds^{-1}(TS) ∩ dt^{-1}(TS) ∩ (TS)^Omega.
+the tests cross-check them at the identity against the intersection
+ds^{-1}(TS) ∩ dt^{-1}(TS) ∩ (TS)^Omega.
 """
 
 from __future__ import annotations
@@ -189,30 +189,6 @@ def chamber_face_fiber(alg: LieAlgebra, face, xi: Vector) -> GroupoidTangentFibe
     basis += [zero + tuple(z) for z in face.tangent_basis(xi)]
     iso = _isotropic(alg, tuple(xi), basis)
     return GroupoidTangentFiber(CotangentPoint(tuple(xi)), tuple(basis), iso)
-
-
-def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
-    """ds^{-1}(T S) ∩ dt^{-1}(T S) ∩ (T S)^Omega at the identity bisection.
-
-    Independent of the closed-form fiber constructions; used as the
-    two-route certificate.
-    """
-    xi = tuple(xi)
-    tangent = s_model.tangent_basis(xi)
-    ann = la.annihilator(tangent, alg.dim)
-    rows = []
-    n = alg.dim
-    # dt(u, zeta) = zeta in T S
-    for w in ann:
-        rows.append(la.zeros(n) + tuple(w))
-    # ds(u, zeta) = ad*_u xi + zeta in T S; w(ad*_u xi) = -(C w)·u
-    c = alg.coadjoint_matrix(xi)
-    for w in ann:
-        rows.append(la.neg(la.mat_vec(c, w)) + tuple(w))
-    # (u, zeta) Omega-orthogonal to 0 x T S: Omega((u,zeta),(0,t)) = t(u)
-    for t in tangent:
-        rows.append(tuple(t) + la.zeros(n))
-    return la.nullspace(rows)
 
 
 def lie_functor_check(fiber: GroupoidTangentFiber, expected: poisson.AlgebroidFiber) -> bool:

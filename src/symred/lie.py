@@ -889,16 +889,11 @@ def principal_sl2(alg: LieAlgebra) -> Sl2Triple:
     rs = alg._require_roots()
     es, hs, fs = alg.simple_vectors()
     # h = 2 rho^vee, the sum of the positive coroots, has alpha_i(h) = 2 for all i
-    coeffs = [sum(c) for c in zip(*map(rs.coroot_coeffs, rs.positive))]
-    e = la.zeros(alg.dim)
-    h = la.zeros(alg.dim)
-    for i in range(alg.rank):
-        e = la.add(e, es[i])
-        h = la.add(h, la.scale(coeffs[i], hs[i]))
+    coeffs = la.vec(sum(c) for c in zip(*map(rs.coroot_coeffs, rs.positive)))
+    e = la.mat_vec(la.transpose(es), (la.ONE,) * alg.rank)
+    h = la.mat_vec(la.transpose(hs), coeffs)
     # [e, f] = h with f = sum_i d_i f_i forces d_i = c_i.
-    f = la.zeros(alg.dim)
-    for i in range(alg.rank):
-        f = la.add(f, la.scale(coeffs[i], fs[i]))
+    f = la.mat_vec(la.transpose(fs), coeffs)
     triple = Sl2Triple(e, h, f)
     if not triple.verify(alg):
         raise SolveFailure("principal triple relations failed")

@@ -16,11 +16,10 @@ summed as ints, and one ``Fraction`` is built per nonzero output entry,
 a zero entry being the shared ``ZERO``.  ``dot`` and each row of
 ``mat_vec`` keep a running numerator over a denominator that grows only
 when an entry's denominator does not divide it, and ``mat_vec`` sums a
-row over the support of ``v`` only.  ``mat_mul`` scales each row of B
-once, and each row of A sums the scaled rows of B that its nonzero entries
-pick, over a running common denominator.  It raises ``ValueError`` on a
-ragged B and on a row of A whose length is not len(B), and a B of no
-columns gives one empty row per row of A.  ``add``, ``sub``, ``neg`` and
+row over the support of ``v`` only.  ``mat_mul`` is ``mat_vec`` of Bᵀ
+on each row of A, same contract: it raises ``ValueError`` on a ragged B
+and on a row of A whose length is not len(B), and a B of no columns gives
+one empty row per row of A.  ``add``, ``sub``, ``neg`` and
 ``scale`` pass over a cell that ``is`` ``ZERO`` and keep it shared.
 Every result equals the one the dense ``Fraction`` loops give, and
 vectors and matrices stay tuples of ``Fraction`` at every public
@@ -179,35 +178,9 @@ def mat_vec(a: Sequence[Vector], v: Vector) -> Vector:
 
 
 def mat_mul(a: Sequence[Vector], b: Sequence[Vector]) -> Matrix:
-    """A B, each row of A summing the rows of B that its nonzero entries pick, on ints; see the module docstring."""
-    width = len(b[0]) if b else 0
-    if any(len(row) != width for row in b):
-        raise ValueError(f"rows of lengths {sorted({len(row) for row in b})}: a ragged matrix")
-    if not width:
-        return tuple(() for _ in a)
-    scaled = [_integer(row) for row in b]
-    zero_row = (ZERO,) * width
-    out = []
-    for row in a:
-        if len(row) != len(b):
-            raise ValueError(f"row of length {len(row)} against a matrix of {len(b)} rows")
-        acc, den = None, 1
-        for x, (support, d) in zip(row, scaled):
-            if x is ZERO or not support:
-                continue
-            if acc is None:
-                acc = [0] * width
-            xn, xd = x.as_integer_ratio()
-            xd *= d
-            if den % xd:
-                grow = xd // math.gcd(den, xd)
-                acc = [n * grow for n in acc]
-                den *= grow
-            f = xn * (den // xd)
-            for j, n in support:
-                acc[j] += f * n
-        out.append(zero_row if acc is None else tuple(Q(n, den) if n else ZERO for n in acc))
-    return tuple(out)
+    """A B, one ``mat_vec`` of Bᵀ per row of A; see the module docstring."""
+    columns = transpose(b)
+    return tuple(mat_vec(columns, row) for row in a)
 
 
 def transpose(a: Sequence[Vector]) -> Matrix:
@@ -384,16 +357,6 @@ def span_contains(gens: Sequence[Vector], others: Sequence[Vector]) -> bool:
 
 def span_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
     return span_basis(a) == span_basis(b)
-
-
-def intersect_spans(a: Sequence[Vector], b: Sequence[Vector]) -> list[Vector]:
-    """Basis of span(a) ∩ span(b)."""
-    a = span_basis(a)
-    b = span_basis(b)
-    if not a or not b:
-        return []
-    # sum_i x_i a_i + sum_j y_j b_j = 0 puts sum_i x_i a_i in span(b)
-    return kernel_within(a + b, a + [zeros(len(a[0]))] * len(b))
 
 
 def annihilator(gens: Sequence[Vector], dim: int) -> list[Vector]:

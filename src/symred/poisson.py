@@ -173,14 +173,12 @@ def slodowy_slice(algebra: LieAlgebra, triple: Sl2Triple, parameters: Sequence[S
     canonical basis b of g_f; with no parameters the model has no sample points.
     """
     gf = la.span_basis(algebra.centralizer(triple.f))
+    columns = la.transpose(gf)
     pts = []
     for k, params in enumerate(parameters):
         if len(params) != len(gf):
             raise DimensionMismatch(f"parameter row {k} has length {len(params)}, not dim g_f = {len(gf)}")
-        x = triple.e
-        for c, b in zip(params, gf):
-            x = la.add(x, la.scale(c, b))
-        pts.append(algebra.flat(x))
+        pts.append(algebra.flat(la.add(triple.e, la.mat_vec(columns, la.vec(params)))))
     return AffineSubspace(algebra.flat(triple.e), [algebra.flat(b) for b in gf], pts)
 
 

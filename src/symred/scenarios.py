@@ -414,12 +414,11 @@ def polyhedral_face_torus(report: ScenarioReport, values: dict, rng: random.Rand
     pmodel = poisson.trivial_model(dim_t)
     for label, dirs in cases:
         base = la.zeros(dim_t)
+        columns = la.transpose(dirs)
         pts = [base]
         for _ in range(max(0, sample_count - 1)):
-            v = base
-            for d in dirs:
-                v = la.add(v, la.scale(la.random_fraction(rng), d))
-            pts.append(v)
+            # a face that is a point draws nothing and stays at its base
+            pts.append(la.mat_vec(columns, [la.random_fraction(rng) for _ in dirs]) if dirs else base)
         face = poisson.AffineSubspace(base, dirs, pts)
         for pt in face.sample_points:
             fiber = poisson.algebroid_fiber(pmodel, face, pt)

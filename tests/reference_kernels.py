@@ -17,8 +17,13 @@ read roots by basis index, kept as the oracle of ``lie._table_from_roots``
 and of ``RootSystem``'s tuple API.  The stabilizer fiber's two-step route,
 an annihilator and then a second nullspace with sigma's image of it,
 which ``poisson.algebroid_fiber`` replaced by one linear system, is the
-oracle of that system.  The differential tests require the library to
-return exactly what these do, or, for the fiber, the same span.
+oracle of that system.  Two routes that only tests called left the
+library for this file: ``intersect_spans``, whose question the library
+answers with ``kernel_within`` alone, and ``fiber_by_intersection``, the
+general ds^{-1}(TS) ∩ dt^{-1}(TS) ∩ (TS)^Omega route that the closed-form
+groupoid fibers are cross-checked against.  The differential tests require
+the library to return exactly what these do, or, for the fiber, the same
+span.
 """
 
 from __future__ import annotations
@@ -180,6 +185,35 @@ def kernel_within(m, sub: Sequence[Vector]) -> list[Vector]:
             v = la.add(v, la.scale(ci, b))
         out.append(v)
     return la.span_basis(out)
+
+
+def intersect_spans(a: Sequence[Vector], b: Sequence[Vector]) -> list[Vector]:
+    """Canonical basis of span(a) ∩ span(b): the kernel, inside span(a), of the annihilator of b."""
+    if not b:
+        return []
+    return kernel_within(nullspace(b), a)
+
+
+def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
+    """ds^{-1}(T S) ∩ dt^{-1}(T S) ∩ (T S)^Omega at the identity bisection, by one dense nullspace.
+
+    The general route that the closed-form fibers of ``groupoid`` replace:
+    flat (u, zeta) with dt = zeta and ds = ad*_u xi + zeta in T S, and
+    Omega-orthogonal to 0 x T S.
+    """
+    xi = tuple(xi)
+    n = alg.dim
+    tangent = s_model.tangent_basis(xi)
+    ann = la.annihilator(tangent, n)
+    zero = (Q(0),) * n
+    # dt(u, zeta) = zeta in T S
+    rows = [zero + tuple(w) for w in ann]
+    # ds(u, zeta) = ad*_u xi + zeta in T S; w(ad*_u xi) = -(C w)·u
+    c = coadjoint_matrix(alg, xi)
+    rows += [tuple(-x for x in mat_vec(c, w)) + tuple(w) for w in ann]
+    # (u, zeta) Omega-orthogonal to 0 x T S: Omega((u, zeta), (0, t)) = t(u)
+    rows += [tuple(t) + zero for t in tangent]
+    return nullspace(rows)
 
 
 def ad_star(alg: LieAlgebra, x: Vector, xi: Vector) -> Vector:

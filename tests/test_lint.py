@@ -13,7 +13,9 @@ that nothing in ``tests/`` names, a fixture counting as named where a test
 or fixture takes it as a parameter.  So is a field or
 public method of a top-level class that nothing in ``src/`` or ``tests/``
 reads as an attribute: a keyword argument at construction writes a field
-and does not read it.  Every exception
+and does not read it.  A public top-level function or class of ``src/`` is
+named by another ``src/`` body or imported by ``__init__.py``: a route
+that only tests call belongs in the test oracle.  Every exception
 class in ``errors.py`` is raised somewhere in ``src/``: a class that only a
 test's ``pytest.raises`` names guards nothing.  ``scenarios.py`` has no
 ``&=``: a pointwise verdict folded into a flag loses the point where it
@@ -93,6 +95,20 @@ def dead_names(modules: dict[str, ast.Module], others: list[ast.AST], uses=refer
     for tree in others:
         used |= uses(tree)
     return [f"{module} line {line}: {name} is never used" for module, line, name in defined if name not in used]
+
+
+def referenced_or_imported(tree: ast.AST) -> set[str]:
+    """The names `tree` references, and the names it imports: ``__init__.py`` uses a name by re-exporting it."""
+    names = referenced(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def unreached_public_names(modules: dict[str, ast.Module], init: ast.Module) -> list[str]:
+    """Public top-level names of the `modules` that no other body names and `init` does not import."""
+    return [found for found in dead_names(modules, [init], referenced_or_imported) if ": _" not in found]
 
 
 def referenced_or_requested(tree: ast.AST) -> set[str]:
@@ -254,6 +270,27 @@ def test_dead_name_gate_catches_unused():
     assert dead_names({"m.py": module}, [test]) == [
         "m.py line 7: recursive is never used",
         "m.py line 10: Orphan is never used",
+    ]
+
+
+def test_every_public_name_is_reached_from_src():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC if p.name != "__init__.py"}
+    init = ROOT / "src" / "symred" / "__init__.py"
+    assert unreached_public_names(modules, ast.parse(init.read_text(encoding="utf-8"), filename=str(init))) == []
+
+
+def test_unreached_name_gate_catches_a_test_only_route():
+    module = ast.parse(
+        "def used():\n    return exported()\n\ndef exported():\n    return 1\n\n"
+        "def _private():\n    return 2\n\ndef only_tests_call():\n    return 3\n\n"
+        "class Exported:\n    pass\n\nclass Planted:\n    pass\n"
+    )
+    other = ast.parse("from .m import used\n\ndef run():\n    return used()\n")
+    init = ast.parse("from .m import Exported, used\n")
+    assert unreached_public_names({"m.py": module, "n.py": other}, init) == [
+        "m.py line 10: only_tests_call is never used",
+        "m.py line 16: Planted is never used",
+        "n.py line 3: run is never used",
     ]
 
 

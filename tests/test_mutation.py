@@ -1,4 +1,4 @@
-"""Every reported check of three scenarios is shown to fail.
+"""Every reported check of four scenarios is shown to fail.
 
 A certificate is worth reporting only if some wrong input makes it reject.
 Each entry of ``MUTATIONS`` names one mutation for one (scenario, check):
@@ -43,8 +43,11 @@ def principal_with(member, value):
 
 
 _annihilator = la.annihilator
+_centralizer = lie.LieAlgebra.centralizer
 _explicit_tangent = poisson.Explicit._tangent
 _casimir_tangent = poisson.CasimirLevelSet._tangent
+_class_tangent = poisson.DecompositionClass._tangent
+_eval_reduced = reduction.ReducedSpaceModel.eval_reduced
 
 
 def unstable_fibers(monkeypatch):
@@ -74,6 +77,28 @@ MUTATIONS = {
     # pointwise Omega that disagrees with its Gram matrix
     ("slodowy_moore_tachikawa", "kernel_two_route"): patched(reduction, "omega_eval", lambda alg, xi, u, v: la.ONE),
     ("slodowy_moore_tachikawa", "reduced_dim"): wrong_input(expected_reduced_dim=9),
+    # a tangent one vector short: codimension 4
+    ("decomposition_class_sl3", "tangent_space"):
+        patched(poisson.DecompositionClass, "_tangent", lambda self, xi: _class_tangent(self, xi)[:-1]),
+    # a centralizer one vector short: its derived algebra misses part of the fiber
+    ("decomposition_class_sl3", "annihilator_two_route"):
+        patched(lie.LieAlgebra, "centralizer", lambda self, x: _centralizer(self, x)[:-1]),
+    # an sl2 certificate that accepts no triple
+    ("decomposition_class_sl3", "h_is_sl2"): patched(lie.Sl2Triple, "verify", lambda self, algebra: False),
+    # span{e_(0,1), e_(1,0)}, basis vectors 2 and 3, whose bracket is a multiple of e_(1,1)
+    ("decomposition_class_sl3", "h_bracket_closed"):
+        patched(poisson, "stabilizer_subalgebra", lambda pm, s, xi: [la.unit(len(xi), 2), la.unit(len(xi), 3)]),
+    # pointwise Omega that disagrees with its Gram matrix
+    ("decomposition_class_sl3", "kernel_two_route"): patched(reduction, "omega_eval", lambda alg, xi, u, v: la.ONE),
+    # the reduced form with its sign flipped
+    ("decomposition_class_sl3", "reduced_form_formula"):
+        patched(reduction.ReducedSpaceModel, "eval_reduced", lambda self, v, w: -_eval_reduced(self, v, w)),
+    # a tangent one vector short at the first point only
+    ("decomposition_class_sl3", "pre_poisson_sampled"): patched(poisson.DecompositionClass, "_tangent", lambda self, xi: (
+        _class_tangent(self, xi)[: -1 if xi == self.sample_points[0] else None])),
+    # every fiber reported unstable
+    ("decomposition_class_sl3", "stable"): unstable_fibers,
+    ("decomposition_class_sl3", "reduced_dim"): wrong_input(expected_reduced_dim=9),
     # an annihilator one vector short
     ("c4_prepoisson_remark", "annihilator_span"): patched(la, "annihilator", lambda gens, dim: _annihilator(gens, dim)[:-1]),
     # the tangent of x^2 = -u, not of the quadric
@@ -103,7 +128,6 @@ MUTATIONS = {
 # records, so the report still renders.  Each scenario here moves into
 # MUTATIONS once every one of its checks has an entry.
 UNSTABLE = {
-    ("decomposition_class_sl3", "stable"): unstable_fibers,
     # no stable record here: the face's dimension record fails
     ("implosion_faces_A2", "face_a1_dimension"): unstable_fibers,
 }

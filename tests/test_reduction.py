@@ -62,7 +62,7 @@ def kernel_oracle(alg, s_model, xi):
         rows.append(tuple(gpd.omega_eval(alg, xi, b, v) for v in full))
     # v in (T_pN)^Omega iff it annihilates every row as a functional
     orth = la.nullspace(rows)
-    return la.intersect_spans(n_basis, orth)
+    return ref.intersect_spans(n_basis, orth)
 
 
 def test_kernel_identity_slice_orbit_singleton(sl2, sl2_efh):
