@@ -19,7 +19,9 @@ when an entry's denominator does not divide it, and ``mat_vec`` sums a
 row over the support of ``v`` only.  ``mat_mul`` is ``mat_vec`` of Bᵀ
 on each row of A, same contract: it raises ``ValueError`` on a ragged B
 and on a row of A whose length is not len(B), and a B of no columns gives
-one empty row per row of A.  ``add``, ``sub``, ``neg`` and
+one empty row per row of A.  ``columns`` is the matrix of generators
+in Q^n: n empty rows for no generators, so one ``mat_vec`` of it gives
+n shared ``ZERO``s for the empty sum.  ``add``, ``sub``, ``neg`` and
 ``scale`` pass over a cell that ``is`` ``ZERO`` and keep it shared.
 Every result equals the one the dense ``Fraction`` loops give, and
 vectors and matrices stay tuples of ``Fraction`` at every public
@@ -187,6 +189,11 @@ def transpose(a: Sequence[Vector]) -> Matrix:
     if not a:
         return ()
     return tuple(zip(*a, strict=True))
+
+
+def columns(vectors: Sequence[Vector], n: int) -> Matrix:
+    """The n rows of the matrix whose columns are `vectors`: n empty rows when there are none."""
+    return transpose(vectors) or ((),) * n
 
 
 def _clear(row: list[int], prow: list[int], c: int, support: list[int]) -> list[int]:

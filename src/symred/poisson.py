@@ -35,10 +35,13 @@ from .linalg import Matrix, Vector
 
 @dataclass(frozen=True)
 class PoissonPointModel:
-    """Bivector evaluation on a fixed-dimensional space."""
+    """Bivector evaluation on a fixed-dimensional space.
+
+    The model is the Lie-Poisson structure of `algebra` on g* when
+    `algebra` is set, and the constant bivector `sigma` otherwise.
+    """
 
     ambient_dim: int
-    kind: str  # "kks" or "constant"
     algebra: LieAlgebra | None = None
     sigma: Matrix | None = None
 
@@ -46,7 +49,7 @@ class PoissonPointModel:
         """Matrix B with (sigma_xi eta)_j = sum_i B[j][i] eta_i."""
         if len(xi) != self.ambient_dim:
             raise DimensionMismatch("point has wrong dimension")
-        if self.kind == "constant":
+        if self.algebra is None:
             return self.sigma
         # B[j][i] = xi([e_i, e_j]): the transpose of the coadjoint matrix
         return la.transpose(self.algebra.coadjoint_matrix(xi))
@@ -54,7 +57,7 @@ class PoissonPointModel:
 
 def kks_model(algebra: LieAlgebra) -> PoissonPointModel:
     """Lie-Poisson structure on g*: sigma_xi(x) = -ad*_x xi."""
-    return PoissonPointModel(algebra.dim, "kks", algebra=algebra)
+    return PoissonPointModel(algebra.dim, algebra=algebra)
 
 
 def _skew(form: Matrix, name: str) -> Matrix:
@@ -71,7 +74,7 @@ def _skew(form: Matrix, name: str) -> Matrix:
 def constant_model(sigma: Matrix) -> PoissonPointModel:
     """The constant bivector sigma, which must be a square skew matrix."""
     q = _skew(sigma, "sigma")
-    return PoissonPointModel(len(q), "constant", sigma=q)
+    return PoissonPointModel(len(q), sigma=q)
 
 
 def symplectic_model(omega: Matrix) -> PoissonPointModel:
@@ -84,7 +87,7 @@ def symplectic_model(omega: Matrix) -> PoissonPointModel:
         sigma = la.inverse(la.transpose(q))
     except ZeroDivisionError:
         raise DimensionMismatch("omega must be nondegenerate") from None
-    return PoissonPointModel(len(q), "constant", sigma=sigma)
+    return PoissonPointModel(len(q), sigma=sigma)
 
 
 def trivial_model(dim: int) -> PoissonPointModel:
@@ -361,8 +364,7 @@ def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> Al
     if fiber is None:
         n = p.ambient_dim
         tangent = s.tangent_basis(xi)
-        columns = list(zip(*tangent)) or [()] * n
-        rows = [row + col for row, col in zip(p.bivector_at(xi), columns, strict=True)]
+        rows = [row + col for row, col in zip(p.bivector_at(xi), la.columns(tangent, n), strict=True)]
         rows += [tuple(t) + la.zeros(len(tangent)) for t in tangent]
         solutions = la.nullspace(rows)
         in_ker = all(la.is_zero(v[n:]) for v in solutions)
@@ -384,7 +386,7 @@ def stabilizer_subalgebra(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector)
     reads a Gram matrix of Omega, so it stays the orbit route of
     ``reduction.kernel_identity_check``.
     """
-    if p.kind != "kks":
+    if p.algebra is None:
         raise NotStable("stabilizer subalgebras live on g* models")
     xi = tuple(xi)
     fiber = algebroid_fiber(p, s, xi)

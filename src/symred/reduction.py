@@ -86,8 +86,8 @@ def kernel_identity_check(alg: LieAlgebra, s_model, xi: Vector):
     gram = omega_gram(alg, xi, n_basis)
     coeff_kernel = la.nullspace(gram)
     # n_basis opens with the unit vectors of g, so sum_a c_a n_a = (c[:n], sum_b c[n + b] t_b)
-    columns = la.transpose(tangent)
-    kernel = la.span_basis([c[:n] + (la.mat_vec(columns, c[n:]) if tangent else la.zeros(n)) for c in coeff_kernel])
+    columns = la.columns(tangent, n)
+    kernel = la.span_basis([c[:n] + la.mat_vec(columns, c[n:]) for c in coeff_kernel])
     orbit = orbit_tangent_in_universal(alg, s_model, xi)
     agree = la.span_equal(kernel, orbit)
     # Completing the kernel by members of n_basis is completing its

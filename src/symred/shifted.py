@@ -32,11 +32,6 @@ from .errors import CertificateFailed, NotACandidate
 from .linalg import Matrix, Vector
 
 
-def _rows(cols: Sequence[Vector], dim: int) -> Matrix:
-    """The rows of the dim × len(cols) matrix with columns `cols`; dim empty rows when there are none."""
-    return tuple(tuple(c[i] for c in cols) for i in range(dim))
-
-
 @dataclass(frozen=True)
 class TwoTermComplexMap:
     ambient_dim: int
@@ -52,8 +47,8 @@ class TwoTermComplexMap:
     def verify_commutation(self) -> bool:
         """γα = 0, βα = 0 and δβ = εγ, column by column."""
         k, n, s = len(self.l_basis), self.ambient_dim, len(self.tangent)
-        b, g = _rows(self.beta, n), _rows(self.gamma, s)
-        d, e = _rows(self.delta, k), _rows(self.epsilon, k)
+        b, g = la.columns(self.beta, n), la.columns(self.gamma, s)
+        d, e = la.columns(self.delta, k), la.columns(self.epsilon, k)
         if not all(la.is_zero(la.mat_vec(g, a)) and la.is_zero(la.mat_vec(b, a)) for a in self.alpha):
             return False
         return all(la.mat_vec(d, bc) == la.mat_vec(e, gc) for bc, gc in zip(self.beta, self.gamma, strict=True))
@@ -80,7 +75,7 @@ def build_complex(p: poisson.PoissonPointModel, s_model, xi: Vector, l_basis: Se
     l_basis = tuple(tuple(l) for l in l_basis)
     if la.rank(l_basis) != len(l_basis):
         raise NotACandidate("the basis of L must be linearly independent")
-    tangent_rows = _rows(tangent, n)
+    tangent_rows = la.columns(tangent, n)
     anchors = []  # σ(l) in the tangent basis
     for l in l_basis:
         if any(la.dot(l, t) != 0 for t in tangent):
@@ -93,10 +88,10 @@ def build_complex(p: poisson.PoissonPointModel, s_model, xi: Vector, l_basis: Se
     cmap = TwoTermComplexMap(
         n, l_basis, tangent, sigma,
         alpha=tuple(l + a for l, a in zip(l_basis, anchors)),
-        beta=_rows(sigma, n) + tuple(la.neg(t) for t in tangent),
+        beta=la.columns(sigma, n) + tuple(la.neg(t) for t in tangent),
         gamma=tangent_rows + (la.zeros(s),) * s,
-        delta=_rows(l_basis, n),
-        epsilon=_rows([la.neg(a) for a in anchors], s),
+        delta=la.columns(l_basis, n),
+        epsilon=la.columns([la.neg(a) for a in anchors], s),
     )
     if not cmap.verify_commutation():
         raise CertificateFailed("the squares of the two-term-complex diagram do not commute")
@@ -113,7 +108,7 @@ def lagrangian_criterion(cmap: TwoTermComplexMap) -> LagrangianVerdict:
     rank_beta, rank_eps = la.rank(cmap.beta), la.rank(cmap.epsilon)
     # φ: ker β / im α → ker ε through γ; its kernel is (ker β ∩ ker γ) / im α, and it
     # is onto when γ(ker β), of dimension dim ker β − dim(ker β ∩ ker γ), fills ker ε
-    ker_both = la.annihilator(_rows(cmap.beta, n) + _rows(cmap.gamma, s), n + s)
+    ker_both = la.annihilator(la.columns(cmap.beta, n) + la.columns(cmap.gamma, s), n + s)
     ker_phi_dim = la.rank([*ker_both, *cmap.alpha]) - la.rank(cmap.alpha)
     phi_onto = (n + s - rank_beta) - len(ker_both) == s - rank_eps
     # ψ: Q^n / im β → Q^k / im ε through δ; im β lies in δ⁻¹(im ε)

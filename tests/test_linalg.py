@@ -125,6 +125,19 @@ def test_unit_refuses_an_index_out_of_range(i):
     assert la.unit(3, 2) == (la.ZERO, la.ZERO, la.ONE)
 
 
+def test_columns_of_no_generators_are_empty_rows():
+    """The zero generators give n empty rows, and the empty sum over them is n shared ZEROs."""
+    rows = la.columns([], 3)
+    assert rows == ((), (), ())
+    total = la.mat_vec(rows, ())
+    assert len(total) == 3 and all(x is la.ZERO for x in total)
+    gens = [la.vec([1, 2, 3]), la.vec([0, Q(1, 2), -1])]
+    assert la.columns(gens, 3) == la.transpose(gens)
+    assert la.mat_vec(la.columns(gens, 3), la.vec([2, -2])) == la.vec([2, 3, 8])
+    with pytest.raises(ValueError):
+        la.columns([la.vec([1, 2]), la.vec([1])], 2)
+
+
 def shared_zeros(v):
     """v with every zero cell the shared ``la.ZERO``."""
     return tuple(x or la.ZERO for x in v)

@@ -28,6 +28,8 @@ two-route check stay independent: the pairwise route of Omega
 ``reduced_form_well_defined``) names none of the Gram route's
 ``coadjoint_matrix``, ``_coadjoint`` or ``omega_gram``, and the orbit route
 of the kernel (``orbit_tangent_in_universal``) names no ``omega_gram``.
+Only ``poisson.py`` compares a ``kind`` attribute: elsewhere a model's kind
+is decided by its class, and ``kind`` is a label for messages.
 Every annotation is a string (``from __future__ import annotations``), so
 ``import symred`` loads no ``typing``, whose import is a cost that every
 run pays.
@@ -192,6 +194,18 @@ def second_affine_models(tree: ast.Module) -> list[str]:
                 if point not in loads:
                     found.append(f"line {item.lineno}: {cls.name}._tangent never reads {point}")
     return found
+
+
+def kind_comparisons(modules: dict[str, ast.Module]) -> list[str]:
+    """Comparisons outside ``poisson.py`` with a ``.kind`` attribute among their operands."""
+    return [
+        f"{module} line {node.lineno}: compares .kind"
+        for module, tree in modules.items()
+        if module != "poisson.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, ast.Attribute) and op.attr == "kind" for op in [node.left, *node.comparators])
+    ]
 
 
 def definition(tree: ast.Module, qualname: str) -> ast.AST | None:
@@ -387,6 +401,24 @@ def test_affine_model_gate_catches_a_second_one():
         "line 14: Slice._tangent never reads xi",
         "line 18: Face._tangent never reads p",
         "line 23: Point._tangent never reads its point",
+    ]
+
+
+def test_only_poisson_compares_a_kind():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC}
+    assert kind_comparisons(modules) == []
+
+
+def test_kind_gate_catches_a_comparison():
+    module = ast.parse(
+        "def f(m):\n    if m.kind == 'x':\n        return 1\n    if 'y' != m.kind:\n        return 2\n"
+        "    if m.kind in KINDS:\n        return 3\n    raise ValueError(f'kind {m.kind} is not invariant')\n"
+    )
+    poisson = ast.parse("def g(p):\n    return p.kind == 'kks'\n")
+    assert kind_comparisons({"m.py": module, "poisson.py": poisson}) == [
+        "m.py line 2: compares .kind",
+        "m.py line 4: compares .kind",
+        "m.py line 6: compares .kind",
     ]
 
 

@@ -1,4 +1,4 @@
-"""Every reported check of four scenarios is shown to fail.
+"""Every reported check of five scenarios is shown to fail.
 
 A certificate is worth reporting only if some wrong input makes it reject.
 Each entry of ``MUTATIONS`` names one mutation for one (scenario, check):
@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from symred import cli, lie, poisson, reduction, scenarios
+from symred import cli, groupoid, lie, poisson, reduction, scenarios
 from symred import linalg as la
 from test_golden_report import CONFIGS
 
@@ -48,18 +48,26 @@ _explicit_tangent = poisson.Explicit._tangent
 _casimir_tangent = poisson.CasimirLevelSet._tangent
 _class_tangent = poisson.DecompositionClass._tangent
 _eval_reduced = reduction.ReducedSpaceModel.eval_reduced
+_root_subsystem_algebra = poisson.WeylChamberFace.root_subsystem_algebra
+_omega_gram = reduction.omega_gram
 
 
-def unstable_fibers(monkeypatch):
-    """``algebroid_fiber`` reporting every fiber of positive rank as not inside ker sigma, its basis kept."""
-    original = poisson.algebroid_fiber
+def altered_fibers(change):
+    """The mutation that passes every fiber of positive rank from ``algebroid_fiber`` through `change`."""
+    def mutate(monkeypatch):
+        original = poisson.algebroid_fiber
 
-    def fiber(p, s, xi):
-        f = original(p, s, xi)
-        return dataclasses.replace(f, contained_in_centralizer=False) if f.rank else f
+        def fiber(p, s, xi):
+            f = original(p, s, xi)
+            return change(f) if f.rank else f
 
-    monkeypatch.setattr(poisson, "algebroid_fiber", fiber)
-    return {}
+        monkeypatch.setattr(poisson, "algebroid_fiber", fiber)
+        return {}
+    return mutate
+
+
+# every fiber of positive rank reported as not inside ker sigma, its basis kept
+unstable_fibers = altered_fibers(lambda f: dataclasses.replace(f, contained_in_centralizer=False))
 
 
 MUTATIONS = {
@@ -119,17 +127,33 @@ MUTATIONS = {
     # a tangent one vector short at the first point only
     ("casimir_sphere", "pre_poisson_sampled"): patched(poisson.CasimirLevelSet, "_tangent", lambda self, xi: (
         _casimir_tangent(self, xi)[: -1 if xi == self.sample_points[0] else None])),
-    # every fiber reported unstable; its own stable record, ad*_{xi_sharp} xi = 0, still passes
+    # every fiber reported unstable; its stable record reads the same verdict and fails too
     ("casimir_sphere", "reduced_dim"): unstable_fibers,
-}
-
-
-# At an unstable point the reduction step forms no kernel and fails its
-# records, so the report still renders.  Each scenario here moves into
-# MUTATIONS once every one of its checks has an entry.
-UNSTABLE = {
-    # no stable record here: the face's dimension record fails
+    # g_Psi = g on every face: only the closed face a1_a2 has the fiber g
+    ("implosion_faces_A2", "face_interior_fiber"):
+        patched(poisson.WeylChamberFace, "root_subsystem_algebra", lambda self, xi: la.identity(self.algebra.dim)),
+    ("implosion_faces_A2", "face_a1_fiber"):
+        patched(poisson.WeylChamberFace, "root_subsystem_algebra", lambda self, xi: la.identity(self.algebra.dim)),
+    ("implosion_faces_A2", "face_a2_fiber"):
+        patched(poisson.WeylChamberFace, "root_subsystem_algebra", lambda self, xi: la.identity(self.algebra.dim)),
+    # g_Psi one vector short: g on the closed face loses a vector
+    ("implosion_faces_A2", "face_a1_a2_fiber"):
+        patched(poisson.WeylChamberFace, "root_subsystem_algebra", lambda self, xi: _root_subsystem_algebra(self, xi)[:-1]),
+    # an isotropy certificate that accepts no fiber
+    ("implosion_faces_A2", "face_interior_groupoid"): patched(groupoid, "_isotropic", lambda alg, xi, vectors: False),
+    ("implosion_faces_A2", "face_a1_groupoid"): patched(groupoid, "_isotropic", lambda alg, xi, vectors: False),
+    ("implosion_faces_A2", "face_a2_groupoid"): patched(groupoid, "_isotropic", lambda alg, xi, vectors: False),
+    ("implosion_faces_A2", "face_a1_a2_groupoid"): patched(groupoid, "_isotropic", lambda alg, xi, vectors: False),
+    # the Gram route of the kernel at xi = 0, where Omega pairs u with zeta only: its kernel is (T_xi S)° x 0,
+    # not h_xi = 0 on the interior, which unstable_fibers leaves alone as its fiber is 0
+    ("implosion_faces_A2", "face_interior_dimension"):
+        patched(reduction, "omega_gram", lambda alg, xi, vectors: _omega_gram(alg, la.zeros(len(xi)), vectors)),
+    # every fiber of positive rank reported unstable: the reduction step fails the face
     ("implosion_faces_A2", "face_a1_dimension"): unstable_fibers,
+    ("implosion_faces_A2", "face_a2_dimension"): unstable_fibers,
+    ("implosion_faces_A2", "face_a1_a2_dimension"): unstable_fibers,
+    # every fiber of positive rank one basis vector short: dims 0, 2, 2, 7
+    ("implosion_faces_A2", "face_dims"): altered_fibers(lambda f: dataclasses.replace(f, basis=f.basis[:-1])),
 }
 
 
@@ -138,9 +162,9 @@ def run(scenario, params):
     return cli.run(cli.parse_config(config))
 
 
-@pytest.mark.parametrize("scenario,check", {**MUTATIONS, **UNSTABLE}, ids=lambda v: v)
+@pytest.mark.parametrize("scenario,check", MUTATIONS, ids=lambda v: v)
 def test_mutation_fails_its_check(monkeypatch, scenario, check):
-    params = {**README[scenario], **{**MUTATIONS, **UNSTABLE}[scenario, check](monkeypatch)}
+    params = {**README[scenario], **MUTATIONS[scenario, check](monkeypatch)}
     document, code = run(scenario, params)
     statuses = {c["name"]: c["status"] for c in document["scenarios"][0]["checks"]}
     assert statuses[check] == "fail"

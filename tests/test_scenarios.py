@@ -6,6 +6,7 @@ import pytest
 import reference_kernels as ref
 from symred import groupoid as gpd
 from conftest import subregular_point
+from test_mutation import unstable_fibers
 from symred import lie, poisson, scenarios
 from symred import linalg as la
 from symred.errors import ConfigError
@@ -103,6 +104,15 @@ def test_casimir_dims():
     for level in (3, "-8"):
         with pytest.raises(ConfigError):
             run_scenario("casimir_sphere", {"algebra": "A1", "level": level}, 5, 3)
+
+
+@pytest.mark.parametrize("algebra", ["A1", "A2"])
+def test_casimir_report_cannot_contradict_itself(monkeypatch, algebra):
+    """With every fiber reported unstable, the stable record fails beside the reduction step it gates."""
+    unstable_fibers(monkeypatch)
+    rep = run_scenario("casimir_sphere", {"algebra": algebra}, 5, 3)
+    statuses = {c.name: c.status for c in rep.checks}
+    assert statuses["stable"] == statuses["reduced_dim"] == "fail"
 
 
 def test_forced_failure_override():
