@@ -251,20 +251,20 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
         for pt in dec.sample_points
     ]
 
-    n_pairs = max(20, 5 * sample_count)
+    per_point = max(20, 5 * sample_count) // len(dec.sample_points) + 1
     for pt, kernel in zip(dec.sample_points, kernels):
         fiber = poisson.algebroid_fiber(pm, dec, pt)
         mperp = la.annihilator([alg.flat(mb) for mb in fiber.basis], alg.dim)
         columns = la.transpose(mperp)
         pairs = []
-        for _ in range(n_pairs // len(dec.sample_points) + 1):
+        for _ in range(per_point):
             # z = sum_b c_b b, the coefficients of z1 and z2 drawn in turn
             c = [la.random_fraction(rng) for _ in range(2 * len(mperp))]
             z1, z2 = la.mat_vec(columns, c[::2]), la.mat_vec(columns, c[1::2])
             pairs.append(((la.random_vector(rng, alg.dim), z1), (la.random_vector(rng, alg.dim), z2)))
         report.add("reduced_form_formula", "omega_red = -<u1,z2> + <u2,z1> - <x,[u1,u2]>",
                    kernel is not None and reduction.decomposition_form_check(alg, dec, kernel, pairs),
-                   {"pairs": n_pairs})
+                   {"pairs": per_point * len(dec.sample_points)})
 
     _pre_poisson_sampled(report, pm, dec)
 
