@@ -35,11 +35,7 @@ from .linalg import Matrix, Vector
 
 @dataclass(frozen=True)
 class PoissonPointModel:
-    """Bivector evaluation on a fixed-dimensional space.
-
-    The model is the Lie-Poisson structure of `algebra` on g* when
-    `algebra` is set, and the constant bivector `sigma` otherwise.
-    """
+    """Bivector evaluation on a fixed-dimensional space: Lie-Poisson on g* when `algebra` is set, else the constant `sigma`."""
 
     ambient_dim: int
     algebra: LieAlgebra | None = None

@@ -130,28 +130,21 @@ MUTATIONS = {
     # every fiber reported unstable; its stable record reads the same verdict and fails too
     ("casimir_sphere", "reduced_dim"): unstable_fibers,
     # g_Psi = g on every face: only the closed face a1_a2 has the fiber g
-    ("implosion_faces_A2", "face_interior_fiber"):
-        patched(poisson.WeylChamberFace, "root_subsystem_algebra", lambda self, xi: la.identity(self.algebra.dim)),
-    ("implosion_faces_A2", "face_a1_fiber"):
-        patched(poisson.WeylChamberFace, "root_subsystem_algebra", lambda self, xi: la.identity(self.algebra.dim)),
-    ("implosion_faces_A2", "face_a2_fiber"):
-        patched(poisson.WeylChamberFace, "root_subsystem_algebra", lambda self, xi: la.identity(self.algebra.dim)),
+    **{("implosion_faces_A2", f"face_{face}_fiber"):
+       patched(poisson.WeylChamberFace, "root_subsystem_algebra", lambda self, xi: la.identity(self.algebra.dim))
+       for face in ("interior", "a1", "a2")},
     # g_Psi one vector short: g on the closed face loses a vector
     ("implosion_faces_A2", "face_a1_a2_fiber"):
         patched(poisson.WeylChamberFace, "root_subsystem_algebra", lambda self, xi: _root_subsystem_algebra(self, xi)[:-1]),
     # an isotropy certificate that accepts no fiber
-    ("implosion_faces_A2", "face_interior_groupoid"): patched(groupoid, "_isotropic", lambda alg, xi, vectors: False),
-    ("implosion_faces_A2", "face_a1_groupoid"): patched(groupoid, "_isotropic", lambda alg, xi, vectors: False),
-    ("implosion_faces_A2", "face_a2_groupoid"): patched(groupoid, "_isotropic", lambda alg, xi, vectors: False),
-    ("implosion_faces_A2", "face_a1_a2_groupoid"): patched(groupoid, "_isotropic", lambda alg, xi, vectors: False),
+    **{("implosion_faces_A2", f"face_{face}_groupoid"): patched(groupoid, "_isotropic", lambda alg, xi, vectors: False)
+       for face in ("interior", "a1", "a2", "a1_a2")},
     # the Gram route of the kernel at xi = 0, where Omega pairs u with zeta only: its kernel is (T_xi S)° x 0,
     # not h_xi = 0 on the interior, which unstable_fibers leaves alone as its fiber is 0
     ("implosion_faces_A2", "face_interior_dimension"):
         patched(reduction, "omega_gram", lambda alg, xi, vectors: _omega_gram(alg, la.zeros(len(xi)), vectors)),
     # every fiber of positive rank reported unstable: the reduction step fails the face
-    ("implosion_faces_A2", "face_a1_dimension"): unstable_fibers,
-    ("implosion_faces_A2", "face_a2_dimension"): unstable_fibers,
-    ("implosion_faces_A2", "face_a1_a2_dimension"): unstable_fibers,
+    **{("implosion_faces_A2", f"face_{face}_dimension"): unstable_fibers for face in ("a1", "a2", "a1_a2")},
     # every fiber of positive rank one basis vector short: dims 0, 2, 2, 7
     ("implosion_faces_A2", "face_dims"): altered_fibers(lambda f: dataclasses.replace(f, basis=f.basis[:-1])),
 }
