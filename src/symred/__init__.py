@@ -4,8 +4,8 @@ Everything is computed over the rationals: Chevalley-basis Lie algebras,
 the Lie-Poisson structure on g*, stabilizer subalgebroid fibers and their
 classification (pre-Poisson, stable, Poisson transversal), tangent fibers
 of stabilizer subgroupoids of the cotangent groupoid T*G = G x g*, linear
-models of reduced spaces with their symplectic forms, the two-term-complex
-Lagrangian criterion, and a batch runner for named check suites.
+models of reduced spaces with their symplectic forms, and a batch runner
+for named check suites.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ from .errors import (
     KindNotInvariant,
     LiftNotValid,
     NoMatrixRep,
-    NotACandidate,
     NotASubalgebra,
     NotOnModel,
     NotStable,
@@ -34,7 +33,6 @@ from .lie import (
     Sl2Triple,
     build_chevalley,
     direct_power,
-    is_ad_semisimple,
     principal_sl2,
 )
 from .poisson import (
@@ -76,12 +74,5 @@ from .reduction import (
     dimension_formula_check,
     kernel_identity_check,
     orbit_tangent_in_universal,
-)
-from .shifted import (
-    LagrangianVerdict,
-    TwoTermComplexMap,
-    build_complex,
-    criterion_for_candidate,
-    lagrangian_criterion,
 )
 from .scenarios import REGISTRY, ScenarioReport, run_scenario

@@ -49,10 +49,6 @@ class LiftNotValid(SymredError):
     pass
 
 
-class NotACandidate(SymredError):
-    pass
-
-
 class ConfigError(SymredError):
     pass
 

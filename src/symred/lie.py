@@ -28,14 +28,10 @@ denominator.  The reason is the cost of each operation: a ``Fraction``
 multiply or add runs two gcds and builds a new object, where an ``int``
 operation is one C call.  Every public boundary stays ``Fraction``:
 ``killing``, ``bracket``, ``bracket_pairing``, ``coadjoint_matrix``,
-``ad_star``, ``killing_form``, ``from_matrix`` and the structure constants.
+``ad_star``, ``killing_form`` and ``from_matrix``.
 
 Basis order: Cartan h_1..h_l, then e_β over positive roots by increasing
 (height, coordinates), then the corresponding negative root vectors.
-
-``is_ad_semisimple`` compares rank(ad_x) with rank(ad_x²).  That decides
-semisimplicity only in a semisimple g, so on an algebra whose Killing form
-is degenerate it raises ``UnsupportedType``.
 """
 
 from __future__ import annotations
@@ -279,8 +275,8 @@ class LieAlgebra:
 
     The table is certified antisymmetric when the algebra is built.  The
     Killing form is summed on its first read and kept, and so is its
-    inverse, which only ``sharp`` and ``is_ad_semisimple`` read; the
-    inverse is None when the form is degenerate.
+    inverse, which only ``sharp`` reads; the inverse is None when the
+    form is degenerate.
     """
 
     def __init__(
@@ -325,7 +321,7 @@ class LieAlgebra:
         """Each entry lists a coordinate once, and [e_j, e_i] = -[e_i, e_j].
 
         A repeated coordinate would make ``bracket``, which sums the table,
-        disagree with ``structure_constant``, which reads the first match.
+        disagree with a reader that takes the first match for [e_i, e_j].
         Zero constants were dropped, so two entries agree when their dicts
         do, and antisymmetry is read once per unordered pair, at j >= i: as
         tuples first, and as dicts only when the tuples differ.
@@ -375,9 +371,6 @@ class LieAlgebra:
         if not 0 <= i < self.dim:
             raise DimensionMismatch(f"basis index {i} outside 0..{self.dim - 1}")
         return la.unit(self.dim, i)
-
-    def zero(self) -> Vector:
-        return la.zeros(self.dim)
 
     def _check_dim(self, *vectors: Vector):
         for v in vectors:
@@ -502,9 +495,6 @@ class LieAlgebra:
                 rows.append(tuple(out))
             cm = self._coadjoint[xi] = tuple(rows)
         return cm
-
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return Q(next((c for m, c in self.table[i][j] if m == k), 0))
 
     # -- root-system conveniences -----------------------------------------
 
@@ -929,23 +919,6 @@ def embed_factor(product_dim: int, factor_dim: int, k: int, x: Vector) -> Vector
     for i, c in enumerate(x):
         out[k * factor_dim + i] = c
     return tuple(out)
-
-
-def is_ad_semisimple(alg: LieAlgebra, x: Vector) -> bool:
-    """True iff ad_x is semisimple, decided as rank(ad_x) = rank(ad_x²).
-
-    The ranks agree iff ker ad_x = ker ad_x², that is, iff ad_x has no
-    Jordan block of size 2 or more at eigenvalue 0.  In a semisimple g,
-    write x = x_s + x_n: a nonzero x_n lies in the reductive g_{x_s} and is
-    not central there, so ad_x restricted to g_{x_s}, the generalized
-    0-eigenspace, is nilpotent and nonzero.  Outside semisimple g the test
-    is wrong (on {x, a, b} with [x, a] = a, [x, b] = a + b it would say
-    yes), so an algebra with a degenerate Killing form is refused.
-    """
-    if alg._killing_inv is None:
-        raise UnsupportedType(f"{alg.name} is not semisimple: the rank test for ad-semisimplicity needs it")
-    ad = alg.ad_matrix(x)
-    return la.rank(ad) == la.rank(la.mat_mul(ad, ad))
 
 
 def is_subalgebra(alg: LieAlgebra, vectors: Sequence[Vector]) -> bool:

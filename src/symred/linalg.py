@@ -308,12 +308,6 @@ def nullspace(rows: Sequence[Vector]) -> list[Vector]:
     return basis
 
 
-def solve(a: Sequence[Vector], b: Vector):
-    """One exact solution of A x = b, or None if inconsistent."""
-    sols = solve_many(a, [b])
-    return None if sols is None else sols[0]
-
-
 def solve_many(a: Sequence[Vector], bs: Sequence[Vector]):
     """One exact solution of A x = b for each b in bs, all read off one rref of [A | b_1 .. b_k].
 

@@ -62,12 +62,6 @@ class ScenarioReport:
                 return
         self.checks.append(Check(name, anchor, status, data or {}))
 
-    def check_data(self, name: str) -> dict:
-        for c in self.checks:
-            if c.name == name:
-                return c.data
-        raise KeyError(name)
-
 
 def _jsonable(value):
     if isinstance(value, Fraction):
@@ -410,9 +404,9 @@ def polyhedral_face_torus(report: ScenarioReport, values: dict, rng: random.Rand
         columns = la.columns(dirs, dim_t)
         pts = [base]
         for _ in range(max(0, sample_count - 1)):
-            # a face that is a point draws nothing and stays at its base
+            # a face that is a point draws nothing and stays at its base, kept once below
             pts.append(la.mat_vec(columns, [la.random_fraction(rng) for _ in dirs]))
-        face = poisson.AffineSubspace(base, dirs, pts)
+        face = poisson.AffineSubspace(base, dirs, list(dict.fromkeys(pts)))
         for pt in face.sample_points:
             fiber = poisson.algebroid_fiber(pmodel, face, pt)
             ann = la.annihilator(face.tangent_basis(pt), dim_t)

@@ -83,6 +83,14 @@ def kks3(sl3):
     return poisson.kks_model(sl3)
 
 
+def check_data(report, name):
+    """The data of `report`'s check called `name`; KeyError when it has none of that name."""
+    for c in report.checks:
+        if c.name == name:
+            return c.data
+    raise KeyError(name)
+
+
 def subregular_point(sl3, a=1, perm=(0, 1, 2)):
     """diag entries (a, a, -2a) arranged by perm, as a Lie algebra vector."""
     vals = [Q(a), Q(a), Q(-2 * a)]

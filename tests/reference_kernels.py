@@ -21,7 +21,9 @@ oracle of that system.  Two routes that only tests called left the
 library for this file: ``intersect_spans``, whose question the library
 answers with ``kernel_within`` alone, and ``fiber_by_intersection``, the
 general ds^{-1}(TS) ∩ dt^{-1}(TS) ∩ (TS)^Omega route that the closed-form
-groupoid fibers are cross-checked against.  The differential tests require
+groupoid fibers are cross-checked against; and ``structure_constant``,
+one constant read off the table, which no route of the library reads
+that way.  The differential tests require
 the library to return exactly what these do, or, for the fiber, the same
 span.
 """
@@ -252,6 +254,11 @@ def mat_vec(a: Sequence[Vector], v: Vector) -> Vector:
     return tuple(dot(row, v) for row in a)
 
 
+def structure_constant(alg: LieAlgebra, i: int, j: int, k: int) -> Fraction:
+    """c_ij^k, the coefficient of e_k in the table entry [e_i, e_j], read off its first match."""
+    return Q(next((c for m, c in alg.table[i][j] if m == k), 0))
+
+
 def bracket(alg: LieAlgebra, x: Vector, y: Vector) -> Vector:
     """[x, y] by the dense double loop over every coordinate pair."""
     out = [Q(0)] * alg.dim
@@ -309,7 +316,7 @@ def sl_realization(alg: LieAlgebra) -> list[Matrix]:
         x, y = rs.extraspecial(gamma)
         for sign in (1, -1):
             a, b, c = (rs.vector_index(tuple(sign * v for v in r)) for r in (x, y, gamma))
-            n = alg.structure_constant(a, b, c)
+            n = structure_constant(alg, a, b, c)
             reps[c] = tuple(tuple(v / n for v in row) for row in commutator(reps[a], reps[b]))
     return reps
 
@@ -408,10 +415,10 @@ def conjugation_adjoint(reps: Sequence[Matrix], g: Matrix) -> tuple[Matrix, Matr
     flat = la.transpose([tuple(v for row in rep for v in row) for rep in reps])
 
     def coords(m):
-        sol = la.solve(flat, tuple(v for row in m for v in row))
-        if sol is None:
+        sols = la.solve_many(flat, [tuple(v for row in m for v in row)])
+        if sols is None:
             raise ValueError("conjugate lies outside the realized algebra")
-        return sol
+        return sols[0]
 
     ad = [coords(mat_mul(mat_mul(g, rep), ginv)) for rep in reps]
     ad_inv = [coords(mat_mul(mat_mul(ginv, rep), g)) for rep in reps]

@@ -31,11 +31,11 @@ def test_nullspace_annihilates():
 def test_solve_and_inverse():
     a = la.mat([[2, 1], [1, 1]])
     b = la.vec([3, 2])
-    x = la.solve(a, b)
+    (x,) = la.solve_many(a, [b])
     assert la.mat_vec(a, x) == b
     ainv = la.inverse(a)
     assert la.mat_mul(a, ainv) == la.identity(2)
-    assert la.solve(la.mat([[1, 0], [1, 0]]), la.vec([0, 1])) is None
+    assert la.solve_many(la.mat([[1, 0], [1, 0]]), [la.vec([0, 1])]) is None
     with pytest.raises(ZeroDivisionError):
         la.inverse(la.mat([[1, 2], [2, 4]]))
 

@@ -33,9 +33,23 @@ is decided by its class, and ``kind`` is a label for messages.
 Every annotation is a string (``from __future__ import annotations``), so
 ``import symred`` loads no ``typing``, whose import is a cost that every
 run pays.
+
+The reach gate runs what the reports run and fails on any ``def`` in
+``src/`` whose code never ran.  A fresh interpreter, so that no
+``lru_cache`` or memo dict filled by an earlier test can hide code, runs
+the three golden-report configs, ``build_chevalley`` and ``verify_jacobi``
+on every supported type, ``verify_killing_invariance`` on G2, and
+``cli.main`` on ``list-scenarios``, a missing config, a refused parameter
+and a run at ``sample_count`` 4, under ``sys.settrace`` with a tracer that
+records each entered code object and traces no lines.  A function that no
+report runs is either a library API that an open ROADMAP item will report,
+named in ``REACH_ALLOWLIST`` with its reason, or it leaves ``src/``: to
+``tests/reference_kernels.py`` as a test oracle, or altogether.  An
+allowlist entry that now runs, or names no ``def``, fails the gate too.
 """
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -240,9 +254,95 @@ PAIRWISE_ROUTE = {
 }
 ORBIT_ROUTE = {"reduction.py": ("orbit_tangent_in_universal",)}
 
+MODULES = ["__init__", "cli", "errors", "groupoid", "lie", "linalg", "poisson", "reduction", "scenarios"]
+
+# Run in a fresh interpreter with src/ and tests/ as its two arguments; prints
+# the exit codes of the cli.main calls and the module:qualname of every src/
+# code object entered.  Returning None from the tracer traces no lines.
+REACH_SCRIPT = """
+import contextlib, io, json, os, sys, tempfile
+from pathlib import Path
+src, tests = sys.argv[1:3]
+sys.path[:0] = [src, tests]
+package = Path(src, "symred").resolve()
+entered = set()
+sys.settrace(lambda frame, event, arg: entered.add(frame.f_code))
+from symred import cli, lie
+from test_golden_report import CONFIGS, render_all
+render_all()
+for cartan_type, rank in sorted(lie.SUPPORTED):
+    lie.build_chevalley(cartan_type, rank).verify_jacobi()
+lie.build_chevalley("G2", 2).verify_killing_invariance()
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    configs = {"refused": {"scenarios": [{"name": "casimir_sphere", "params": {"algebra": "A9"}}]},
+               "suite": CONFIGS["readme_suite"]}
+    for name, document in configs.items():
+        Path(tmp, name).write_text(json.dumps(document))
+    codes = [cli.main(["list-scenarios"]), cli.main(["run", os.path.join(tmp, "missing")]),
+             cli.main(["run", os.path.join(tmp, "refused")]),
+             cli.main(["run", os.path.join(tmp, "suite"), "--sample-count", "4", "--report", os.path.join(tmp, "out")])]
+sys.settrace(None)
+names = sorted({f"{Path(c.co_filename).stem}:{c.co_qualname}" for c in entered if Path(c.co_filename).resolve().parent == package})
+print(json.dumps({"codes": codes, "entered": names}))
+"""
+
+# The defs no report runs, each with the reason it stays in src/.
+REACH_ALLOWLIST = {
+    "groupoid:source_target_differentials": "ROADMAP item 7: the universal property's source and target maps",
+    "lie:LieAlgebra.ad_star": "ROADMAP item 7: the moment map's infinitesimal equivariance",
+    "groupoid:mw_fiber": "ROADMAP item 23: the Marsden-Weinstein fiber of the orbit route",
+    "groupoid:GroupoidTangentFiber.rank": "ROADMAP item 23: the rank of mw_fiber's fiber",
+    "groupoid:coadjoint_orbit_fiber": "ROADMAP item 25: the groupoid fiber at the orbit points",
+    "groupoid:normality_infinitesimal_check": "ROADMAP item 25: normality at translated decomposition points",
+    "poisson:CoadjointOrbit.__init__": "ROADMAP item 25: the coadjoint-orbit model",
+    "poisson:CoadjointOrbit.with_witness": "ROADMAP item 25: the coadjoint-orbit model",
+    "poisson:CoadjointOrbit._contains": "ROADMAP item 25: the coadjoint-orbit model",
+    "poisson:CoadjointOrbit._tangent": "ROADMAP item 25: the coadjoint-orbit model",
+    "poisson:SubmanifoldModel.contains": "ROADMAP item 25: membership of a translated orbit point",
+    "lie:LieAlgebra.identity_element": "ROADMAP item 25: the orbit seed's witness",
+    "lie:LieAlgebra.adjoint_group_action": "ROADMAP item 25: Ad_g in the normality check",
+    "lie:GroupElement.__mul__": "ROADMAP item 25: composing orbit witnesses",
+    "lie:GroupElement.inv": "ROADMAP item 25: the inverse witness of the orbit fiber",
+    "poisson:coisotropic_check": "ROADMAP item 8: coisotropic reduction in the gluing law",
+    "lie:RootSystem.pairing": "library API on root tuples, in the README; the builder reads the index form",
+    "lie:RootSystem.norm2": "library API on root tuples, in the README; the builder reads the index form",
+    "lie:RootSystem.p_string": "library API on root tuples, in the README; the builder reads the index form",
+    "lie:RootSystem.extraspecial": "library API on root tuples, in the README; the builder reads the index form",
+    "poisson:SubmanifoldModel._contains": "abstract: every model overrides it",
+    "poisson:SubmanifoldModel._tangent": "abstract: every model overrides it",
+}
+
+
+def defined_functions(modules: dict[str, ast.Module]) -> list[str]:
+    """``module:qualname`` of every def in `modules`, qualified as the code object's ``co_qualname`` is."""
+    found = []
+
+    def walk(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append(f"{module}:{prefix}{child.name}")
+                walk(module, child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(module, child, f"{prefix}{child.name}.")
+            else:
+                walk(module, child, prefix)
+
+    for module, tree in modules.items():
+        walk(module, tree, "")
+    return found
+
+
+def unreached_functions(defined: list[str], entered: set[str], allowlist: dict[str, str]) -> list[str]:
+    """The `defined` functions never `entered` and not in `allowlist`, and its stale entries."""
+    found = [f"{name} never ran" for name in defined if name not in entered and name not in allowlist]
+    found += [f"{name} is allowlisted but ran" for name in allowlist if name in entered]
+    found += [f"{name} is allowlisted but not defined" for name in allowlist if name not in defined]
+    return found
+
 
 def test_sources_found():
-    assert len(SRC) >= 10
+    assert [p.stem for p in SRC] == MODULES
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
@@ -450,3 +550,33 @@ def test_import_loads_no_typing():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     modules = out.stdout.split()
     assert "symred.cli" in modules and "typing" not in modules
+
+
+def test_every_function_runs_in_a_report():
+    """The reach gate; see the module docstring."""
+    out = subprocess.run(
+        [sys.executable, "-c", REACH_SCRIPT, str(ROOT / "src"), str(ROOT / "tests")], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["codes"] == [0, 2, 2, 0]
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC}
+    assert unreached_functions(defined_functions(modules), set(result["entered"]), REACH_ALLOWLIST) == []
+
+
+def test_reach_gate_catches_an_unreached_function_and_a_stale_entry():
+    module = ast.parse(
+        "def ran():\n    def inner():\n        return 1\n    return inner()\n\n"
+        "def planted():\n    return 2\n\nclass Model:\n    def method(self):\n        return 3\n\n"
+        "    def stub(self):\n        raise NotImplementedError\n\n"
+        "if True:\n    def guarded():\n        return 4\n"
+    )
+    defined = defined_functions({"m": module})
+    assert defined == ["m:ran", "m:ran.<locals>.inner", "m:planted", "m:Model.method", "m:Model.stub", "m:guarded"]
+    entered = {"m:ran", "m:ran.<locals>.inner", "m:Model.method", "m:guarded", "other:run"}
+    allowlist = {"m:Model.stub": "abstract", "m:Model.method": "now runs", "m:gone": "deleted"}
+    assert unreached_functions(defined, entered, allowlist) == [
+        "m:planted never ran",
+        "m:Model.method is allowlisted but ran",
+        "m:gone is allowlisted but not defined",
+    ]

@@ -5,7 +5,7 @@ import pytest
 
 import reference_kernels as ref
 from symred import groupoid as gpd
-from conftest import subregular_point
+from conftest import check_data, subregular_point
 from test_mutation import unstable_fibers
 from symred import lie, poisson, scenarios
 from symred import linalg as la
@@ -37,10 +37,10 @@ def test_scenarios_all_pass(name, params):
 
 def test_moore_tachikawa_reduced_dims():
     r2 = run_scenario("slodowy_moore_tachikawa", {"cartan_type": "A", "rank": 1, "n": 2}, 3, 3)
-    assert r2.check_data("reduced_dim")["reduced_dim"] == 6
+    assert check_data(r2, "reduced_dim")["reduced_dim"] == 6
     r3 = run_scenario("slodowy_moore_tachikawa", {"cartan_type": "A", "rank": 1, "n": 3}, 3, 3)
-    assert r3.check_data("reduced_dim")["reduced_dim"] == 8
-    assert r3.check_data("fiber_rank")["expected"] == 2
+    assert check_data(r3, "reduced_dim")["reduced_dim"] == 8
+    assert check_data(r3, "fiber_rank")["expected"] == 2
 
 
 def test_moore_tachikawa_rejects_unsupported():
@@ -52,8 +52,8 @@ def test_moore_tachikawa_rejects_unsupported():
 
 def test_decomposition_reduced_dim_is_ten():
     rep = run_scenario("decomposition_class_sl3", {}, 5, 3)
-    assert rep.check_data("reduced_dim")["reduced_dim"] == 10
-    assert rep.check_data("annihilator_two_route")["dim"] == 3
+    assert check_data(rep, "reduced_dim")["reduced_dim"] == 10
+    assert check_data(rep, "annihilator_two_route")["dim"] == 3
 
 
 def test_sl2_structure_certificate_verdicts(sl3, monkeypatch):
@@ -65,8 +65,8 @@ def test_sl2_structure_certificate_verdicts(sl3, monkeypatch):
     dec = poisson.DecompositionClass(sl3, 4, [subregular_point(sl3, a, perm) for a, perm in params])
     fibers = [list(poisson.algebroid_fiber(pm, dec, pt).basis) for pt in dec.sample_points]
     solves = []
-    solve = la.solve
-    monkeypatch.setattr(la, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    solve_many = la.solve_many
+    monkeypatch.setattr(la, "solve_many", lambda a, bs: solves.append(1) or solve_many(a, bs))
     assert [scenarios._sl2_structure_certificate(sl3, m) for m in fibers] == [True] * 4
     assert len(solves) == 0  # [e, f] against h is a comparison, not a solve
     e1, e2, f1, f2 = (sl3.root_vector(r) for r in ((1, 0), (0, 1), (-1, 0), (0, -1)))
@@ -92,13 +92,13 @@ def test_sl2_structure_certificate_accepts_every_root_sl2(cartan_type, rank):
 
 def test_implosion_face_dims():
     rep = run_scenario("implosion_faces_A2", {}, 5, 3)
-    data = rep.check_data("face_dims")
+    data = check_data(rep, "face_dims")
     assert list(data.values()) == [0, 3, 3, 8]
 
 
 def test_casimir_dims():
     rep = run_scenario("casimir_sphere", {"algebra": "A1"}, 5, 3)
-    assert rep.check_data("reduced_dim")["reduced_dim"] == 4
+    assert check_data(rep, "reduced_dim")["reduced_dim"] == 4
     rep = run_scenario("casimir_sphere", {"algebra": "A1", "level": 2}, 5, 3)
     assert rep.all_passed
     for level in (3, "-8"):
@@ -155,7 +155,7 @@ def test_add_takes_data_from_the_last_record_that_gave_data():
     rep = ScenarioReport("s", {})
     rep.add("a", "anchor", True, {"dim": 1})
     rep.add("a", "anchor", True, {"dim": 2})
-    assert rep.check_data("a") == {"dim": 2}
+    assert check_data(rep, "a") == {"dim": 2}
     rep.add("a", "anchor", True)
     rep.add("a", "anchor", False)
     assert rep.checks == [Check("a", "anchor", "fail", {"dim": 2})]
@@ -203,9 +203,24 @@ def test_registry_lists_six_scenarios():
 
 def test_polyhedral_point_face_dims():
     rep = run_scenario("polyhedral_face_torus", {"dim_t": 2}, seed=2, sample_count=3)
-    assert rep.check_data("face_point_fiber")["dim"] == 2
-    assert rep.check_data("face_codim1_fiber")["dim"] == 1
-    assert rep.check_data("face_full_fiber")["dim"] == 0
+    assert check_data(rep, "face_point_fiber")["dim"] == 2
+    assert check_data(rep, "face_codim1_fiber")["dim"] == 1
+    assert check_data(rep, "face_full_fiber")["dim"] == 0
+
+
+def test_polyhedral_point_face_samples_its_point_once(monkeypatch):
+    """A point face draws nothing from the RNG, so its sample_count draws are one point, kept once."""
+    faces = []
+
+    class Recorded(poisson.AffineSubspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            faces.append(self)
+
+    monkeypatch.setattr(poisson, "AffineSubspace", Recorded)
+    rep = run_scenario("polyhedral_face_torus", {"dim_t": 4}, seed=1, sample_count=8)
+    assert rep.all_passed
+    assert [len(face.sample_points) for face in faces] == [8, 8, 1]
 
 
 @pytest.mark.parametrize("directions,dim_f", [([[1, 0], [2, 0]], 1), ([[0, 0]], 0)])
@@ -213,8 +228,8 @@ def test_polyhedral_dependent_directions(directions, dim_f):
     """dim F is the dimension of the span of the given directions, not their count."""
     rep = run_scenario("polyhedral_face_torus", {"dim_t": 2, "face_directions": directions}, seed=2, sample_count=3)
     assert rep.all_passed
-    assert rep.check_data("face_given_fiber") == {"dim": 2 - dim_f, "codim": 2 - dim_f}
-    assert rep.check_data("face_given_dimension") == {"reduced_dim": 2 * dim_f}
+    assert check_data(rep, "face_given_fiber") == {"dim": 2 - dim_f, "codim": 2 - dim_f}
+    assert check_data(rep, "face_given_dimension") == {"reduced_dim": 2 * dim_f}
 
 
 def block_diagonal(g, n):
