@@ -157,7 +157,7 @@ def mw_fiber(alg: LieAlgebra, h_sub: Sequence[Vector], xi: Vector, eta: Vector) 
     c = alg.coadjoint_matrix(xi)
     c_h = [la.mat_vec(c, b) for b in h_basis]
     h_xi = la.kernel_within([tuple(la.dot(x, cb) for cb in c_h) for x in h_basis], h_basis)
-    return _split_fiber(alg, tuple(la.add(xi, eta)), h_xi, la.annihilator(h_basis, alg.dim))
+    return _split_fiber(alg, tuple(la.add(xi, eta)), h_xi, la.nullspace(h_basis, alg.dim))
 
 
 def coadjoint_orbit_fiber(alg: LieAlgebra, p: CotangentPoint) -> GroupoidTangentFiber:
@@ -175,7 +175,7 @@ def coadjoint_orbit_fiber(alg: LieAlgebra, p: CotangentPoint) -> GroupoidTangent
     ad_xi = la.transpose(cols_u)  # ad_xi x = ad*_x xi
     back = la.transpose(cols_v)
     rows = [ad_xi[j] + la.neg(back[j]) for j in range(n)]
-    sols = la.nullspace(rows)
+    sols = la.nullspace(rows, 2 * n)
     flats = [tuple(sol[:n]) + la.mat_vec(ad_xi, sol[n:]) for sol in sols]
     basis = la.span_basis(flats)
     iso = _isotropic(alg, xi, basis)

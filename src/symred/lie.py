@@ -11,7 +11,8 @@ Chevalley coordinates of a traceless matrix off its entries, in closed
 form.  A ``GroupElement`` is Ad_g on the Chevalley basis, and
 ``unipotent`` builds one as exp(t ad_x) on every type.
 
-Roots are read by basis index (``RootSystem``).  Every constructed table is
+Roots are read by basis index (``RootSystem``); a root tuple becomes an
+index through ``vector_index``.  Every constructed table is
 certified entry by entry (antisymmetry, Cartan action, coroot brackets,
 ±(p+1) e_{α+β} on a root sum with N_{-α,-β} = -N_{α,β}, and 0 off one),
 and the test suite re-verifies Jacobi on every supported type.
@@ -115,7 +116,7 @@ class RootSystem:
     pairings <beta, alpha_j^vee> and norm, the extraspecial pair of each
     positive root, and the root-sum table ``_sums``: ``_sums[a][b]`` is the
     index of alpha + beta when that is a root, ``ZERO_SUM`` when it is 0,
-    and absent otherwise.  The tuple API reads the same data.
+    and absent otherwise.
 
     The invariant form is scaled so that a short root has (beta, beta) = 2
     (the half-lengths ``d`` are ints, see ``_cartan_and_lengths``), so every
@@ -128,7 +129,6 @@ class RootSystem:
         self.cartan, self.d = _cartan_and_lengths(cartan_type, rank)
         pairings = self._enumerate()
         self.roots = sorted(pairings)
-        self.root_set = set(pairings)
         self.positive = sorted((r for r in self.roots if r > (0,) * rank), key=lambda r: (sum(r), r))
         n = self._npos = len(self.positive)
         self.by_index = (None,) * rank + tuple(self.positive) + tuple(tuple(-x for x in r) for r in self.positive)
@@ -182,8 +182,6 @@ class RootSystem:
         gamma, norm, what = self.by_index[a], self._norms[a], "coefficient {} of the coroot of {}"
         return tuple(_exact_quotient(2 * d * g, norm, what, i, gamma) for i, (d, g) in enumerate(zip(self.d, gamma)))
 
-    # -- the tuple API -------------------------------------------------------
-
     def vector_index(self, beta: Root) -> int:
         """Basis index of e_beta: Cartan first, then positive, then negative roots."""
         a = self._index.get(beta)
@@ -191,27 +189,8 @@ class RootSystem:
             raise SolveFailure(f"{beta} is not a root of {self.cartan_type}{self.rank}")
         return a
 
-    def pairing(self, beta: Root, j: int) -> int:
-        """<beta, alpha_j^vee> = beta(h_j)."""
-        return self._pairings[self.vector_index(beta)][j]
-
-    def norm2(self, beta: Root) -> int:
-        """(beta, beta): 2 on a short root (every root of A and D), 4 or 6 on a long one."""
-        return self._norms[self.vector_index(beta)]
-
-    def p_string(self, alpha: Root, beta: Root) -> int:
-        """Largest p with beta - p*alpha a root."""
-        return self._p_string(self.vector_index(alpha), self.vector_index(beta))
-
     def coroot_coeffs(self, gamma: Root) -> tuple[int, ...]:
         return self._coroot(self.vector_index(gamma))
-
-    def extraspecial(self, gamma: Root) -> tuple[Root, Root]:
-        """Minimal positive alpha with alpha, gamma-alpha both positive roots."""
-        pair = self._special.get(self._index.get(gamma))
-        if pair is None:
-            raise SolveFailure(f"no special pair for {gamma}")
-        return self.by_index[pair[0]], self.by_index[pair[1]]
 
 
 @dataclass(frozen=True)
@@ -464,7 +443,7 @@ class LieAlgebra:
 
     def centralizer(self, x: Vector) -> list[Vector]:
         """Basis of {y : [x, y] = 0}."""
-        return la.nullspace(self.ad_matrix(x))
+        return la.nullspace(self.ad_matrix(x), self.dim)
 
     def coadjoint_matrix(self, xi: Vector) -> Matrix:
         """C with C[i][j] = xi([e_i, e_j]), summed on ints off the sparse table.

@@ -43,6 +43,10 @@ its basis off the integer rows, one ``Fraction`` per basis entry.  The
 reason is the cost of each operation: a ``Fraction`` multiply or subtract
 runs two gcds and builds a new object, where an ``int`` operation is one
 C call.
+
+One route per question: ``nullspace(rows, n)`` is every kernel, an
+annihilator included (no rows is all of Q^n), and ``inverse``, one
+``rref`` of [A | I], is the one solve.
 """
 
 from __future__ import annotations
@@ -286,20 +290,21 @@ def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
     return [tuple(m[i]) for i in range(len(pivots))]
 
 
-def nullspace(rows: Sequence[Vector]) -> list[Vector]:
-    """Basis of {x : A x = 0} where the input rows are the rows of A.
+def nullspace(rows: Sequence[Vector], n: int) -> list[Vector]:
+    """Basis of {x in Q^n : A x = 0} where the input rows, each of length n, are the rows of A.
 
-    Read off ``_echelon``'s integer rows: one ``Fraction`` per nonzero
-    basis entry outside the free column, which is ``ONE``.
+    No rows is all of Q^n.  Read off ``_echelon``'s integer rows: one
+    ``Fraction`` per nonzero basis entry outside the free column, which
+    is ``ONE``.  Raises ``ValueError`` on a row of another length.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"rows of lengths {[len(row) for row in rows]} in Q^{n}")
     m, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for c in free:
-        v = [ZERO] * ncols
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [ZERO] * n
         v[c] = ONE
         for i, p in enumerate(pivots):
             if m[i][c]:
@@ -308,39 +313,19 @@ def nullspace(rows: Sequence[Vector]) -> list[Vector]:
     return basis
 
 
-def solve_many(a: Sequence[Vector], bs: Sequence[Vector]):
-    """One exact solution of A x = b for each b in bs, all read off one rref of [A | b_1 .. b_k].
-
-    None if any b is inconsistent: then some row of the rref is zero on A
-    and not on the b's, so its pivot lies right of A.
-    """
-    if not a:
-        return None if not all(map(is_zero, bs)) else [()] * len(bs)
-    aug = [list(row) + list(bi) for row, bi in zip(a, zip(*bs, strict=True), strict=True)]
-    ncols = len(a[0])
-    m, pivots = rref(aug)
-    if pivots and pivots[-1] >= ncols:
-        return None
-    xs = [[ZERO] * ncols for _ in bs]
-    for i, p in enumerate(pivots):
-        for t, x in enumerate(xs, ncols):
-            x[p] = m[i][t]
-    return [tuple(x) for x in xs]
-
-
 def inverse(a: Sequence[Vector]) -> Matrix:
-    """A^-1, its columns solved for in one rref of [A | I].
+    """A^-1, the right half of one rref of [A | I].
 
     Raises ``ValueError`` on a matrix that is not square, as ``dot`` does,
-    and ``ZeroDivisionError`` on a singular one.
+    and ``ZeroDivisionError`` on a singular one, whose rref pivots right of A.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"{n} rows of lengths {[len(row) for row in a]}: not a square matrix")
-    columns = solve_many(a, identity(n))
-    if columns is None:
+    m, pivots = rref([tuple(row) + e for row, e in zip(a, identity(n))])
+    if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return transpose(columns)
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def span_contains(gens: Sequence[Vector], others: Sequence[Vector]) -> bool:
@@ -360,23 +345,14 @@ def span_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
     return span_basis(a) == span_basis(b)
 
 
-def annihilator(gens: Sequence[Vector], dim: int) -> list[Vector]:
-    """Basis of {w : w·g = 0 for all g in gens} inside Q^dim; all of Q^dim if no gens."""
-    if not gens:
-        return list(identity(dim))
-    return nullspace(gens)
-
-
 def kernel_within(images: Sequence[Vector], basis: Sequence[Vector]) -> list[Vector]:
     """Canonical basis of {sum c_i basis[i] : sum c_i images[i] = 0}.
 
     images[i] is the image of basis[i] under a linear map, so this is the
     kernel of that map inside span(basis).  Zero-width images send the
-    whole span to zero.
+    whole span to zero, as ``nullspace`` of no rows is all of Q^len(basis).
     """
-    if not basis:
-        return []
-    coeffs = annihilator(transpose(images), len(basis))
+    coeffs = nullspace(transpose(images), len(basis))
     columns = transpose(basis)
     return span_basis([mat_vec(columns, c) for c in coeffs])
 

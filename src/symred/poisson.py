@@ -134,12 +134,6 @@ class SubmanifoldModel:
             raise DimensionMismatch(f"{self.kind} model takes points of length {self.ambient_dim}, not {len(xi)}")
         return xi
 
-    def _contains(self, xi: Vector) -> bool:
-        raise NotImplementedError
-
-    def _tangent(self, xi: Vector) -> list[Vector]:
-        raise NotImplementedError
-
 
 class AffineSubspace(SubmanifoldModel):
     """base + span(directions), the one affine model; a point {xi} is ``AffineSubspace(xi, [])``.
@@ -231,7 +225,7 @@ class DecompositionClass(SubmanifoldModel):
         # one elimination of ad_x gives g_x, kept for _tangent, and rank(ad_x) =
         # dim g - dim g_x; ad_x is semisimple iff rank(ad_x) = rank(ad_x²)
         ad = self.algebra.ad_matrix(self.algebra.sharp(xi))
-        gx = la.nullspace(ad)
+        gx = la.nullspace(ad, self.algebra.dim)
         self._ad[xi] = (ad, gx)
         return len(gx) == self.centralizer_dim and self.algebra.dim - len(gx) == la.rank(la.mat_mul(ad, ad))
 
@@ -263,7 +257,7 @@ class CasimirLevelSet(SubmanifoldModel):
 
     def _tangent(self, xi):
         # T_xi S = { eta : eta(xi^sharp) = 0 }
-        return la.nullspace([self.algebra.sharp(xi)])
+        return la.nullspace([self.algebra.sharp(xi)], self.ambient_dim)
 
 
 class WeylChamberFace(AffineSubspace):
@@ -362,7 +356,7 @@ def algebroid_fiber(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector) -> Al
         tangent = s.tangent_basis(xi)
         rows = [row + col for row, col in zip(p.bivector_at(xi), la.columns(tangent, n), strict=True)]
         rows += [tuple(t) + la.zeros(len(tangent)) for t in tangent]
-        solutions = la.nullspace(rows)
+        solutions = la.nullspace(rows, n + len(tangent))
         in_ker = all(la.is_zero(v[n:]) for v in solutions)
         fiber = s._fibers[(p, xi)] = AlgebroidFiber(tuple(v[:n] for v in solutions), in_ker)
     return fiber
@@ -378,9 +372,10 @@ def stabilizer_subalgebra(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector)
     """h_xi = (T_xi S)° ∩ g_xi.
 
     Read from the stable fiber: once L_xi ⊆ ker sigma_xi, L_xi ⊆ (T_xi S)° ∩
-    g_xi = h_xi ⊆ L_xi, so h_xi is L_xi in its canonical basis.  It never
-    reads a Gram matrix of Omega, so it stays the orbit route of
-    ``reduction.kernel_identity_check``.
+    g_xi = h_xi ⊆ L_xi, so h_xi is L_xi in its canonical basis.  It reads
+    no Gram matrix of Omega, yet as the orbit route of
+    ``reduction.kernel_identity_check`` it solves that check's Gram system
+    with the multiplier columns negated: the routes share one system.
     """
     if p.algebra is None:
         raise NotStable("stabilizer subalgebras live on g* models")
@@ -400,7 +395,7 @@ def poisson_transversal_check(p: PoissonPointModel, s: SubmanifoldModel, xi: Vec
     """
     xi = tuple(xi)
     sigma = p.bivector_at(xi)
-    image = [la.mat_vec(sigma, w) for w in la.annihilator(s.tangent_basis(xi), p.ambient_dim)]
+    image = [la.mat_vec(sigma, w) for w in la.nullspace(s.tangent_basis(xi), p.ambient_dim)]
     return moment_transversality_check(image, s, xi)
 
 
@@ -409,7 +404,7 @@ def coisotropic_check(omega: Matrix, w: Sequence[Vector]) -> bool:
     q = la.mat(omega)
     if la.rank(q) < len(q):
         raise DimensionMismatch("omega must be nondegenerate")
-    return la.span_contains(list(w), la.annihilator([la.mat_vec(q, wv) for wv in w], len(q)))
+    return la.span_contains(list(w), la.nullspace([la.mat_vec(q, wv) for wv in w], len(q)))
 
 
 def moment_transversality_check(image_basis: Sequence[Vector], s: SubmanifoldModel, xi: Vector) -> bool:

@@ -3,10 +3,14 @@
 The universal reduction of T*G along S sits over N = G x S.  In the left
 trivialization Omega at p = (g, xi) depends on xi alone, so every check
 here takes xi.  At p the kernel of the pulled-back symplectic form is
-computed two ways and compared:
+assembled two ways and compared:
 
 * as the radical of the Gram matrix of Omega on T_pN = g x T_xi S;
 * as the tangent space {(-x, 0) : x in h_xi} of the stabilizer orbit.
+
+Both solve one system off one C: the Gram matrix [[-C, -T], [T^T, 0]], T
+the tangent basis as columns, is ``algebroid_fiber``'s with the multiplier
+columns negated.  The C-free check is ``reduced_form_well_defined``.
 
 The quotient T_pN / kernel carries the reduced form, checked against the
 dimension count dim g + dim S - rk L_S.
@@ -84,7 +88,7 @@ def kernel_identity_check(alg: LieAlgebra, s_model, xi: Vector):
     n_basis = [tuple(la.unit(n, i)) + la.zeros(n) for i in range(n)]
     n_basis += [la.zeros(n) + tuple(t) for t in tangent]
     gram = omega_gram(alg, xi, n_basis)
-    coeff_kernel = la.nullspace(gram)
+    coeff_kernel = la.nullspace(gram, len(n_basis))
     # n_basis opens with the unit vectors of g, so sum_a c_a n_a = (c[:n], sum_b c[n + b] t_b)
     columns = la.columns(tangent, n)
     kernel = la.span_basis([c[:n] + la.mat_vec(columns, c[n:]) for c in coeff_kernel])
@@ -131,7 +135,7 @@ def decomposition_form_check(alg: LieAlgebra, s_model, kernel: tuple[bool, Reduc
     (u, z) with u in g a lift of [u] and z in the Killing-perp of
     m = [g_x, g_x], tested as one ``mat_vec`` against the flats of m's
     basis; the lift into T(G x D) is (u, z^flat).  With x = xi^sharp and K
-    symmetric, <x, [u1, u2]> = xi([u1, u2]), read by ``bracket_pairing``.
+    symmetric, the formula is ``omega_eval`` on the two lifts.
     """
     agree, model = kernel
     if not agree:
@@ -144,10 +148,7 @@ def decomposition_form_check(alg: LieAlgebra, s_model, kernel: tuple[bool, Reduc
         for z in (z1, z2):
             if not la.is_zero(la.mat_vec(m_flats, z)):
                 raise LiftNotValid("second component must be Killing-orthogonal to m")
-        flat1, flat2 = alg.flat(z1), alg.flat(z2)
-        lhs = model.eval_reduced(tuple(u1) + tuple(flat1), tuple(u2) + tuple(flat2))
-        # <u1, z2> = u1 . z2^flat, and <u2, z1> likewise, off the flats the lifts use
-        rhs = -la.dot(u1, flat2) + la.dot(u2, flat1) - alg.bracket_pairing(xi, u1, u2)
-        if lhs != rhs:
+        lift1, lift2 = tuple(u1) + tuple(alg.flat(z1)), tuple(u2) + tuple(alg.flat(z2))
+        if model.eval_reduced(lift1, lift2) != omega_eval(alg, xi, lift1, lift2):
             return False
     return True

@@ -248,7 +248,7 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
     per_point = max(20, 5 * sample_count) // len(dec.sample_points) + 1
     for pt, kernel in zip(dec.sample_points, kernels):
         fiber = poisson.algebroid_fiber(pm, dec, pt)
-        mperp = la.annihilator([alg.flat(mb) for mb in fiber.basis], alg.dim)
+        mperp = la.nullspace([alg.flat(mb) for mb in fiber.basis], alg.dim)
         columns = la.transpose(mperp)
         pairs = []
         for _ in range(per_point):
@@ -321,11 +321,11 @@ def c4_prepoisson_remark(report: ScenarioReport, values: dict, rng: random.Rando
     for pt in pts:
         x = pt[0]
         tb = model.tangent_basis(pt)
-        ann = la.annihilator(tb, 4)
+        ann = la.nullspace(tb, 4)
         report.add("annihilator_span", "TS° = span{du - 2x dx, dy}",
                    la.span_equal(ann, [la.vec([-2 * x, 0, 1, 0]), la.vec([0, 1, 0, 0])]))
         rows = [la.mat_vec(omega, t) for t in tb]
-        ts_perp = la.nullspace(rows)
+        ts_perp = la.nullspace(rows, 4)
         report.add("omega_orthogonal_span", "TS^omega = span{2x d/dy - d/dv, d/dx}",
                    la.span_equal(ts_perp, [la.vec([0, 2 * x, 0, -1]), la.vec([1, 0, 0, 0])]))
         fiber = poisson.algebroid_fiber(pmodel, model, pt)
@@ -336,7 +336,7 @@ def c4_prepoisson_remark(report: ScenarioReport, values: dict, rng: random.Rando
     for pt in pts:
         tb = model.tangent_basis(pt)
         gram = [[la.dot(a, la.mat_vec(omega, b)) for b in tb] for a in tb]
-        kernel = la.nullspace(gram)
+        kernel = la.nullspace(gram, len(tb))
         report.add("reduced_dim", "dim M_red = dim S - rk L_S = 2",
                    len(kernel) == 0 and len(tb) - len(kernel) == 2, {"reduced_dim": len(tb) - len(kernel)})
 
@@ -409,7 +409,7 @@ def polyhedral_face_torus(report: ScenarioReport, values: dict, rng: random.Rand
         face = poisson.AffineSubspace(base, dirs, list(dict.fromkeys(pts)))
         for pt in face.sample_points:
             fiber = poisson.algebroid_fiber(pmodel, face, pt)
-            ann = la.annihilator(face.tangent_basis(pt), dim_t)
+            ann = la.nullspace(face.tangent_basis(pt), dim_t)
             report.add(f"face_{label}_fiber", "L_F = (T_xi F)° (Lie algebra of the cutting torus T_F)",
                        la.span_equal(list(fiber.basis), ann),
                        {"dim": fiber.rank, "codim": dim_t - len(face.directions)})

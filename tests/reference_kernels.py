@@ -14,10 +14,11 @@ affine model replaced, are kept as the oracle of ``poisson.slodowy_slice``
 and ``poisson.diagonal``.  The sign recursion on root tuples (``TupleRoots``,
 ``SignBuilder``, ``chevalley_table``) is the one the library ran before it
 read roots by basis index, kept as the oracle of ``lie._table_from_roots``
-and of ``RootSystem``'s tuple API.  The stabilizer fiber's two-step route,
-an annihilator and then a second nullspace with sigma's image of it,
-which ``poisson.algebroid_fiber`` replaced by one linear system, is the
-oracle of that system.  Two routes that only tests called left the
+and of ``RootSystem``'s index forms.  ``solve`` solves A x = b for the
+tests; the library's one solve is ``inverse``.  The stabilizer fiber's
+two-step route, an annihilator and then a second nullspace with sigma's
+image of it, which ``poisson.algebroid_fiber`` replaced by one linear
+system, is the oracle of that system.  Two routes that only tests called left the
 library for this file: ``intersect_spans``, whose question the library
 answers with ``kernel_within`` alone, and ``fiber_by_intersection``, the
 general ds^{-1}(TS) ∩ dt^{-1}(TS) ∩ (TS)^Omega route that the closed-form
@@ -73,19 +74,32 @@ def rank(rows: Sequence[Vector]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Sequence[Vector]) -> list[Vector]:
-    """One basis vector per free column c of the rref: 1 at c, -rref[i][c] at the i-th pivot."""
-    if not rows:
-        return []
+def nullspace(rows: Sequence[Vector], n: int) -> list[Vector]:
+    """One basis vector in Q^n per free column c of the rref: 1 at c, -rref[i][c] at the i-th pivot."""
     m, pivots = rref(rows)
     basis = []
-    for c in (c for c in range(len(rows[0])) if c not in pivots):
-        v = [Q(0)] * len(rows[0])
+    for c in (c for c in range(n) if c not in pivots):
+        v = [Q(0)] * n
         v[c] = Q(1)
         for i, p in enumerate(pivots):
             v[p] = -m[i][c]
         basis.append(tuple(v))
     return basis
+
+
+def solve(a: Sequence[Vector], b: Vector) -> Vector | None:
+    """One solution of A x = b off the rref of [A | b]: x[p] is the last entry of the row of pivot p.
+
+    None when b is outside the column space: then the rref has a pivot in b's column.
+    """
+    n = len(a[0])
+    m, pivots = rref([tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)])
+    if n in pivots:
+        return None
+    x = [Q(0)] * n
+    for row, p in zip(m, pivots):
+        x[p] = row[n]
+    return tuple(x)
 
 
 def det(a: Sequence[Vector]) -> Fraction:
@@ -128,9 +142,9 @@ def algebroid_fiber(sigma: Matrix, tangent: Sequence[Vector], n: int) -> tuple[l
     (T S)°, that is when (sigma^T w) . eta = 0.  `tangent` need only span T S.
     """
     tangent = list(tangent)
-    ann = nullspace(tangent) if tangent else [tuple(Q(int(i == j)) for j in range(n)) for i in range(n)]
+    ann = nullspace(tangent, n)
     sigma_t = [tuple(row[j] for row in sigma) for j in range(n)]
-    basis = nullspace(tangent + [mat_vec(sigma_t, w) for w in ann])
+    basis = nullspace(tangent + [mat_vec(sigma_t, w) for w in ann], n)
     return basis, all(x == 0 for b in basis for x in mat_vec(sigma, b))
 
 
@@ -179,7 +193,7 @@ def kernel_within(m, sub: Sequence[Vector]) -> list[Vector]:
     if not imgs[0]:
         # zero-dimensional codomain: the whole subspace maps to zero
         return la.span_basis(sub)
-    coeffs = la.nullspace(la.transpose(imgs))
+    coeffs = la.nullspace(la.transpose(imgs), len(sub))
     out = []
     for c in coeffs:
         v = la.zeros(len(sub[0]))
@@ -193,7 +207,7 @@ def intersect_spans(a: Sequence[Vector], b: Sequence[Vector]) -> list[Vector]:
     """Canonical basis of span(a) ∩ span(b): the kernel, inside span(a), of the annihilator of b."""
     if not b:
         return []
-    return kernel_within(nullspace(b), a)
+    return kernel_within(nullspace(b, len(b[0])), a)
 
 
 def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
@@ -206,7 +220,7 @@ def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
     xi = tuple(xi)
     n = alg.dim
     tangent = s_model.tangent_basis(xi)
-    ann = la.annihilator(tangent, n)
+    ann = la.nullspace(tangent, n)
     zero = (Q(0),) * n
     # dt(u, zeta) = zeta in T S
     rows = [zero + tuple(w) for w in ann]
@@ -215,7 +229,7 @@ def fiber_by_intersection(alg: LieAlgebra, s_model, xi: Vector) -> list[Vector]:
     rows += [tuple(-x for x in mat_vec(c, w)) + tuple(w) for w in ann]
     # (u, zeta) Omega-orthogonal to 0 x T S: Omega((u, zeta), (0, t)) = t(u)
     rows += [tuple(t) + zero for t in tangent]
-    return nullspace(rows)
+    return nullspace(rows, 2 * n)
 
 
 def ad_star(alg: LieAlgebra, x: Vector, xi: Vector) -> Vector:
@@ -313,9 +327,9 @@ def sl_realization(alg: LieAlgebra) -> list[Matrix]:
         reps[rs.vector_index(simple)] = elementary((i, i + 1, 1))
         reps[rs.vector_index(tuple(-c for c in simple))] = elementary((i + 1, i, 1))
     for gamma in rs.positive[rank:]:  # the simple roots come first
-        x, y = rs.extraspecial(gamma)
-        for sign in (1, -1):
-            a, b, c = (rs.vector_index(tuple(sign * v for v in r)) for r in (x, y, gamma))
+        g = rs.vector_index(gamma)
+        x, y = rs._special[g]  # the indices of gamma's extraspecial pair
+        for a, b, c in ((x, y, g), (rs._neg[x], rs._neg[y], rs._neg[g])):
             n = structure_constant(alg, a, b, c)
             reps[c] = tuple(tuple(v / n for v in row) for row in commutator(reps[a], reps[b]))
     return reps
@@ -415,10 +429,10 @@ def conjugation_adjoint(reps: Sequence[Matrix], g: Matrix) -> tuple[Matrix, Matr
     flat = la.transpose([tuple(v for row in rep for v in row) for rep in reps])
 
     def coords(m):
-        sols = la.solve_many(flat, [tuple(v for row in m for v in row)])
-        if sols is None:
+        x = solve(flat, tuple(v for row in m for v in row))
+        if x is None:
             raise ValueError("conjugate lies outside the realized algebra")
-        return sols[0]
+        return x
 
     ad = [coords(mat_mul(mat_mul(g, rep), ginv)) for rep in reps]
     ad_inv = [coords(mat_mul(mat_mul(ginv, rep), g)) for rep in reps]
@@ -433,7 +447,7 @@ def matrix_group_element(alg: LieAlgebra, g) -> lie.GroupElement:
 def centralizer(alg: LieAlgebra, x: Vector) -> list[Vector]:
     """g_x as the nullspace of the dense matrix of ad_x, one ``bracket`` per column."""
     cols = [bracket(alg, x, alg.basis_vec(i)) for i in range(alg.dim)]
-    return nullspace(list(zip(*cols)))
+    return nullspace(list(zip(*cols)), alg.dim)
 
 
 def on_slodowy_slice(alg: LieAlgebra, triple, xi: Vector) -> bool:

@@ -142,7 +142,7 @@ def test_elimination_pivots_on_the_smallest_entry(monkeypatch):
 def test_kernels_match_reference_when_the_first_entry_is_not_the_smallest():
     rows = PIVOT_CHOICE
     assert la.rref(rows) == ref.rref(rows)
-    assert la.nullspace(rows) == ref.nullspace(rows)
+    assert la.nullspace(rows, 5) == ref.nullspace(rows, 5)
     assert la.rank(rows) == ref.rank(rows) == 3
     columns = la.transpose(rows)
     for sub, space in ((rows[:1], rows[1:]), ([], rows), (columns[1:2], columns)):
@@ -156,13 +156,11 @@ def test_rref_matches_dense_on_wide_rows(rows):
 
 
 def boundary_scalars(rows):
-    """Every scalar that rref, span_basis, nullspace, solve_many and inverse return on `rows`."""
+    """Every scalar that rref, span_basis, nullspace and inverse return on `rows`."""
+    n = len(rows[0]) if rows else 3
     out = [x for row in la.rref(rows)[0] for x in row]
-    out += [x for v in la.span_basis(rows) + la.nullspace(rows) for x in v]
-    if rows:
-        # b is the first column, so x = e_0 solves A x = b
-        out += la.solve_many(rows, [tuple(r[0] for r in rows)])[0]
-    if len(rows) == len(rows[0] if rows else ()) == la.rank(rows):
+    out += [x for v in la.span_basis(rows) + la.nullspace(rows, n) for x in v]
+    if len(rows) == n == la.rank(rows):
         out += [x for row in la.inverse(rows) for x in row]
     return out
 
@@ -512,11 +510,16 @@ def test_kernel_within_edge_cases():
     assert la.kernel_within(images_of(m, units), units) == units[1:]
 
 
-def test_annihilator_of_nothing_is_everything():
+def test_nullspace_of_no_rows_is_everything():
+    """No rows leave all of Q^n, as do the rows of a map into Q^0 (``kernel_within``'s zero-width images)."""
+    assert la.nullspace([], 3) == [la.vec([1, 0, 0]), la.vec([0, 1, 0]), la.vec([0, 0, 1])]
     for n in range(5):
-        assert la.annihilator([], n) == list(la.identity(n))
-        assert la.rank(la.annihilator([], n)) == n
-    assert la.annihilator([la.vec([1, 0, 0])], 3) == [la.vec([0, 1, 0]), la.vec([0, 0, 1])]
+        assert la.nullspace([], n) == list(la.identity(n)) == ref.nullspace([], n)
+        assert la.nullspace(la.transpose([()] * n), n) == list(la.identity(n))
+        assert la.rank(la.nullspace([], n)) == n
+    assert la.nullspace([la.vec([1, 0, 0])], 3) == [la.vec([0, 1, 0]), la.vec([0, 0, 1])]
+    with pytest.raises(ValueError, match="in Q\\^3"):
+        la.nullspace([la.vec([1, 0, 0]), la.vec([1, 0])], 3)
 
 
 @pytest.mark.parametrize("typ,rank", ALGEBRAS)
@@ -950,19 +953,21 @@ def test_chevalley_table_matches_the_tuple_recursion(typ, rank):
 
 @pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
 def test_root_data_match_tuple_arithmetic(typ, rank):
-    """The root-sum table and the tuple API read by index agree with tuple arithmetic on every root and pair."""
+    """The root-sum table and the index forms agree with tuple arithmetic on every root and pair."""
     rs, oracle = lie.RootSystem(typ, rank), ref.TupleRoots(typ, rank)
     assert (rs.roots, rs.positive, rs.by_index) == (oracle.roots, oracle.positive, oracle.by_index)
     for a, alpha in enumerate(rs.by_index[rank:], rank):
-        assert [rs.pairing(alpha, j) for j in range(rank)] == [oracle.pairing(alpha, j) for j in range(rank)]
-        assert (rs.norm2(alpha), rs.coroot_coeffs(alpha)) == (oracle.norm2(alpha), oracle.coroot_coeffs(alpha))
+        assert rs.vector_index(alpha) == a
+        assert rs._pairings[a] == tuple(oracle.pairing(alpha, j) for j in range(rank))
+        assert (rs._norms[a], rs.coroot_coeffs(alpha)) == (oracle.norm2(alpha), oracle.coroot_coeffs(alpha))
         for b, beta in enumerate(rs.by_index[rank:], rank):
             s = tuple(x + y for x, y in zip(alpha, beta))
             want = lie.ZERO_SUM if not any(s) else oracle.index.get(s)
             assert rs._sums[a].get(b) == want, (alpha, beta)
-            assert rs.p_string(alpha, beta) == oracle.p_string(alpha, beta)
+            assert rs._p_string(a, b) == oracle.p_string(alpha, beta)
     for gamma in rs.positive[rank:]:
-        assert rs.extraspecial(gamma) == oracle.extraspecial(gamma)
+        x, y = rs._special[rs.vector_index(gamma)]
+        assert (rs.by_index[x], rs.by_index[y]) == oracle.extraspecial(gamma)
 
 
 @pytest.mark.parametrize("typ,rank", [("A", 2), ("B", 2), ("G2", 2)])
@@ -1050,17 +1055,26 @@ def test_verify_jacobi_perturbed_commuting_pair_matches_reference(data):
     assert alg.verify_jacobi() == ref.verify_jacobi(alg)
 
 
-@given(st.one_of(sparse_matrix(), wide_matrix()))
+@st.composite
+def rows_in(draw):
+    """(rows, n): rows in Q^n, sparse or wide, possibly none, and n possibly 0."""
+    n = draw(st.integers(0, 8))
+    return draw(st.one_of(sparse_rows(draw(st.integers(0, 8)), n), wide_rows(draw(st.integers(0, 6)), n))), n
+
+
+@given(rows_in())
 @settings(max_examples=100, deadline=None)
-def test_nullspace_matches_reference(rows):
-    got = la.nullspace(rows)
-    assert got == ref.nullspace(rows)
+def test_nullspace_matches_reference(case):
+    rows, n = case
+    got = la.nullspace(rows, n)
+    assert got == ref.nullspace(rows, n)
     assert all(type(x) is Q for v in got for x in v)
 
 
 @pytest.mark.parametrize("rows", EDGE_CASES)
 def test_nullspace_edge_cases(rows):
-    assert la.nullspace(rows) == ref.nullspace(rows)
+    n = len(rows[0]) if rows else 3
+    assert la.nullspace(rows, n) == ref.nullspace(rows, n)
 
 
 @pytest.mark.parametrize("typ,rank", sorted(lie.SUPPORTED))
@@ -1168,31 +1182,57 @@ def test_span_basis_matches_reference_on_canonical_bases_and_near_misses(rows):
         assert la.span_basis(miss) == ref_span_basis(miss) == basis
 
 
-def readme_suite_models():
-    """Every ReducedSpaceModel that the README suite builds, in order."""
-    models = []
+def reduction_points(*names):
+    """(algebra, model, xi, ReducedSpaceModel) at each kernel check the named golden configs run, in order."""
+    points = []
     check = reduction.kernel_identity_check
 
-    def kept(*args):
-        agree, model = check(*args)
-        models.append(model)
+    def kept(alg, s_model, xi):
+        agree, model = check(alg, s_model, xi)
+        points.append((alg, s_model, tuple(xi), model))
         return agree, model
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reduction, "kernel_identity_check", kept)
-        assert cli.run(cli.parse_config(CONFIGS["readme_suite"]))[1] == 0
-    return models
+        for name in names:
+            assert cli.run(cli.parse_config(CONFIGS[name]))[1] == 0
+    return points
+
+
+def test_gram_kernel_is_the_fiber_system_with_its_multipliers_negated():
+    """The Gram route and the orbit route of the kernel check solve one linear system.
+
+    On g x T_xi S, with the tangent basis as the columns of T, the Gram
+    matrix of Omega is [[-C, -T], [T^T, 0]], and ``algebroid_fiber``'s rows
+    are [[C^T, T], [T^T, 0]] with C^T = -C: the same matrix with the
+    multiplier columns negated.  So the Gram coefficient kernel is the
+    fiber's (eta, c) nullspace with c negated, vector for vector, and its
+    eta-parts are the fiber basis that the orbit route reads h_xi off.
+    """
+    points = reduction_points("readme_suite", "type_a_slices")
+    kinds = {type(s_model).__name__ for _, s_model, _, _ in points}
+    assert len(points) == 26 and kinds == {"AffineSubspace", "WeylChamberFace", "DecompositionClass", "CasimirLevelSet"}
+    for alg, s_model, xi, model in points:
+        n, pm, tangent = alg.dim, poisson.kks_model(alg), s_model.tangent_basis(xi)
+        width = n + len(tangent)
+        rows = [row + col for row, col in zip(pm.bivector_at(xi), la.columns(tangent, n))]
+        rows += [tuple(t) + la.zeros(len(tangent)) for t in tangent]
+        gram = gpd.omega_gram(alg, xi, model.n_tangent)
+        assert [tuple(g[:n]) + la.neg(g[n:]) for g in gram] == rows
+        solutions = la.nullspace(rows, width)
+        assert [v[:n] + la.neg(v[n:]) for v in la.nullspace(gram, width)] == solutions
+        assert tuple(v[:n] for v in solutions) == poisson.algebroid_fiber(pm, s_model, xi).basis
 
 
 def solved(model, v):
     """Quotient coordinates of v by a fresh solve against kernel + complement, or None."""
-    sols = la.solve_many(la.transpose(list(model.kernel) + list(model.complement)), [v])
-    return None if sols is None else sols[0][len(model.kernel):]
+    x = ref.solve(la.transpose(list(model.kernel) + list(model.complement)), v)
+    return None if x is None else x[len(model.kernel):]
 
 
 def test_push_matches_solve_on_the_readme_suite():
     rng = random.Random(23)
-    models = readme_suite_models()
+    models = [model for *_, model in reduction_points("readme_suite")]
     off_tangent = 0
     assert models
     for model in models:
@@ -1240,7 +1280,7 @@ def fiber_cases():
         pytest.param(kks2, poisson.CasimirLevelSet(sl2, 8, [hb]), True, id="casimir-level-set"),
         pytest.param(kks2, poisson.CoadjointOrbit(sl2, hb, [sl2.unipotent(e, 1)]), True, id="coadjoint-orbit"),
         pytest.param(kks2, poisson.Explicit(3, lambda xi: orbit_tangent + [orbit_tangent[0]], [hb]), True, id="explicit-dependent-tangent"),
-        pytest.param(kks3, poisson.AffineSubspace(character, la.annihilator(borel, 8)), False, id="character-of-the-Borel"),
+        pytest.param(kks3, poisson.AffineSubspace(character, la.nullspace(borel, 8)), False, id="character-of-the-Borel"),
         pytest.param(degenerate, poisson.AffineSubspace(la.zeros(4), [la.unit(4, 2)]), True, id="constant-stable"),
         pytest.param(degenerate, poisson.AffineSubspace(la.zeros(4), [la.unit(4, 0)]), False, id="constant-unstable"),
         pytest.param(symplectic, poisson.Explicit(4, lambda xi: quadric + [la.add(*quadric)], [la.vec([1, 0, 1, 0])]), True, id="symplectic-quadric"),

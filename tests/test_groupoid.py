@@ -237,7 +237,7 @@ def test_mw_fiber_with_offset(sl2, sl2_efh):
     e, h, f = sl2_efh
     hb = sl2.flat(h)
     h_sub = [h]
-    ann = la.annihilator(h_sub, 3)
+    ann = la.nullspace(h_sub, 3)
     eta = ann[0]
     fib = gpd.mw_fiber(sl2, h_sub, hb, eta)
     assert fib.isotropic
@@ -364,9 +364,9 @@ def test_normality(sl2, sl3, sl2_efh):
     assert gpd.normality_infinitesimal_check(sl2, orb, gu, hb)
     # oracle: conjugate the centralizer basis and compare with the
     # centralizer at the translated point
-    conj = [sl2.adjoint_group_action(gu, x) for x in la.nullspace(la.transpose(sl2.coadjoint_matrix(hb)))]
+    conj = [sl2.adjoint_group_action(gu, x) for x in la.nullspace(la.transpose(sl2.coadjoint_matrix(hb)), 3)]
     xi2 = sl2.coadjoint_group_action(gu, hb)
-    assert la.span_equal(conj, la.nullspace(la.transpose(sl2.coadjoint_matrix(xi2))))
+    assert la.span_equal(conj, la.nullspace(la.transpose(sl2.coadjoint_matrix(xi2)), 3))
     dec = poisson.DecompositionClass(sl3, 4, [subregular_point(sl3)])
     gt = ref.matrix_group_element(sl3, [[2, 0, 0], [0, 3, 0], [0, 0, Q(1, 6)]])
     assert gpd.normality_infinitesimal_check(sl3, dec, gt, dec.sample_points[0])

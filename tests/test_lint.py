@@ -28,6 +28,9 @@ two-route check stay independent: the pairwise route of Omega
 ``reduced_form_well_defined``) names none of the Gram route's
 ``coadjoint_matrix``, ``_coadjoint`` or ``omega_gram``, and the orbit route
 of the kernel (``orbit_tangent_in_universal``) names no ``omega_gram``.
+The orbit route still reads C, through the fiber's bivector, and solves
+the Gram system with its multiplier columns negated, so of the two only
+the pairwise route is evidence that does not rest on C.
 Only ``poisson.py`` compares a ``kind`` attribute: elsewhere a model's kind
 is decided by its class, and ``kind`` is a label for messages.
 Every annotation is a string (``from __future__ import annotations``), so
@@ -43,13 +46,16 @@ on every supported type, ``verify_killing_invariance`` on G2, and
 and a run at ``sample_count`` 4, under ``sys.settrace`` with a tracer that
 records each entered code object and traces no lines.  A function that no
 report runs is either a library API that an open ROADMAP item will report,
-named in ``REACH_ALLOWLIST`` with its reason, or it leaves ``src/``: to
+named in ``REACH_ALLOWLIST`` with a reason that opens with "ROADMAP item
+N:" for an N under ROADMAP's "## Open items", or it leaves ``src/``: to
 ``tests/reference_kernels.py`` as a test oracle, or altogether.  An
-allowlist entry that now runs, or names no ``def``, fails the gate too.
+allowlist entry that now runs, names no ``def`` or names no open item
+fails the gate too.
 """
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,8 +250,8 @@ def crossings(modules: dict[str, ast.Module], route: dict[str, tuple[str, ...]],
     return found
 
 
-# The two routes of each two-route check read disjoint data: the pairwise
-# route and the orbit route never read the Gram route's coadjoint matrix C.
+# The pairwise route never reads the Gram route's coadjoint matrix C; the
+# orbit route calls no omega_gram, though it reads C through the bivector.
 GRAM_ROUTE = {"coadjoint_matrix", "_coadjoint", "omega_gram"}
 PAIRWISE_ROUTE = {
     "groupoid.py": ("omega_eval",),
@@ -305,12 +311,6 @@ REACH_ALLOWLIST = {
     "lie:GroupElement.__mul__": "ROADMAP item 25: composing orbit witnesses",
     "lie:GroupElement.inv": "ROADMAP item 25: the inverse witness of the orbit fiber",
     "poisson:coisotropic_check": "ROADMAP item 8: coisotropic reduction in the gluing law",
-    "lie:RootSystem.pairing": "library API on root tuples, in the README; the builder reads the index form",
-    "lie:RootSystem.norm2": "library API on root tuples, in the README; the builder reads the index form",
-    "lie:RootSystem.p_string": "library API on root tuples, in the README; the builder reads the index form",
-    "lie:RootSystem.extraspecial": "library API on root tuples, in the README; the builder reads the index form",
-    "poisson:SubmanifoldModel._contains": "abstract: every model overrides it",
-    "poisson:SubmanifoldModel._tangent": "abstract: every model overrides it",
 }
 
 
@@ -330,6 +330,25 @@ def defined_functions(modules: dict[str, ast.Module]) -> list[str]:
 
     for module, tree in modules.items():
         walk(module, tree, "")
+    return found
+
+
+def open_items(roadmap: str) -> set[int]:
+    """The numbers of the items under ROADMAP's "## Open items" heading, less those folded into another."""
+    section = roadmap.split("\n## Open items\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^(\d+)\. \*\*(.*)", section, re.M)
+    return {int(number) for number, title in items if not title.startswith("Folded into")}
+
+
+def unanchored_entries(allowlist: dict[str, str], items: set[int]) -> list[str]:
+    """The `allowlist` entries whose reason does not open with "ROADMAP item N:" for an N in `items`."""
+    found = []
+    for name, reason in allowlist.items():
+        anchor = re.match(r"ROADMAP item (\d+):", reason)
+        if anchor is None:
+            found.append(f"{name} names no ROADMAP item")
+        elif int(anchor[1]) not in items:
+            found.append(f"{name} names ROADMAP item {anchor[1]}, which is not open")
     return found
 
 
@@ -562,6 +581,33 @@ def test_every_function_runs_in_a_report():
     assert result["codes"] == [0, 2, 2, 0]
     modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC}
     assert unreached_functions(defined_functions(modules), set(result["entered"]), REACH_ALLOWLIST) == []
+
+
+def test_every_allowlist_entry_names_an_open_roadmap_item():
+    """A def that no report runs stays in ``src/`` only for an open item that will report it."""
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    assert unanchored_entries(REACH_ALLOWLIST, open_items(roadmap)) == []
+
+
+def test_allowlist_gate_catches_an_entry_with_no_open_item():
+    roadmap = (
+        "1. **Aim one.** Not an item.\n\n## Open items\n\n1. **The benchmark.**\n"
+        "7. **The universal property**\n21. **Folded into item 25** (implosion).\n\n## Later\n\n9. **Not open.**\n"
+    )
+    assert open_items(roadmap) == {1, 7}
+    allowlist = {
+        "m:kept": "ROADMAP item 7: its report",
+        "m:library": "library API, in the README",
+        "m:folded": "ROADMAP item 21: folded",
+        "m:later": "ROADMAP item 9: after the list",
+        "m:named_late": "abstract; see ROADMAP item 7: its report",
+    }
+    assert unanchored_entries(allowlist, open_items(roadmap)) == [
+        "m:library names no ROADMAP item",
+        "m:folded names ROADMAP item 21, which is not open",
+        "m:later names ROADMAP item 9, which is not open",
+        "m:named_late names no ROADMAP item",
+    ]
 
 
 def test_reach_gate_catches_an_unreached_function_and_a_stale_entry():

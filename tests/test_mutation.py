@@ -42,7 +42,7 @@ def principal_with(member, value):
     return triple
 
 
-_annihilator = la.annihilator
+_nullspace = la.nullspace
 _centralizer = lie.LieAlgebra.centralizer
 _explicit_tangent = poisson.Explicit._tangent
 _casimir_tangent = poisson.CasimirLevelSet._tangent
@@ -107,8 +107,8 @@ MUTATIONS = {
     # every fiber reported unstable
     ("decomposition_class_sl3", "stable"): unstable_fibers,
     ("decomposition_class_sl3", "reduced_dim"): wrong_input(expected_reduced_dim=9),
-    # an annihilator one vector short
-    ("c4_prepoisson_remark", "annihilator_span"): patched(la, "annihilator", lambda gens, dim: _annihilator(gens, dim)[:-1]),
+    # every kernel one vector short, the annihilator among them
+    ("c4_prepoisson_remark", "annihilator_span"): patched(la, "nullspace", lambda rows, n: _nullspace(rows, n)[:-1]),
     # the tangent of x^2 = -u, not of the quadric
     ("c4_prepoisson_remark", "omega_orthogonal_span"):
         patched(poisson.Explicit, "_tangent", lambda self, xi: [la.vec([1, 0, -2 * xi[0], 0]), la.vec([0, 0, 0, 1])]),
@@ -123,7 +123,7 @@ MUTATIONS = {
     ("casimir_sphere", "stable"): patched(la, "is_zero", lambda u: False),
     # the tangent (e_0)^perp at every point, which is T_xi S at the base point h^flat only
     ("casimir_sphere", "fiber_is_dual_ray"):
-        patched(poisson.CasimirLevelSet, "_tangent", lambda self, xi: la.nullspace([la.unit(self.ambient_dim, 0)])),
+        patched(poisson.CasimirLevelSet, "_tangent", lambda self, xi: la.nullspace([la.unit(self.ambient_dim, 0)], self.ambient_dim)),
     # a tangent one vector short at the first point only
     ("casimir_sphere", "pre_poisson_sampled"): patched(poisson.CasimirLevelSet, "_tangent", lambda self, xi: (
         _casimir_tangent(self, xi)[: -1 if xi == self.sample_points[0] else None])),

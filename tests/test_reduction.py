@@ -61,7 +61,7 @@ def kernel_oracle(alg, s_model, xi):
     for b in n_basis:
         rows.append(tuple(gpd.omega_eval(alg, xi, b, v) for v in full))
     # v in (T_pN)^Omega iff it annihilates every row as a functional
-    orth = la.nullspace(rows)
+    orth = la.nullspace(rows, len(rows[0]))
     return ref.intersect_spans(n_basis, orth)
 
 
@@ -143,7 +143,7 @@ def test_decomposition_form(sl3, rng):
         x = sl3.sharp(xi)
         fiber = poisson.algebroid_fiber(pm, dec, xi)
         kernel = reduction.kernel_identity_check(sl3, dec, xi)
-        mperp = la.nullspace([sl3.flat(mb) for mb in fiber.basis])
+        mperp = la.nullspace([sl3.flat(mb) for mb in fiber.basis], 8)
 
         def rand_perp():
             z = la.zeros(8)

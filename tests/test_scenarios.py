@@ -65,8 +65,8 @@ def test_sl2_structure_certificate_verdicts(sl3, monkeypatch):
     dec = poisson.DecompositionClass(sl3, 4, [subregular_point(sl3, a, perm) for a, perm in params])
     fibers = [list(poisson.algebroid_fiber(pm, dec, pt).basis) for pt in dec.sample_points]
     solves = []
-    solve_many = la.solve_many
-    monkeypatch.setattr(la, "solve_many", lambda a, bs: solves.append(1) or solve_many(a, bs))
+    inverse = la.inverse
+    monkeypatch.setattr(la, "inverse", lambda a: solves.append(1) or inverse(a))
     assert [scenarios._sl2_structure_certificate(sl3, m) for m in fibers] == [True] * 4
     assert len(solves) == 0  # [e, f] against h is a comparison, not a solve
     e1, e2, f1, f2 = (sl3.root_vector(r) for r in ((1, 0), (0, 1), (-1, 0), (0, -1)))
