@@ -59,7 +59,6 @@ from .poisson import (
     trivial_model,
 )
 from .groupoid import (
-    CotangentPoint,
     GroupoidTangentFiber,
     coadjoint_orbit_fiber,
     lie_functor_check,

@@ -61,6 +61,8 @@ def parse_config(document: dict) -> RunConfig:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError(f"scenarios[{i}] must be an object with a 'name' field")
         name = entry["name"]
+        if not isinstance(name, str):
+            raise ConfigError(f"scenarios[{i}]: name {name!r} is not a string")
         if name not in REGISTRY:
             raise ConfigError(f"scenarios[{i}]: unknown scenario {name!r}")
         _reject_unknown_keys(entry, ENTRY_KEYS, f"scenarios[{i}]: ")

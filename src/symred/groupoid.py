@@ -6,7 +6,9 @@ canonical symplectic form is
 
     Omega((u1, z1), (u2, z2)) = -z2(u1) + z1(u2) - xi([u1, u2]),
 
-which depends on the base only through xi.  ``omega_eval`` sums one value
+which depends on the base only through xi, so a fiber keeps xi alone and
+a function that also needs g takes it as an optional argument, None being
+the identity.  ``omega_eval`` sums one value
 pairwise: the two pairings by ``la.dot`` and xi([u1, u2]) by
 ``LieAlgebra.bracket_pairing`` off the structure table, with no bracket
 vector and no coadjoint matrix C.  ``omega_gram`` sums a whole Gram matrix
@@ -41,16 +43,10 @@ from .linalg import Q, Vector
 
 
 @dataclass(frozen=True)
-class CotangentPoint:
-    """(g, xi) with g omitted when only the xi-dependence matters."""
+class GroupoidTangentFiber:
+    """A tangent fiber at a base (g, xi), kept by its xi alone: Omega depends on nothing else."""
 
     xi: Vector
-    g: GroupElement | None = None
-
-
-@dataclass(frozen=True)
-class GroupoidTangentFiber:
-    base: CotangentPoint
     basis: tuple[Vector, ...]  # flat (u, zeta)
     isotropic: bool
 
@@ -74,8 +70,6 @@ def omega_eval(alg: LieAlgebra, xi: Vector, v1: Vector, v2: Vector) -> Fraction:
     costs no ``Fraction`` operation, and a zero value is ``ZERO``.
     """
     n = alg.dim
-    if len(xi) != n:
-        raise DimensionMismatch(f"expected length {n}, got {len(xi)}")
     _check_flat(n, (v1, v2))
     u1, z1, u2, z2 = v1[:n], v1[n:], v2[:n], v2[n:]
     value = la.dot(z1, u2)
@@ -132,17 +126,17 @@ def _split_fiber(alg: LieAlgebra, xi: Vector, us: Sequence[Vector], zetas: Seque
     """The fiber spanned by {(u, 0)} and {(0, zeta)} at the base xi, certified isotropic."""
     zero = la.zeros(alg.dim)
     basis = [tuple(u) + zero for u in us] + [zero + tuple(z) for z in zetas]
-    return GroupoidTangentFiber(CotangentPoint(xi), tuple(basis), _isotropic(alg, xi, basis))
+    return GroupoidTangentFiber(xi, tuple(basis), _isotropic(alg, xi, basis))
 
 
-def source_target_differentials(alg: LieAlgebra, p: CotangentPoint, v: Vector):
-    """(ds, dt) of the source Ad*_g xi and target xi at p along flat v = (u, zeta)."""
+def source_target_differentials(alg: LieAlgebra, xi: Vector, v: Vector, g: GroupElement | None = None):
+    """(ds, dt) of the source Ad*_g xi and target xi at (g, xi) along flat v = (u, zeta); g None is the identity."""
     n = alg.dim
     _check_flat(n, (v,))
     zeta = tuple(v[n:])
-    ds = la.add(alg.ad_star(v[:n], p.xi), zeta)
-    if p.g is not None:
-        ds = alg.coadjoint_group_action(p.g, ds)
+    ds = la.add(alg.ad_star(v[:n], xi), zeta)
+    if g is not None:
+        ds = alg.coadjoint_group_action(g, ds)
     return ds, zeta
 
 
@@ -160,10 +154,10 @@ def mw_fiber(alg: LieAlgebra, h_sub: Sequence[Vector], xi: Vector, eta: Vector) 
     return _split_fiber(alg, tuple(la.add(xi, eta)), h_xi, la.nullspace(h_basis, alg.dim))
 
 
-def coadjoint_orbit_fiber(alg: LieAlgebra, p: CotangentPoint) -> GroupoidTangentFiber:
-    """Solutions of ad*_u xi = (Ad*_{g^{-1}} - 1) ad*_v xi, as pairs (u, ad*_v xi)."""
-    xi = tuple(p.xi)
-    g = p.g if p.g is not None else alg.identity_element()
+def coadjoint_orbit_fiber(alg: LieAlgebra, xi: Vector, g: GroupElement | None = None) -> GroupoidTangentFiber:
+    """Solutions of ad*_u xi = (Ad*_{g^{-1}} - 1) ad*_v xi at (g, xi), as pairs (u, ad*_v xi); g None is the identity."""
+    xi = tuple(xi)
+    g = g if g is not None else alg.identity_element()
     if alg.coadjoint_group_action(g, xi) != xi:
         raise BaseNotInSubgroupoid("base point must satisfy Ad*_g xi = xi")
     ginv = g.inv()
@@ -179,7 +173,7 @@ def coadjoint_orbit_fiber(alg: LieAlgebra, p: CotangentPoint) -> GroupoidTangent
     flats = [tuple(sol[:n]) + la.mat_vec(ad_xi, sol[n:]) for sol in sols]
     basis = la.span_basis(flats)
     iso = _isotropic(alg, xi, basis)
-    return GroupoidTangentFiber(p, tuple(basis), iso)
+    return GroupoidTangentFiber(xi, tuple(basis), iso)
 
 
 def chamber_face_fiber(alg: LieAlgebra, face, xi: Vector) -> GroupoidTangentFiber:
@@ -202,9 +196,9 @@ def lie_functor_check(fiber: GroupoidTangentFiber, expected: poisson.AlgebroidFi
 
 
 def normality_infinitesimal_check(alg: LieAlgebra, s_model, g: GroupElement, xi: Vector) -> bool:
-    """Ad_g(h_xi) = h_{Ad*_g xi} as subspaces, for invariant kinds."""
+    """Ad_g(h_xi) = h_{Ad*_g xi} as subspaces, for the Ad*-invariant models."""
     if not isinstance(s_model, (poisson.CoadjointOrbit, poisson.DecompositionClass, poisson.CasimirLevelSet)):
-        raise KindNotInvariant(f"kind {s_model.kind} is not invariant")
+        raise KindNotInvariant(f"{type(s_model).__name__} is not invariant")
     p = poisson.kks_model(alg)
     h1 = poisson.stabilizer_subalgebra(p, s_model, xi)
     xi2 = alg.coadjoint_group_action(g, tuple(xi))

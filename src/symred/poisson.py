@@ -28,7 +28,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from . import linalg as la
-from .errors import CertificateFailed, DimensionMismatch, NotOnModel, NotStable
+from .errors import CertificateFailed, DimensionMismatch, NotOnModel, NotStable, UnsupportedType
 from .lie import GroupElement, LieAlgebra, Sl2Triple
 from .linalg import Matrix, Vector
 
@@ -94,8 +94,9 @@ def trivial_model(dim: int) -> PoissonPointModel:
 
 
 class SubmanifoldModel:
-    """A submanifold kind plus exact tangent bases at rational points.
+    """A submanifold with exact tangent bases at rational points.
 
+    Its class says which submanifold it is, and a message names the class.
     Construction certifies every declared sample point.  T_xi S and the
     stabilizer fiber are derived once per point (and Poisson model) and kept,
     so a model must not be mutated afterwards.  Subclasses supply the
@@ -104,8 +105,6 @@ class SubmanifoldModel:
     `_tangent` returns a basis of T_xi S, independent vectors: the fiber's
     multipliers are coordinates in it.
     """
-
-    kind = "abstract"
 
     def __init__(self, ambient_dim: int, sample_points: Sequence[Vector]):
         self.ambient_dim = ambient_dim
@@ -124,14 +123,14 @@ class SubmanifoldModel:
         basis = self._tangents.get(xi)
         if basis is None:
             if not self._contains(xi):
-                raise NotOnModel(f"point not on {self.kind} model")
+                raise NotOnModel(f"point not on {type(self).__name__} model")
             basis = self._tangents[xi] = tuple(self._tangent(xi))
         return list(basis)
 
     def _point(self, xi: Vector) -> Vector:
         xi = tuple(xi)
         if len(xi) != self.ambient_dim:
-            raise DimensionMismatch(f"{self.kind} model takes points of length {self.ambient_dim}, not {len(xi)}")
+            raise DimensionMismatch(f"{type(self).__name__} model takes points of length {self.ambient_dim}, not {len(xi)}")
         return xi
 
 
@@ -140,8 +139,6 @@ class AffineSubspace(SubmanifoldModel):
 
     With ``sample_points`` None the base is the one sample point; an empty list gives none.
     """
-
-    kind = "affine"
 
     def __init__(self, base: Vector, directions: Sequence[Vector], sample_points=None):
         self.base = tuple(base)
@@ -183,8 +180,6 @@ def diagonal(s: AffineSubspace, n: int) -> AffineSubspace:
 class CoadjointOrbit(SubmanifoldModel):
     """Orbit of a seed under Ad*, with witnessed sample points."""
 
-    kind = "coadjoint-orbit"
-
     def __init__(self, algebra: LieAlgebra, seed: Vector, witnesses: Sequence[GroupElement] = ()):
         self.algebra = algebra
         self.seed = tuple(seed)
@@ -211,8 +206,6 @@ class CoadjointOrbit(SubmanifoldModel):
 
 class DecompositionClass(SubmanifoldModel):
     """Semisimple decomposition class in g ≅ g*, fixed centralizer dimension."""
-
-    kind = "decomposition-class"
 
     def __init__(self, algebra: LieAlgebra, centralizer_dim: int, sample_vecs: Sequence[Vector]):
         self.algebra = algebra
@@ -243,8 +236,6 @@ class DecompositionClass(SubmanifoldModel):
 class CasimirLevelSet(SubmanifoldModel):
     """{ xi : kappa*(xi, xi) = c } for rational c != 0."""
 
-    kind = "casimir-level-set"
-
     def __init__(self, algebra: LieAlgebra, level, sample_points: Sequence[Vector]):
         self.algebra = algebra
         self.level = la.frac(level)
@@ -268,8 +259,6 @@ class WeylChamberFace(AffineSubspace):
     face when it is positive on the remaining ones and a positive root pairs
     to zero only if it stays in <subset>.
     """
-
-    kind = "weyl-chamber-face"
 
     def __init__(self, algebra: LieAlgebra, subset: Sequence[int], sample_points: Sequence[Vector]):
         self.algebra = algebra
@@ -308,8 +297,6 @@ class Explicit(SubmanifoldModel):
     The caller's vectors need only span T_xi S: ``tangent_basis`` returns
     their canonical basis, so a repeated or dependent vector is dropped.
     """
-
-    kind = "explicit"
 
     def __init__(self, ambient_dim: int, tangent_fn: Callable[[Vector], Sequence[Vector]], sample_points: Sequence[Vector]):
         self.tangent_fn = tangent_fn
@@ -378,7 +365,7 @@ def stabilizer_subalgebra(p: PoissonPointModel, s: SubmanifoldModel, xi: Vector)
     with the multiplier columns negated: the routes share one system.
     """
     if p.algebra is None:
-        raise NotStable("stabilizer subalgebras live on g* models")
+        raise UnsupportedType("stabilizer subalgebras live on g* models")
     xi = tuple(xi)
     fiber = algebroid_fiber(p, s, xi)
     if not fiber.contained_in_centralizer:

@@ -127,27 +127,23 @@ def dimension_formula_check(alg: LieAlgebra, s_model, xi: Vector, model: Reduced
     return model.quotient_dim == alg.dim + dim_s - fiber.rank
 
 
-def decomposition_form_check(alg: LieAlgebra, s_model, kernel: tuple[bool, ReducedSpaceModel], pairs) -> bool:
+def decomposition_form_check(alg: LieAlgebra, kernel: tuple[bool, ReducedSpaceModel], pairs) -> bool:
     """Quotient form versus -<u1,z2> + <u2,z1> - <x,[u1,u2]> on lifted pairs.
 
     `kernel` is what ``kernel_identity_check`` returned at the point; the
     check fails when its two routes disagreed.  Each tangent is a pair
     (u, z) with u in g a lift of [u] and z in the Killing-perp of
-    m = [g_x, g_x], tested as one ``mat_vec`` against the flats of m's
-    basis; the lift into T(G x D) is (u, z^flat).  With x = xi^sharp and K
-    symmetric, the formula is ``omega_eval`` on the two lifts.
+    m = [g_x, g_x]; the lift into T(G x D) is (u, z^flat).  m lies in
+    (T_x D)°, so a z not orthogonal to m gives a z^flat off T_x D, and
+    ``ReducedSpaceModel.push`` refuses that lift with ``LiftNotValid``.
+    With x = xi^sharp and K symmetric, the formula is ``omega_eval`` on the
+    two lifts.
     """
     agree, model = kernel
     if not agree:
         return False
     xi = model.xi
-    pm = poisson.kks_model(alg)
-    fiber = poisson.algebroid_fiber(pm, s_model, xi)
-    m_flats = [alg.flat(mb) for mb in fiber.basis]  # m = [g_x, g_x] for these classes
     for (u1, z1), (u2, z2) in pairs:
-        for z in (z1, z2):
-            if not la.is_zero(la.mat_vec(m_flats, z)):
-                raise LiftNotValid("second component must be Killing-orthogonal to m")
         lift1, lift2 = tuple(u1) + tuple(alg.flat(z1)), tuple(u2) + tuple(alg.flat(z2))
         if model.eval_reduced(lift1, lift2) != omega_eval(alg, xi, lift1, lift2):
             return False

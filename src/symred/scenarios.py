@@ -257,7 +257,7 @@ def decomposition_class_sl3(report: ScenarioReport, values: dict, rng: random.Ra
             z1, z2 = la.mat_vec(columns, c[::2]), la.mat_vec(columns, c[1::2])
             pairs.append(((la.random_vector(rng, alg.dim), z1), (la.random_vector(rng, alg.dim), z2)))
         report.add("reduced_form_formula", "omega_red = -<u1,z2> + <u2,z1> - <x,[u1,u2]>",
-                   kernel is not None and reduction.decomposition_form_check(alg, dec, kernel, pairs),
+                   kernel is not None and reduction.decomposition_form_check(alg, kernel, pairs),
                    {"pairs": per_point * len(dec.sample_points)})
 
     _pre_poisson_sampled(report, pm, dec)

@@ -14,7 +14,6 @@ import reference_kernels as ref
 from symred import cli, lie, poisson, reduction, scenarios
 from symred import groupoid as gpd
 from symred import linalg as la
-from symred.groupoid import CotangentPoint
 from conftest import check_data, subregular_point
 
 
@@ -130,12 +129,12 @@ def test_criterion_04_isotropy():
     # orbit-stabilizer fibers at three bases, one a non-identity element
     gt = ref.matrix_group_element(sl2, [[2, 0], [0, Q(1, 2)]])
     xi2 = sl2.coadjoint_group_action(sl2.unipotent(e, 1), hb)
-    for base in [CotangentPoint(hb), CotangentPoint(hb, gt), CotangentPoint(xi2)]:
-        fib = gpd.coadjoint_orbit_fiber(sl2, base)
+    for xi, g in [(hb, None), (hb, gt), (xi2, None)]:
+        fib = gpd.coadjoint_orbit_fiber(sl2, xi, g)
         ok &= fib.isotropic
         for i, t1 in enumerate(fib.basis):
             for t2 in fib.basis[i + 1 :]:
-                ok &= gpd.omega_eval(sl2, base.xi, t1, t2) == 0
+                ok &= gpd.omega_eval(sl2, xi, t1, t2) == 0
     verdict(4, "pairwise Omega-vanishing on stabilizer fibers", ok)
 
 
@@ -158,7 +157,7 @@ def test_criterion_06_decomposition_form():
             z2 = la.add(z2, la.scale(la.random_fraction(rng), b))
         pairs.append(((la.random_vector(rng, 8), z1), (la.random_vector(rng, 8), z2)))
     kernel = reduction.kernel_identity_check(sl3, dec, xi)
-    ok = reduction.decomposition_form_check(sl3, dec, kernel, pairs)
+    ok = reduction.decomposition_form_check(sl3, kernel, pairs)
     verdict(6, "explicit reduced form on the subregular class (>=20 pairs)", ok)
 
 

@@ -216,6 +216,8 @@ BAD_INPUTS = {
     "unknown-entry-key-parmas": ({"scenarios": [{"name": "c4_prepoisson_remark", "parmas": {}}]}, "parmas"),
     "unknown-top-key-sead": (one_scenario("c4_prepoisson_remark", {}, sead=5), "sead"),
     "unknown-top-key-smaple_count": (one_scenario("c4_prepoisson_remark", {}, smaple_count=9), "smaple_count"),
+    "name-list": ({"scenarios": [{"name": ["casimir_sphere"]}]}, "name"),
+    "name-object": ({"scenarios": [{"name": {"casimir_sphere": {}}}]}, "name"),
 }
 
 

@@ -31,8 +31,8 @@ of the kernel (``orbit_tangent_in_universal``) names no ``omega_gram``.
 The orbit route still reads C, through the fiber's bivector, and solves
 the Gram system with its multiplier columns negated, so of the two only
 the pairwise route is evidence that does not rest on C.
-Only ``poisson.py`` compares a ``kind`` attribute: elsewhere a model's kind
-is decided by its class, and ``kind`` is a label for messages.
+No module in ``src/symred`` has a ``kind`` attribute, assigned or read: a
+model's kind is its class, and a message names ``type(model).__name__``.
 Every annotation is a string (``from __future__ import annotations``), so
 ``import symred`` loads no ``typing``, whose import is a cost that every
 run pays.
@@ -44,7 +44,10 @@ the three golden-report configs, ``build_chevalley`` and ``verify_jacobi``
 on every supported type, ``verify_killing_invariance`` on G2, and
 ``cli.main`` on ``list-scenarios``, a missing config, a refused parameter
 and a run at ``sample_count`` 4, under ``sys.settrace`` with a tracer that
-records each entered code object and traces no lines.  A function that no
+records each entered code object and traces no lines.  A code object is
+matched to its ``def`` by module, first line and name: its
+``co_firstlineno`` is the line of its first decorator, or of the ``def``.
+``co_qualname`` would be simpler, but Python 3.10 lacks it.  A function that no
 report runs is either a library API that an open ROADMAP item will report,
 named in ``REACH_ALLOWLIST`` with a reason that opens with "ROADMAP item
 N:" for an N under ROADMAP's "## Open items", or it leaves ``src/``: to
@@ -216,16 +219,19 @@ def second_affine_models(tree: ast.Module) -> list[str]:
     return found
 
 
-def kind_comparisons(modules: dict[str, ast.Module]) -> list[str]:
-    """Comparisons outside ``poisson.py`` with a ``.kind`` attribute among their operands."""
-    return [
-        f"{module} line {node.lineno}: compares .kind"
-        for module, tree in modules.items()
-        if module != "poisson.py"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Compare)
-        and any(isinstance(op, ast.Attribute) and op.attr == "kind" for op in [node.left, *node.comparators])
-    ]
+def kind_attributes(modules: dict[str, ast.Module]) -> list[str]:
+    """Every ``kind`` attribute of `modules`: an ``x.kind``, read or written, or a ``kind`` assigned in a class body."""
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "kind":
+                found.append((module, node.lineno, ".kind"))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    targets = item.targets if isinstance(item, ast.Assign) else [getattr(item, "target", None)]
+                    if any(isinstance(t, ast.Name) and t.id == "kind" for t in targets):
+                        found.append((module, item.lineno, f"{node.name}.kind"))
+    return [f"{module} line {line}: {what}" for module, line, what in sorted(found)]
 
 
 def definition(tree: ast.Module, qualname: str) -> ast.AST | None:
@@ -263,8 +269,8 @@ ORBIT_ROUTE = {"reduction.py": ("orbit_tangent_in_universal",)}
 MODULES = ["__init__", "cli", "errors", "groupoid", "lie", "linalg", "poisson", "reduction", "scenarios"]
 
 # Run in a fresh interpreter with src/ and tests/ as its two arguments; prints
-# the exit codes of the cli.main calls and the module:qualname of every src/
-# code object entered.  Returning None from the tracer traces no lines.
+# the exit codes of the cli.main calls and the module:first line:name of every
+# src/ code object entered.  Returning None from the tracer traces no lines.
 REACH_SCRIPT = """
 import contextlib, io, json, os, sys, tempfile
 from pathlib import Path
@@ -289,7 +295,8 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
              cli.main(["run", os.path.join(tmp, "refused")]),
              cli.main(["run", os.path.join(tmp, "suite"), "--sample-count", "4", "--report", os.path.join(tmp, "out")])]
 sys.settrace(None)
-names = sorted({f"{Path(c.co_filename).stem}:{c.co_qualname}" for c in entered if Path(c.co_filename).resolve().parent == package})
+names = sorted({f"{Path(c.co_filename).stem}:{c.co_firstlineno}:{c.co_name}" for c in entered
+                if Path(c.co_filename).resolve().parent == package})
 print(json.dumps({"codes": codes, "entered": names}))
 """
 
@@ -314,14 +321,16 @@ REACH_ALLOWLIST = {
 }
 
 
-def defined_functions(modules: dict[str, ast.Module]) -> list[str]:
-    """``module:qualname`` of every def in `modules`, qualified as the code object's ``co_qualname`` is."""
-    found = []
+def defined_functions(modules: dict[str, ast.Module]) -> dict[str, str]:
+    """``module:qualname`` of every def in `modules`, qualified as the code object's ``co_qualname`` is,
+    mapped to the ``module:first line:name`` that the reach script prints for its code object."""
+    found = {}
 
     def walk(module, node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append(f"{module}:{prefix}{child.name}")
+                first = child.decorator_list[0].lineno if child.decorator_list else child.lineno
+                found[f"{module}:{prefix}{child.name}"] = f"{module}:{first}:{child.name}"
                 walk(module, child, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(module, child, f"{prefix}{child.name}.")
@@ -523,9 +532,9 @@ def test_affine_model_gate_catches_a_second_one():
     ]
 
 
-def test_only_poisson_compares_a_kind():
+def test_no_kind_attribute():
     modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC}
-    assert kind_comparisons(modules) == []
+    assert kind_attributes(modules) == []
 
 
 def test_kind_gate_catches_a_comparison():
@@ -533,11 +542,18 @@ def test_kind_gate_catches_a_comparison():
         "def f(m):\n    if m.kind == 'x':\n        return 1\n    if 'y' != m.kind:\n        return 2\n"
         "    if m.kind in KINDS:\n        return 3\n    raise ValueError(f'kind {m.kind} is not invariant')\n"
     )
-    poisson = ast.parse("def g(p):\n    return p.kind == 'kks'\n")
-    assert kind_comparisons({"m.py": module, "poisson.py": poisson}) == [
-        "m.py line 2: compares .kind",
-        "m.py line 4: compares .kind",
-        "m.py line 6: compares .kind",
+    poisson = ast.parse(
+        "class Model:\n    kind = 'abstract'\n\nclass Face(Model):\n    kind: str = 'face'\n    label = kind\n\n"
+        "def g(p, kind):\n    p.kind = kind\n    return kind\n"
+    )
+    assert kind_attributes({"m.py": module, "poisson.py": poisson}) == [
+        "m.py line 2: .kind",
+        "m.py line 4: .kind",
+        "m.py line 6: .kind",
+        "m.py line 8: .kind",
+        "poisson.py line 2: Model.kind",
+        "poisson.py line 5: Face.kind",
+        "poisson.py line 9: .kind",
     ]
 
 
@@ -580,7 +596,9 @@ def test_every_function_runs_in_a_report():
     result = json.loads(out.stdout)
     assert result["codes"] == [0, 2, 2, 0]
     modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC}
-    assert unreached_functions(defined_functions(modules), set(result["entered"]), REACH_ALLOWLIST) == []
+    defined = defined_functions(modules)
+    entered = {name for name, code in defined.items() if code in set(result["entered"])}
+    assert unreached_functions(list(defined), entered, REACH_ALLOWLIST) == []
 
 
 def test_every_allowlist_entry_names_an_open_roadmap_item():
@@ -614,11 +632,15 @@ def test_reach_gate_catches_an_unreached_function_and_a_stale_entry():
     module = ast.parse(
         "def ran():\n    def inner():\n        return 1\n    return inner()\n\n"
         "def planted():\n    return 2\n\nclass Model:\n    def method(self):\n        return 3\n\n"
-        "    def stub(self):\n        raise NotImplementedError\n\n"
+        "    @property\n    @cached\n    def stub(self):\n        raise NotImplementedError\n\n"
         "if True:\n    def guarded():\n        return 4\n"
     )
     defined = defined_functions({"m": module})
-    assert defined == ["m:ran", "m:ran.<locals>.inner", "m:planted", "m:Model.method", "m:Model.stub", "m:guarded"]
+    assert defined == {
+        "m:ran": "m:1:ran", "m:ran.<locals>.inner": "m:2:inner", "m:planted": "m:6:planted",
+        "m:Model.method": "m:10:method", "m:Model.stub": "m:13:stub", "m:guarded": "m:19:guarded",
+    }
+    defined = list(defined)
     entered = {"m:ran", "m:ran.<locals>.inner", "m:Model.method", "m:guarded", "other:run"}
     allowlist = {"m:Model.stub": "abstract", "m:Model.method": "now runs", "m:gone": "deleted"}
     assert unreached_functions(defined, entered, allowlist) == [

@@ -1,12 +1,13 @@
-"""Every reported check of five scenarios is shown to fail.
+"""Every reported check of every registered scenario is shown to fail.
 
 A certificate is worth reporting only if some wrong input makes it reject.
 Each entry of ``MUTATIONS`` names one mutation for one (scenario, check):
 a monkeypatch of one library function, or one wrong scenario parameter.
 Under it the check reports ``fail``, the report still renders, and
 ``cli.run`` exits 1.  ``sample_points`` records state the sampled inputs
-and pass by construction, so they have no entry.  A scenario listed here
-gains a check only together with its entry (``test_every_check_has_a_mutation``).
+and pass by construction, so they have no entry.  A scenario gains a check,
+and a new scenario is registered, only together with its entries
+(``test_every_check_has_a_mutation``); ``EXEMPT`` names the one exception.
 """
 
 import dataclasses
@@ -165,9 +166,35 @@ def test_mutation_fails_its_check(monkeypatch, scenario, check):
     assert code == 1
 
 
-@pytest.mark.parametrize("scenario", sorted({scenario for scenario, _ in MUTATIONS}))
+# ROADMAP item 18: both checks of polyhedral_face_torus pass on every input, so
+# no mutation fails them; item 18 replaces them and removes this exemption.
+EXEMPT = {"polyhedral_face_torus"}
+
+
+def gated_scenarios():
+    """Every registered scenario but the exempt one."""
+    return sorted(set(scenarios.REGISTRY) - EXEMPT)
+
+
+def unmutated(scenario):
+    """(exit code, checks with no entry, entries that name no check) of `scenario` at its README parameters."""
+    document, code = run(scenario, README.get(scenario, {}))
+    names = {c["name"] for c in document["scenarios"][0]["checks"]} - {"sample_points"}
+    entries = {check for s, check in MUTATIONS if s == scenario}
+    return code, sorted(names - entries), sorted(entries - names)
+
+
+@pytest.mark.parametrize("scenario", gated_scenarios())
 def test_every_check_has_a_mutation(scenario):
-    document, code = run(scenario, README[scenario])
-    names = {c["name"] for c in document["scenarios"][0]["checks"]}
-    assert code == 0
-    assert names - {"sample_points"} == {check for s, check in MUTATIONS if s == scenario}
+    assert unmutated(scenario) == (0, [], [])
+
+
+def test_mutation_gate_catches_a_scenario_with_no_entries(monkeypatch):
+    def scratch(report, values, rng, sample_count):
+        report.add("sample_points", "the inputs", True)
+        report.add("holds", "1 = 1", True)
+
+    spec = scenarios.ScenarioSpec("scratch", scratch, "one check and no mutation", ("1 = 1",))
+    monkeypatch.setitem(scenarios.REGISTRY, spec.name, spec)
+    assert "scratch" in gated_scenarios() and EXEMPT < set(scenarios.REGISTRY)
+    assert unmutated("scratch") == (0, ["holds"], [])

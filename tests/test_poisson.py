@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from symred import cli, lie, poisson
 from symred import linalg as la
-from symred.errors import CertificateFailed, DimensionMismatch, NotOnModel, NotStable
+from symred.errors import CertificateFailed, DimensionMismatch, NotOnModel, NotStable, UnsupportedType
 from conftest import subregular_point
 from test_golden_report import CONFIGS
 
@@ -329,7 +330,12 @@ def stabilizer_cases():
     return cases
 
 
-@pytest.mark.parametrize("alg,model", stabilizer_cases(), ids=lambda v: getattr(v, "kind", getattr(v, "name", "")))
+def case_id(value):
+    """An algebra by its name, a model by its class in kebab case, as in "casimir-level-set"."""
+    return getattr(value, "name", None) or re.sub(r"(?<!^)(?=[A-Z])", "-", type(value).__name__).lower()
+
+
+@pytest.mark.parametrize("alg,model", stabilizer_cases(), ids=case_id)
 def test_stabilizer_subalgebra_matches_intersection_route(alg, model):
     """h_xi read from the stable fiber against (T S)° ∩ g_xi by two nullspaces and intersect_spans; equal bases."""
     pm = poisson.kks_model(alg)
@@ -372,9 +378,25 @@ def test_stabilizer_subalgebra_requires_stable(sl2, kks2):
     hb = sl2.flat(sl2.basis_vec(0))
     line = poisson.AffineSubspace(hb, [sl2.flat(sl2.root_vector((1,)))])
     fib = poisson.algebroid_fiber(kks2, line, hb)
-    if not fib.contained_in_centralizer:
-        with pytest.raises(NotStable):
-            poisson.stabilizer_subalgebra(kks2, line, hb)
+    assert fib.rank == 2 and not fib.contained_in_centralizer
+    with pytest.raises(NotStable):
+        poisson.stabilizer_subalgebra(kks2, line, hb)
+
+
+def test_stabilizer_subalgebra_needs_a_lie_poisson_model():
+    """A constant model has no algebra, so there is no h_xi to read: that is no stability verdict."""
+    point = poisson.AffineSubspace(la.zeros(2), [])
+    with pytest.raises(UnsupportedType, match=r"g\* models"):
+        poisson.stabilizer_subalgebra(poisson.trivial_model(2), point, la.zeros(2))
+
+
+def test_model_messages_name_the_class(sl2):
+    hb = sl2.flat(sl2.basis_vec(0))
+    level = poisson.CasimirLevelSet(sl2, 8, [hb])
+    with pytest.raises(NotOnModel, match="^point not on CasimirLevelSet model$"):
+        level.tangent_basis(la.unit(3, 1))
+    with pytest.raises(DimensionMismatch, match="^CasimirLevelSet model takes points of length 3, not 2$"):
+        level.tangent_basis(la.zeros(2))
 
 
 def direct_sum_verdicts(alg, sl):

@@ -8,7 +8,6 @@ from symred import groupoid as gpd
 from symred import cli, lie, poisson, reduction, scenarios
 from symred import linalg as la
 from symred.errors import DimensionMismatch, LiftNotValid, NotStable
-from symred.groupoid import CotangentPoint
 from conftest import subregular_point
 
 
@@ -40,10 +39,10 @@ def test_orbit_tangent_is_compared_without_elimination(sl3, eliminations):
 def test_orbit_tangent_requires_stable(sl2):
     hb = sl2.flat(sl2.basis_vec(0))
     line = poisson.AffineSubspace(hb, [sl2.flat(sl2.root_vector((1,)))])
-    pm = poisson.kks_model(sl2)
-    if not poisson.algebroid_fiber(pm, line, hb).contained_in_centralizer:
-        with pytest.raises(NotStable):
-            reduction.orbit_tangent_in_universal(sl2, line, hb)
+    fiber = poisson.algebroid_fiber(poisson.kks_model(sl2), line, hb)
+    assert fiber.rank == 2 and not fiber.contained_in_centralizer
+    with pytest.raises(NotStable):
+        reduction.orbit_tangent_in_universal(sl2, line, hb)
 
 
 def kernel_oracle(alg, s_model, xi):
@@ -88,15 +87,15 @@ def test_kernel_identity_slice_orbit_singleton(sl2, sl2_efh):
 
 def test_kernel_identity_at_nonidentity_base(sl2, sl2_efh):
     # In left-trivialised coordinates Omega at (g, xi) depends on xi alone,
-    # so the check at a non-identity base is the check at its xi.
+    # so the check at a non-identity base is the check at its xi, the one
+    # value a groupoid fiber at (g, xi) keeps.
     e, h, f = sl2_efh
     hb = sl2.flat(h)
     orb = poisson.CoadjointOrbit(sl2, hb)
     gt = ref.matrix_group_element(sl2, [[3, 0], [0, Q(1, 3)]])
-    p = CotangentPoint(hb, gt)
-    agree, model = reduction.kernel_identity_check(sl2, orb, p.xi)
+    agree, model = reduction.kernel_identity_check(sl2, orb, gpd.coadjoint_orbit_fiber(sl2, hb, gt).xi)
     assert agree and model.quotient_dim == 4
-    assert model == reduction.kernel_identity_check(sl2, orb, CotangentPoint(hb).xi)[1]
+    assert model == reduction.kernel_identity_check(sl2, orb, hb)[1]
 
 
 def test_explicit_dependent_tangent_counts_once(sl2, kks2):
@@ -153,16 +152,17 @@ def test_decomposition_form(sl3, rng):
 
         # same vector in the quotient factor, zero in the perp factor
         u = la.random_vector(rng, 8)
-        assert reduction.decomposition_form_check(sl3, dec, kernel, [(((u), la.zeros(8)), ((u), la.zeros(8)))])
+        assert reduction.decomposition_form_check(sl3, kernel, [(((u), la.zeros(8)), ((u), la.zeros(8)))])
         # mixed pair evaluates to -kappa(u, z) through both routes
         z = rand_perp()
-        assert reduction.decomposition_form_check(sl3, dec, kernel, [((u, la.zeros(8)), (la.zeros(8), z))])
+        assert reduction.decomposition_form_check(sl3, kernel, [((u, la.zeros(8)), (la.zeros(8), z))])
         pairs = [((la.random_vector(rng, 8), rand_perp()), (la.random_vector(rng, 8), rand_perp())) for _ in range(25)]
-        assert reduction.decomposition_form_check(sl3, dec, kernel, pairs)
+        assert reduction.decomposition_form_check(sl3, kernel, pairs)
         # a point where the two kernel routes disagreed fails before any pair is evaluated
-        assert not reduction.decomposition_form_check(sl3, dec, (False, kernel[1]), pairs)
+        assert not reduction.decomposition_form_check(sl3, (False, kernel[1]), pairs)
+        # z in m = the fiber is not Killing-orthogonal to m, so (u, z^flat) is not tangent to N
         with pytest.raises(LiftNotValid):
-            reduction.decomposition_form_check(sl3, dec, kernel, [((u, fiber.basis[0]), (u, la.zeros(8)))])
+            reduction.decomposition_form_check(sl3, kernel, [((u, fiber.basis[0]), (u, la.zeros(8)))])
 
 
 def test_sharp_pairs_as_xi_at_the_decomposition_points(sl3, rng):
